@@ -55,9 +55,9 @@ representation (:mod:`repro.radio.nodesets`) instead of the per-workload
 heuristic, and ``--kernel {auto,numpy,compiled,edge_sampled}`` selects the
 collision-kernel implementation (:mod:`repro.radio.kernels`) — ``auto``
 runs the compiled kernel when numba is importable, falling back to the
-bit-identical numpy path otherwise.  ``--compaction {auto,on,off}`` and
-``--watermark FRAC`` steer continuous batching (live-trial retirement,
-batch compaction and shard refill) for in-process sweeps.
+bit-identical numpy path otherwise.  In-process exact-mode sweeps run as
+one continuous batch (live-trial retirement, batch compaction and refill);
+``--watermark FRAC`` sets the occupancy below which it refills.
 
 Caching flags: ``--resume`` turns the result store on for ``run`` / ``chart``
 / ``report`` (they default to uncached), ``--cache-dir DIR`` picks the store
@@ -133,22 +133,13 @@ def _add_execution_flags(
         "into result provenance)",
     )
     parser.add_argument(
-        "--compaction",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="continuous batching of in-process sweeps: retire finished "
-        "trials, compact the live batch and refill freed rows from pending "
-        "work; 'auto' engages it for exact-mode sweeps (bit-identical "
-        "either way), 'on' forces it (errors when impossible), 'off' keeps "
-        "the sharded path [default: auto]",
-    )
-    parser.add_argument(
         "--watermark",
         type=float,
         default=0.75,
         metavar="FRAC",
-        help="occupancy fraction below which the continuous batch compacts "
-        "and refills, in (0, 1] [default: 0.75]",
+        help="occupancy fraction below which the continuous batch of an "
+        "in-process exact-mode sweep compacts and refills, in (0, 1] "
+        "[default: 0.75]",
     )
     parser.add_argument(
         "--env",
@@ -626,7 +617,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             state_backend=args.state_backend,
             kernel=args.kernel,
             store=store,
-            compaction=args.compaction,
             watermark=args.watermark,
         )
         if getattr(args, "env", None) is not None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro._util.logmath import expected_degree, phase1_round_count
 from repro._util.validation import check_positive, check_probability
-from repro.radio.batch import BatchBroadcastProtocol, ScheduledTransmissions
+from repro.radio.batch import BatchBroadcastProtocol
 from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
 from repro.radio.nodesets import _remap_flat_pool
 from repro.radio.protocol import BroadcastProtocol
@@ -535,28 +535,6 @@ class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
             rounds_sorted, np.arange(start_round, end_round + 1)
         )
         self._phase3_first_round = start_round
-
-    def presampled_schedule(
-        self, round_index: int
-    ) -> Optional[ScheduledTransmissions]:
-        """Commit to the fast-mode Phase-3 schedule the moment it is fixed.
-
-        Recruits never join the Phase-3 pool and each pool node's (unique)
-        transmission round is pre-sampled, so from the first Phase-3 round on
-        every future transmitter is known and the engine can resolve all
-        remaining rounds in one chunked mega-gather.
-        """
-        if self.rng_source.exact_mode:
-            return None
-        if self.schedule.phase_of_round(round_index) != "phase3":
-            return None
-        if self._phase3_ids is None:
-            self._presample_phase3(round_index)
-        return ScheduledTransmissions(
-            tx_flat=self._phase3_ids,
-            offsets=self._phase3_offsets,
-            first_round=self._phase3_first_round,
-        )
 
     def _phase3_bucket(self, round_index: int, running: np.ndarray) -> np.ndarray:
         lo = self._phase3_offsets[round_index - self._phase3_first_round]

@@ -57,7 +57,7 @@ from repro.experiments.protocols import (
     supports_batch,
 )
 from repro.graphs.builders import GraphSpec, build_network, spec_is_deterministic
-from repro.jobs import InProcessBackend, JobQueue
+from repro.jobs import JobQueue
 from repro.radio.batch import BatchEngine, NetworkBatch, PendingTrial
 from repro.radio.kernels import resolve_collision_kernel
 from repro.radio.network import RadioNetwork
@@ -368,7 +368,6 @@ class _ExecutionDefaults:
     kernel: str = "auto"
     store: Optional[ResultStore] = None
     environment: Optional[Dict[str, object]] = None
-    compaction: str = "auto"
     watermark: float = 0.75
 
 
@@ -410,10 +409,11 @@ def configure_execution(
     ``environment`` job option then runs under it.  Pass ``None`` to
     disable; omit the argument to leave the current default unchanged.
 
-    ``compaction`` / ``watermark`` steer the continuous-batching path (the
-    CLI's ``--compaction`` / ``--watermark`` flags land here): see
-    :class:`ExecutionPlan` for the ``"auto"`` / ``"on"`` / ``"off"``
-    semantics and the occupancy watermark.
+    ``watermark`` sets the refill occupancy of the continuous batch that
+    in-process exact-mode sweeps run as (the CLI's ``--watermark`` flag
+    lands here; see :class:`ExecutionPlan`).  ``compaction`` accepts only
+    ``"auto"``: when rows move is derived from the batch mode, not
+    configured.
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
@@ -423,12 +423,11 @@ def configure_execution(
         updates["batch_mode"] = batch_mode
     if state_backend is not None:
         updates["state_backend"] = state_backend
-    if compaction is not None:
-        if compaction not in ("auto", "on", "off"):
-            raise ValueError(
-                f"compaction must be 'auto', 'on' or 'off', got {compaction!r}"
-            )
-        updates["compaction"] = compaction
+    if compaction not in (None, "auto"):
+        raise ValueError(
+            f"compaction is derived from the batch mode; only 'auto' is "
+            f"accepted, got {compaction!r}"
+        )
     if watermark is not None:
         if not 0.0 < watermark <= 1.0:
             raise ValueError(f"watermark must be in (0, 1], got {watermark}")
@@ -510,71 +509,72 @@ def _execute_batch_shard_traced(shard: _BatchShard):
     return results, captured.payload()
 
 
+def _trial_inputs(
+    jobs: Sequence[Job], shared_network: Optional[RadioNetwork]
+):
+    """``(network, protocol_rng)`` per job, in job order — the one place a
+    batched sweep turns job seeds into engine inputs.
+
+    The graph stream is spawned even when the cached topology makes it
+    unused, so the protocol stream stays identical on every path.
+    """
+    for job in jobs:
+        graph_rng, protocol_rng = spawn_generators(job.seed, 2)
+        network = (
+            shared_network
+            if shared_network is not None
+            else build_network(job.graph, rng=graph_rng)
+        )
+        yield network, protocol_rng
+
+
+def _batch_engine_for(job: Job, state_backend: str, kernel: str) -> BatchEngine:
+    """The batch engine a sweep of jobs like ``job`` runs on."""
+    return BatchEngine(
+        _batch_collision_model_for(job),
+        record_rounds=job.record_rounds,
+        keep_arrays=job.keep_arrays,
+        run_to_quiescence=job.run_to_quiescence,
+        state_backend=state_backend,
+        environment=build_batch_environment(job.environment),
+        kernel=kernel,
+    )
+
+
+def _decorate(job: Job, result: RunResultTrace) -> RunResultTrace:
+    """Attach the job's spec (and label) to its trace's metadata."""
+    result.metadata.setdefault("job", job.as_dict())
+    if job.label:
+        result.metadata["label"] = job.label
+    return result
+
+
 def _execute_batch_shard_impl(
     shard: _BatchShard, result_sink: Optional[_ResultSink] = None
 ) -> List[RunResultTrace]:
     jobs = shard.jobs
     template = jobs[0]
-    collision_model = _batch_collision_model_for(template)
-
-    networks: Union[NetworkBatch, List[RadioNetwork]] = []
-    protocol_rngs = []
-    for job in jobs:
-        # The graph stream is spawned even when the cached topology makes it
-        # unused, so the protocol stream stays identical on every path.
-        graph_rng, protocol_rng = spawn_generators(job.seed, 2)
-        if isinstance(networks, list):
-            if shard.shared_network is not None:
-                networks.append(shard.shared_network)
-            else:
-                networks.append(build_network(job.graph, rng=graph_rng))
-        protocol_rngs.append(protocol_rng)
-    if shard.shared_batch is not None:
-        networks = shard.shared_batch
-
-    engine = BatchEngine(
-        collision_model,
-        record_rounds=template.record_rounds,
-        keep_arrays=template.keep_arrays,
-        run_to_quiescence=template.run_to_quiescence,
-        state_backend=shard.state_backend,
-        environment=build_batch_environment(template.environment),
-        kernel=shard.kernel,
-    )
-    protocol = build_batch_protocol(template.protocol)
-
-    def decorate(trial: int, result: RunResultTrace) -> RunResultTrace:
-        job = jobs[trial]
-        result.metadata.setdefault("job", job.as_dict())
-        if job.label:
-            result.metadata["label"] = job.label
-        return result
+    networks, protocol_rngs = zip(*_trial_inputs(jobs, shard.shared_network))
+    engine = _batch_engine_for(template, shard.state_backend, shard.kernel)
+    if shard.mode == "exact":
+        randomness = {"rngs": protocol_rngs}
+    else:
+        randomness = {"rng": np.random.default_rng(shard.fast_seed)}
 
     engine_sink: Optional[_ResultSink] = None
     if result_sink is not None:
 
         def engine_sink(trial: int, result: RunResultTrace) -> None:
-            result_sink(trial, decorate(trial, result))
+            result_sink(trial, _decorate(jobs[trial], result))
 
-    if shard.mode == "exact":
-        results = engine.run(
-            networks,
-            protocol,
-            rngs=protocol_rngs,
-            max_rounds=template.max_rounds,
-            result_sink=engine_sink,
-        )
-    else:
-        results = engine.run(
-            networks,
-            protocol,
-            rng=np.random.default_rng(shard.fast_seed),
-            max_rounds=template.max_rounds,
-            result_sink=engine_sink,
-        )
-    for trial, result in enumerate(results):
-        decorate(trial, result)
-    return results
+    results = engine.run(
+        shard.shared_batch if shard.shared_batch is not None else networks,
+        build_batch_protocol(template.protocol),
+        max_rounds=template.max_rounds,
+        result_sink=engine_sink,
+        **randomness,
+    )
+    return [_decorate(job, result) for job, result in zip(jobs, results)]
 
 
 def _batch_collision_model_for(job: Job) -> Optional[BatchCollisionModel]:
@@ -649,19 +649,16 @@ class ExecutionPlan:
     number of shards from the worker count — more shards mean finer resume
     checkpoints and better load balancing at a small per-shard overhead.
 
-    ``compaction`` selects the continuous-batching execution of the batched
-    in-process path (:meth:`~repro.radio.batch.BatchEngine.run_continuous`):
+    An in-process exact-mode sweep without ``record_rounds`` runs as one
+    continuous stream (:meth:`~repro.radio.batch.BatchEngine.run_continuous`):
     completed and dead trials retire the round they stop, the live batch is
     compacted when occupancy drops below ``watermark * capacity``, and freed
     rows refill with pending trials — so a sweep whose completion rounds
-    vary widely stops being billed for its slowest trial's horizon.
-    ``"auto"`` (the default) engages it for in-process exact-mode sweeps,
-    where every trial is bit-identical to the sharded path; ``"on"`` forces
-    it whenever it can run (fast mode then draws from a different — still
-    deterministic — stream than the sharded fast path, so force it only on
-    storeless throughput runs) and raises when it cannot; ``"off"`` keeps
-    the sharded path.  Compaction is an execution detail, not a result
-    axis: it never changes store digests.
+    vary widely stops being billed for its slowest trial's horizon.  Every
+    trial is bit-identical to the per-shard path, so this never changes
+    store digests.  Every other batched sweep runs each shard as one wave
+    (:meth:`~repro.radio.batch.BatchEngine.run`): fast-mode draws come
+    from one shared generator per shard, and a shard's rows never move.
 
     The jobs must be a homogeneous sweep: same specs and engine options,
     differing only in seed/label (what :func:`repeat_job` builds).
@@ -677,7 +674,6 @@ class ExecutionPlan:
     store: Optional[ResultStore] = None
     queue: Optional[JobQueue] = None
     shard_count: Optional[int] = None
-    compaction: str = "auto"
     watermark: float = 0.75
 
     def __post_init__(self) -> None:
@@ -690,11 +686,6 @@ class ExecutionPlan:
         if self.batch_mode not in ("fast", "exact"):
             raise ValueError(
                 f"batch_mode must be 'fast' or 'exact', got {self.batch_mode!r}"
-            )
-        if self.compaction not in ("auto", "on", "off"):
-            raise ValueError(
-                f"compaction must be 'auto', 'on' or 'off', "
-                f"got {self.compaction!r}"
             )
         if not 0.0 < self.watermark <= 1.0:
             raise ValueError(
@@ -761,12 +752,16 @@ class ExecutionPlan:
         count = self.shard_count if self.shard_count is not None else workers
         return max(1, min(count, len(self.jobs)))
 
+    def _shard_bounds(self) -> np.ndarray:
+        """Job-index boundaries of the plan's contiguous shards."""
+        return np.linspace(0, len(self.jobs), self._shard_total() + 1).astype(int)
+
     def shards(self) -> List[_BatchShard]:
         """The batch shards this plan would execute (one per worker unless
         ``shard_count`` says otherwise)."""
         jobs = self.jobs
         count = self._shard_total()
-        bounds = np.linspace(0, len(jobs), count + 1).astype(int)
+        bounds = self._shard_bounds()
         shared_network = self.shared_topology()
         if self.batch_mode == "exact":
             fast_seeds: List[Optional[np.random.SeedSequence]] = [None] * count
@@ -811,32 +806,8 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Continuous batching
     # ------------------------------------------------------------------ #
-    def _continuous_blocker(self) -> Optional[str]:
-        """Why the continuous-batching path cannot run (``None`` when it
-        can).  Hard blockers only — the ``compaction`` policy (auto/on/off)
-        is applied by :meth:`_run` on top of this."""
-        if not self.batch:
-            return "the sweep is not batched (batch=False)"
-        reason = self.unbatchable_reason()
-        if reason is not None:
-            return reason
-        if self.jobs[0].record_rounds:
-            return (
-                "record_rounds needs a single per-round log; cohorts start "
-                "at different global rounds"
-            )
-        if self.queue is not None:
-            if not self.queue.in_process:
-                return (
-                    "continuous batching is in-process; the queue fans out "
-                    "to workers"
-                )
-        elif _worker_count(self.processes, len(self.jobs)) > 1:
-            return "continuous batching is in-process; processes>1 shards"
-        return None
-
-    def _run_continuous(
-        self, sink: Optional[_ResultSink], *, collect: bool = True
+    def _run_stream(
+        self, queue: JobQueue, sink: Optional[_ResultSink], *, collect: bool
     ) -> List[RunResultTrace]:
         """Execute the sweep through one engine's
         :meth:`~repro.radio.batch.BatchEngine.run_continuous` loop.
@@ -844,46 +815,24 @@ class ExecutionPlan:
         The pending stream pulls jobs lazily in job order — the in-process
         analogue of shard work-stealing: a row freed by a retired trial is
         refilled with what would have been a later shard's work, so
-        occupancy stays near ``capacity`` for the whole sweep instead of
-        draining once per shard.  Traces stream out one trial at a time
-        (finer checkpoints than the per-shard sink of the sharded path).
+        occupancy stays near ``capacity`` (the largest shard) for the whole
+        sweep instead of draining once per shard.  Traces stream out one
+        trial at a time (finer checkpoints than a per-shard sink).
         """
         jobs = self.jobs
         template = jobs[0]
-        exact = self.batch_mode == "exact"
-        shared_network = self.shared_topology()
-        capacity = max(len(shard.jobs) for shard in self.shards())
-        engine = BatchEngine(
-            _batch_collision_model_for(template),
-            keep_arrays=template.keep_arrays,
-            run_to_quiescence=template.run_to_quiescence,
-            state_backend=self.state_backend,
-            environment=build_batch_environment(template.environment),
-            kernel=self.kernel,
+        capacity = int(np.diff(self._shard_bounds()).max())
+        engine = _batch_engine_for(template, self.state_backend, self.kernel)
+        pending = (
+            PendingTrial(network, rng=protocol_rng, tag=index)
+            for index, (network, protocol_rng) in enumerate(
+                _trial_inputs(jobs, self.shared_topology())
+            )
         )
-
-        def pending():
-            for index, job in enumerate(jobs):
-                # The graph stream is spawned even when the cached topology
-                # makes it unused, so the protocol stream stays identical on
-                # every path.
-                graph_rng, protocol_rng = spawn_generators(job.seed, 2)
-                network = (
-                    shared_network
-                    if shared_network is not None
-                    else build_network(job.graph, rng=graph_rng)
-                )
-                yield PendingTrial(
-                    network, rng=protocol_rng if exact else None, tag=index
-                )
-
         collected: Dict[int, RunResultTrace] = {}
 
         def consume(index: int, trace: RunResultTrace) -> None:
-            job = jobs[index]
-            trace.metadata.setdefault("job", job.as_dict())
-            if job.label:
-                trace.metadata["label"] = job.label
+            _decorate(jobs[index], trace)
             if collect:
                 collected[index] = trace
             if sink is not None:
@@ -895,22 +844,16 @@ class ExecutionPlan:
 
         def run_task(_task) -> None:
             engine.run_continuous(
-                pending(),
+                pending,
                 lambda: build_batch_protocol(template.protocol),
                 capacity=capacity,
                 watermark=self.watermark,
                 max_rounds=template.max_rounds,
-                rng=(
-                    None
-                    if exact
-                    else np.random.default_rng(self._fast_seed_or_derived())
-                ),
                 result_sink=consume,
             )
 
         # The single continuous task still goes through the queue so its
         # dispatch shows up in queue stats/labels like any shard would.
-        queue = self.queue if self.queue is not None else JobQueue.for_workers(1)
         if telemetry.enabled():
             with telemetry.span(
                 "shard",
@@ -1108,113 +1051,92 @@ class ExecutionPlan:
         trace, but nothing is retained and the return value is empty — a
         10⁵-trial sweep's memory stays bounded by one shard, not by R.
         """
-        if self.batch:
-            reason = self.unbatchable_reason()
-            if reason is not None:
-                if self.batch == "require":
-                    raise ValueError(
-                        f"batch='require' but the sweep is not batchable: "
-                        f"{reason}"
-                    )
-                return _run_jobs_queued(
-                    self.jobs,
-                    processes=self.processes,
-                    queue=self.queue,
-                    sink=sink,
-                    collect=collect,
+        reason = self.unbatchable_reason() if self.batch else None
+        if not self.batch or reason is not None:
+            if self.batch == "require":
+                raise ValueError(
+                    f"batch='require' but the sweep is not batchable: {reason}"
                 )
-            if self.compaction != "off":
-                blocker = self._continuous_blocker()
-                if blocker is None and (
-                    self.compaction == "on" or self.batch_mode == "exact"
-                ):
-                    return self._run_continuous(sink, collect=collect)
-                if self.compaction == "on":
-                    raise ValueError(
-                        f"compaction='on' but the sweep cannot run "
-                        f"continuously: {blocker}"
-                    )
-            shards = self.shards()
-            queue = self.queue
-            if queue is None:
-                workers = _worker_count(self.processes, len(self.jobs))
-                queue = JobQueue.for_workers(min(workers, len(shards)))
-            starts = np.concatenate(
-                [[0], np.cumsum([len(shard.jobs) for shard in shards])]
-            )
-
-            # Name each shard by its first trial's cell digest, so a
-            # poisoned shard is identifiable (WorkerPoolError), reproducible
-            # straight from the error message, and attributable in the
-            # telemetry stream (the label is also the shard span's name and
-            # the tag relayed events carry home from workers).
-            context = self.cache_context()
-            labels = [
-                f"shard[{k}]:{job_store_key(shard.jobs[0], context)[:16]}"
-                for k, shard in enumerate(shards)
-            ]
-            shards = [
-                replace(shard, label=label)
-                for shard, label in zip(shards, labels)
-            ]
-            # Worker processes buffer their telemetry and ship it back with
-            # the shard results (the parent cannot see their pipelines);
-            # in-process execution emits directly, so no wrapping needed.
-            traced = telemetry.enabled() and not isinstance(
-                queue.backend, InProcessBackend
-            )
-
-            def on_shard(shard_index: int, shard_result) -> None:
-                if traced:
-                    shard_result, payload = shard_result
-                    telemetry.ingest(payload, shard=labels[shard_index])
-                if sink is not None:
-                    base = int(starts[shard_index])
-                    for offset, trace in enumerate(shard_result):
-                        sink(base + offset, trace)
-
-            if (
-                not collect
-                and sink is not None
-                and isinstance(queue.backend, InProcessBackend)
-            ):
-                # In-process streaming: hand the sink through to the engine
-                # so traces flow out one trial at a time and not even one
-                # shard's trace list is ever materialised.  (Process fan-out
-                # keeps the per-shard list — the traces have to cross the
-                # IPC boundary as a batch anyway.)
-                def run_streaming(item) -> None:
-                    index, shard = item
-                    base = int(starts[index])
-                    _execute_batch_shard(
-                        shard,
-                        result_sink=lambda t, trace: sink(base + t, trace),
-                    )
-
-                queue.run(
-                    run_streaming,
-                    list(enumerate(shards)),
-                    collect=False,
-                    task_labels=labels,
-                )
-                return []
-            parts = queue.run(
-                _execute_batch_shard_traced if traced else _execute_batch_shard,
-                shards,
-                on_result=on_shard,
+            return _run_jobs_queued(
+                self.jobs,
+                processes=self.processes,
+                queue=self.queue,
+                sink=sink,
                 collect=collect,
+            )
+        queue = self.queue
+        if queue is None:
+            workers = _worker_count(self.processes, len(self.jobs))
+            queue = JobQueue.for_workers(min(workers, self._shard_total()))
+        if (
+            queue.in_process
+            and self.batch_mode == "exact"
+            and not self.jobs[0].record_rounds
+        ):
+            return self._run_stream(queue, sink, collect=collect)
+
+        # One wave per shard.  Name each shard by its first trial's cell
+        # digest, so a poisoned shard is identifiable (WorkerPoolError),
+        # reproducible straight from the error message, and attributable in
+        # the telemetry stream (the label is also the shard span's name and
+        # the tag relayed events carry home from workers).
+        context = self.cache_context()
+        shards = [
+            replace(
+                shard,
+                label=f"shard[{k}]:{job_store_key(shard.jobs[0], context)[:16]}",
+            )
+            for k, shard in enumerate(self.shards())
+        ]
+        labels = [shard.label for shard in shards]
+        starts = np.concatenate(
+            [[0], np.cumsum([len(shard.jobs) for shard in shards])]
+        )
+        if queue.in_process and sink is not None and not collect:
+            # In-process streaming: hand the sink through to the engine so
+            # traces flow out one trial at a time and not even one shard's
+            # trace list is ever materialised.  (Process fan-out keeps the
+            # per-shard list — the traces cross the IPC boundary as a batch
+            # anyway.)
+            def run_streaming(item) -> None:
+                index, shard = item
+                base = int(starts[index])
+                _execute_batch_shard(
+                    shard, result_sink=lambda t, trace: sink(base + t, trace)
+                )
+
+            queue.run(
+                run_streaming,
+                list(enumerate(shards)),
+                collect=False,
                 task_labels=labels,
             )
+            return []
+
+        # Worker processes buffer their telemetry and ship it back with the
+        # shard results (the parent cannot see their pipelines); in-process
+        # execution emits directly, so no wrapping needed.
+        traced = telemetry.enabled() and not queue.in_process
+
+        def on_shard(shard_index: int, shard_result) -> None:
             if traced:
-                return [result for part in parts for result in part[0]]
-            return [result for part in parts for result in part]
-        return _run_jobs_queued(
-            self.jobs,
-            processes=self.processes,
-            queue=self.queue,
-            sink=sink,
+                shard_result, payload = shard_result
+                telemetry.ingest(payload, shard=labels[shard_index])
+            if sink is not None:
+                base = int(starts[shard_index])
+                for offset, trace in enumerate(shard_result):
+                    sink(base + offset, trace)
+
+        parts = queue.run(
+            _execute_batch_shard_traced if traced else _execute_batch_shard,
+            shards,
+            on_result=on_shard,
             collect=collect,
+            task_labels=labels,
         )
+        if traced:
+            return [result for part in parts for result in part[0]]
+        return [result for part in parts for result in part]
 
 
 def build_repetition_plan(
@@ -1231,7 +1153,6 @@ def build_repetition_plan(
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
     watermark: Optional[float] = None,
     **job_options,
 ) -> ExecutionPlan:
@@ -1253,8 +1174,6 @@ def build_repetition_plan(
         state_backend = _EXECUTION_DEFAULTS.state_backend
     if kernel is None:
         kernel = _EXECUTION_DEFAULTS.kernel
-    if compaction is None:
-        compaction = _EXECUTION_DEFAULTS.compaction
     if watermark is None:
         watermark = _EXECUTION_DEFAULTS.watermark
     if "environment" not in job_options:
@@ -1285,7 +1204,6 @@ def build_repetition_plan(
         store=_resolve_store(store),
         queue=queue,
         shard_count=shards,
-        compaction=compaction,
         watermark=watermark,
     )
 
@@ -1304,7 +1222,6 @@ def repeat_job(
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
     watermark: Optional[float] = None,
     **job_options,
 ) -> List[RunResultTrace]:
@@ -1356,7 +1273,6 @@ def repeat_job(
         store=store,
         queue=queue,
         shards=shards,
-        compaction=compaction,
         watermark=watermark,
         **job_options,
     )

@@ -45,8 +45,6 @@ from repro.radio.batch import (
     BatchProtocol,
     BatchRandomSource,
     NetworkBatch,
-    ScheduledTransmissions,
-    resolve_scheduled_rounds,
     run_protocol_batch,
 )
 from repro.radio.collision import (
@@ -104,8 +102,6 @@ __all__ = [
     "run_protocol",
     "BatchEngine",
     "BatchRandomSource",
-    "ScheduledTransmissions",
-    "resolve_scheduled_rounds",
     "run_protocol_batch",
     "EnergyAccountant",
     "BatchEnergyAccountant",

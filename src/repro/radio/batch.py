@@ -18,16 +18,12 @@ dimension instead:
   index pools (Decay/flooding at large ``n``) — selected automatically per
   workload or forced via ``state_backend=``; every backend is bit-identical
   to dense under the exact rng mode.
-* :class:`BatchEngine` owns the batched round loop, masking out trials that
-  have individually completed (or gone quiescent) so a finished trial costs
-  nothing while its siblings run on.
-* When a protocol commits to a fixed future transmission schedule
-  (:meth:`BatchProtocol.presampled_schedule` — Algorithm 1's fast-mode
-  Phase 3 does), the engine resolves the scheduled rounds ahead of time in
-  sliced mega-gathers (:func:`resolve_scheduled_rounds`): the rounds are
-  mutually independent once the transmitters are fixed, so the exactly-one
-  rule is applied over composite ``round * total_nodes + listener`` keys,
-  pruned against the protocol's current interest set at every slice.
+* :class:`BatchEngine` owns the one batched round loop, masking out trials
+  that have individually completed (or gone quiescent) so a finished trial
+  costs nothing while its siblings run on.  :meth:`BatchEngine.run` admits
+  one prebuilt batch as a single wave; :meth:`BatchEngine.run_continuous`
+  streams exact-mode trials through the same loop, compacting stopped rows
+  and refilling them from a pending queue.
 
 This module is the execution substrate of the *unified pipeline*: every
 protocol in ``repro.experiments.protocols.PROTOCOL_FACTORIES`` has a batched
@@ -52,7 +48,6 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -92,8 +87,6 @@ __all__ = [
     "BatchGossipProtocol",
     "BatchEngine",
     "PendingTrial",
-    "ScheduledTransmissions",
-    "resolve_scheduled_rounds",
     "run_protocol_batch",
 ]
 
@@ -336,178 +329,6 @@ class BatchRandomSource:
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ScheduledTransmissions:
-    """A protocol's committed transmission schedule for a block of rounds.
-
-    Once a protocol's remaining randomness is fixed (Algorithm 1's fast-mode
-    Phase 3 pre-samples every pool node's unique transmission round), the
-    transmitters of every future round are known in advance and the rounds
-    become mutually independent: collision resolution for all of them can be
-    done up front by :func:`resolve_scheduled_rounds` in one chunked
-    mega-gather instead of one small gather per round.
-
-    Attributes
-    ----------
-    tx_flat:
-        Flat transmitter ids (``trial * n + node``) of every scheduled round,
-        concatenated round-major; within a round the ids are sorted.
-    offsets:
-        Monotone slice boundaries, one entry per covered round plus one:
-        round ``first_round + j`` transmits ``tx_flat[offsets[j]:offsets[j+1]]``.
-    first_round:
-        Engine round index of ``offsets``' first slice.
-    """
-
-    tx_flat: np.ndarray
-    offsets: np.ndarray
-    first_round: int
-
-    @property
-    def num_rounds(self) -> int:
-        """How many rounds the schedule covers."""
-        return len(self.offsets) - 1
-
-    def slice(self, start: int, stop: int) -> "ScheduledTransmissions":
-        """The sub-schedule covering schedule-relative rounds ``[start, stop)``.
-
-        The engine resolves a long schedule in slices so each slice can be
-        pruned against the protocol's *current* interest set — which shrinks
-        fast while the schedule plays out — and so rounds beyond an early
-        finish are never resolved at all.
-        """
-        offs = self.offsets
-        return ScheduledTransmissions(
-            tx_flat=self.tx_flat[offs[start] : offs[stop]],
-            offsets=offs[start : stop + 1] - offs[start],
-            first_round=self.first_round + start,
-        )
-
-
-def resolve_scheduled_rounds(
-    batch: "NetworkBatch",
-    schedule: ScheduledTransmissions,
-    *,
-    listener_filter: Optional[np.ndarray] = None,
-    max_chunk_edges: int = 1 << 22,
-) -> Dict[int, np.ndarray]:
-    """Resolve every scheduled round's deliveries in chunked mega-gathers.
-
-    Rounds whose transmitters are already fixed are independent of one another
-    and of any protocol state, so instead of one CSR gather per round the
-    listener edges of *many* rounds are gathered at once and the exactly-one
-    rule is applied over composite ``round * total_nodes + listener`` keys —
-    one sort replaces per-round Python overhead.  Chunking along rounds
-    bounds peak memory to ``O(max_chunk_edges)`` gathered edges.
-
-    ``listener_filter`` (a flat bool vector, nodes the protocol still cares
-    about — e.g. a broadcast's uninformed set when the schedule is resolved)
-    prunes the composite keys right after the gather: a listener's hear count
-    depends only on the edges pointing *at it*, so dropping every edge into
-    an uninteresting listener leaves the surviving listeners' counts — and
-    therefore their deliveries — unchanged while typically shrinking the sort
-    by an order of magnitude.  The filter is a snapshot: deliveries to nodes
-    that become uninteresting *during* the scheduled block are retained
-    (a superset of what per-round filtering would keep), which is observably
-    equivalent for protocols whose interest set only shrinks.
-
-    Returns a mapping ``round_index -> sorted flat receiver ids`` for every
-    round the schedule covers (empty rounds included).  Only valid under
-    deterministic collision resolution (no erasure) — the caller gates this.
-    """
-    tx_all = schedule.tx_flat
-    offsets = np.asarray(schedule.offsets, dtype=np.int64)
-    num_rounds = len(offsets) - 1
-    total_nodes = batch.total_nodes
-    outcomes: Dict[int, np.ndarray] = {
-        schedule.first_round + j: tx_all[:0].astype(np.int64)
-        for j in range(num_rounds)
-    }
-    if tx_all.size == 0 or num_rounds == 0:
-        return outcomes
-
-    # Per-transmitter out-degrees let us chunk on gathered-edge volume.
-    degrees = batch.out_indptr[tx_all + 1] - batch.out_indptr[tx_all]
-    edge_cum = np.concatenate([[0], np.cumsum(degrees)])
-
-    start = 0
-    while start < num_rounds:
-        stop = start + 1
-        while (
-            stop < num_rounds
-            and edge_cum[offsets[stop + 1]] - edge_cum[offsets[start]]
-            <= max_chunk_edges
-        ):
-            stop += 1
-        lo, hi = int(offsets[start]), int(offsets[stop])
-        tx_chunk = tx_all[lo:hi]
-        if tx_chunk.size:
-            round_of_tx = (
-                np.searchsorted(offsets, np.arange(lo, hi), side="right") - 1
-            )
-            listeners, _ = CollisionModel._gather_listener_edges(
-                batch.out_indptr, batch.out_indices, tx_chunk
-            )
-            if listeners.size:
-                round_of_edge = np.repeat(round_of_tx, degrees[lo:hi])
-                if listener_filter is not None:
-                    interesting = listener_filter[listeners]
-                    listeners = listeners[interesting]
-                    round_of_edge = round_of_edge[interesting]
-            if listeners.size:
-                keys = round_of_edge * np.int64(total_nodes) + listeners
-                keys.sort()
-                run_first = np.empty(keys.size, dtype=bool)
-                run_last = np.empty(keys.size, dtype=bool)
-                run_first[0] = True
-                run_first[1:] = keys[1:] != keys[:-1]
-                run_last[-1] = True
-                run_last[:-1] = run_first[1:]
-                delivered = keys[run_first & run_last]
-                rounds_of_delivery = delivered // total_nodes
-                receivers = delivered % total_nodes
-                bounds = np.searchsorted(
-                    rounds_of_delivery, np.arange(start, stop + 1)
-                )
-                for j in range(start, stop):
-                    block = receivers[bounds[j - start] : bounds[j - start + 1]]
-                    if block.size:
-                        outcomes[schedule.first_round + j] = block
-        start = stop
-    return outcomes
-
-
-class _ScheduledOutcome(BatchCollisionOutcome):
-    """Outcome rebuilt from pre-resolved receivers: receivers only.
-
-    Scheduled resolution never materialises senders or hear counts, and the
-    lazy base-class getters would silently fabricate empty/zero values for
-    them — wrong-but-plausible data for any future protocol that both
-    presamples a schedule and consults collision feedback.  Fail loudly
-    instead.
-    """
-
-    tracks_senders = False
-
-    _UNAVAILABLE = (
-        "{field} is not available on a scheduled-resolution outcome; "
-        "protocols that consult it must not offer a presampled_schedule "
-        "(or the engine must run with scheduled_resolution=False)"
-    )
-
-    @property
-    def sender_flat(self) -> np.ndarray:
-        raise RuntimeError(self._UNAVAILABLE.format(field="sender_flat"))
-
-    @property
-    def hear_counts(self) -> np.ndarray:
-        raise RuntimeError(self._UNAVAILABLE.format(field="hear_counts"))
-
-    @property
-    def collision_flags(self) -> np.ndarray:
-        raise RuntimeError(self._UNAVAILABLE.format(field="collision_flags"))
-
-
 class _RowSliceOutcome(BatchCollisionOutcome):
     """One cohort's row-slice of a union collision outcome.
 
@@ -741,24 +562,6 @@ class BatchProtocol(abc.ABC):
         late rounds then cost O(new information), not O(deliveries).  Only
         consulted in fast mode with ``record_rounds`` off, where trimmed
         outcomes are observably equivalent.  ``None`` keeps every delivery.
-        """
-        return None
-
-    def presampled_schedule(
-        self, round_index: int
-    ) -> Optional[ScheduledTransmissions]:
-        """The committed transmission schedule from ``round_index`` on, if any.
-
-        A protocol that can fix all of its remaining randomness up front
-        (Algorithm 1's fast-mode Phase 3) returns a
-        :class:`ScheduledTransmissions` here; the engine then resolves every
-        scheduled round's collisions in one chunked mega-gather
-        (:func:`resolve_scheduled_rounds`) instead of one gather per round.
-        The engine still calls :meth:`transmit_flat` every round (for energy
-        accounting and per-trial ``running`` gating), so the returned
-        schedule must enumerate the *ungated* transmitters — the engine
-        intersects outcomes with the live ``running`` mask itself.  Return
-        ``None`` (the default) to keep per-round resolution.
         """
         return None
 
@@ -997,9 +800,10 @@ class PendingTrial:
         The trial's :class:`RadioNetwork`.  Trials admitted in the same wave
         that share one network *object* keep the shared-topology CSR tiling.
     rng:
-        Exact-mode per-trial seed/generator, consumed exactly as the serial
-        engine would.  ``None`` selects fast mode (one shared vectorised
-        stream); a continuous run must be all-exact or all-fast.
+        The trial's exact-mode seed/generator, consumed exactly as the
+        serial engine would.  Required by :meth:`BatchEngine.run_continuous`:
+        its rows move between waves, which only per-trial streams survive
+        unchanged.
     tag:
         Opaque identifier handed to ``result_sink`` with the trial's trace
         (defaults to the admission index).
@@ -1014,7 +818,7 @@ class PendingTrial:
 
 
 class _Cohort:
-    """One admission wave inside a continuous run.
+    """One admission wave of the round loop.
 
     Protocols key *all* behaviour on a scalar round index (phase schedules,
     ``O(log n)`` horizons), so trials admitted at global round ``g`` must see
@@ -1041,16 +845,47 @@ class _Cohort:
         "row_offset",
         "last_tx",
         "pending_retired",
+        "round_log",
     )
 
 
+def _round_records(round_log: List[dict], trial: int) -> List[RoundRecord]:
+    """Trial ``trial``'s per-round records from a cohort's round log."""
+    rounds: List[RoundRecord] = []
+    for entry in round_log:
+        if not entry["running"][trial]:
+            continue
+        before = entry["informed_before"]
+        after = entry["informed_after"]
+        deliveries = int(entry["deliveries"][trial])
+        # Trials run contiguously from round 0 until they stop, so the
+        # per-trial record index equals the cohort's round index.
+        rounds.append(
+            RoundRecord(
+                round_index=len(rounds),
+                transmitters=int(entry["transmitters"][trial]),
+                deliveries=deliveries,
+                newly_informed=(
+                    int(after[trial] - before[trial])
+                    if after is not None and before is not None
+                    else deliveries
+                ),
+                informed_after=int(after[trial]) if after is not None else -1,
+            )
+        )
+    return rounds
+
+
 class BatchEngine:
-    """Runs a batched protocol over ``R`` trials with one loop of vectorised rounds.
+    """Runs batched protocols over stacked trials with one loop of vectorised rounds.
 
     Per-trial completion masking reproduces the serial engine's stopping rule
     exactly: a trial stops when it completes (or, under
     ``run_to_quiescence``, when it goes quiescent), and a stopped trial
     neither transmits nor consumes randomness while its siblings continue.
+
+    :meth:`run` executes one prebuilt batch; :meth:`run_continuous` streams
+    trials through the same loop in refilled waves.
 
     Parameters
     ----------
@@ -1071,13 +906,6 @@ class BatchEngine:
         burned the round cap (disconnected graphs under sub-threshold
         ``p``).  On by default; mirrored by the serial engine so exact-mode
         equivalence holds round for round.
-    scheduled_resolution:
-        When a protocol commits to a fixed future transmission schedule
-        (:meth:`BatchProtocol.presampled_schedule`), resolve all scheduled
-        rounds in one chunked mega-gather instead of one gather per round.
-        Only taken under deterministic collision resolution without collision
-        detection; results are identical either way (the flag exists so the
-        equivalence can be tested).
     state_backend:
         Node-set state backend handed to the protocol at bind time:
         ``"auto"`` (default — heuristic per workload), ``"dense"``,
@@ -1098,15 +926,9 @@ class BatchEngine:
         :class:`~repro.radio.environment.BatchEnvironment`, a scalar
         :class:`~repro.radio.environment.Environment`, or a spec dict) that
         perturbs each round around collision resolution for every trial.
-        An active environment disables interest trimming and scheduled
-        mega-gather resolution (it must see the full delivery set and
-        perturbs non-deterministically); a null environment costs nothing.
+        An active environment disables interest trimming (it must see the
+        full delivery set); a null environment costs nothing.
     """
-
-    #: Rounds resolved per scheduled-resolution slice: small enough that the
-    #: interest snapshot stays fresh (and an early finish wastes little),
-    #: large enough to amortise the per-slice gather/sort.
-    _SCHEDULE_SLICE_ROUNDS = 8
 
     def __init__(
         self,
@@ -1116,7 +938,6 @@ class BatchEngine:
         keep_arrays: bool = False,
         run_to_quiescence: bool = False,
         retire_dead: bool = True,
-        scheduled_resolution: bool = True,
         state_backend: str = "auto",
         environment=None,
         kernel: str = "auto",
@@ -1132,7 +953,6 @@ class BatchEngine:
         self.keep_arrays = bool(keep_arrays)
         self.run_to_quiescence = bool(run_to_quiescence)
         self.retire_dead = bool(retire_dead)
-        self.scheduled_resolution = bool(scheduled_resolution)
         if state_backend not in STATE_BACKENDS:
             known = ", ".join(STATE_BACKENDS)
             raise ValueError(
@@ -1158,6 +978,9 @@ class BatchEngine:
         result_sink=None,
     ) -> List[RunResultTrace]:
         """Run all trials to their individual completion; one trace per trial.
+
+        The batch is one admission wave of the loop behind
+        :meth:`run_continuous`, adopted as built; nothing refills it.
 
         Parameters
         ----------
@@ -1192,247 +1015,16 @@ class BatchEngine:
             rng_source = BatchRandomSource.exact(rngs)
         else:
             rng_source = BatchRandomSource.fast(rng)
-
-        environment = self.environment
-        env_active = environment is not None and not environment.is_null
-        if env_active:
-            environment.bind(batch, rng_source)
-
-        # Resolve the collision kernel for this run (rejects edge_sampled
-        # under exact mode) and install it on the model for the round loop.
-        collision_kernel = resolve_collision_kernel(
-            self.kernel, exact_mode=rng_source.exact_mode, record=True
-        )
-        self.collision_model.kernel = collision_kernel
-
-        kernel = resolve_kernel(
-            self.state_backend,
-            batch.trials,
-            batch.n,
-            profile=protocol.state_profile,
-            density=batch.edge_density,
-        )
-        protocol.bind(batch, rng_source, kernel)
-        if max_rounds is None:
-            max_rounds = protocol.suggested_max_rounds()
-        max_rounds = check_positive_int(max_rounds, "max_rounds")
-
-        trials_count, n = batch.trials, batch.n
-        accountant = BatchEnergyAccountant(trials_count, n)
-        completed = np.asarray(protocol.completed(), dtype=bool).copy()
-        completion_round = np.zeros(trials_count, dtype=np.int64)
-        rounds_executed = np.zeros(trials_count, dtype=np.int64)
-        # Serial rule: a trial that is already complete enters the loop only
-        # under run_to_quiescence (it may still be scheduled to transmit).
-        if self.run_to_quiescence:
-            running = np.ones(trials_count, dtype=bool)
-        else:
-            running = ~completed
-
-        # Trimmed outcomes (deliveries the protocol would ignore dropped in
-        # collision resolution) are observably equivalent only when nobody
-        # records per-round delivery counts and no per-trial stream has to
-        # match the serial engine call for call.
-        use_interest = (
-            not self.record_rounds and not rng_source.exact_mode and not env_active
-        )
-        # Mega-gather fast path: legal only when resolution is deterministic
-        # (pre-resolving would skip erasure draws), collision-free feedback is
-        # not part of the outcome (scheduled outcomes carry receivers only —
-        # no senders, no hear counts), and trimmed deliveries are observably
-        # equivalent (the resolver prunes against the protocol's interest set
-        # the same way per-round resolution would).
-        can_schedule = (
-            self.scheduled_resolution
-            and use_interest
-            and self.collision_model.resolves_deterministically
-            and not self.collision_model.detects_collisions
-            # The edge-sampled kernel draws fresh randomness per round, so
-            # pre-resolving scheduled rounds would skip its draws.
-            and collision_kernel != "edge_sampled"
-        )
-        plan: Optional[ScheduledTransmissions] = None
-        scheduled: Dict[int, np.ndarray] = {}
-        sched_next = 0  # schedule-relative index of the next unresolved slice
-
-        # Dead retirement is gated per protocol class: the base ``quiescent``
-        # just mirrors ``completed()``, so probing it every round would cost
-        # a vector op to learn nothing.  Only protocols with a real liveness
-        # override (transmission schedules that can run dry) participate.
-        retire_dead = (
-            self.retire_dead
-            and not self.run_to_quiescence
-            and type(protocol).quiescent is not BatchProtocol.quiescent
-        )
-        retired_dead = 0
-
-        # Telemetry is hoisted once per run: when disabled, the loop pays
-        # three `if tel:` branch checks per round and nothing else.
-        tel = telemetry.enabled()
-        if tel:
-            clock = time.perf_counter
-            run_start = clock()
-            phase_seconds = {"transmit": 0.0, "resolve": 0.0, "observe": 0.0}
-
-        round_log: List[dict] = []
-        for round_index in range(max_rounds):
-            if not running.any():
-                break
-            if tel:
-                t_mark = clock()
-            if can_schedule and plan is None:
-                plan = protocol.presampled_schedule(round_index)
-            tx_flat = np.asarray(
-                protocol.transmit_flat(round_index, running), dtype=np.int64
-            )
-            if env_active:
-                environment.begin_round(round_index, running)
-                # Gated radios (crashed/asleep) are not energy-charged;
-                # in-flight loss below is charged-but-lost, and ``observe``
-                # still sees the pre-loss (gated) transmit set.
-                tx_flat = environment.gate_transmit_flat(
-                    round_index, tx_flat, running
-                )
-            transmitters = accountant.record_flat(tx_flat)
-            air_flat = tx_flat
-            if env_active:
-                air_flat = environment.perturb_transmissions(
-                    round_index, tx_flat, running
-                )
-            if tel:
-                now = clock()
-                phase_seconds["transmit"] += now - t_mark
-                t_mark = now
-            cached = None
-            if plan is not None:
-                j = round_index - plan.first_round
-                if 0 <= j < plan.num_rounds:
-                    if j >= sched_next:
-                        # Resolve the next slice of rounds in one mega-gather,
-                        # pruned against the interest set as of *now* — it
-                        # shrinks fast while the schedule plays out, so later
-                        # slices sort almost nothing.
-                        stop = min(
-                            j + self._SCHEDULE_SLICE_ROUNDS, plan.num_rounds
-                        )
-                        scheduled.update(
-                            resolve_scheduled_rounds(
-                                batch,
-                                plan.slice(sched_next, stop),
-                                listener_filter=protocol.listener_interest(),
-                            )
-                        )
-                        sched_next = stop
-                    cached = scheduled.pop(round_index)
-            if cached is not None:
-                # Trials are block-diagonal-independent, so dropping a
-                # stopped trial's receivers reproduces per-round resolution
-                # of the running-gated transmitters exactly.
-                receiver_flat = cached
-                if receiver_flat.size and not running.all():
-                    receiver_flat = receiver_flat[running[receiver_flat // n]]
-                outcome = _ScheduledOutcome(
-                    receiver_flat=receiver_flat,
-                    trials=trials_count,
-                    n=n,
-                )
-            else:
-                outcome = self.collision_model.resolve(
-                    batch,
-                    air_flat,
-                    rng_source,
-                    listener_filter=(
-                        protocol.listener_interest() if use_interest else None
-                    ),
-                )
-                if env_active:
-                    outcome = environment.filter_deliveries(
-                        round_index, outcome, running
-                    )
-            if tel:
-                now = clock()
-                phase_seconds["resolve"] += now - t_mark
-                t_mark = now
-
-            informed_before = (
-                protocol.informed_counts() if self.record_rounds else None
-            )
-            protocol.observe(round_index, tx_flat, outcome, running)
-            rounds_executed[running] = round_index + 1
-
-            if self.record_rounds:
-                round_log.append(
-                    {
-                        "running": running.copy(),
-                        "transmitters": transmitters,
-                        "deliveries": outcome.receiver_counts,
-                        "informed_before": informed_before,
-                        "informed_after": protocol.informed_counts(),
-                    }
-                )
-
-            completed_now = np.asarray(protocol.completed(), dtype=bool)
-            newly_completed = running & completed_now & ~completed
-            completion_round[newly_completed] = round_index + 1
-            completed |= newly_completed
-            if self.run_to_quiescence:
-                stop = running & np.asarray(
-                    protocol.quiescent(round_index + 1), dtype=bool
-                )
-            else:
-                stop = running & completed_now
-                if retire_dead:
-                    # Dead retirement: quiescent-but-incomplete trials can
-                    # never change outcome — cut them loose now instead of
-                    # spinning them to the round cap.
-                    dead = (
-                        running
-                        & ~stop
-                        & np.asarray(protocol.quiescent(round_index + 1), dtype=bool)
-                    )
-                    if dead.any():
-                        stop |= dead
-                        retired_dead += int(dead.sum())
-            if env_active and self.retire_dead:
-                doomed = environment.doomed_trials(round_index)
-                if doomed is not None:
-                    doomed = running & ~stop & np.asarray(doomed, dtype=bool)
-                    if doomed.any():
-                        stop |= doomed
-                        retired_dead += int(doomed.sum())
-            running = running & ~stop
-            if tel:
-                phase_seconds["observe"] += clock() - t_mark
-
-        if tel:
-            self._emit_run_telemetry(
-                batch,
-                protocol,
-                rounds_executed,
-                phase_seconds,
-                clock() - run_start,
-                collision_kernel=collision_kernel,
-                state_backend=kernel.backend,
-            )
-            if retired_dead:
-                telemetry.counter_inc("engine.retired_dead", retired_dead)
-        completion_round[~completed] = rounds_executed[~completed]
-        return self._assemble_results(
-            batch,
-            protocol,
-            accountant,
-            completed,
-            completion_round,
-            rounds_executed,
-            round_log,
-            environment=environment if env_active else None,
-            collision_kernel=collision_kernel,
+        return self._run_waves(
+            (batch, rng_source, protocol),
+            (),
+            None,
+            capacity=batch.trials,
+            watermark=1.0,
+            max_rounds=max_rounds,
             result_sink=result_sink,
         )
 
-    # ------------------------------------------------------------------ #
-    # Continuous batching
-    # ------------------------------------------------------------------ #
     def run_continuous(
         self,
         pending,
@@ -1444,11 +1036,10 @@ class BatchEngine:
         rng: SeedLike = None,
         result_sink=None,
     ) -> List[RunResultTrace]:
-        """Run a stream of trials at near-constant occupancy.
+        """Run a stream of exact-mode trials at near-constant occupancy.
 
-        The plain :meth:`run` pays for every trial until the *slowest* trial
-        in its batch finishes: completed trials ride along as dead rows in
-        the stacked CSR.  This method instead retires each trial the round
+        :meth:`run` pays for every trial until the *slowest* trial in its
+        batch finishes.  This method instead retires each trial the round
         it stops, **compacts** the live batch down to surviving rows when
         occupancy drops below ``watermark * capacity`` (or a quarter of the
         rows have died), and **refills** the freed rows from ``pending`` —
@@ -1456,18 +1047,16 @@ class BatchEngine:
         Monte-Carlo trials.
 
         Trials admitted at global round ``g`` see their protocol's round
-        ``0`` at ``g``: each admission wave runs as its own *cohort* with a
-        private protocol/batch/RNG/environment, and only collision
-        resolution is unioned across cohorts (one gather per global round).
-        In exact mode (every :class:`PendingTrial` carries an ``rng``) each
-        trial's results are bit-identical to :meth:`run` and to the serial
-        engine — per-trial streams are position-independent by construction.
+        ``0`` at ``g``: each admission wave runs as its own cohort.  Every
+        :class:`PendingTrial` carries its own ``rng``, so each trial's
+        results are bit-identical to :meth:`run` and to the serial engine —
+        per-trial streams are position-independent by construction.
 
         Parameters
         ----------
         pending:
             Iterable of :class:`PendingTrial` (consumed lazily — admission
-            pulls only what fits).  All-exact or all-fast; no mixing.
+            pulls only what fits).
         protocol_factory:
             Zero-argument callable producing a fresh protocol per cohort.
         capacity:
@@ -1475,7 +1064,9 @@ class BatchEngine:
         watermark:
             Refill trigger, as a fraction of ``capacity`` (in ``(0, 1]``).
         rng:
-            Fast-mode shared seed/generator (ignored in exact mode).
+            Must be ``None``: a shared fast-mode stream is sized by row
+            count, so it cannot follow rows between waves.  Fast mode runs
+            one wave through :meth:`run`.
         result_sink:
             Optional ``(tag, trace) -> None`` streaming consumer; the tag is
             the trial's :attr:`PendingTrial.tag` (admission index when
@@ -1487,15 +1078,54 @@ class BatchEngine:
                 "start at different global rounds, so there is no single "
                 "per-round log; use run() for instrumented runs"
             )
+        if rng is not None:
+            raise ValueError(
+                "run_continuous runs exact-mode trials only (each "
+                "PendingTrial carries its rng); fast mode runs through run()"
+            )
         capacity = check_positive_int(capacity, "capacity")
         if not 0.0 < watermark <= 1.0:
             raise ValueError(f"watermark must be in (0, 1], got {watermark}")
-
-        env_spec = (
-            self.environment.spec()
-            if self.environment is not None and not self.environment.is_null
-            else None
+        return self._run_waves(
+            None,
+            pending,
+            protocol_factory,
+            capacity=capacity,
+            watermark=watermark,
+            max_rounds=max_rounds,
+            result_sink=result_sink,
         )
+
+    # ------------------------------------------------------------------ #
+    # The round loop
+    # ------------------------------------------------------------------ #
+    def _run_waves(
+        self,
+        first,
+        pending,
+        protocol_factory,
+        *,
+        capacity: int,
+        watermark: float,
+        max_rounds: Optional[int],
+        result_sink,
+    ) -> List[RunResultTrace]:
+        """The one round loop behind :meth:`run` and :meth:`run_continuous`.
+
+        ``first`` is a prebuilt ``(batch, rng_source, protocol)`` wave,
+        admitted as is at round 0; otherwise the first wave is stacked from
+        ``pending``.  Later waves are stacked from ``pending`` as rows free
+        up.  Each trial's trace is built once, when its rows are about to
+        move or its cohort leaves the loop.
+
+        Rows move — compaction of stopped trials, refill from ``pending`` —
+        only in exact mode without ``record_rounds``.  The rule is derived,
+        not configured: exact-mode streams belong to one trial each and do
+        not depend on its row, whereas several protocols size their
+        fast-mode draws by row count and the per-round log is kept by row.
+        """
+        if max_rounds is not None:
+            max_rounds = check_positive_int(max_rounds, "max_rounds")
 
         queue: List[PendingTrial] = []
         source = iter(pending)
@@ -1530,19 +1160,32 @@ class BatchEngine:
                     break
             return items
 
-        if not _has_more():
+        if first is not None:
+            exact_mode = first[1].exact_mode
+            n = first[0].n
+        elif _has_more():
+            exact_mode = True
+            n = queue[0].network.n
+        else:
             return []
-        exact_mode = queue[0].rng is not None
-        n = queue[0].network.n
+        # Rejects edge_sampled under exact mode; installs the kernel on the
+        # model for the round loop.
         collision_kernel = resolve_collision_kernel(
             self.kernel, exact_mode=exact_mode, record=True
         )
         self.collision_model.kernel = collision_kernel
-        shared_rng = None if exact_mode else BatchRandomSource.fast(rng)
-        # Same legality rule as run(): trimmed outcomes only when no
-        # per-trial stream must match serial draws and no environment can
+        environment = self.environment
+        if environment is not None and environment.is_null:
+            environment = None
+        # Trimmed outcomes (deliveries the protocol would ignore dropped in
+        # collision resolution) are observably equivalent only when nobody
+        # records per-round delivery counts, no per-trial stream has to
+        # match the serial engine call for call, and no environment can
         # resurrect interest in a delivery the protocol would ignore.
-        use_interest = not exact_mode and env_spec is None
+        use_interest = (
+            not exact_mode and not self.record_rounds and environment is None
+        )
+        movable = exact_mode and not self.record_rounds
 
         cohorts: List[_Cohort] = []
         union_batch: Optional[NetworkBatch] = None
@@ -1557,23 +1200,26 @@ class BatchEngine:
             "refills": 0,
             "trial_rounds": 0,
         }
-        retire = False  # set from the first cohort's protocol class
+        retire = False  # set from the admitted protocol's class
         needs_senders = False
+        protocol_name = state_backend = None
 
+        # Telemetry is hoisted once per call: when disabled, the loop pays
+        # a few `if tel:` branch checks per round and nothing else.
         tel = telemetry.enabled()
         if tel:
             clock = time.perf_counter
             run_start = clock()
-            # Same per-phase aggregation as run(): summed seconds across all
-            # rounds, so a traced continuous sweep folds into the identical
-            # round-phase span layer the sharded engine produces.
+            # Round phases are summed across all rounds rather than one span
+            # per round — at thousands of rounds per run, per-round records
+            # would dwarf the simulation itself.
             phase_seconds = {"transmit": 0.0, "resolve": 0.0, "observe": 0.0}
 
         def _note_retired(c: _Cohort, idx: np.ndarray, dead: int = 0) -> None:
             # A retired trial's state is frozen (it neither transmits nor
             # draws randomness again), so building its result trace can wait
             # until its rows are about to move — _flush_retired runs before
-            # compaction, at cohort drop, and therefore before the run
+            # compaction and at cohort drop, and therefore before the loop
             # returns.  Retiring trials one round at a time would otherwise
             # pay the per-call cost of the energy/percentile pass per round.
             c.pending_retired.extend(int(t) for t in idx)
@@ -1583,13 +1229,12 @@ class BatchEngine:
         def _flush_retired(c: _Cohort) -> None:
             if not c.pending_retired:
                 return
-            idx = np.asarray(c.pending_retired, dtype=np.int64)
+            idx = np.sort(np.asarray(c.pending_retired, dtype=np.int64))
             c.pending_retired = []
             _materialize_trials(c, idx)
 
         def _materialize_trials(c: _Cohort, idx: np.ndarray) -> None:
             informed = c.protocol.informed_counts()
-            per_node = self.keep_arrays
             informed_rounds = (
                 c.protocol.informed_round
                 if self.keep_arrays
@@ -1612,16 +1257,18 @@ class BatchEngine:
                     informed_count=(
                         int(informed[t]) if informed is not None else None
                     ),
-                    rounds=[],
+                    rounds=_round_records(c.round_log, t),
                     metadata=dict(c.protocol.trial_metadata(t)),
                 )
-                if per_node:
+                if self.keep_arrays:
                     result.per_node_transmissions = c.accountant.per_node(t)
                 if informed_rounds is not None:
                     result.informed_round = informed_rounds[t].copy()
                 if c.environment is not None:
                     result.metadata["environment"] = c.environment.trial_report(t)
                 if collision_kernel == "edge_sampled":
+                    # Approximate results must be distinguishable from exact
+                    # ones wherever the trace ends up (stores, aggregations).
                     result.metadata["collision_kernel"] = "edge_sampled"
                 if result_sink is not None:
                     result_sink(c.tags[t], result)
@@ -1629,25 +1276,14 @@ class BatchEngine:
                     results[c.orders[t]] = result
                 stats["trial_rounds"] += int(c.rounds_executed[t])
 
-        def _admit(items: List[PendingTrial], start_round: int) -> _Cohort:
-            nonlocal admitted, retire, needs_senders
-            for it in items:
-                if (it.rng is not None) != exact_mode:
-                    raise ValueError(
-                        "run_continuous cannot mix exact-mode trials "
-                        "(rng set) with fast-mode trials (rng None)"
-                    )
-                if it.network.n != n:
-                    raise ValueError(
-                        f"all continuous trials must share n; "
-                        f"got {it.network.n} and {n}"
-                    )
-            protocol = protocol_factory()
-            batch = NetworkBatch([it.network for it in items])
-            if exact_mode:
-                rng_source = BatchRandomSource.exact([it.rng for it in items])
-            else:
-                rng_source = shared_rng
+        def _admit(
+            batch: NetworkBatch,
+            rng_source: BatchRandomSource,
+            protocol: BatchProtocol,
+            tags: Optional[List[object]],
+            start_round: int,
+        ) -> _Cohort:
+            nonlocal admitted, retire, needs_senders, protocol_name, state_backend
             kernel = resolve_kernel(
                 self.state_backend,
                 batch.trials,
@@ -1656,31 +1292,36 @@ class BatchEngine:
                 density=batch.edge_density,
             )
             protocol.bind(batch, rng_source, kernel)
-            environment = None
-            if env_spec is not None:
-                environment = build_batch_environment(env_spec)
-                environment.bind(batch, rng_source)
+            cohort_env = None
+            if environment is not None:
+                # The first wave runs under the engine's own environment;
+                # later waves under fresh ones built from its spec.
+                cohort_env = (
+                    environment
+                    if not admitted
+                    else build_batch_environment(environment.spec())
+                )
+                cohort_env.bind(batch, rng_source)
             c = _Cohort()
             c.protocol = protocol
             c.batch = batch
             c.rng_source = rng_source
             c.accountant = BatchEnergyAccountant(batch.trials, batch.n)
-            c.environment = environment
+            c.environment = cohort_env
             c.start_round = start_round
             c.horizon = (
                 max_rounds
                 if max_rounds is not None
                 else protocol.suggested_max_rounds()
             )
-            c.tags = [
-                it.tag if it.tag is not None else admitted + i
-                for i, it in enumerate(items)
-            ]
             c.orders = list(range(admitted, admitted + batch.trials))
+            c.tags = c.orders if tags is None else tags
             admitted += batch.trials
             c.completed = np.asarray(protocol.completed(), dtype=bool).copy()
             c.completion_round = np.zeros(batch.trials, dtype=np.int64)
             c.rounds_executed = np.zeros(batch.trials, dtype=np.int64)
+            # Serial rule: a trial that is already complete enters the loop
+            # only under run_to_quiescence (it may still transmit).
             if self.run_to_quiescence:
                 c.running = np.ones(batch.trials, dtype=bool)
             else:
@@ -1688,12 +1329,19 @@ class BatchEngine:
             c.row_offset = 0
             c.last_tx = None
             c.pending_retired = []
+            c.round_log = []
+            # Dead retirement is gated per protocol class: the base
+            # ``quiescent`` just mirrors ``completed()``, so probing it every
+            # round would cost a vector op to learn nothing.
             retire = (
                 self.retire_dead
                 and not self.run_to_quiescence
                 and type(protocol).quiescent is not BatchProtocol.quiescent
             )
             needs_senders = type(protocol).needs_senders
+            if protocol_name is None:
+                protocol_name = protocol.name
+                state_backend = kernel.backend
             cohorts.append(c)
             # Trials complete at bind never enter the loop (serial rule);
             # retire them on the spot so their rows can be reclaimed.
@@ -1701,6 +1349,29 @@ class BatchEngine:
             if at_bind.size:
                 _note_retired(c, at_bind)
             return c
+
+        def _admit_pending(items: List[PendingTrial], start_round: int) -> _Cohort:
+            for it in items:
+                if it.rng is None:
+                    raise ValueError(
+                        "run_continuous needs exact-mode trials: every "
+                        "PendingTrial must carry an rng"
+                    )
+                if it.network.n != n:
+                    raise ValueError(
+                        f"all continuous trials must share n; "
+                        f"got {it.network.n} and {n}"
+                    )
+            return _admit(
+                NetworkBatch([it.network for it in items]),
+                BatchRandomSource.exact([it.rng for it in items]),
+                protocol_factory(),
+                [
+                    it.tag if it.tag is not None else admitted + i
+                    for i, it in enumerate(items)
+                ],
+                start_round,
+            )
 
         def _compact_cohort(c: _Cohort) -> None:
             _flush_retired(c)
@@ -1738,16 +1409,16 @@ class BatchEngine:
                 union_batch = NetworkBatch(
                     [net for c in cohorts for net in c.batch.networks]
                 )
-                if exact_mode:
-                    union_rng = BatchRandomSource(
-                        per_trial=[
-                            g
-                            for c in cohorts
-                            for g in c.rng_source.trial_generators
-                        ]
-                    )
-                else:
-                    union_rng = shared_rng
+                union_rng = BatchRandomSource(
+                    per_trial=[
+                        g for c in cohorts for g in c.rng_source.trial_generators
+                    ]
+                )
+
+        if first is not None:
+            _admit(*first, None, 0)
+        else:
+            _admit_pending(_pull(capacity), 0)
 
         global_round = 0
         live = 0
@@ -1787,7 +1458,9 @@ class BatchEngine:
                     dead_floor = max(1, rows // 4)
                 else:
                     dead_floor = max(1, (3 * rows) // 4, capacity // 2)
-                compact_worth = rows > 0 and (rows - live) >= dead_floor
+                compact_worth = (
+                    movable and rows > 0 and (rows - live) >= dead_floor
+                )
                 if refill_needed or compact_worth:
                     for c in cohorts:
                         if not c.running.all():
@@ -1808,7 +1481,7 @@ class BatchEngine:
                     if refill_needed:
                         items = _pull(capacity - live)
                         if items:
-                            c = _admit(items, global_round)
+                            c = _admit_pending(items, global_round)
                             live += int(c.running.sum())
                             union_stale = True
                             occupancy_dirty = True
@@ -1846,6 +1519,9 @@ class BatchEngine:
                 )
                 if c.environment is not None:
                     c.environment.begin_round(local, c.running)
+                    # Gated radios (crashed/asleep) are not energy-charged;
+                    # in-flight loss below is charged-but-lost, and
+                    # ``observe`` still sees the pre-loss (gated) transmit set.
                     tx = c.environment.gate_transmit_flat(local, tx, c.running)
                 c.accountant.record_flat(tx)
                 air = tx
@@ -1880,7 +1556,7 @@ class BatchEngine:
             outcome = self.collision_model.resolve(
                 union_batch, air_union, union_rng, listener_filter=listener_filter
             )
-            with_senders = env_spec is not None or needs_senders
+            with_senders = environment is not None or needs_senders
             if tel:
                 now = clock()
                 phase_seconds["resolve"] += now - t_mark
@@ -1901,8 +1577,23 @@ class BatchEngine:
                     out_c = c.environment.filter_deliveries(
                         local, out_c, c.running
                     )
+                informed_before = (
+                    c.protocol.informed_counts() if self.record_rounds else None
+                )
                 c.protocol.observe(local, c.last_tx, out_c, c.running)
                 c.rounds_executed[c.running] = local + 1
+                if self.record_rounds:
+                    c.round_log.append(
+                        {
+                            "running": c.running.copy(),
+                            "transmitters": np.bincount(
+                                c.last_tx // n, minlength=c.batch.trials
+                            ),
+                            "deliveries": out_c.receiver_counts,
+                            "informed_before": informed_before,
+                            "informed_after": c.protocol.informed_counts(),
+                        }
+                    )
 
                 completed_now = np.asarray(c.protocol.completed(), dtype=bool)
                 newly = c.running & completed_now & ~c.completed
@@ -1915,6 +1606,9 @@ class BatchEngine:
                 else:
                     stop = c.running & completed_now
                     if retire:
+                        # Dead retirement: quiescent-but-incomplete trials
+                        # can never change outcome — cut them loose now
+                        # instead of spinning them to the round cap.
                         stop |= (
                             c.running
                             & ~stop
@@ -1950,28 +1644,31 @@ class BatchEngine:
                 telemetry.aggregate_span(
                     "round-phase", phase, seconds, rounds=global_round
                 )
+            moved = (
+                {
+                    "capacity": capacity,
+                    "compactions": stats["compactions"],
+                    "refills": stats["refills"],
+                }
+                if stats["compactions"] or stats["refills"]
+                else {}
+            )
             telemetry.event(
-                "engine.continuous",
+                "engine.run",
+                protocol=protocol_name,
                 trials=stats["retired"],
                 n=n,
-                capacity=capacity,
-                watermark=watermark,
                 kernel=collision_kernel,
+                state_backend=state_backend,
                 rounds=global_round,
                 trial_rounds=stats["trial_rounds"],
-                compactions=stats["compactions"],
-                refills=stats["refills"],
-                retired_dead=stats["retired_dead"],
                 seconds=total_seconds,
-                trials_per_second=(
-                    stats["retired"] / total_seconds
-                    if total_seconds > 0
-                    else None
-                ),
+                **moved,
             )
             telemetry.counter_inc("engine.runs")
             telemetry.counter_inc("engine.trials", stats["retired"])
             telemetry.counter_inc("engine.trial_rounds", stats["trial_rounds"])
+            telemetry.histogram_observe("engine.run_seconds", total_seconds)
             if stats["retired_dead"]:
                 telemetry.counter_inc(
                     "engine.retired_dead", stats["retired_dead"]
@@ -1994,127 +1691,6 @@ class BatchEngine:
                 )
             return NetworkBatch.shared(networks, trials)
         return NetworkBatch(networks)
-
-    @staticmethod
-    def _emit_run_telemetry(
-        batch: NetworkBatch,
-        protocol: BatchProtocol,
-        rounds_executed: np.ndarray,
-        phase_seconds: Dict[str, float],
-        total_seconds: float,
-        *,
-        collision_kernel: str,
-        state_backend: str,
-    ) -> None:
-        """One ``engine.run`` event + per-phase aggregate spans per run.
-
-        Round phases are pre-aggregated (summed seconds across all rounds)
-        rather than one span per round — at thousands of rounds per run,
-        per-round records would dwarf the simulation itself.
-        """
-        trials_count = int(batch.trials)
-        max_rounds_run = int(rounds_executed.max()) if trials_count else 0
-        trial_rounds = int(rounds_executed.sum())
-        for phase, seconds in phase_seconds.items():
-            telemetry.aggregate_span(
-                "round-phase", phase, seconds, rounds=max_rounds_run
-            )
-        telemetry.event(
-            "engine.run",
-            protocol=protocol.name,
-            trials=trials_count,
-            n=int(batch.n),
-            kernel=collision_kernel,
-            state_backend=state_backend,
-            rounds=max_rounds_run,
-            trial_rounds=trial_rounds,
-            seconds=total_seconds,
-            trials_per_second=(
-                trials_count / total_seconds if total_seconds > 0 else None
-            ),
-            rounds_per_second=(
-                trial_rounds / total_seconds if total_seconds > 0 else None
-            ),
-        )
-        telemetry.counter_inc("engine.runs")
-        telemetry.counter_inc("engine.trials", trials_count)
-        telemetry.counter_inc("engine.trial_rounds", trial_rounds)
-        telemetry.histogram_observe("engine.run_seconds", total_seconds)
-
-    def _assemble_results(
-        self,
-        batch: NetworkBatch,
-        protocol: BatchProtocol,
-        accountant: BatchEnergyAccountant,
-        completed: np.ndarray,
-        completion_round: np.ndarray,
-        rounds_executed: np.ndarray,
-        round_log: List[dict],
-        environment=None,
-        collision_kernel: str = "numpy",
-        result_sink=None,
-    ) -> List[RunResultTrace]:
-        reports = accountant.reports()
-        informed = protocol.informed_counts()
-        per_node = accountant.per_node() if self.keep_arrays else None
-        informed_rounds = (
-            protocol.informed_round
-            if self.keep_arrays and isinstance(protocol, BatchBroadcastProtocol)
-            else None
-        )
-        results: List[RunResultTrace] = []
-        for t in range(batch.trials):
-            rounds: List[RoundRecord] = []
-            for entry in round_log:
-                if not entry["running"][t]:
-                    continue
-                before = entry["informed_before"]
-                after = entry["informed_after"]
-                deliveries = int(entry["deliveries"][t])
-                # Trials run contiguously from round 0 until they stop, so the
-                # per-trial record index equals the engine's round index.
-                rounds.append(
-                    RoundRecord(
-                        round_index=len(rounds),
-                        transmitters=int(entry["transmitters"][t]),
-                        deliveries=deliveries,
-                        newly_informed=(
-                            int(after[t] - before[t])
-                            if after is not None and before is not None
-                            else deliveries
-                        ),
-                        informed_after=int(after[t]) if after is not None else -1,
-                    )
-                )
-            result = RunResultTrace(
-                protocol_name=protocol.name,
-                network_name=batch.networks[t].name,
-                n=batch.n,
-                completed=bool(completed[t]),
-                completion_round=int(completion_round[t]),
-                rounds_executed=int(rounds_executed[t]),
-                energy=reports[t],
-                informed_count=(
-                    int(informed[t]) if informed is not None else None
-                ),
-                rounds=rounds,
-                metadata=dict(protocol.trial_metadata(t)),
-            )
-            if per_node is not None:
-                result.per_node_transmissions = per_node[t]
-            if informed_rounds is not None:
-                result.informed_round = informed_rounds[t].copy()
-            if environment is not None:
-                result.metadata["environment"] = environment.trial_report(t)
-            if collision_kernel == "edge_sampled":
-                # Approximate results must be distinguishable from exact
-                # ones wherever the trace ends up (stores, aggregations).
-                result.metadata["collision_kernel"] = "edge_sampled"
-            if result_sink is not None:
-                result_sink(t, result)
-            else:
-                results.append(result)
-        return results
 
 
 def run_protocol_batch(

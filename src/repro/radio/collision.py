@@ -495,13 +495,6 @@ class BatchCollisionModel:
     #: option; direct users of the models get the numpy reference path.
     kernel: str = "numpy"
 
-    #: Whether :meth:`resolve` consumes no randomness — a precondition for
-    #: the batch engine's scheduled (mega-gather) resolution, which resolves
-    #: future rounds before the per-round rng draws would happen.  Defaults
-    #: to False so a stochastic subclass that forgets to declare itself can
-    #: never be silently pre-resolved; deterministic models opt in.
-    resolves_deterministically: bool = False
-
     def resolve(
         self,
         batch,  # NetworkBatch (duck-typed to avoid an import cycle with batch.py)
@@ -728,7 +721,6 @@ class BatchStandardCollisionModel(BatchCollisionModel):
     """Batched :class:`StandardCollisionModel`."""
 
     detects_collisions = False
-    resolves_deterministically = True
 
     def resolve(
         self,
@@ -749,7 +741,6 @@ class BatchWithCollisionDetectionModel(BatchCollisionModel):
     """Batched :class:`WithCollisionDetectionModel`."""
 
     detects_collisions = True
-    resolves_deterministically = True
 
     def resolve(
         self,

@@ -29,12 +29,10 @@ scalar :class:`Environment` serves :class:`~repro.radio.engine
 bit-identical — every stochastic layer draws per-trial blocks in trial
 order through the :class:`~repro.radio.batch.BatchRandomSource` helpers,
 consuming each trial's stream with exactly the calls the scalar layer
-makes.  Environments never resolve deterministically
-(:attr:`BatchEnvironment.resolves_deterministically` is ``False``), so the
-batch engine bypasses scheduled mega-gather resolution (and listener
-interest trimming) whenever an environment is active; a **null**
-environment (:attr:`~Environment.is_null`) costs nothing — the engine
-skips every hook and keeps its fast paths.
+makes.  The batch engine bypasses listener interest trimming whenever an
+environment is active; a **null** environment
+(:attr:`~Environment.is_null`) costs nothing — the engine skips every hook
+and keeps its fast paths.
 
 Crash semantics are "radio dead, clock alive": a down node's protocol
 state still advances with the global round counter, but its transmissions
@@ -703,11 +701,6 @@ class BatchEnvironment:
     scalar environment makes in trial ``t``'s serial run — and a stopped
     trial (absent from ``running`` / the transmit set) draws nothing.
     """
-
-    #: Environments perturb stochastically (or against realised channel
-    #: state), so the batch engine must never pre-resolve scheduled rounds
-    #: past an active environment — mirrors ``BatchCollisionModel``.
-    resolves_deterministically: bool = False
 
     def __init__(self) -> None:
         self._trials = 0

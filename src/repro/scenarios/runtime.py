@@ -277,7 +277,6 @@ def _run_cell_impl(
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
     watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
 ) -> CellResult:
@@ -316,7 +315,6 @@ def _run_cell_impl(
         kernel=kernel,
         store=store,
         shards=shards,
-        compaction=compaction,
         watermark=watermark,
         **cell.job_options,
     )
@@ -503,7 +501,6 @@ def run_grid(
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
     watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
     telemetry_label: Optional[str] = None,
@@ -529,7 +526,6 @@ def run_grid(
                 state_backend=state_backend,
                 kernel=kernel,
                 shards=shards,
-                compaction=compaction,
                 watermark=watermark,
                 sketch_capacity=sketch_capacity,
             )
@@ -604,7 +600,6 @@ def run_scenario(
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
     shards: Optional[int] = None,
-    compaction: Optional[str] = None,
     watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
 ) -> List[CellResult]:
@@ -626,7 +621,6 @@ def run_scenario(
         state_backend=state_backend,
         kernel=kernel,
         shards=shards,
-        compaction=compaction,
         watermark=watermark,
         sketch_capacity=sketch_capacity,
         telemetry_label=spec.scenario_id,

@@ -42,7 +42,12 @@ from repro.graphs.random_digraph import (
     connectivity_threshold_probability,
     random_digraph,
 )
-from repro.radio.batch import BatchEngine, NetworkBatch, run_protocol_batch
+from repro.radio.batch import (
+    BatchEngine,
+    NetworkBatch,
+    PendingTrial,
+    run_protocol_batch,
+)
 from repro.radio.collision import (
     BatchStandardCollisionModel,
     ErasureCollisionModel,
@@ -303,6 +308,46 @@ class TestInvariants:
         assert len(results) == 5
         assert all(r.network_name == networks[0].name for r in results)
 
+    @pytest.mark.parametrize("max_rounds", [0, -3])
+    @pytest.mark.parametrize("entry", ["run", "run_continuous"])
+    def test_non_positive_max_rounds_rejected(self, gnp_batch, entry, max_rounds):
+        """Both entry points validate the horizon in their shared loop."""
+        networks, p = gnp_batch
+        engine = BatchEngine()
+        with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+            if entry == "run":
+                engine.run(
+                    networks,
+                    BatchEnergyEfficientBroadcast(p),
+                    rng=1,
+                    max_rounds=max_rounds,
+                )
+            else:
+                engine.run_continuous(
+                    [PendingTrial(net, rng=t) for t, net in enumerate(networks)],
+                    lambda: BatchEnergyEfficientBroadcast(p),
+                    capacity=2,
+                    max_rounds=max_rounds,
+                )
+
+    def test_run_continuous_requires_exact_mode(self, gnp_batch):
+        """Rows move between waves, which a shared fast stream cannot follow."""
+        networks, p = gnp_batch
+        engine = BatchEngine()
+        with pytest.raises(ValueError, match="exact-mode"):
+            engine.run_continuous(
+                [PendingTrial(net) for net in networks],
+                lambda: BatchEnergyEfficientBroadcast(p),
+                capacity=2,
+            )
+        with pytest.raises(ValueError, match="exact-mode"):
+            engine.run_continuous(
+                [PendingTrial(net, rng=t) for t, net in enumerate(networks)],
+                lambda: BatchEnergyEfficientBroadcast(p),
+                capacity=2,
+                rng=5,
+            )
+
 
 class TestBatchCollision:
     def test_batch_resolution_matches_per_trial_serial(self, gnp_batch):
@@ -508,75 +553,3 @@ class TestShardedFanOut:
         ]
         assert all(r.completed for r in sharded)
 
-
-class TestScheduledResolution:
-    def test_mega_gather_matches_per_round_resolution(self, gnp_batch):
-        """Fast-mode Phase-3 mega-gather is bit-identical to per-round resolves.
-
-        Fast mode fixes all of Phase 3's randomness the moment the pool is
-        (geometric pre-sampling), so resolving the remaining rounds up front
-        must change nothing observable.
-        """
-        networks, p = gnp_batch
-        for quiescence in (False, True):
-            mega = BatchEngine(
-                run_to_quiescence=quiescence, scheduled_resolution=True
-            ).run(networks, BatchEnergyEfficientBroadcast(p), rng=13)
-            per_round = BatchEngine(
-                run_to_quiescence=quiescence, scheduled_resolution=False
-            ).run(networks, BatchEnergyEfficientBroadcast(p), rng=13)
-            _assert_traces_identical(per_round, mega)
-
-    @pytest.mark.parametrize("max_chunk_edges", [1, 50, 1 << 22])
-    def test_chunked_resolver_matches_per_round_resolution(
-        self, gnp_batch, max_chunk_edges
-    ):
-        """Chunk boundaries never change the resolved deliveries."""
-        from repro.radio.batch import (
-            ScheduledTransmissions,
-            resolve_scheduled_rounds,
-        )
-
-        networks, _ = gnp_batch
-        batch = NetworkBatch(networks)
-        rng = np.random.default_rng(23)
-        rounds = 5
-        buckets = [
-            np.flatnonzero(rng.random(batch.total_nodes) < 0.01)
-            for _ in range(rounds)
-        ]
-        buckets[2] = buckets[2][:0]  # an empty round inside the schedule
-        offsets = np.concatenate(
-            [[0], np.cumsum([b.size for b in buckets])]
-        )
-        schedule = ScheduledTransmissions(
-            tx_flat=np.concatenate(buckets),
-            offsets=offsets,
-            first_round=4,
-        )
-        resolved = resolve_scheduled_rounds(
-            batch, schedule, max_chunk_edges=max_chunk_edges
-        )
-        model = BatchStandardCollisionModel()
-        for r, bucket in enumerate(buckets):
-            expected = model.resolve(batch, bucket.astype(np.int64))
-            assert np.array_equal(
-                np.sort(resolved[4 + r]), np.sort(expected.receiver_flat)
-            ), f"round {r}"
-
-    def test_schedule_slicing(self):
-        import numpy as np
-
-        from repro.radio.batch import ScheduledTransmissions
-
-        tx = np.array([0, 5, 9, 12, 30], dtype=np.int64)
-        offsets = np.array([0, 2, 2, 3, 5], dtype=np.int64)
-        schedule = ScheduledTransmissions(
-            tx_flat=tx, offsets=offsets, first_round=10
-        )
-        assert schedule.num_rounds == 4
-        part = schedule.slice(1, 3)
-        assert part.first_round == 11
-        assert part.num_rounds == 2
-        assert list(part.tx_flat) == [9]
-        assert list(part.offsets) == [0, 0, 1]

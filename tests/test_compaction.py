@@ -2,11 +2,13 @@
 
 Contracts pinned here:
 
-1. **Compaction is an execution detail.**  For every protocol in the batch
-   registry, an exact-mode :meth:`BatchEngine.run_continuous` sweep — with
-   refills and compactions forced by a small capacity — produces traces
-   bit-identical to the non-compacting :meth:`BatchEngine.run`, with and
-   without a stochastic environment (``iid_loss``, ``churn``).
+1. **Compaction is an execution detail.**  :meth:`BatchEngine.run` is one
+   admission wave of the engine's round loop; :meth:`BatchEngine.run_continuous`
+   drives the same loop through refilled waves.  For every protocol in the
+   batch registry, an exact-mode stream — with refills and compactions
+   forced by a small capacity — produces traces bit-identical to the single
+   wave, with and without a stochastic environment (``iid_loss``,
+   ``churn``).
 2. **Resume crosses compaction boundaries.**  A continuous sweep killed
    mid-run keeps its per-trial checkpoints; the resumed sweep serves them
    from the store and completes bit-identically to an uninterrupted run.

@@ -348,7 +348,12 @@ class TestResumableSweeps:
             assert_traces_equal(a, b)
 
     def test_interrupted_sweep_resumes_bit_identically(self, tmp_path, monkeypatch):
-        baseline = _sweep()  # uninterrupted, uncached
+        # record_rounds keeps the in-process exact sweep on its per-shard
+        # path (one wave per shard through _execute_batch_shard): the
+        # per-round log is kept by row, so its rows never move.  The
+        # continuous stream checkpoints per trial instead, which
+        # tests/test_compaction.py covers.
+        baseline = _sweep(record_rounds=True)  # uninterrupted, uncached
         store = ResultStore(tmp_path)
 
         real = runner_module._execute_batch_shard
@@ -360,18 +365,15 @@ class TestResumableSweeps:
                 raise KeyboardInterrupt("simulated worker death mid-shard")
             return real(shard)
 
-        # compaction="off" pins the sharded path: continuous batching never
-        # calls _execute_batch_shard (it checkpoints per trial instead, which
-        # tests/test_compaction.py covers).
         monkeypatch.setattr(runner_module, "_execute_batch_shard", dies_mid_sweep)
         with pytest.raises(KeyboardInterrupt):
-            _sweep(store=store, shards=3, compaction="off")
+            _sweep(store=store, shards=3, record_rounds=True)
         monkeypatch.setattr(runner_module, "_execute_batch_shard", real)
 
         # The completed first shard (2 of 6 trials) survived the crash.
         assert store.stats()["entries"] == 2
         store.reset_counters()
-        resumed = _sweep(store=store, shards=3, compaction="off")
+        resumed = _sweep(store=store, shards=3, record_rounds=True)
         assert store.hits == 2 and store.misses == 4
         for a, b in zip(baseline, resumed):
             assert_traces_equal(a, b)

@@ -25,11 +25,14 @@ import os
 import pytest
 
 from repro import telemetry
+from repro.baselines.decay import BatchDecayBroadcast
 from repro.experiments.common import execution_provenance
 from repro.experiments.protocols import ProtocolSpec
 from repro.experiments.runner import build_repetition_plan
 from repro.graphs.builders import GraphSpec
+from repro.graphs.random_digraph import random_digraph
 from repro.jobs.queue import JobQueue, ProcessPoolBackend
+from repro.radio.batch import BatchEngine, PendingTrial
 from repro.scenarios import SweepCell, SweepGrid, run_grid
 from repro.scenarios.runtime import (
     DEFAULT_SHARD_TRIALS,
@@ -277,6 +280,47 @@ class TestGridSpans:
             if r["type"] == "span_end" and r["layer"] == "cell"
         ][0]
         assert cell_end["attrs"]["executed"] == 4
+
+
+class TestEngineRunEvent:
+    """One ``engine.run`` event per engine call, whichever entry point."""
+
+    TRIALS = 7
+
+    @pytest.mark.parametrize("entry", ["run", "run_continuous"])
+    def test_one_event_per_call_with_trial_rounds(self, entry):
+        net = random_digraph(48, 0.15, rng=5)
+        engine = BatchEngine()
+        sink = _memory_pipeline()
+        if entry == "run":
+            traces = engine.run(
+                net, BatchDecayBroadcast(), trials=self.TRIALS, rng=3
+            )
+        else:
+            traces = engine.run_continuous(
+                (PendingTrial(net, rng=100 + t) for t in range(self.TRIALS)),
+                BatchDecayBroadcast,
+                capacity=3,
+                watermark=1.0,
+            )
+        names = [r["name"] for r in sink.records if r["type"] == "event"]
+        assert names.count("engine.run") == 1
+        assert "engine.continuous" not in names
+        (event,) = [
+            r["attrs"] for r in sink.records
+            if r["type"] == "event" and r["name"] == "engine.run"
+        ]
+        assert event["trials"] == self.TRIALS
+        assert event["trial_rounds"] == sum(t.rounds_executed for t in traces)
+        assert event["rounds"] >= max(t.rounds_executed for t in traces)
+        assert event["kernel"] in ("numpy", "compiled")
+        assert event["state_backend"] in ("dense", "bitset", "sparse")
+        # Cohort bookkeeping appears only when rows moved.
+        if entry == "run":
+            assert "compactions" not in event
+        else:
+            assert event["capacity"] == 3
+            assert event["refills"] >= 1
 
 
 class TestShardSizeEvents:
