@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -511,7 +511,7 @@ def _execute_batch_shard_traced(shard: _BatchShard):
 
 def _trial_inputs(
     jobs: Sequence[Job], shared_network: Optional[RadioNetwork]
-):
+) -> Iterator[Tuple[RadioNetwork, np.random.Generator]]:
     """``(network, protocol_rng)`` per job, in job order — the one place a
     batched sweep turns job seeds into engine inputs.
 
@@ -595,7 +595,8 @@ class ExecutionPlan:
     ``batch``  ``processes`` execution
     ========== ============= =================================================
     truthy     ``None``      one :class:`~repro.radio.batch.NetworkBatch` of
-                             all ``R`` trials, in process
+                             all ``R`` trials, in process (exact mode: one
+                             continuous stream, see below)
     truthy     ``K``         ``R`` seeds sharded into ``K`` contiguous chunks;
                              each worker runs its chunk as its own batch
     ``False``  ``None``      serial loop, one engine run per job
