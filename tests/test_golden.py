@@ -10,11 +10,16 @@ for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
   draws of protocols that size them by row count are pinned too);
 * exact mode, through :meth:`BatchEngine.run` and through a refilled
   :meth:`BatchEngine.run_continuous` stream against the same digests;
-* exact mode under the ``iid_loss`` and ``churn`` environments;
+* exact mode under every environment family (``iid_loss``, ``burst_loss``,
+  ``churn``, ``jam``, ``wakeup`` and a ``compose`` of ``iid_loss`` with
+  ``churn``);
+* exact mode with the node-set ``state_backend`` forced to ``dense``,
+  ``bitset`` and ``sparse``, pinned to the same digests as ``auto``;
 * one ``record_rounds=True``, one ``keep_arrays=True`` and one
   ``run_to_quiescence=True`` case;
 * an in-process fast-mode ``repeat_job(..., shards=3)`` sweep, which pins
-  the per-shard fast seeds.
+  the per-shard fast seeds, and an in-process exact-mode one, which runs
+  as one continuous stream that retires and refills rows.
 
 A digest change means the engine computes something else: it needs an
 ``ENGINE_VERSION`` bump and a justification, then a regenerated corpus::
@@ -57,18 +62,28 @@ PROTOCOL_PARAMS = {
     "sequential_gossip": {},
 }
 
-ENV_SPECS = {
-    "iid_loss": {"name": "iid_loss", "params": {"tx_loss": 0.1, "rx_loss": 0.15}},
-    "churn": {
-        "name": "churn",
-        "params": {
-            "events": [
-                {"round": 3, "crash_fraction": 0.25},
-                {"round": 12, "recover_all": True},
-            ]
-        },
+IID_LOSS = {"name": "iid_loss", "params": {"tx_loss": 0.1, "rx_loss": 0.15}}
+CHURN = {
+    "name": "churn",
+    "params": {
+        "events": [
+            {"round": 3, "crash_fraction": 0.25},
+            {"round": 12, "recover_all": True},
+        ]
     },
 }
+ENV_SPECS = {
+    "iid_loss": IID_LOSS,
+    "burst_loss": {"name": "burst_loss", "params": {"p_bad": 0.1, "p_good": 0.4}},
+    "churn": CHURN,
+    "jam": {"name": "jam", "params": {"k": 2, "start": 1, "stop": 20}},
+    "wakeup": {"name": "wakeup", "params": {"max_delay": 6}},
+    "compose": {"name": "compose", "params": {"layers": [IID_LOSS, CHURN]}},
+}
+
+#: Protocols whose exact traces are also pinned under each forced backend.
+BACKEND_PROTOCOLS = ("algorithm1", "decay", "uniform_gossip")
+FORCED_BACKENDS = ("dense", "bitset", "sparse")
 
 N = 64
 TRIALS = 6
@@ -168,17 +183,22 @@ def _run_continuous(config, name):
     )
 
 
-def _sweep(name):
+def _sweep(name, batch_mode="fast"):
+    """An in-process three-shard sweep.  In exact mode it runs as one
+    continuous stream of capacity two, so rows retire and refill."""
     return repeat_job(
         SWEEP_GRAPH,
         ProtocolSpec(name, SWEEP_PROTOCOLS[name]),
         repetitions=TRIALS,
         seed=3,
-        batch_mode="fast",
+        batch_mode=batch_mode,
         shards=3,
         store=False,
         max_rounds=MAX_ROUNDS,
     )
+
+
+SWEEP_CASES = {"repeat_job-fast-shards3": "fast", "repeat_job-exact-stream": "exact"}
 
 
 ENGINE_CASES = (
@@ -207,8 +227,9 @@ def compute_corpus():
         _case_id(config, name): _digests(_run(config, name))
         for config, name in ENGINE_CASES
     }
-    for name in sorted(SWEEP_PROTOCOLS):
-        corpus[_case_id("repeat_job-fast-shards3", name)] = _digests(_sweep(name))
+    for config, mode in SWEEP_CASES.items():
+        for name in sorted(SWEEP_PROTOCOLS):
+            corpus[_case_id(config, name)] = _digests(_sweep(name, mode))
     return corpus
 
 
@@ -220,7 +241,7 @@ def golden():
 def test_corpus_covers_every_batch_protocol(golden):
     assert PROTOCOL_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
     expected = {_case_id(c, n) for c, n in ENGINE_CASES} | {
-        _case_id("repeat_job-fast-shards3", n) for n in SWEEP_PROTOCOLS
+        _case_id(c, n) for c in SWEEP_CASES for n in SWEEP_PROTOCOLS
     }
     assert set(golden) == expected
 
@@ -240,10 +261,25 @@ def test_run_continuous_matches_golden(golden, config, name):
     assert _digests(traces) == golden[_case_id(config, name)]
 
 
+@pytest.mark.parametrize("backend", FORCED_BACKENDS)
+@pytest.mark.parametrize("name", BACKEND_PROTOCOLS)
+def test_forced_state_backend_matches_auto_golden(golden, name, backend):
+    traces = _engine(state_backend=backend).run(
+        _networks(), _protocol(name), rngs=_rngs(), max_rounds=MAX_ROUNDS
+    )
+    assert _digests(traces) == golden[_case_id("exact", name)]
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_PROTOCOLS))
 def test_sharded_fast_sweep_matches_golden(golden, name):
     case = _case_id("repeat_job-fast-shards3", name)
     assert _digests(_sweep(name)) == golden[case]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROTOCOLS))
+def test_exact_stream_sweep_matches_golden(golden, name):
+    case = _case_id("repeat_job-exact-stream", name)
+    assert _digests(_sweep(name, "exact")) == golden[case]
 
 
 if __name__ == "__main__":
