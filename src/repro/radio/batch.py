@@ -334,22 +334,21 @@ class _RowSliceOutcome(BatchCollisionOutcome):
 
     The continuous engine resolves all cohorts in one union gather, then
     hands each cohort its own rows re-addressed into the cohort's trial
-    space.  Fields the union resolution did not materialise (senders unless
-    a protocol declared :attr:`BatchProtocol.needs_senders` or an
-    environment is active; hear counts unless the model detects collisions)
-    fail loudly instead of lazily fabricating the empty values the base
-    class would.
+    space.  Senders the union resolution did not materialise (unless a
+    protocol declared :attr:`BatchProtocol.needs_senders` or an environment
+    is active) fail loudly instead of lazily fabricating the empty values
+    the base class would.  Hear counts are sliced from the union's on first
+    access, so every cohort of a round shares one dense pass.
     """
 
-    __slots__ = ()
+    __slots__ = ("_union", "_rows")
 
     tracks_senders = False
 
     _UNAVAILABLE = (
         "{field} is not available on this row-sliced outcome; the "
         "continuous engine only materialises senders for cohorts whose "
-        "protocol declares needs_senders (or under an active environment) "
-        "and hear counts under a collision-detecting model"
+        "protocol declares needs_senders (or under an active environment)"
     )
 
     @property
@@ -359,7 +358,7 @@ class _RowSliceOutcome(BatchCollisionOutcome):
     @property
     def hear_counts(self) -> np.ndarray:
         if self._hear_dense is None:
-            raise RuntimeError(self._UNAVAILABLE.format(field="hear_counts"))
+            self._hear_dense = self._union.hear_counts[self._rows]
         return self._hear_dense
 
 
@@ -403,24 +402,21 @@ def _slice_outcome_rows(
         outcome.receiver_flat, [offset, np.int64(row_hi) * n]
     )
     receiver = outcome.receiver_flat[lo:hi] - offset
-    hear = (
-        outcome.hear_counts[row_lo:row_hi]
-        if outcome.detects_collisions
-        else None
-    )
     sender = None
     cls = _RowSliceOutcome
     if with_senders and outcome.tracks_senders:
         cls = _RowSliceOutcomeWithSenders
         sender = outcome.sender_flat[lo:hi] - offset
-    return cls(
+    sliced = cls(
         receiver_flat=receiver,
         trials=row_hi - row_lo,
         n=n,
         sender_flat=sender,
-        hear_dense=hear,
         detects_collisions=outcome.detects_collisions,
     )
+    sliced._union = outcome
+    sliced._rows = slice(row_lo, row_hi)
+    return sliced
 
 
 class BatchProtocol(abc.ABC):
