@@ -9,9 +9,6 @@ cell (asserted locally; CI records the numbers without gating, and the
 no-numba leg records ``compiled_available: false`` with speedup ~1.0 since
 ``"compiled"`` then resolves to the numpy path).
 
-A third cell times the opt-in edge-sampled approximation on the same
-batch so its headroom over even the fused exact kernel is tracked.
-
 Kernels are warmed (JIT compile + first-call caches) before any timing —
 see ``warm_collision_kernels`` in ``conftest.py``.
 """
@@ -26,7 +23,7 @@ from repro.graphs.random_digraph import (
     random_digraph,
 )
 from repro.radio import kernels
-from repro.radio.batch import BatchRandomSource, NetworkBatch
+from repro.radio.batch import NetworkBatch
 from repro.radio.collision import BatchStandardCollisionModel
 
 N = 4096
@@ -120,22 +117,3 @@ def test_bench_collision_kernel_compiled(benchmark, collision_cell):
     # runners are too noisy to gate on wall time.
     if kernels.compiled_available() and not os.environ.get("CI"):
         assert speedup >= 2.0, (numpy_best, compiled_best)
-
-
-def test_bench_collision_kernel_edge_sampled(benchmark, collision_cell):
-    """Edge-sampled approximation on the same cell (fast mode only)."""
-    batch, tx_flat = collision_cell
-    model = BatchStandardCollisionModel()
-    model.kernel = "edge_sampled"
-    source = BatchRandomSource.fast(13)
-    outcome = benchmark.pedantic(
-        lambda: model._batch_exactly_one_rule(
-            batch, tx_flat, rng_source=source
-        ),
-        rounds=10,
-        iterations=1,
-        warmup_rounds=2,
-    )
-    assert outcome.receiver_flat.size > 0
-    benchmark.extra_info["kernel"] = "edge_sampled"
-    benchmark.extra_info["tracks_senders"] = outcome.tracks_senders

@@ -44,20 +44,21 @@ Subcommands
 Execution flags (``run`` / ``chart`` / ``report`` / ``sweep``)
 --------------------------------------------------------------
 
-Repetition sweeps ride the batched execution pipeline by default (all seeds
-of a sweep advance together through the vectorised
+Repetition sweeps run on the batched execution pipeline (all seeds of a
+sweep advance together through the vectorised
 :class:`~repro.radio.batch.BatchEngine`; ``--processes K`` shards them into
-``K`` per-worker batches).  ``--no-batch`` forces the serial per-run engine,
-``--batch-mode exact`` makes batched runs bit-identical to serial ones
-(one rng stream per trial) instead of the default vectorised ``fast`` mode,
-``--state-backend {auto,dense,bitset,sparse}`` pins the node-set state
-representation (:mod:`repro.radio.nodesets`) instead of the per-workload
-heuristic, and ``--kernel {auto,numpy,compiled,edge_sampled}`` selects the
-collision-kernel implementation (:mod:`repro.radio.kernels`) — ``auto``
-runs the compiled kernel when numba is importable, falling back to the
-bit-identical numpy path otherwise.  In-process exact-mode sweeps run as
-one continuous batch (live-trial retirement, batch compaction and refill);
-``--watermark FRAC`` sets the occupancy below which it refills.
+``K`` per-worker batches).  ``--batch-mode exact`` makes batched runs
+bit-identical to the serial engine (one rng stream per trial) instead of
+the default vectorised ``fast`` mode, ``--state-backend
+{auto,dense,bitset,sparse}`` pins the node-set state representation
+(:mod:`repro.radio.nodesets`) instead of the per-workload heuristic, and
+``--kernel {auto,numpy,compiled}`` selects the collision-kernel
+implementation (:mod:`repro.radio.kernels`) — ``auto`` runs the compiled
+kernel when numba is importable, falling back to the bit-identical numpy
+path otherwise.  In-process exact-mode sweeps run as one continuous batch
+(live-trial retirement, batch compaction and refill); ``--watermark FRAC``
+sets the occupancy below which it refills.  A bad ``--watermark`` or
+``--env`` value is a usage error.
 
 Caching flags: ``--resume`` turns the result store on for ``run`` / ``chart``
 / ``report`` (they default to uncached), ``--cache-dir DIR`` picks the store
@@ -100,17 +101,12 @@ def _add_execution_flags(
     """Flags controlling the batched execution pipeline (shared by
     run/chart/report/sweep)."""
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run repetition sweeps through the serial per-run engine "
-        "instead of the batched pipeline",
-    )
-    parser.add_argument(
         "--batch-mode",
         choices=["fast", "exact"],
         default=batch_mode_default,
         help="randomness policy of the batched pipeline: 'fast' (vectorised, "
-        "statistically identical to serial) or 'exact' (bit-identical) "
+        "statistically identical to the serial engine) or 'exact' "
+        "(bit-identical to it) "
         f"[default: {batch_mode_default}]",
     )
     parser.add_argument(
@@ -124,13 +120,11 @@ def _add_execution_flags(
     )
     parser.add_argument(
         "--kernel",
-        choices=["auto", "numpy", "compiled", "edge_sampled"],
+        choices=["auto", "numpy", "compiled"],
         default="auto",
         help="collision-kernel implementation: 'auto' picks the compiled "
         "(numba) kernel when available and the bit-identical numpy path "
-        "otherwise; 'edge_sampled' opts into the O(R*n) mean-field "
-        "approximation for edge-bound graphs (fast mode only, stamped "
-        "into result provenance)",
+        "otherwise",
     )
     parser.add_argument(
         "--watermark",
@@ -604,24 +598,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     store: Optional[ResultStore] = None
-    if hasattr(args, "no_batch"):
-        if args.kernel == "edge_sampled" and args.batch_mode == "exact":
-            parser.error(
-                "--kernel edge_sampled is a collision approximation and "
-                "cannot honour --batch-mode exact; use --batch-mode fast"
-            )
+    if hasattr(args, "batch_mode"):
         store = _store_from_args(args)
         execution_kwargs = dict(
-            batch=False if args.no_batch else True,
             batch_mode=args.batch_mode,
             state_backend=args.state_backend,
             kernel=args.kernel,
             store=store,
             watermark=args.watermark,
         )
-        if getattr(args, "env", None) is not None:
-            execution_kwargs["environment"] = parse_environment_option(args.env)
-        configure_execution(**execution_kwargs)
+        try:
+            if args.env is not None:
+                execution_kwargs["environment"] = parse_environment_option(
+                    args.env
+                )
+            configure_execution(**execution_kwargs)
+        except (ValueError, TypeError) as exc:
+            parser.error(str(exc))
     telemetry_active = _telemetry_from_args(args)
     try:
         if args.command == "list":

@@ -19,7 +19,7 @@ through it.
 from repro.experiments.protocols import ProtocolSpec, build_protocol
 from repro.experiments.registry import all_experiments, get_experiment, run_experiment
 from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import Job, aggregate_runs, execute_job, run_jobs
+from repro.experiments.runner import Job, aggregate_runs, execute_job
 
 __all__ = [
     "ExperimentResult",
@@ -27,7 +27,6 @@ __all__ = [
     "build_protocol",
     "Job",
     "execute_job",
-    "run_jobs",
     "aggregate_runs",
     "all_experiments",
     "get_experiment",

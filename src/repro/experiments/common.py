@@ -24,11 +24,11 @@ def execution_provenance() -> Dict[str, object]:
 
     With the sweep service in place, numbers in a report depend on more than
     the experiment parameters: the engine semantics version (which gates the
-    result-store keys), the batch axis, the randomness policy and whether a
-    result store served cached trials.  This is the one shared place the
-    report generator (and any experiment that wants to) reads them from, so
-    provenance lands in the output without threading flags through every
-    module.
+    result-store keys), the randomness policy, the collision kernel and
+    whether a result store served cached trials.  This is the one shared
+    place the report generator (and any experiment that wants to) reads them
+    from, so provenance lands in the output without threading flags through
+    every module.
     """
     # Imported here rather than at module top so the experiment modules
     # (which all import this one) do not pull the runner in before their
@@ -39,12 +39,8 @@ def execution_provenance() -> Dict[str, object]:
     from repro.telemetry import telemetry_provenance
 
     defaults = _EXECUTION_DEFAULTS
-    # Provenance reports what *would* run; resolution is mode-independent
-    # here (an illegal edge_sampled x exact combination fails loudly at plan
-    # build, not while stamping a report).
     return {
         "engine_version": ENGINE_VERSION,
-        "batch": defaults.batch,
         "batch_mode": defaults.batch_mode,
         "state_backend": defaults.state_backend,
         "kernel": defaults.kernel,

@@ -58,7 +58,6 @@ __all__ = [
     "ProtocolSpec",
     "build_protocol",
     "build_batch_protocol",
-    "supports_batch",
     "PROTOCOL_FACTORIES",
     "BATCH_PROTOCOL_FACTORIES",
 ]
@@ -147,9 +146,9 @@ def build_protocol(spec: ProtocolSpec) -> Protocol:
 
 #: Protocols with a batched (R-trials-per-round) implementation.  Every name
 #: in :data:`PROTOCOL_FACTORIES` has an entry (the tests assert the two key
-#: sets are equal), so the batch path of
-#: :func:`repro.experiments.runner.repeat_job` is the default pipeline for
-#: every protocol; serial execution remains available via ``batch=False``.
+#: sets are equal), so :func:`repro.experiments.runner.repeat_job` runs
+#: every protocol on the batch engine; the scalar implementations remain the
+#: serial oracle of :func:`repro.experiments.runner.execute_job`.
 BATCH_PROTOCOL_FACTORIES: Dict[str, Callable[..., BatchProtocol]] = {
     "algorithm1": BatchEnergyEfficientBroadcast,
     "algorithm2": BatchRandomNetworkGossip,
@@ -165,11 +164,6 @@ BATCH_PROTOCOL_FACTORIES: Dict[str, Callable[..., BatchProtocol]] = {
     "uniform_gossip": BatchUniformScaleGossip,
     "sequential_gossip": BatchSequentialBroadcastGossip,
 }
-
-
-def supports_batch(spec: ProtocolSpec) -> bool:
-    """True when ``spec`` has a registered batched implementation."""
-    return spec.name in BATCH_PROTOCOL_FACTORIES
 
 
 def build_batch_protocol(spec: ProtocolSpec) -> BatchProtocol:

@@ -1,24 +1,22 @@
 """Unified job execution: one pipeline composing batching and process fan-out.
 
 A :class:`Job` is a fully declarative description of one protocol run
-(topology spec + protocol spec + seed + engine options), so a list of jobs
-can be executed serially or handed to a :class:`concurrent.futures.
-ProcessPoolExecutor` — each worker rebuilds the network and protocol from the
-specs, keeping results independent of scheduling (the per-job seed fully
-determines both the topology sample and the protocol's randomness).
+(topology spec + protocol spec + seed + engine options).  The per-job seed
+fully determines both the topology sample and the protocol's randomness, so
+results are independent of scheduling.  :func:`execute_job` runs one job on
+the serial :class:`~repro.radio.engine.SimulationEngine`; the tests use it as
+the oracle the batch engine must match in exact mode.
 
-Repetition sweeps (the workload behind every experiment E1–E16) go through an
-:class:`ExecutionPlan`, which composes the two execution axes instead of
-treating them as alternatives:
+Repetition sweeps (the workload behind every experiment E1–E17) go through an
+:class:`ExecutionPlan`, which composes two execution axes:
 
 * **batching** — every registered protocol has a batched implementation
   (``BATCH_PROTOCOL_FACTORIES`` covers ``PROTOCOL_FACTORIES`` completely), so
-  by default all ``R`` repetitions advance together through the
+  all ``R`` repetitions advance together through the
   :class:`~repro.radio.batch.BatchEngine` on stacked ``(R, n)`` state;
 * **process fan-out** — ``processes=K`` shards the ``R`` per-trial seeds into
   ``K`` contiguous chunks, each worker running its chunk as its own
-  :class:`~repro.radio.batch.NetworkBatch` (batching *within* each worker),
-  rather than falling back to one-job-per-worker serial execution.
+  :class:`~repro.radio.batch.NetworkBatch` (batching *within* each worker).
 
 Per-trial seeds are spawned identically on every path, so the sampled
 topologies — and, in ``batch_mode="exact"``, the full traces bit for bit —
@@ -28,8 +26,8 @@ Sweeps are **resumable**: when a :class:`~repro.store.ResultStore` is
 attached (per call, or process-wide via :func:`configure_execution`, or the
 CLI's ``--resume`` / ``--cache-dir`` flags), every per-trial result is
 checkpointed under a canonical content digest as its shard completes, and
-:func:`repeat_job` / :func:`run_jobs` consult the store first — only the
-missing trials are enqueued.  In ``batch_mode="exact"`` a resumed sweep is
+:func:`repeat_job` consults the store first — only the missing trials are
+enqueued.  In ``batch_mode="exact"`` a resumed sweep is
 bit-identical to an uninterrupted one, because each trial's bits are a pure
 function of its job spec and seed.  Work is dispatched through the
 :class:`~repro.jobs.JobQueue` abstraction (in-process or a process pool with
@@ -42,7 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from repro.experiments.protocols import (
     ProtocolSpec,
     build_batch_protocol,
     build_protocol,
-    supports_batch,
 )
 from repro.graphs.builders import GraphSpec, build_network, spec_is_deterministic
 from repro.jobs import JobQueue
@@ -87,7 +84,6 @@ __all__ = [
     "build_repetition_plan",
     "configure_execution",
     "execute_job",
-    "run_jobs",
     "aggregate_runs",
     "repeat_job",
     "job_store_key",
@@ -244,10 +240,10 @@ def _consult_store(
     *,
     all_or_nothing: bool = False,
 ) -> List[RunResultTrace]:
-    """The cache-consultation protocol shared by :func:`run_jobs` and
-    :meth:`ExecutionPlan.execute`: probe every key, rehydrate the hits,
-    execute the missing jobs with a sink that checkpoints each completion
-    under its key, and merge everything back in job order.
+    """The cache-consultation protocol of :meth:`ExecutionPlan.execute`:
+    probe every key, rehydrate the hits, execute the missing jobs with a
+    sink that checkpoints each completion under its key, and merge
+    everything back in job order.
 
     ``all_or_nothing`` discards a *partial* hit set (fast-mode sweeps, whose
     draws are cohort-wide) — the discarded probes are reclassified as misses
@@ -288,81 +284,10 @@ def _resolve_store(store) -> Optional[ResultStore]:
     return store
 
 
-def _run_jobs_queued(
-    jobs: Sequence[Job],
-    *,
-    processes: Optional[int] = None,
-    queue: Optional[JobQueue] = None,
-    sink: Optional[_ResultSink] = None,
-    collect: bool = True,
-) -> List[RunResultTrace]:
-    """One engine run per job through the job queue (no store consultation)."""
-    jobs = list(jobs)
-    workers = _worker_count(processes, len(jobs))
-    if queue is None:
-        queue = JobQueue.for_workers(workers)
-    # A computed chunksize (instead of the default 1) amortises the per-item
-    # pickle/IPC round trip on large sweeps while still keeping ~4 chunks per
-    # worker for load balancing.
-    chunksize = max(1, len(jobs) // (4 * workers)) if workers > 1 else 1
-    return queue.run(
-        execute_job, jobs, on_result=sink, chunksize=chunksize, collect=collect
-    )
-
-
-#: Cache context of the serial per-run engine path.  Serial runs are keyed
-#: separately from batched ones (conservative: the exact-mode equivalence the
-#: tests pin covers the trace's headline fields, and keying by path costs
-#: only a recompute, never a wrong hit).
-_SERIAL_CONTEXT: Dict[str, object] = {
-    "batch_mode": "serial",
-    "state_backend": "auto",
-}
-
-
-def run_jobs(
-    jobs: Sequence[Job],
-    *,
-    processes: Optional[int] = None,
-    store=None,
-    queue: Optional[JobQueue] = None,
-) -> List[RunResultTrace]:
-    """Execute ``jobs`` one engine run per job, serially or across workers.
-
-    ``processes=None`` (default) runs serially; pass an integer (or 0 for
-    ``os.cpu_count()``) to fan out.  This is the heterogeneous-job path —
-    repetition sweeps should go through :func:`repeat_job` /
-    :class:`ExecutionPlan`, which batch the repetition axis as well.
-
-    ``store`` selects the content-addressed result store consulted before
-    executing anything (``None``: the process-wide default, ``False``:
-    disabled, or a :class:`~repro.store.ResultStore` / path): cached jobs
-    are returned without touching the engine and fresh results are
-    checkpointed as they complete.  ``queue`` overrides the
-    :class:`~repro.jobs.JobQueue` work is dispatched through.
-    """
-    jobs = list(jobs)
-    resolved = _resolve_store(store)
-    if resolved is None:
-        return _run_jobs_queued(jobs, processes=processes, queue=queue)
-
-    def run_missing(missing: List[int], sink: _ResultSink) -> List[RunResultTrace]:
-        return _run_jobs_queued(
-            [jobs[index] for index in missing],
-            processes=processes,
-            queue=queue,
-            sink=sink,
-        )
-
-    keys = [job_store_key(job, _SERIAL_CONTEXT) for job in jobs]
-    return _consult_store(resolved, jobs, keys, run_missing)
-
-
 @dataclass(frozen=True)
 class _ExecutionDefaults:
     """Process-wide defaults for the batch axis of :class:`ExecutionPlan`."""
 
-    batch: Union[bool, str] = True
     batch_mode: str = "fast"
     state_backend: str = "auto"
     kernel: str = "auto"
@@ -379,7 +304,7 @@ _UNSET = object()
 
 def configure_execution(
     *,
-    batch: Union[bool, str, None] = None,
+    batch: Optional[bool] = None,
     batch_mode: Optional[str] = None,
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -388,16 +313,14 @@ def configure_execution(
     compaction: Optional[str] = None,
     watermark: Optional[float] = None,
 ) -> None:
-    """Set process-wide execution defaults (the CLI's ``--no-batch`` /
-    ``--batch-mode`` / ``--state-backend`` / ``--kernel`` / cache flags land
-    here).
+    """Set process-wide execution defaults (the CLI's ``--batch-mode`` /
+    ``--state-backend`` / ``--kernel`` / cache flags land here).
 
     ``repeat_job`` / :class:`ExecutionPlan` use these whenever the caller
-    does not pass ``batch`` / ``batch_mode`` / ``state_backend`` /
-    ``kernel`` explicitly, so the whole experiment suite can be switched to
-    serial, exact-mode, a forced node-set state backend or a specific
-    collision kernel without threading flags through every experiment
-    module.
+    does not pass ``batch_mode`` / ``state_backend`` / ``kernel``
+    explicitly, so the whole experiment suite can be switched to exact
+    mode, a forced node-set state backend or a specific collision kernel
+    without threading flags through every experiment module.
 
     ``store`` installs the process-wide content-addressed result store the
     sweeps consult (a :class:`~repro.store.ResultStore`, a cache-dir path,
@@ -413,12 +336,16 @@ def configure_execution(
     in-process exact-mode sweeps run as (the CLI's ``--watermark`` flag
     lands here; see :class:`ExecutionPlan`).  ``compaction`` accepts only
     ``"auto"``: when rows move is derived from the batch mode, not
-    configured.
+    configured.  ``batch`` accepts only ``True``: every sweep runs on the
+    batch engine.
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
-    if batch is not None:
-        updates["batch"] = batch
+    if batch not in (None, True):
+        raise ValueError(
+            f"every sweep runs on the batch engine; only batch=True is "
+            f"accepted, got {batch!r}"
+        )
     if batch_mode is not None:
         updates["batch_mode"] = batch_mode
     if state_backend is not None:
@@ -433,8 +360,8 @@ def configure_execution(
             raise ValueError(f"watermark must be in (0, 1], got {watermark}")
         updates["watermark"] = float(watermark)
     if kernel is not None:
-        # Validate eagerly (mode-independent checks only) so a typo fails at
-        # configuration time, not on the first sweep.
+        # Validate eagerly so a typo fails at configuration time, not on the
+        # first sweep.
         resolve_collision_kernel(kernel)
         updates["kernel"] = kernel
     if store is not _UNSET:
@@ -577,43 +504,43 @@ def _execute_batch_shard_impl(
     return [_decorate(job, result) for job, result in zip(jobs, results)]
 
 
-def _batch_collision_model_for(job: Job) -> Optional[BatchCollisionModel]:
+def _batch_collision_model_for(job: Job) -> BatchCollisionModel:
     if job.erasure_probability > 0.0:
         return BatchErasureCollisionModel(job.erasure_probability)
-    factory = _BATCH_COLLISION_MODELS.get(job.collision_model)
-    return factory() if factory is not None else None
+    try:
+        return _BATCH_COLLISION_MODELS[job.collision_model]()
+    except KeyError:
+        known = ", ".join(sorted(_BATCH_COLLISION_MODELS))
+        raise ValueError(
+            f"unknown collision model {job.collision_model!r}; known: {known}"
+        )
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How a homogeneous repetition sweep is executed.
 
-    The plan composes the two execution axes — batching and process fan-out —
-    instead of treating them as mutually exclusive:
+    Every sweep runs on the :class:`~repro.radio.batch.BatchEngine`; the
+    plan composes batching with process fan-out:
 
-    ========== ============= =================================================
-    ``batch``  ``processes`` execution
-    ========== ============= =================================================
-    truthy     ``None``      one :class:`~repro.radio.batch.NetworkBatch` of
-                             all ``R`` trials, in process (exact mode: one
-                             continuous stream, see below)
-    truthy     ``K``         ``R`` seeds sharded into ``K`` contiguous chunks;
-                             each worker runs its chunk as its own batch
-    ``False``  ``None``      serial loop, one engine run per job
-    ``False``  ``K``         one-job-per-worker serial fan-out
-    ========== ============= =================================================
+    ============= ======================================================
+    ``processes`` execution
+    ============= ======================================================
+    ``None``      one :class:`~repro.radio.batch.NetworkBatch` of all
+                  ``R`` trials, in process (exact mode: one continuous
+                  stream, see below)
+    ``K``         ``R`` seeds sharded into ``K`` contiguous chunks; each
+                  worker runs its chunk as its own batch
+    ============= ======================================================
 
-    ``batch`` may also be the string ``"require"``: batch like ``True`` but
-    raise instead of silently falling back when the sweep is not batchable
-    (unknown collision model, or — should the registries ever diverge again —
-    a protocol without a batched implementation), so a caller counting on
-    batch throughput finds out instead of quietly running ~10x slower.
+    An unknown protocol or collision model raises ``ValueError`` when the
+    plan is constructed.
 
-    ``batch_mode`` selects the randomness policy of the batched path:
-    ``"fast"`` (one shared generator per shard, vectorised draws —
-    statistically identical to serial) or ``"exact"`` (one child generator
-    per trial, consumed exactly as the serial engine would — bit-identical
-    to serial, regardless of sharding).
+    ``batch_mode`` selects the randomness policy: ``"fast"`` (one shared
+    generator per shard, vectorised draws — statistically identical to the
+    serial engine) or ``"exact"`` (one child generator per trial, consumed
+    exactly as the serial engine would — bit-identical to
+    :func:`execute_job`, regardless of sharding).
 
     ``state_backend`` selects the node-set state representation of the batch
     engine (``"auto"`` / ``"dense"`` / ``"bitset"`` / ``"sparse"``, see
@@ -623,12 +550,9 @@ class ExecutionPlan:
     ``kernel`` selects the collision-kernel implementation
     (:data:`repro.radio.kernels.COLLISION_KERNELS`): ``"auto"`` (default)
     runs the compiled kernel when numba is importable and the bit-identical
-    numpy path otherwise, ``"numpy"`` / ``"compiled"`` force a side,
-    and ``"edge_sampled"`` opts into the O(R·n) mean-field approximation
-    for edge-bound graphs — fast mode only (the plan rejects it under
-    ``batch_mode="exact"`` at construction), stamped into trace metadata
-    and into the sweep's store digests.  The exact kernels all share one
-    digest space, so flipping between them never invalidates a cache.
+    numpy path otherwise, and ``"numpy"`` / ``"compiled"`` force a side.
+    The kernels are bit-identical and share one digest space, so flipping
+    between them never invalidates a cache.
 
     Deterministic graph families (paths, grids, the lower-bound gadgets …)
     sample to the same network under every seed, so the plan builds that
@@ -667,7 +591,6 @@ class ExecutionPlan:
 
     jobs: Tuple[Job, ...]
     processes: Optional[int] = None
-    batch: Union[bool, str] = True
     batch_mode: str = "fast"
     fast_seed: Optional[np.random.SeedSequence] = None
     state_backend: str = "auto"
@@ -680,10 +603,15 @@ class ExecutionPlan:
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError("ExecutionPlan needs at least one job")
-        if self.batch not in (True, False, "require"):
+        template = self.jobs[0]
+        if template.protocol.name not in BATCH_PROTOCOL_FACTORIES:
+            known = ", ".join(sorted(BATCH_PROTOCOL_FACTORIES))
             raise ValueError(
-                f"batch must be True, False or 'require', got {self.batch!r}"
+                f"unknown protocol {template.protocol.name!r}; "
+                f"known protocols: {known}"
             )
+        # Building the model validates its name and erasure probability.
+        _batch_collision_model_for(template)
         if self.batch_mode not in ("fast", "exact"):
             raise ValueError(
                 f"batch_mode must be 'fast' or 'exact', got {self.batch_mode!r}"
@@ -698,34 +626,13 @@ class ExecutionPlan:
                 f"state_backend must be one of {known}, "
                 f"got {self.state_backend!r}"
             )
-        # Fails fast on unknown kernels and on the illegal
-        # edge_sampled x exact combination (an approximation cannot honour
-        # the bit-exactness contract) at plan-build time.
-        resolve_collision_kernel(
-            self.kernel, exact_mode=self.batch_mode == "exact"
-        )
+        resolve_collision_kernel(self.kernel)
         if self.shard_count is not None and self.shard_count < 1:
             raise ValueError(
                 f"shard_count must be >= 1, got {self.shard_count}"
             )
 
     # ------------------------------------------------------------------ #
-    def unbatchable_reason(self) -> Optional[str]:
-        """Why the sweep cannot take the batch path (``None`` when it can)."""
-        template = self.jobs[0]
-        if not supports_batch(template.protocol):
-            known = ", ".join(sorted(BATCH_PROTOCOL_FACTORIES))
-            return (
-                f"protocol {template.protocol.name!r} has no batched "
-                f"implementation (batchable: {known})"
-            )
-        if _batch_collision_model_for(template) is None:
-            return (
-                f"collision model {template.collision_model!r} has no "
-                "batched counterpart"
-            )
-        return None
-
     def shared_topology(self) -> Optional[RadioNetwork]:
         """The plan-wide topology cache entry, if the sweep admits one.
 
@@ -874,29 +781,19 @@ class ExecutionPlan:
     def cache_context(self) -> Dict[str, object]:
         """The execution facts baked into this sweep's store keys.
 
-        Exact-mode (and serial) trials are pure functions of their job spec,
-        so their context is just the mode and state-backend knobs.  Fast
+        Exact-mode trials are pure functions of their job spec, so their
+        context is just the mode and state-backend knobs.  The collision
+        kernels are interchangeable bit for bit, so the kernel is not part
+        of it.  Fast
         mode draws from cohort-wide streams — one shared generator per shard
         — so its context additionally pins the cohort (fast-seed entropy,
         shard layout): a fast key can only hit when the *whole sweep* is
         identical, never bit-mixing draws across differently shaped runs.
         """
-        batchable = bool(self.batch) and self.unbatchable_reason() is None
-        if not batchable:
-            return dict(_SERIAL_CONTEXT)
         context: Dict[str, object] = {
             "batch_mode": self.batch_mode,
             "state_backend": self.state_backend,
         }
-        resolved_kernel = resolve_collision_kernel(
-            self.kernel, exact_mode=self.batch_mode == "exact"
-        )
-        if resolved_kernel == "edge_sampled":
-            # Only the approximation changes the result distribution; the
-            # exact kernels (numpy/compiled/auto) are interchangeable bit
-            # for bit, so they share the historical digests — the key is
-            # omitted entirely to keep every pre-kernel store valid.
-            context["kernel"] = "edge_sampled"
         if self.batch_mode == "fast":
             fast_seed = self._fast_seed_or_derived()
             context["fast_cohort"] = {
@@ -918,15 +815,6 @@ class ExecutionPlan:
         the missing ones are executed (checkpointed back shard by shard); in
         fast mode the cache is all-or-nothing (see :meth:`cache_context`).
         """
-        if self.batch == "require":
-            reason = self.unbatchable_reason()
-            if reason is not None:
-                # Raise even when the store could serve the sweep: 'require'
-                # is a contract about how results are produced, and a silent
-                # serial-keyed cache hit would mask the mismatch.
-                raise ValueError(
-                    f"batch='require' but the sweep is not batchable: {reason}"
-                )
         store = self.store
         if store is None:
             return self._run(None)
@@ -976,12 +864,6 @@ class ExecutionPlan:
         Returns counters: ``{"total", "skipped", "served", "executed"}``.
         """
         skip = set(skip_indices)
-        if self.batch == "require":
-            reason = self.unbatchable_reason()
-            if reason is not None:
-                raise ValueError(
-                    f"batch='require' but the sweep is not batchable: {reason}"
-                )
         counts = {
             "total": len(self.jobs),
             "skipped": len(skip),
@@ -1046,25 +928,12 @@ class ExecutionPlan:
         self, sink: Optional[_ResultSink], *, collect: bool = True
     ) -> List[RunResultTrace]:
         """Execute every job of the plan (no store consultation), feeding
-        completed traces to ``sink`` as their shard/chunk finishes.
+        completed traces to ``sink`` as their shard finishes.
 
         ``collect=False`` is the streaming mode: ``sink`` still sees every
         trace, but nothing is retained and the return value is empty — a
         10⁵-trial sweep's memory stays bounded by one shard, not by R.
         """
-        reason = self.unbatchable_reason() if self.batch else None
-        if not self.batch or reason is not None:
-            if self.batch == "require":
-                raise ValueError(
-                    f"batch='require' but the sweep is not batchable: {reason}"
-                )
-            return _run_jobs_queued(
-                self.jobs,
-                processes=self.processes,
-                queue=self.queue,
-                sink=sink,
-                collect=collect,
-            )
         queue = self.queue
         if queue is None:
             workers = _worker_count(self.processes, len(self.jobs))
@@ -1147,7 +1016,6 @@ def build_repetition_plan(
     repetitions: int,
     seed: int = 0,
     processes: Optional[int] = None,
-    batch: Union[bool, str, None] = None,
     batch_mode: Optional[str] = None,
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -1167,8 +1035,6 @@ def build_repetition_plan(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if batch is None:
-        batch = _EXECUTION_DEFAULTS.batch
     if batch_mode is None:
         batch_mode = _EXECUTION_DEFAULTS.batch_mode
     if state_backend is None:
@@ -1188,7 +1054,7 @@ def build_repetition_plan(
         )
     base = np.random.SeedSequence(seed)
     # The extra child seeds the fast-mode batch generator; the first
-    # ``repetitions`` children are identical to what the serial path spawns.
+    # ``repetitions`` children are the per-trial seeds.
     children = base.spawn(repetitions + 1)
     seeds = [int(s.generate_state(1)[0]) for s in children[:repetitions]]
     jobs = tuple(
@@ -1197,7 +1063,6 @@ def build_repetition_plan(
     return ExecutionPlan(
         jobs=jobs,
         processes=processes,
-        batch=batch,
         batch_mode=batch_mode,
         fast_seed=children[-1],
         state_backend=state_backend,
@@ -1216,7 +1081,6 @@ def repeat_job(
     repetitions: int,
     seed: int = 0,
     processes: Optional[int] = None,
-    batch: Union[bool, str, None] = None,
     batch_mode: Optional[str] = None,
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -1228,27 +1092,24 @@ def repeat_job(
 ) -> List[RunResultTrace]:
     """Run the same (graph, protocol) pair under ``repetitions`` different seeds.
 
-    Builds an :class:`ExecutionPlan` and executes it: by default all
-    repetitions run through the :class:`~repro.radio.batch.BatchEngine` on
-    stacked ``(R, n)`` state (one topology sample per trial), sharded across
-    ``processes`` workers when fan-out is requested.  Per-trial seeds are
-    spawned exactly as in the serial path, so the sampled topologies are
-    identical and aggregates are statistically interchangeable across every
-    execution strategy.  Anything non-batchable falls back to
-    :func:`run_jobs` transparently — pass ``batch="require"`` to get an error
-    instead of the silent fallback.  The returned ``List[RunResultTrace]``
-    has the same shape either way.
+    Builds an :class:`ExecutionPlan` and executes it: all repetitions run
+    through the :class:`~repro.radio.batch.BatchEngine` on stacked
+    ``(R, n)`` state (one topology sample per trial), sharded across
+    ``processes`` workers when fan-out is requested.  Per-trial seeds do not
+    depend on the sharding, so the sampled topologies are identical and
+    aggregates are statistically interchangeable across every execution
+    strategy.
 
-    ``batch`` / ``batch_mode`` / ``state_backend`` / ``kernel`` default to
-    the process-wide settings of :func:`configure_execution` (out of the
-    box: batched, ``"fast"``, ``"auto"`` node-set state, ``"auto"``
-    collision kernel).
+    ``batch_mode`` / ``state_backend`` / ``kernel`` default to the
+    process-wide settings of :func:`configure_execution` (out of the box:
+    ``"fast"``, ``"auto"`` node-set state, ``"auto"`` collision kernel).
 
     * ``batch_mode="fast"``: one shared generator per shard with vectorised
-      draws — statistically identical to serial, not bit-identical.
+      draws — statistically identical to the serial engine, not
+      bit-identical.
     * ``batch_mode="exact"``: one child generator per trial, consumed exactly
-      as the serial engine would — results are bit-identical to
-      ``batch=False`` runs of the same seed (the equivalence tests rely on
+      as the serial engine would — each trace is bit-identical to
+      :func:`execute_job` on the same job (the equivalence tests rely on
       this), regardless of sharding.
 
     ``store`` selects the content-addressed result store (``None``: the
@@ -1267,7 +1128,6 @@ def repeat_job(
         repetitions=repetitions,
         seed=seed,
         processes=processes,
-        batch=batch,
         batch_mode=batch_mode,
         state_backend=state_backend,
         kernel=kernel,

@@ -72,12 +72,7 @@ class WorkerPoolError(RuntimeError):
 
 @dataclass
 class QueueStats:
-    """Counters describing what a queue did (read by tests and the CLI).
-
-    Counts are in *dispatch units*: individual tasks normally, whole chunks
-    when :meth:`JobQueue.run` groups tasks with ``chunksize > 1`` (the
-    backend never sees inside a chunk).
-    """
+    """Counters describing what a queue did (read by tests and the CLI)."""
 
     submitted: int = 0
     completed: int = 0
@@ -293,21 +288,8 @@ class ProcessPoolBackend(WorkerBackend):
         return results
 
 
-def _call_chunk(payload):
-    """Module-level chunk runner (picklable for the process backend)."""
-    fn, items = payload
-    return [fn(item) for item in items]
-
-
 class JobQueue:
-    """Ordered task execution behind one API, whatever the backend.
-
-    ``chunksize`` groups small tasks into fewer submissions to amortise
-    pickling/IPC (the heterogeneous-job path submits hundreds of small jobs;
-    batch shards are few and large, so they use ``chunksize=1``).
-    ``on_result`` still fires once per *task*, in completion order within a
-    chunk.
-    """
+    """Ordered task execution behind one API, whatever the backend."""
 
     def __init__(self, backend: Optional[WorkerBackend] = None) -> None:
         self.backend = backend if backend is not None else InProcessBackend()
@@ -340,7 +322,6 @@ class JobQueue:
         tasks: Sequence[object],
         *,
         on_result: Optional[ResultCallback] = None,
-        chunksize: int = 1,
         collect: bool = True,
         task_labels: Optional[Sequence[str]] = None,
     ) -> List[object]:
@@ -356,32 +337,9 @@ class JobQueue:
                 f"task_labels must have one entry per task "
                 f"({len(tasks)}), got {len(task_labels)}"
             )
-        if chunksize <= 1 or len(tasks) <= 1:
-            return self.backend.run(
-                fn, tasks, on_result, collect=collect, task_labels=task_labels
-            )
-        bounds = list(range(0, len(tasks), chunksize)) + [len(tasks)]
-        chunks = [
-            (fn, tasks[bounds[i] : bounds[i + 1]])
-            for i in range(len(bounds) - 1)
-        ]
-        chunk_labels = None
-        if task_labels is not None:
-            chunk_labels = [
-                ", ".join(task_labels[bounds[i] : bounds[i + 1]])
-                for i in range(len(bounds) - 1)
-            ]
-
-        def on_chunk(chunk_index: int, chunk_results) -> None:
-            if on_result is not None:
-                base = bounds[chunk_index]
-                for offset, result in enumerate(chunk_results):
-                    on_result(base + offset, result)
-
-        parts = self.backend.run(
-            _call_chunk, chunks, on_chunk, collect=collect, task_labels=chunk_labels
+        return self.backend.run(
+            fn, tasks, on_result, collect=collect, task_labels=task_labels
         )
-        return [result for part in parts for result in part]
 
     def __repr__(self) -> str:
         return f"JobQueue(backend={type(self.backend).__name__})"

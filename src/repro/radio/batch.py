@@ -113,7 +113,6 @@ class NetworkBatch:
         "total_nodes",
         "out_indptr",
         "out_indices",
-        "_in_degrees",
     )
 
     def __init__(self, networks: Sequence[RadioNetwork]):
@@ -132,7 +131,6 @@ class NetworkBatch:
         self.trials = trials
         self.n = n
         self.total_nodes = trials * n
-        self._in_degrees = None
 
         if trials * n > np.iinfo(np.int32).max:
             raise ValueError(
@@ -188,19 +186,6 @@ class NetworkBatch:
         """Fraction of possible (directed, loop-free) edges present."""
         possible = self.trials * self.n * max(self.n - 1, 1)
         return self.out_indices.size / possible
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        """Flat per-node in-degrees (built on first access, then cached).
-
-        Consumed by the edge-sampled collision kernel, whose per-listener
-        delivery probability depends only on the listener's in-degree.
-        """
-        if self._in_degrees is None:
-            self._in_degrees = np.bincount(
-                self.out_indices, minlength=self.total_nodes
-            )
-        return self._in_degrees
 
     def __repr__(self) -> str:
         return f"NetworkBatch(trials={self.trials}, n={self.n})"
@@ -913,10 +898,7 @@ class BatchEngine:
         Collision-kernel selection (:data:`repro.radio.kernels.
         COLLISION_KERNELS`): ``"auto"`` (default — compiled when numba is
         available, numpy otherwise), ``"numpy"``, ``"compiled"`` (silently
-        falls back to the bit-identical numpy path without numba) or
-        ``"edge_sampled"`` (an O(R·n)-per-round approximation for
-        edge-bound graphs; fast mode only, stamped into each trace's
-        metadata as ``collision_kernel``).
+        falls back to the bit-identical numpy path without numba).
     environment:
         Optional faulty-world layer (a
         :class:`~repro.radio.environment.BatchEnvironment`, a scalar
@@ -1164,11 +1146,8 @@ class BatchEngine:
             n = queue[0].network.n
         else:
             return []
-        # Rejects edge_sampled under exact mode; installs the kernel on the
-        # model for the round loop.
-        collision_kernel = resolve_collision_kernel(
-            self.kernel, exact_mode=exact_mode, record=True
-        )
+        # Installs the kernel on the model for the round loop.
+        collision_kernel = resolve_collision_kernel(self.kernel, record=True)
         self.collision_model.kernel = collision_kernel
         environment = self.environment
         if environment is not None and environment.is_null:
@@ -1262,10 +1241,6 @@ class BatchEngine:
                     result.informed_round = informed_rounds[t].copy()
                 if c.environment is not None:
                     result.metadata["environment"] = c.environment.trial_report(t)
-                if collision_kernel == "edge_sampled":
-                    # Approximate results must be distinguishable from exact
-                    # ones wherever the trace ends up (stores, aggregations).
-                    result.metadata["collision_kernel"] = "edge_sampled"
                 if result_sink is not None:
                     result_sink(c.tags[t], result)
                 else:

@@ -305,9 +305,8 @@ class BatchCollisionOutcome:
     """
 
     #: Whether per-receiver sender identities can be recovered from this
-    #: outcome.  ``False`` on approximation/scheduled outcomes, whose sender
-    #: getters raise — callers that reshape the receiver set (erasure,
-    #: lossy environments) consult this before materialising senders.
+    #: outcome.  ``False`` on the continuous engine's row-sliced outcomes
+    #: that did not materialise senders, whose sender getters raise.
     tracks_senders = True
 
     __slots__ = (
@@ -448,38 +447,6 @@ class BatchCollisionOutcome:
         return int(offsets[trial]), int(offsets[trial + 1])
 
 
-class _EdgeSampledOutcome(BatchCollisionOutcome):
-    """Outcome of the edge-sampled approximation kernel.
-
-    The approximation draws deliveries per listener without ever gathering
-    edges, so there is no per-receiver sender, no per-edge hear count and no
-    collision flag to report.  Anything that needs them (gossip's sender
-    merge, collision-detection protocols, diagnostics) fails loudly instead
-    of silently reading garbage.
-    """
-
-    __slots__ = ()
-
-    tracks_senders = False
-
-    _MISSING = (
-        "the edge-sampled collision kernel does not track {what}; protocols "
-        "that consume {what} require an exact kernel (auto/numpy/compiled)"
-    )
-
-    @property
-    def sender_flat(self) -> np.ndarray:
-        raise RuntimeError(self._MISSING.format(what="sender identities"))
-
-    @property
-    def hear_counts(self) -> np.ndarray:
-        raise RuntimeError(self._MISSING.format(what="per-node hear counts"))
-
-    @property
-    def collision_flags(self) -> np.ndarray:
-        raise RuntimeError(self._MISSING.format(what="collision flags"))
-
-
 class BatchCollisionModel:
     """Base class: resolve ``R`` trials\' rounds in one vectorised pass.
 
@@ -490,7 +457,7 @@ class BatchCollisionModel:
     detects_collisions: bool = False
 
     #: Resolved collision-kernel name driving :meth:`_batch_exactly_one_rule`
-    #: (``"numpy"``, ``"compiled"`` or ``"edge_sampled"``).  The batch engine
+    #: (``"numpy"`` or ``"compiled"``).  The batch engine
     #: assigns this at the start of every run from its resolved ``kernel``
     #: option; direct users of the models get the numpy reference path.
     kernel: str = "numpy"
@@ -534,15 +501,14 @@ class BatchCollisionModel:
     _SPARSE_EDGE_THRESHOLD = 8192
 
     def _batch_exactly_one_rule(
-        self, batch, transmitters, listener_filter=None, rng_source=None
+        self, batch, transmitters, listener_filter=None
     ) -> "BatchCollisionOutcome":
         """Resolve all ``R`` trials\' rounds with one flattened gather.
 
         Dispatches on :attr:`kernel`: the ``"compiled"`` kernel fuses the
         gather/count/mask passes into one compiled walk over the stacked
-        CSR, ``"edge_sampled"`` replaces them with a per-listener Bernoulli
-        approximation, and the default ``"numpy"`` path below is the exact
-        reference the others are measured against.
+        CSR, and the default ``"numpy"`` path below is the reference it is
+        measured against.
 
         The numpy reference lowers the transmitters of all trials onto the
         stacked block-diagonal CSR (extending
@@ -565,12 +531,7 @@ class BatchCollisionModel:
         else:
             tx_flat = transmitters.astype(np.int64, copy=False)
 
-        kernel = self.kernel
-        if kernel == "edge_sampled":
-            return self._edge_sampled_rule(
-                batch, tx_flat, rng_source, listener_filter
-            )
-        if kernel == "compiled" and _kernels.compiled_available():
+        if self.kernel == "compiled" and _kernels.compiled_available():
             return self._fused_rule(batch, tx_flat, listener_filter)
 
         listeners, edge_ends = (
@@ -673,44 +634,6 @@ class BatchCollisionModel:
             hear_dense=flat_counts.reshape(trials, n),
         )
 
-    @staticmethod
-    def _edge_sampled_rule(
-        batch, tx_flat, rng_source, listener_filter
-    ) -> "BatchCollisionOutcome":
-        """Edge-sampled approximation: O(R·n) per-listener Bernoulli draws.
-
-        Replaces the per-edge gather with one delivery draw per listener
-        under a mean-field transmit model (each in-neighbour transmits
-        independently with the trial's transmit fraction).  Fast mode only —
-        the engine never resolves this kernel under exact mode — and the
-        shared fast-path generator supplies the draws.
-        """
-        if rng_source is None:
-            raise ValueError(
-                'kernel "edge_sampled" requires an rng_source for its '
-                "delivery draws"
-            )
-        trials, n = batch.trials, batch.n
-        if tx_flat.size == 0:
-            return _EdgeSampledOutcome(
-                receiver_flat=np.empty(0, dtype=np.int64),
-                trials=trials,
-                n=n,
-                receiver_counts=np.zeros(trials, dtype=np.int64),
-            )
-        tx_counts = np.bincount(tx_flat // n, minlength=trials)
-        probabilities = _kernels.edge_sampled_delivery_probabilities(
-            batch.in_degrees, tx_counts, n
-        )
-        hit = rng_source.generator.random(batch.total_nodes) < probabilities
-        if listener_filter is not None:
-            hit &= listener_filter
-        return _EdgeSampledOutcome(
-            receiver_flat=np.flatnonzero(hit),
-            trials=trials,
-            n=n,
-        )
-
 
 #: Sentinel "no filter" argument for the fused kernel (numba specialises on
 #: dtype, so the no-filter case passes an empty bool array instead of None).
@@ -730,7 +653,7 @@ class BatchStandardCollisionModel(BatchCollisionModel):
         listener_filter: Optional[np.ndarray] = None,
     ) -> BatchCollisionOutcome:
         return self._batch_exactly_one_rule(
-            batch, transmitters, listener_filter, rng_source
+            batch, transmitters, listener_filter
         )
 
     def __repr__(self) -> str:
@@ -750,7 +673,7 @@ class BatchWithCollisionDetectionModel(BatchCollisionModel):
         listener_filter: Optional[np.ndarray] = None,
     ) -> BatchCollisionOutcome:
         outcome = self._batch_exactly_one_rule(
-            batch, transmitters, listener_filter, rng_source
+            batch, transmitters, listener_filter
         )
         outcome.detects_collisions = True
         return outcome
@@ -785,23 +708,19 @@ class BatchErasureCollisionModel(BatchCollisionModel):
         if rng_source is None:
             raise ValueError("BatchErasureCollisionModel requires an rng_source")
         outcome = self._batch_exactly_one_rule(
-            batch, transmitters, listener_filter, rng_source
+            batch, transmitters, listener_filter
         )
         if outcome.receiver_flat.size and self.erasure_probability > 0.0:
             keep = (
                 rng_source.uniforms_for_counts(outcome.receiver_counts)
                 >= self.erasure_probability
             )
-            if not outcome.tracks_senders:
-                # The approximation tracks no senders — erase receivers only.
-                outcome.receiver_flat = outcome.receiver_flat[keep]
-            else:
-                # Materialise the senders against the pre-erasure receivers
-                # before reassigning receiver_flat — the lazy getter derives
-                # them from the receiver set, which is about to shrink.
-                senders = outcome.sender_flat
-                outcome.receiver_flat = outcome.receiver_flat[keep]
-                outcome.sender_flat = senders[keep]
+            # Materialise the senders against the pre-erasure receivers
+            # before reassigning receiver_flat — the lazy getter derives
+            # them from the receiver set, which is about to shrink.
+            senders = outcome.sender_flat
+            outcome.receiver_flat = outcome.receiver_flat[keep]
+            outcome.sender_flat = senders[keep]
             outcome.receiver_counts = np.bincount(
                 outcome.receiver_flat // batch.n, minlength=batch.trials
             )

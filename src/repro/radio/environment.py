@@ -811,13 +811,9 @@ class BatchEnvironment:
         drop_counts = np.bincount(dropped // self._n, minlength=self._trials)
         self._lost_rx += drop_counts
         self._mark_fault(round_index, drop_counts > 0)
-        if getattr(outcome, "tracks_senders", True):
-            senders = outcome.sender_flat
-            outcome.receiver_flat = outcome.receiver_flat[keep]
-            outcome.sender_flat = senders[keep]
-        else:
-            # Approximation outcomes (edge-sampled kernel) carry no senders.
-            outcome.receiver_flat = outcome.receiver_flat[keep]
+        senders = outcome.sender_flat
+        outcome.receiver_flat = outcome.receiver_flat[keep]
+        outcome.sender_flat = senders[keep]
         outcome.receiver_counts = np.bincount(
             outcome.receiver_flat // self._n, minlength=self._trials
         )

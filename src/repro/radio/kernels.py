@@ -4,8 +4,7 @@ The engine's per-round cost is dominated by two inner loops: the batched
 collision resolution (gather every transmitter's listeners, count hearers,
 mask the exactly-one deliveries) and the per-trial accumulator ingest of the
 streaming aggregation layer.  This module hosts compiled (numba ``@njit``)
-versions of both behind a tiny registry, plus an opt-in *edge-sampled*
-approximation of the collision round for the edge-bound ``G(n, p)`` regime.
+versions of both behind a tiny registry.
 
 Design rules:
 
@@ -20,11 +19,8 @@ Design rules:
   when no listener filter is installed (exact mode never installs one).
   The ingest kernel reproduces the Shewchuk partial-sum update float for
   float, so streaming moments stay exactly rounded and order-independent.
-* **Approximations are loud.**  ``"edge_sampled"`` replaces the per-edge
-  gather with an O(R·n) per-listener Bernoulli draw under a mean-field
-  transmit model.  It is a different distribution, so it can never be
-  resolved under ``batch_mode="exact"`` and is stamped into run provenance
-  by the engine.
+* **No approximations.**  Every selectable kernel resolves the round
+  exactly, so the kernel choice never changes a result or a store digest.
 * **Statelessness.**  Kernels keep no state between calls: every invocation
   receives the stacked CSR and transmitter set it operates on.  The
   continuous-batching engine (:meth:`repro.radio.batch.BatchEngine.
@@ -54,14 +50,13 @@ __all__ = [
     "resolve_collision_kernel",
     "exactly_one_fused",
     "exactly_one_fused_reference",
-    "edge_sampled_delivery_probabilities",
     "partials_extend",
     "warm_kernels",
 ]
 
 #: Selectable collision-kernel names (``"auto"`` picks compiled when
-#: available, numpy otherwise; it never picks an approximation).
-COLLISION_KERNELS = ("auto", "numpy", "compiled", "edge_sampled")
+#: available, numpy otherwise).
+COLLISION_KERNELS = ("auto", "numpy", "compiled")
 
 DEFAULT_KERNEL = "auto"
 
@@ -88,17 +83,12 @@ def compiled_available() -> bool:
     return _HAVE_NUMBA
 
 
-def resolve_collision_kernel(
-    name: str, *, exact_mode: bool = False, record: bool = False
-) -> str:
+def resolve_collision_kernel(name: str, *, record: bool = False) -> str:
     """Resolve a requested kernel name to the implementation that will run.
 
     ``"auto"`` and ``"compiled"`` both resolve to ``"compiled"`` when numba
     is available and fall back to the bit-identical ``"numpy"`` path when it
     is not (the fallback is silent because the two are interchangeable).
-    ``"edge_sampled"`` resolves to itself but is rejected under exact mode:
-    it samples a different delivery distribution, so it can never honour the
-    serial-equivalence contract.
 
     ``record=True`` counts the resolution in the telemetry metrics
     registry (``kernels.resolved.<name>``).  Only the engines pass it —
@@ -110,15 +100,7 @@ def resolve_collision_kernel(
             f"unknown collision kernel {name!r}; expected one of "
             f"{COLLISION_KERNELS}"
         )
-    if name == "edge_sampled":
-        if exact_mode:
-            raise ValueError(
-                'kernel "edge_sampled" is a collision approximation and '
-                'cannot be used with batch_mode="exact"; run in fast mode '
-                "or pick an exact kernel (auto/numpy/compiled)"
-            )
-        resolved = "edge_sampled"
-    elif name == "numpy":
+    if name == "numpy":
         resolved = "numpy"
     else:
         resolved = "compiled" if _HAVE_NUMBA else "numpy"
@@ -194,31 +176,6 @@ if _HAVE_NUMBA:  # pragma: no cover - requires numba
     exactly_one_fused = _njit(cache=True, nogil=True)(_exactly_one_fused_impl)
 else:
     exactly_one_fused = _exactly_one_fused_impl
-
-
-# --------------------------------------------------------------------------- #
-# Edge-sampled collision approximation
-# --------------------------------------------------------------------------- #
-def edge_sampled_delivery_probabilities(
-    in_degrees: np.ndarray, tx_counts: np.ndarray, n: int
-) -> np.ndarray:
-    """Mean-field exactly-one delivery probability per (trial, listener).
-
-    With ``k`` of a trial's ``n`` nodes transmitting, each in-neighbour of a
-    listener is modelled as transmitting independently with probability
-    ``f = k / n``, so a listener of in-degree ``d`` hears exactly one
-    transmitter with probability ``d · f · (1 − f)^(d−1)``.  Cost is
-    O(R·n) regardless of edge count — the point of the kernel on edge-bound
-    ``G(n, p)`` — at the price of ignoring which specific neighbours
-    transmit (correlations with the protocol state are dropped).
-
-    Parameters are flat over the stacked batch: ``in_degrees`` has one entry
-    per ``trial * n + node`` id, ``tx_counts`` one per trial.
-    """
-    fractions = (tx_counts.astype(np.float64) / float(n)).repeat(n)
-    degrees = in_degrees.astype(np.float64)
-    survive = np.power(1.0 - fractions, np.maximum(degrees - 1.0, 0.0))
-    return degrees * fractions * survive
 
 
 # --------------------------------------------------------------------------- #

@@ -272,7 +272,6 @@ def _run_cell_impl(
     metrics=(),
     processes: Optional[int] = None,
     store=None,
-    batch=None,
     batch_mode: Optional[str] = None,
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -309,7 +308,6 @@ def _run_cell_impl(
         repetitions=cell.repetitions,
         seed=cell_seed,
         processes=processes,
-        batch=batch,
         batch_mode=batch_mode,
         state_backend=state_backend,
         kernel=kernel,
@@ -496,7 +494,6 @@ def run_grid(
     metrics=(),
     processes: Optional[int] = None,
     store=None,
-    batch=None,
     batch_mode: Optional[str] = None,
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -521,8 +518,7 @@ def run_grid(
                 metrics=metrics,
                 processes=processes,
                 store=store,
-                batch=batch,
-                batch_mode=batch_mode,
+                        batch_mode=batch_mode,
                 state_backend=state_backend,
                 kernel=kernel,
                 shards=shards,
@@ -595,7 +591,6 @@ def run_scenario(
     *,
     processes: Optional[int] = None,
     store=None,
-    batch=None,
     batch_mode: Optional[str] = None,
     state_backend: Optional[str] = None,
     kernel: Optional[str] = None,
@@ -616,7 +611,6 @@ def run_scenario(
         metrics=spec.metrics,
         processes=processes,
         store=store,
-        batch=batch,
         batch_mode=batch_mode,
         state_backend=state_backend,
         kernel=kernel,

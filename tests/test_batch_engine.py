@@ -35,6 +35,8 @@ from repro.experiments.runner import (
     ExecutionPlan,
     Job,
     aggregate_runs,
+    build_repetition_plan,
+    execute_job,
     repeat_job,
 )
 from repro.graphs.builders import GraphSpec
@@ -54,6 +56,11 @@ from repro.radio.collision import (
     StandardCollisionModel,
 )
 from repro.radio.engine import SimulationEngine
+
+
+def _serial_sweep(graph, protocol, **options):
+    """The serial oracle of a ``repeat_job`` sweep: one engine run per job."""
+    return [execute_job(j) for j in build_repetition_plan(graph, protocol, **options).jobs]
 
 
 def _serial_runs(networks, make_protocol, seeds, **engine_options):
@@ -184,15 +191,14 @@ class TestExactEquivalence:
     def test_repeat_job_exact_mode_matches_serial(self):
         graph = GraphSpec("gnp", {"n": 128, "p": 0.08})
         protocol = ProtocolSpec("algorithm1", {"p": 0.08})
-        serial = repeat_job(
-            graph, protocol, repetitions=6, seed=11, batch=False, run_to_quiescence=True
+        serial = _serial_sweep(
+            graph, protocol, repetitions=6, seed=11, run_to_quiescence=True
         )
         batched = repeat_job(
             graph,
             protocol,
             repetitions=6,
             seed=11,
-            batch=True,
             batch_mode="exact",
             run_to_quiescence=True,
         )
@@ -258,15 +264,12 @@ class TestExactEquivalence:
     ):
         graph = GraphSpec("gnp", graph_params)
         protocol = ProtocolSpec(name, params)
-        serial = repeat_job(
-            graph, protocol, repetitions=4, seed=17, batch=False, **options
-        )
+        serial = _serial_sweep(graph, protocol, repetitions=4, seed=17, **options)
         batched = repeat_job(
             graph,
             protocol,
             repetitions=4,
             seed=17,
-            batch=True,
             batch_mode="exact",
             **options,
         )
@@ -378,12 +381,11 @@ class TestFastSeedingAggregates:
         graph = GraphSpec("gnp", {"n": 256, "p": 0.06})
         protocol = ProtocolSpec("algorithm1", {"p": 0.06})
         serial = aggregate_runs(
-            repeat_job(
+            _serial_sweep(
                 graph,
                 protocol,
                 repetitions=24,
                 seed=5,
-                batch=False,
                 run_to_quiescence=True,
             )
         )
@@ -393,7 +395,6 @@ class TestFastSeedingAggregates:
                 protocol,
                 repetitions=24,
                 seed=5,
-                batch=True,
                 run_to_quiescence=True,
             )
         )
@@ -424,38 +425,6 @@ class TestFastSeedingAggregates:
         )
         assert len(runs) == 4
         assert all(r.energy.max_per_node <= 1 for r in runs)
-
-    def test_non_batchable_protocol_falls_back(self, monkeypatch):
-        """With a registry entry removed, batch=True silently runs serial."""
-        monkeypatch.delitem(BATCH_PROTOCOL_FACTORIES, "decay")
-        graph = GraphSpec("gnp", {"n": 96, "p": 0.1})
-        protocol = ProtocolSpec("decay", {})
-        batched = repeat_job(graph, protocol, repetitions=3, seed=4, batch=True)
-        serial = repeat_job(graph, protocol, repetitions=3, seed=4, batch=False)
-        assert [r.completion_round for r in batched] == [
-            r.completion_round for r in serial
-        ]
-
-    def test_batch_require_raises_when_not_batchable(self, monkeypatch):
-        """batch='require' surfaces the silent fallback as an error."""
-        monkeypatch.delitem(BATCH_PROTOCOL_FACTORIES, "decay")
-        with pytest.raises(ValueError, match="not batchable"):
-            repeat_job(
-                GraphSpec("gnp", {"n": 32, "p": 0.2}),
-                ProtocolSpec("decay", {}),
-                repetitions=2,
-                batch="require",
-            )
-
-    def test_batch_require_runs_when_batchable(self):
-        runs = repeat_job(
-            GraphSpec("gnp", {"n": 48, "p": 0.2}),
-            ProtocolSpec("algorithm1", {"p": 0.2}),
-            repetitions=3,
-            seed=2,
-            batch="require",
-        )
-        assert len(runs) == 3
 
     def test_invalid_batch_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -524,12 +493,11 @@ class TestShardedFanOut:
         assert list(flat) == list(jobs)
 
     def test_sharded_exact_mode_is_bit_identical_to_serial(self):
-        """processes=K + batch=True runs K sharded batches, not serial jobs."""
+        """processes=K runs K sharded batches, bit-identical to serial jobs."""
         graph = GraphSpec("gnp", {"n": 96, "p": 0.1})
         protocol = ProtocolSpec("algorithm1", {"p": 0.1})
-        serial = repeat_job(
-            graph, protocol, repetitions=6, seed=3, batch=False,
-            run_to_quiescence=True,
+        serial = _serial_sweep(
+            graph, protocol, repetitions=6, seed=3, run_to_quiescence=True
         )
         sharded = repeat_job(
             graph,
@@ -537,7 +505,6 @@ class TestShardedFanOut:
             repetitions=6,
             seed=3,
             processes=2,
-            batch=True,
             batch_mode="exact",
             run_to_quiescence=True,
         )

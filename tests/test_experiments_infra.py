@@ -8,7 +8,13 @@ import pytest
 from repro.experiments.figures import ascii_chart, series_to_csv
 from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec, build_protocol
 from repro.experiments.results import ExperimentResult, Series
-from repro.experiments.runner import Job, aggregate_runs, execute_job, repeat_job, run_jobs
+from repro.experiments.runner import (
+    Job,
+    aggregate_runs,
+    configure_execution,
+    execute_job,
+    repeat_job,
+)
 from repro.graphs.builders import GraphSpec
 
 
@@ -161,19 +167,6 @@ class TestRunner:
         with pytest.raises(ValueError):
             execute_job(self._job(collision_model="bogus"))
 
-    def test_run_jobs_serial(self):
-        results = run_jobs([self._job(seed=s) for s in (1, 2, 3)])
-        assert len(results) == 3
-
-    def test_run_jobs_parallel(self):
-        results = run_jobs([self._job(seed=s) for s in range(4)], processes=2)
-        assert len(results) == 4
-        # Parallel and serial must agree (seeds fully determine outcomes).
-        serial = run_jobs([self._job(seed=s) for s in range(4)])
-        assert [r.completion_round for r in results] == [
-            r.completion_round for r in serial
-        ]
-
     def test_repeat_job(self):
         results = repeat_job(
             GraphSpec("gnp", {"n": 96, "p": 0.1}),
@@ -182,6 +175,23 @@ class TestRunner:
             seed=0,
         )
         assert len(results) == 3
+
+    def test_configure_execution_accepts_benchmark_keywords(self):
+        # The exact keyword set the end-to-end benchmark installs.
+        configure_execution(
+            batch=True,
+            batch_mode="fast",
+            state_backend="auto",
+            kernel="auto",
+            store=None,
+            compaction="auto",
+            watermark=0.75,
+        )
+
+    @pytest.mark.parametrize("batch", [False, "require"])
+    def test_configure_execution_rejects_non_batch(self, batch):
+        with pytest.raises(ValueError, match="batch=True"):
+            configure_execution(batch=batch)
 
     def test_repeat_job_invalid(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--watermark", "0"], "watermark"),
+            (["--watermark", "1.5"], "watermark"),
+            (["--env", "bogus"], "malformed --env entry"),
+            (["--env", "loss=2"], "rx_loss"),
+        ],
+        ids=["watermark-0", "watermark-1.5", "env-bogus", "env-loss-2"],
+    )
+    def test_bad_execution_values_are_usage_errors(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "E9", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestGridCli:
     """``repro sweep --grid`` and ``repro report --accumulators``."""

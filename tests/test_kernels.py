@@ -1,23 +1,18 @@
-"""Compiled-kernel layer: registry resolution, exactness and approximation.
+"""Compiled-kernel layer: registry resolution and exactness.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 1. **Registry.**  ``resolve_collision_kernel`` maps every selectable name to
    the implementation that will run — ``auto``/``compiled`` degrade to the
-   bit-identical numpy path without numba, unknown names and the illegal
-   ``edge_sampled`` x exact-mode combination fail loudly, and the whole
-   package keeps importing (and running) when numba cannot be imported at
-   all (subprocess test).
+   bit-identical numpy path without numba, unknown names fail loudly, and
+   the whole package keeps importing (and running) when numba cannot be
+   imported at all (subprocess test).
 2. **Exactness.**  The fused kernel's outputs are bit-identical to the numpy
    collision rule, and engine-level sweeps under ``kernel="compiled"`` are
    bit-identical to ``kernel="numpy"`` in exact mode for every registered
    protocol — with and without a faulty-world environment.  Exact kernels
    also share one store-digest space (flipping between them can never
    invalidate a result cache), pinned against a hard-coded digest.
-3. **Approximation is loud.**  ``edge_sampled`` is rejected at plan build
-   and engine level under exact mode, stamps its provenance into every
-   trace it produces, and its outcome object refuses to serve the
-   sender-side fields it does not track.
 """
 
 import os
@@ -30,20 +25,16 @@ import pytest
 
 from repro.experiments.protocols import ProtocolSpec
 from repro.experiments.runner import (
-    ExecutionPlan,
     build_repetition_plan,
     configure_execution,
+    execute_job,
     repeat_job,
 )
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
 from repro.radio import kernels
 from repro.radio.batch import BatchEngine, NetworkBatch
-from repro.radio.collision import (
-    BatchStandardCollisionModel,
-    _EdgeSampledOutcome,
-)
-from repro.baselines.flooding import BatchBernoulliFlood
+from repro.radio.collision import BatchStandardCollisionModel
 
 from test_batch_engine import _assert_traces_identical
 from test_batch_engine import TestExactEquivalence as _Exact
@@ -58,57 +49,24 @@ _REGISTRY_IDS = [
 
 class TestRegistry:
     def test_kernel_names(self):
-        assert kernels.COLLISION_KERNELS == (
-            "auto",
-            "numpy",
-            "compiled",
-            "edge_sampled",
-        )
+        assert kernels.COLLISION_KERNELS == ("auto", "numpy", "compiled")
         assert kernels.DEFAULT_KERNEL == "auto"
 
     def test_numpy_resolves_to_itself(self):
         assert kernels.resolve_collision_kernel("numpy") == "numpy"
-        assert kernels.resolve_collision_kernel("numpy", exact_mode=True) == "numpy"
 
     def test_auto_and_compiled_follow_numba_availability(self):
         expected = "compiled" if kernels.compiled_available() else "numpy"
         assert kernels.resolve_collision_kernel("auto") == expected
         assert kernels.resolve_collision_kernel("compiled") == expected
-        assert kernels.resolve_collision_kernel("auto", exact_mode=True) == expected
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown collision kernel"):
             kernels.resolve_collision_kernel("bogus")
 
-    def test_edge_sampled_rejected_under_exact_mode(self):
-        with pytest.raises(ValueError, match="approximation"):
-            kernels.resolve_collision_kernel("edge_sampled", exact_mode=True)
-        assert kernels.resolve_collision_kernel("edge_sampled") == "edge_sampled"
-
     def test_engine_validates_kernel_name(self):
         with pytest.raises(ValueError, match="unknown collision kernel"):
             BatchEngine(kernel="bogus")
-
-    def test_plan_rejects_edge_sampled_exact(self):
-        with pytest.raises(ValueError, match="approximation"):
-            build_repetition_plan(
-                GraphSpec("gnp", {"n": 16, "p": 0.4}),
-                ProtocolSpec("decay", {}),
-                repetitions=2,
-                seed=1,
-                kernel="edge_sampled",
-                batch_mode="exact",
-            )
-
-    def test_engine_rejects_edge_sampled_exact_rngs(self):
-        nets = [random_digraph(16, 0.4, rng=5) for _ in range(2)]
-        engine = BatchEngine(kernel="edge_sampled")
-        with pytest.raises(ValueError, match="approximation"):
-            engine.run(
-                nets,
-                BatchBernoulliFlood(0.1),
-                rngs=[np.random.default_rng(s) for s in (1, 2)],
-            )
 
     def test_configure_execution_validates_kernel(self):
         with pytest.raises(ValueError, match="unknown collision kernel"):
@@ -250,83 +208,6 @@ class TestEngineEquivalence:
         _assert_traces_identical(a, b, check_arrays=True)
 
 
-class TestEdgeSampled:
-    GRAPH = GraphSpec("gnp", {"n": 64, "p": 0.3})
-    PROTOCOL = ProtocolSpec("decay", {})
-
-    def test_provenance_stamped(self):
-        results = repeat_job(
-            self.GRAPH, self.PROTOCOL, repetitions=4, seed=9, kernel="edge_sampled"
-        )
-        assert len(results) == 4
-        for trace in results:
-            assert trace.metadata["collision_kernel"] == "edge_sampled"
-
-    def test_exact_kernels_not_stamped(self):
-        results = repeat_job(
-            self.GRAPH, self.PROTOCOL, repetitions=2, seed=9, kernel="auto"
-        )
-        for trace in results:
-            assert "collision_kernel" not in trace.metadata
-
-    def test_store_digests_differ_from_exact_kernels(self):
-        plan_exact = build_repetition_plan(
-            self.GRAPH, self.PROTOCOL, repetitions=3, seed=2, kernel="auto"
-        )
-        plan_approx = build_repetition_plan(
-            self.GRAPH, self.PROTOCOL, repetitions=3, seed=2, kernel="edge_sampled"
-        )
-        assert plan_exact.job_keys() != plan_approx.job_keys()
-        assert plan_approx.cache_context()["kernel"] == "edge_sampled"
-
-    def test_outcome_refuses_sender_side_fields(self):
-        outcome = _EdgeSampledOutcome(
-            receiver_flat=np.array([3, 17], dtype=np.int64), trials=2, n=16
-        )
-        assert outcome.tracks_senders is False
-        with pytest.raises(RuntimeError, match="does not track"):
-            outcome.sender_flat
-        with pytest.raises(RuntimeError, match="does not track"):
-            outcome.hear_counts
-        with pytest.raises(RuntimeError, match="does not track"):
-            outcome.collision_flags
-        # Receiver-side fields still work.
-        assert outcome.receiver_counts.sum() == 2
-
-    def test_statistically_close_to_exact_kernel(self):
-        # The mean-field approximation must complete broadcast on a
-        # well-connected G(n, p) in a comparable number of rounds.
-        exact = repeat_job(
-            self.GRAPH, self.PROTOCOL, repetitions=16, seed=41, kernel="numpy"
-        )
-        approx = repeat_job(
-            self.GRAPH, self.PROTOCOL, repetitions=16, seed=41, kernel="edge_sampled"
-        )
-        assert all(t.completed for t in exact)
-        assert sum(t.completed for t in approx) >= 14
-        mean_exact = np.mean([t.completion_round for t in exact])
-        mean_approx = np.mean(
-            [t.completion_round for t in approx if t.completed]
-        )
-        assert 0.4 * mean_exact < mean_approx < 2.5 * mean_exact
-
-    def test_runs_under_lossy_environment(self):
-        # Environments shrink the delivery set without sender surgery on
-        # approximation outcomes (tracks_senders=False).
-        results = repeat_job(
-            self.GRAPH,
-            self.PROTOCOL,
-            repetitions=4,
-            seed=11,
-            kernel="edge_sampled",
-            environment={"name": "iid_loss", "params": {"rx_loss": 0.2}},
-        )
-        assert len(results) == 4
-        for trace in results:
-            assert trace.metadata["collision_kernel"] == "edge_sampled"
-            assert "environment" in trace.metadata
-
-
 class TestDigestStability:
     """Exact kernels share the legacy digest space (satellite: a store built
     before the kernel layer existed keeps hitting)."""
@@ -406,9 +287,8 @@ class TestSharedBatchReuse:
             shards=4,
             batch_mode="exact",
         )
-        serial = repeat_job(
-            self.GRAPH, self.PROTOCOL, repetitions=8, seed=2, batch=False
-        )
+        plan = build_repetition_plan(self.GRAPH, self.PROTOCOL, repetitions=8, seed=2)
+        serial = [execute_job(j) for j in plan.jobs]
         _assert_traces_identical(serial, sharded, check_arrays=True)
 
     def test_shared_tiling_matches_general_construction(self):
@@ -417,7 +297,10 @@ class TestSharedBatchReuse:
         looped = NetworkBatch([random_digraph(40, 0.2, rng=3) for _ in range(6)])
         assert np.array_equal(tiled.out_indptr, looped.out_indptr)
         assert np.array_equal(tiled.out_indices, looped.out_indices)
-        assert np.array_equal(tiled.in_degrees, looped.in_degrees)
+        assert np.array_equal(
+            np.bincount(tiled.out_indices, minlength=tiled.total_nodes),
+            np.bincount(looped.out_indices, minlength=looped.total_nodes),
+        )
 
 
 class TestStreamingBypass:

@@ -26,7 +26,9 @@ from repro.experiments.protocols import (
 from repro.experiments.runner import (
     ExecutionPlan,
     Job,
+    build_repetition_plan,
     configure_execution,
+    execute_job,
     repeat_job,
 )
 from repro.graphs.builders import GraphSpec, spec_is_deterministic
@@ -328,14 +330,26 @@ class TestCrossBackendBitExactness:
 
 
 class TestExecutionPlumbing:
-    def test_plan_rejects_unknown_state_backend(self):
+    @pytest.mark.parametrize(
+        "job_options,plan_options,match",
+        [
+            ({}, {"state_backend": "packed"}, "state_backend"),
+            ({"collision_model": "bogus"}, {}, "collision model"),
+            ({"protocol": ProtocolSpec("bogus", {})}, {}, "protocol"),
+        ],
+        ids=["state_backend", "collision_model", "protocol"],
+    )
+    def test_plan_rejects_unknown_option(self, job_options, plan_options, match):
         job = Job(
-            graph=GraphSpec("gnp", {"n": 16, "p": 0.2}),
-            protocol=ProtocolSpec("algorithm1", {"p": 0.2}),
-            seed=1,
+            **{
+                "graph": GraphSpec("gnp", {"n": 16, "p": 0.2}),
+                "protocol": ProtocolSpec("algorithm1", {"p": 0.2}),
+                "seed": 1,
+                **job_options,
+            }
         )
-        with pytest.raises(ValueError, match="state_backend"):
-            ExecutionPlan(jobs=(job,), state_backend="packed")
+        with pytest.raises(ValueError, match=match):
+            ExecutionPlan(jobs=(job,), **plan_options)
 
     def test_shards_carry_the_backend(self):
         job = Job(
@@ -408,17 +422,15 @@ class TestTopologyCache:
     def test_cached_topology_matches_serial_results(self):
         graph = GraphSpec("path", {"n": 32})
         protocol = ProtocolSpec("decay", {})
-        serial = repeat_job(graph, protocol, repetitions=4, seed=7, batch=False)
-        batched = repeat_job(
-            graph, protocol, repetitions=4, seed=7, batch=True, batch_mode="exact"
-        )
+        plan = build_repetition_plan(graph, protocol, repetitions=4, seed=7)
+        serial = [execute_job(j) for j in plan.jobs]
+        batched = repeat_job(graph, protocol, repetitions=4, seed=7, batch_mode="exact")
         _assert_traces_identical(serial, batched)
         sharded = repeat_job(
             graph,
             protocol,
             repetitions=4,
             seed=7,
-            batch=True,
             batch_mode="exact",
             processes=2,
         )

@@ -26,7 +26,12 @@ from repro.experiments.protocols import (
     PROTOCOL_FACTORIES,
     ProtocolSpec,
 )
-from repro.experiments.runner import Job, repeat_job
+from repro.experiments.runner import (
+    Job,
+    build_repetition_plan,
+    execute_job,
+    repeat_job,
+)
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
 from repro.radio.batch import BatchEngine
@@ -322,8 +327,9 @@ class TestPipelineThreading:
             repetitions=4, seed=0, batch_mode="exact", environment=ENV,
             max_rounds=300,
         )
-        serial = repeat_job(GRAPH, PROTOCOL, batch=False, **kwargs)
-        batched = repeat_job(GRAPH, PROTOCOL, batch=True, **kwargs)
+        plan = build_repetition_plan(GRAPH, PROTOCOL, **kwargs)
+        serial = [execute_job(j) for j in plan.jobs]
+        batched = repeat_job(GRAPH, PROTOCOL, **kwargs)
         for s, b in zip(serial, batched):
             assert s.completed == b.completed
             assert s.completion_round == b.completion_round

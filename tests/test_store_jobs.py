@@ -29,7 +29,6 @@ from repro.experiments.runner import (
     configure_execution,
     job_store_key,
     repeat_job,
-    run_jobs,
 )
 from repro.graphs.builders import GraphSpec
 import repro.jobs.queue as queue_module
@@ -253,18 +252,6 @@ class TestJobQueue:
         assert seen == [(0, 1), (1, 4), (2, 9)]
         assert queue.stats.completed == 3
 
-    def test_chunked_dispatch_preserves_order(self):
-        queue = JobQueue(InProcessBackend())
-        seen = []
-        results = queue.run(
-            _square,
-            list(range(7)),
-            on_result=lambda i, r: seen.append(i),
-            chunksize=3,
-        )
-        assert results == [x * x for x in range(7)]
-        assert sorted(seen) == list(range(7))
-
     def test_process_pool_runs(self):
         queue = JobQueue(ProcessPoolBackend(2))
         assert queue.run(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
@@ -398,34 +385,16 @@ class TestResumableSweeps:
 
     def test_labels_reattach_on_cache_hits(self, tmp_path):
         store = ResultStore(tmp_path)
-        jobs = [
-            Job(graph=GRAPH, protocol=PROTOCOL, seed=s, label=f"first-{s}")
-            for s in (1, 2)
-        ]
-        run_jobs(jobs, store=store)
-        relabelled = [
-            Job(graph=GRAPH, protocol=PROTOCOL, seed=s, label=f"second-{s}")
-            for s in (1, 2)
-        ]
+        _sweep(repetitions=2, label="first", store=store)
         store.reset_counters()
-        cached = run_jobs(relabelled, store=store)
-        assert store.hits == 2
-        assert [r.metadata["label"] for r in cached] == ["second-1", "second-2"]
+        cached = _sweep(repetitions=2, label="second", store=store)
+        # Relabelled jobs still dedup: the label is not part of the key.
+        assert (store.hits, store.misses) == (2, 0)
+        assert [r.metadata["label"] for r in cached] == ["second", "second"]
         assert [r.metadata["job"]["label"] for r in cached] == [
-            "second-1",
-            "second-2",
+            "second",
+            "second",
         ]
-
-    def test_run_jobs_consults_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        jobs = [Job(graph=GRAPH, protocol=PROTOCOL, seed=s) for s in (1, 2, 3)]
-        first = run_jobs(jobs, store=store)
-        assert store.misses == 3
-        store.reset_counters()
-        second = run_jobs(jobs, store=store)
-        assert (store.hits, store.misses) == (3, 0)
-        for a, b in zip(first, second):
-            assert_traces_equal(a, b)
 
     def test_fast_mode_cache_is_all_or_nothing(self, tmp_path):
         store = ResultStore(tmp_path)
