@@ -35,6 +35,7 @@ from repro.graphs.random_digraph import random_digraph
 from repro.radio import kernels
 from repro.radio.batch import BatchEngine, NetworkBatch
 from repro.radio.collision import BatchStandardCollisionModel
+from repro.store import trial_digest
 
 from test_batch_engine import _assert_traces_identical
 from test_batch_engine import TestExactEquivalence as _Exact
@@ -243,6 +244,55 @@ class TestDigestStability:
             "d884c5e90af1ae70ab5bd025b7378e68"
             "02af16b2369e53a14be3fc7fee3817b8"
         )
+
+    def test_pinned_fast_digest(self):
+        # Fast-mode keys also pin the cohort (fast-seed entropy, shard
+        # layout); the same rule applies: a moved digest needs a bump.
+        keys = self._keys(batch_mode="fast")
+        assert keys[0] == (
+            "bd72c381a565acffd13bf1c023bbafaa"
+            "6d4d37a913f8e461227616995194ac74"
+        )
+
+    #: Digest of ``{"context": cache_context(), "keys": job_keys()}`` for a
+    #: six-trial sweep, per ``(batch_mode, shards)``.  Process fan-out never
+    #: enters the context once the shard count is fixed.
+    PLAN_DIGESTS = {
+        ("fast", 1): (
+            "4057c8a80184594a1401df24f5e36831"
+            "baf6fcfefc9373e8b71668c28821158e"
+        ),
+        ("fast", 3): (
+            "22473a9000b94f09dd0c4473abffbe03"
+            "438a052c5c20dd45fb71c36cfde00fb6"
+        ),
+        ("exact", 1): (
+            "55840cd5ac42c0ccf7df4a8e46af17f9"
+            "9e75aee2f2dc1991f6e85f63f50d2010"
+        ),
+        ("exact", 3): (
+            "55840cd5ac42c0ccf7df4a8e46af17f9"
+            "9e75aee2f2dc1991f6e85f63f50d2010"
+        ),
+    }
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_pinned_plan_digests(self, batch_mode, shards, processes):
+        plan = build_repetition_plan(
+            self.GRAPH,
+            self.PROTOCOL,
+            repetitions=6,
+            seed=5,
+            batch_mode=batch_mode,
+            shards=shards,
+            processes=processes,
+        )
+        digest = trial_digest(
+            {"context": plan.cache_context(), "keys": plan.job_keys()}
+        )
+        assert digest == self.PLAN_DIGESTS[(batch_mode, shards)]
 
 
 class TestSharedBatchReuse:

@@ -231,6 +231,45 @@ class TestRunScenario:
         assert all(len(row) == len(columns) for row in rows)
 
 
+class TestAggregationKeyPins:
+    """The checkpoint key of a cell's running aggregation is a pure function
+    of cell, seed, execution context, metric set and sketch capacity.  A
+    moved key orphans every persisted checkpoint: bump ENGINE_VERSION
+    instead of accepting a new value here."""
+
+    CELL = SweepCell(
+        coords={"n": 24},
+        graph=GraphSpec("gnp", {"n": 24, "p": 0.3}),
+        protocol=ProtocolSpec("algorithm1", {"p": 0.3}),
+        repetitions=3,
+    )
+
+    @pytest.mark.parametrize(
+        "batch_mode,key",
+        [
+            (
+                "exact",
+                "8fb324f1e99314cc49a926ae5aa64845"
+                "a4fd20ff4d3a55560b100623069405b9",
+            ),
+            (
+                "fast",
+                "158475b38225c704784c20515cb9aa3c"
+                "4601a2b8a021bab3bf913a91c564d3fa",
+            ),
+        ],
+    )
+    def test_pinned_aggregation_key(self, batch_mode, key):
+        result = run_cell(
+            self.CELL,
+            seed=4,
+            metrics=("success", "total_tx"),
+            store=False,
+            batch_mode=batch_mode,
+        )
+        assert result.aggregation_key == key
+
+
 class TestStoreOffsetIndex:
     """Satellite: the shard index holds offsets, not payloads."""
 

@@ -26,6 +26,7 @@ from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import (
     Job,
     aggregate_runs,
+    build_repetition_plan,
     configure_execution,
     job_store_key,
     repeat_job,
@@ -346,11 +347,11 @@ class TestResumableSweeps:
         real = runner_module._execute_batch_shard
         calls = {"n": 0}
 
-        def dies_mid_sweep(shard):
+        def dies_mid_sweep(shard, result_sink=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt("simulated worker death mid-shard")
-            return real(shard)
+            return real(shard, result_sink)
 
         monkeypatch.setattr(runner_module, "_execute_batch_shard", dies_mid_sweep)
         with pytest.raises(KeyboardInterrupt):
@@ -419,11 +420,11 @@ class TestResumableSweeps:
         real = runner_module._execute_batch_shard
         calls = {"n": 0}
 
-        def dies_mid_sweep(shard):
+        def dies_mid_sweep(shard, result_sink=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt("simulated death mid fast sweep")
-            return real(shard)
+            return real(shard, result_sink)
 
         monkeypatch.setattr(runner_module, "_execute_batch_shard", dies_mid_sweep)
         with pytest.raises(KeyboardInterrupt):
@@ -481,6 +482,88 @@ class TestResumableSweeps:
 # --------------------------------------------------------------------------- #
 # CLI surface
 # --------------------------------------------------------------------------- #
+class TestExecuteMatchesStreaming:
+    """``ExecutionPlan.execute()`` and ``execute_streaming()`` serve the same
+    traces bit for bit and move the store counters identically, with no
+    store, a cold store, a partial hit and a full hit, in process and under
+    process fan-out."""
+
+    REPETITIONS = 6
+    PARTIAL = (0, 2, 3)
+    #: ``(hits, misses)`` per ``(batch_mode, store state)``.  A partial
+    #: fast-mode hit set is recomputed whole and counted as misses.
+    COUNTERS = {
+        ("exact", "cold"): (0, 6),
+        ("exact", "partial"): (3, 3),
+        ("exact", "full"): (6, 0),
+        ("fast", "cold"): (0, 6),
+        ("fast", "partial"): (0, 6),
+        ("fast", "full"): (6, 0),
+    }
+
+    def _store(self, root, state, keys, reference):
+        if state == "none":
+            return None
+        store = ResultStore(root)
+        stored = {
+            "cold": (),
+            "partial": self.PARTIAL,
+            "full": range(self.REPETITIONS),
+        }[state]
+        for index in stored:
+            store.put(
+                keys[index], runner_module._trace_store_payload(reference[index])
+            )
+        store.reset_counters()
+        return store
+
+    @pytest.mark.parametrize(
+        "processes", [None, 2], ids=["in-process", "processes2"]
+    )
+    @pytest.mark.parametrize("state", ["none", "cold", "partial", "full"])
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_same_traces_and_store_counters(
+        self, tmp_path, batch_mode, state, processes
+    ):
+        def plan(store):
+            return build_repetition_plan(
+                GRAPH,
+                PROTOCOL,
+                repetitions=self.REPETITIONS,
+                seed=0,
+                run_to_quiescence=True,
+                batch_mode=batch_mode,
+                processes=processes,
+                store=False if store is None else store,
+            )
+
+        reference = plan(None).execute()
+        keys = plan(None).job_keys()
+        store_a = self._store(tmp_path / "a", state, keys, reference)
+        store_b = self._store(tmp_path / "b", state, keys, reference)
+
+        collected = plan(store_a).execute()
+        streamed = {}
+        counts = plan(store_b).execute_streaming(streamed.__setitem__)
+        assert sorted(streamed) == list(range(self.REPETITIONS))
+
+        def bits(traces):
+            return [canonical_dumps(trace.to_payload()) for trace in traces]
+
+        expected = bits(reference)
+        assert bits(collected) == expected
+        assert bits(streamed[i] for i in range(self.REPETITIONS)) == expected
+        if store_a is None:
+            assert counts["executed"] == self.REPETITIONS
+            return
+        hits, misses = self.COUNTERS[(batch_mode, state)]
+        assert (store_a.hits, store_a.misses) == (hits, misses)
+        assert (store_b.hits, store_b.misses) == (hits, misses)
+        assert store_a.puts == store_b.puts
+        assert counts["served"] == hits
+        assert counts["executed"] == self.REPETITIONS - hits
+
+
 class TestCli:
     def test_sweep_defaults_to_exact_and_cache(self):
         from repro.cli import build_parser
