@@ -49,16 +49,14 @@ sweep advance together through the vectorised
 :class:`~repro.radio.batch.BatchEngine`; ``--processes K`` shards them into
 ``K`` per-worker batches).  ``--batch-mode exact`` makes batched runs
 bit-identical to the serial engine (one rng stream per trial) instead of
-the default vectorised ``fast`` mode, ``--state-backend
-{auto,dense,bitset,sparse}`` pins the node-set state representation
-(:mod:`repro.radio.nodesets`) instead of the per-workload heuristic, and
-``--kernel {auto,numpy,compiled}`` selects the collision-kernel
-implementation (:mod:`repro.radio.kernels`) — ``auto`` runs the compiled
-kernel when numba is importable, falling back to the bit-identical numpy
-path otherwise.  In-process exact-mode sweeps run as one continuous batch
-(live-trial retirement, batch compaction and refill); ``--watermark FRAC``
-sets the occupancy below which it refills.  A bad ``--watermark`` or
-``--env`` value is a usage error.
+the default vectorised ``fast`` mode.  The engine picks the node-set state
+backend per workload (:mod:`repro.radio.nodesets`) and runs the compiled
+collision kernel when numba is importable, the bit-identical numpy path
+otherwise (:mod:`repro.radio.kernels`).  In-process exact-mode sweeps run
+as one continuous batch (live-trial retirement, batch compaction and
+refill); ``--watermark FRAC`` sets the occupancy below which it refills.
+An unknown experiment id, a missing ``--grid`` file or a bad
+``--watermark`` / ``--env`` value is a usage error.
 
 Caching flags: ``--resume`` turns the result store on for ``run`` / ``chart``
 / ``report`` (they default to uncached), ``--cache-dir DIR`` picks the store
@@ -82,7 +80,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments.figures import ascii_chart
-from repro.experiments.registry import all_experiments, run_experiment
+from repro.experiments.registry import (
+    all_experiments,
+    get_experiment,
+    run_experiment,
+)
 from repro.experiments.runner import configure_execution
 from repro.radio.environment import parse_environment_option
 from repro.store import ResultStore
@@ -108,23 +110,6 @@ def _add_execution_flags(
         "statistically identical to the serial engine) or 'exact' "
         "(bit-identical to it) "
         f"[default: {batch_mode_default}]",
-    )
-    parser.add_argument(
-        "--state-backend",
-        choices=["auto", "dense", "bitset", "sparse"],
-        default="auto",
-        help="node-set state backend of the batch engine: 'auto' picks per "
-        "workload, 'dense' boolean arrays, 'bitset' packed uint64 words "
-        "(8x smaller gossip knowledge), 'sparse' frontier index pools "
-        "(decay/flooding at large n); results are identical either way",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["auto", "numpy", "compiled"],
-        default="auto",
-        help="collision-kernel implementation: 'auto' picks the compiled "
-        "(numba) kernel when available and the bit-identical numpy path "
-        "otherwise",
     )
     parser.add_argument(
         "--watermark",
@@ -593,17 +578,36 @@ def _command_report(args: argparse.Namespace, store: Optional[ResultStore]) -> i
     return 0
 
 
+def _check_targets(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject unknown experiment ids and a missing grid file as usage errors,
+    before any work starts."""
+    ids = list(getattr(args, "experiments", None) or [])
+    experiment = getattr(args, "experiment", None)
+    # ``run`` and ``sweep`` also take ``all``; ``chart`` needs one id.
+    if experiment and (args.command == "chart" or experiment.lower() != "all"):
+        ids.append(experiment)
+    for experiment_id in ids:
+        try:
+            get_experiment(experiment_id)
+        except ValueError as exc:
+            parser.error(str(exc))
+    grid = getattr(args, "grid", None)
+    if grid is not None and not grid.is_file():
+        parser.error(f"grid file {str(grid)!r} does not exist")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_targets(parser, args)
     store: Optional[ResultStore] = None
     if hasattr(args, "batch_mode"):
         store = _store_from_args(args)
         execution_kwargs = dict(
             batch_mode=args.batch_mode,
-            state_backend=args.state_backend,
-            kernel=args.kernel,
             store=store,
             watermark=args.watermark,
         )

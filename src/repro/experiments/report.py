@@ -142,8 +142,7 @@ def generate_report(
         f"`repro report --scale {scale} --seed {seed}`.",
         "",
         f"Engine `{provenance['engine_version']}`, batch mode "
-        f"`{provenance['batch_mode']}`, state backend "
-        f"`{provenance['state_backend']}`{store_note}.",
+        f"`{provenance['batch_mode']}`{store_note}.",
         "",
     ]
     json_files: List[Path] = []

@@ -56,9 +56,7 @@ from repro.experiments.protocols import (
 from repro.graphs.builders import GraphSpec, build_network, spec_is_deterministic
 from repro.jobs import JobQueue
 from repro.radio.batch import BatchEngine, NetworkBatch, PendingTrial
-from repro.radio.kernels import resolve_collision_kernel
 from repro.radio.network import RadioNetwork
-from repro.radio.nodesets import STATE_BACKENDS
 from repro.radio.collision import (
     BatchCollisionModel,
     BatchErasureCollisionModel,
@@ -192,9 +190,8 @@ def job_store_key(job: Job, context: Dict[str, object]) -> str:
     """The content digest a job's result is stored under.
 
     ``context`` carries the execution facts that affect the result bits on
-    top of the job spec itself — the randomness policy (``batch_mode``), the
-    node-set ``state_backend`` knob and, in fast mode, the cohort entropy
-    (see :meth:`ExecutionPlan.cache_context`).  The job's ``label`` is
+    top of the job spec itself — the randomness policy (``batch_mode``) and,
+    in fast mode, the cohort entropy (see :meth:`ExecutionPlan.cache_context`).  The job's ``label`` is
     display metadata and deliberately excluded, so relabelled sweeps still
     dedup.
     """
@@ -223,54 +220,6 @@ def _rehydrate_trace(payload: dict, job: Job) -> RunResultTrace:
     return trace
 
 
-def _store_sink(store: ResultStore, keys: Sequence[str]) -> _ResultSink:
-    """A sink writing each completed trace under its precomputed key."""
-
-    def sink(index: int, trace: RunResultTrace) -> None:
-        store.put(keys[index], _trace_store_payload(trace))
-
-    return sink
-
-
-def _consult_store(
-    store: ResultStore,
-    jobs: Sequence[Job],
-    keys: Sequence[str],
-    run_missing: Callable[[List[int], _ResultSink], List[RunResultTrace]],
-    *,
-    all_or_nothing: bool = False,
-) -> List[RunResultTrace]:
-    """The cache-consultation protocol of :meth:`ExecutionPlan.execute`:
-    probe every key, rehydrate the hits, execute the missing jobs with a
-    sink that checkpoints each completion under its key, and merge
-    everything back in job order.
-
-    ``all_or_nothing`` discards a *partial* hit set (fast-mode sweeps, whose
-    draws are cohort-wide) — the discarded probes are reclassified as misses
-    so the store counters report what was actually served.
-    """
-    results: Dict[int, RunResultTrace] = {}
-    for index, key in enumerate(keys):
-        payload = store.get(key)
-        if payload is not None:
-            results[index] = _rehydrate_trace(payload, jobs[index])
-    if all_or_nothing and results and len(results) != len(jobs):
-        store.hits -= len(results)
-        store.misses += len(results)
-        if telemetry.enabled():
-            telemetry.counter_inc("store.hits", -len(results))
-            telemetry.counter_inc("store.misses", len(results))
-        results = {}
-    missing = [index for index in range(len(jobs)) if index not in results]
-    if missing:
-        fresh = run_missing(
-            missing, _store_sink(store, [keys[index] for index in missing])
-        )
-        for index, trace in zip(missing, fresh):
-            results[index] = trace
-    return [results[index] for index in range(len(jobs))]
-
-
 def _resolve_store(store) -> Optional[ResultStore]:
     """Resolve a ``store`` argument: ``None`` means the process-wide default
     (:func:`configure_execution`), ``False`` disables caching explicitly, a
@@ -289,8 +238,6 @@ class _ExecutionDefaults:
     """Process-wide defaults for the batch axis of :class:`ExecutionPlan`."""
 
     batch_mode: str = "fast"
-    state_backend: str = "auto"
-    kernel: str = "auto"
     store: Optional[ResultStore] = None
     environment: Optional[Dict[str, object]] = None
     watermark: float = 0.75
@@ -314,13 +261,12 @@ def configure_execution(
     watermark: Optional[float] = None,
 ) -> None:
     """Set process-wide execution defaults (the CLI's ``--batch-mode`` /
-    ``--state-backend`` / ``--kernel`` / cache flags land here).
+    ``--watermark`` / ``--env`` / cache flags land here).
 
     ``repeat_job`` / :class:`ExecutionPlan` use these whenever the caller
-    does not pass ``batch_mode`` / ``state_backend`` / ``kernel``
-    explicitly, so the whole experiment suite can be switched to exact
-    mode, a forced node-set state backend or a specific collision kernel
-    without threading flags through every experiment module.
+    does not pass ``batch_mode`` explicitly, so the whole experiment suite
+    can be switched to exact mode without threading flags through every
+    experiment module.
 
     ``store`` installs the process-wide content-addressed result store the
     sweeps consult (a :class:`~repro.store.ResultStore`, a cache-dir path,
@@ -334,36 +280,33 @@ def configure_execution(
 
     ``watermark`` sets the refill occupancy of the continuous batch that
     in-process exact-mode sweeps run as (the CLI's ``--watermark`` flag
-    lands here; see :class:`ExecutionPlan`).  ``compaction`` accepts only
-    ``"auto"``: when rows move is derived from the batch mode, not
-    configured.  ``batch`` accepts only ``True``: every sweep runs on the
-    batch engine.
+    lands here; see :class:`ExecutionPlan`).  The remaining keywords name
+    choices the code makes itself and accept only their automatic value:
+    ``batch=True`` (every sweep runs on the batch engine),
+    ``compaction="auto"`` (when rows move follows from the batch mode),
+    ``state_backend="auto"`` (the engine picks the node-set backend per
+    workload) and ``kernel="auto"`` (compiled collision kernel when numba
+    imports, numpy otherwise).
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
-    if batch not in (None, True):
-        raise ValueError(
-            f"every sweep runs on the batch engine; only batch=True is "
-            f"accepted, got {batch!r}"
-        )
+    for name, value, accepted, reason in (
+        ("batch", batch, True, "every sweep runs on the batch engine"),
+        ("compaction", compaction, "auto", "it follows from the batch mode"),
+        ("state_backend", state_backend, "auto", "the engine picks it"),
+        ("kernel", kernel, "auto", "it follows from the platform"),
+    ):
+        if value not in (None, accepted):
+            raise ValueError(
+                f"{name} is not configurable ({reason}); only "
+                f"{name}={accepted!r} is accepted, got {value!r}"
+            )
     if batch_mode is not None:
         updates["batch_mode"] = batch_mode
-    if state_backend is not None:
-        updates["state_backend"] = state_backend
-    if compaction not in (None, "auto"):
-        raise ValueError(
-            f"compaction is derived from the batch mode; only 'auto' is "
-            f"accepted, got {compaction!r}"
-        )
     if watermark is not None:
         if not 0.0 < watermark <= 1.0:
             raise ValueError(f"watermark must be in (0, 1], got {watermark}")
         updates["watermark"] = float(watermark)
-    if kernel is not None:
-        # Validate eagerly so a typo fails at configuration time, not on the
-        # first sweep.
-        resolve_collision_kernel(kernel)
-        updates["kernel"] = kernel
     if store is not _UNSET:
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
@@ -380,8 +323,6 @@ class _BatchShard:
     jobs: Tuple[Job, ...]
     mode: str
     fast_seed: Optional[np.random.SeedSequence]
-    state_backend: str = "auto"
-    kernel: str = "auto"
     #: Plan-level topology cache: for deterministic graph families every
     #: job's sample is the same network, so the plan builds it once and every
     #: shard (and every trial within a shard) shares the object instead of
@@ -455,16 +396,14 @@ def _trial_inputs(
         yield network, protocol_rng
 
 
-def _batch_engine_for(job: Job, state_backend: str, kernel: str) -> BatchEngine:
+def _batch_engine_for(job: Job) -> BatchEngine:
     """The batch engine a sweep of jobs like ``job`` runs on."""
     return BatchEngine(
         _batch_collision_model_for(job),
         record_rounds=job.record_rounds,
         keep_arrays=job.keep_arrays,
         run_to_quiescence=job.run_to_quiescence,
-        state_backend=state_backend,
         environment=build_batch_environment(job.environment),
-        kernel=kernel,
     )
 
 
@@ -482,7 +421,7 @@ def _execute_batch_shard_impl(
     jobs = shard.jobs
     template = jobs[0]
     networks, protocol_rngs = zip(*_trial_inputs(jobs, shard.shared_network))
-    engine = _batch_engine_for(template, shard.state_backend, shard.kernel)
+    engine = _batch_engine_for(template)
     if shard.mode == "exact":
         randomness = {"rngs": protocol_rngs}
     else:
@@ -542,17 +481,10 @@ class ExecutionPlan:
     exactly as the serial engine would — bit-identical to
     :func:`execute_job`, regardless of sharding).
 
-    ``state_backend`` selects the node-set state representation of the batch
-    engine (``"auto"`` / ``"dense"`` / ``"bitset"`` / ``"sparse"``, see
-    :mod:`repro.radio.nodesets`); results are identical under every backend
-    (bit-identical in exact mode), so this is purely a space/time knob.
-
-    ``kernel`` selects the collision-kernel implementation
-    (:data:`repro.radio.kernels.COLLISION_KERNELS`): ``"auto"`` (default)
-    runs the compiled kernel when numba is importable and the bit-identical
-    numpy path otherwise, and ``"numpy"`` / ``"compiled"`` force a side.
-    The kernels are bit-identical and share one digest space, so flipping
-    between them never invalidates a cache.
+    The engine picks the node-set state backend per workload
+    (:mod:`repro.radio.nodesets`) and the collision kernel from the
+    platform (:mod:`repro.radio.kernels`); every choice is bit-identical,
+    so neither is a plan option nor part of a store key.
 
     Deterministic graph families (paths, grids, the lower-bound gadgets …)
     sample to the same network under every seed, so the plan builds that
@@ -593,8 +525,6 @@ class ExecutionPlan:
     processes: Optional[int] = None
     batch_mode: str = "fast"
     fast_seed: Optional[np.random.SeedSequence] = None
-    state_backend: str = "auto"
-    kernel: str = "auto"
     store: Optional[ResultStore] = None
     queue: Optional[JobQueue] = None
     shard_count: Optional[int] = None
@@ -620,13 +550,6 @@ class ExecutionPlan:
             raise ValueError(
                 f"watermark must be in (0, 1], got {self.watermark}"
             )
-        if self.state_backend not in STATE_BACKENDS:
-            known = ", ".join(STATE_BACKENDS)
-            raise ValueError(
-                f"state_backend must be one of {known}, "
-                f"got {self.state_backend!r}"
-            )
-        resolve_collision_kernel(self.kernel)
         if self.shard_count is not None and self.shard_count < 1:
             raise ValueError(
                 f"shard_count must be >= 1, got {self.shard_count}"
@@ -679,7 +602,17 @@ class ExecutionPlan:
                 # Unsharded fast mode keeps the historical single-generator seed.
                 fast_seeds = [fast_seed]
             else:
-                fast_seeds = list(fast_seed.spawn(count))
+                # The children ``fast_seed.spawn(count)`` returns on its first
+                # call, built without advancing ``fast_seed``: running the
+                # plan again must draw the cohorts its store keys name.
+                fast_seeds = [
+                    np.random.SeedSequence(
+                        fast_seed.entropy,
+                        spawn_key=(*fast_seed.spawn_key, k),
+                        pool_size=fast_seed.pool_size,
+                    )
+                    for k in range(count)
+                ]
         # Stacked-CSR reuse: an in-process shared-topology plan tiles the
         # block-diagonal batch once per distinct shard size and every shard
         # of that size shares the arrays.  Skipped under process fan-out,
@@ -702,8 +635,6 @@ class ExecutionPlan:
                 jobs=jobs[bounds[k] : bounds[k + 1]],
                 mode=self.batch_mode,
                 fast_seed=fast_seeds[k],
-                state_backend=self.state_backend,
-                kernel=self.kernel,
                 shared_network=shared_network,
                 shared_batch=shared_batches.get(int(bounds[k + 1] - bounds[k])),
             )
@@ -714,9 +645,7 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Continuous batching
     # ------------------------------------------------------------------ #
-    def _run_stream(
-        self, queue: JobQueue, sink: Optional[_ResultSink], *, collect: bool
-    ) -> List[RunResultTrace]:
+    def _run_stream(self, queue: JobQueue, sink: _ResultSink) -> None:
         """Execute the sweep through one engine's
         :meth:`~repro.radio.batch.BatchEngine.run_continuous` loop.
 
@@ -730,21 +659,16 @@ class ExecutionPlan:
         jobs = self.jobs
         template = jobs[0]
         capacity = int(np.diff(self._shard_bounds()).max())
-        engine = _batch_engine_for(template, self.state_backend, self.kernel)
+        engine = _batch_engine_for(template)
         pending = (
             PendingTrial(network, rng=protocol_rng, tag=index)
             for index, (network, protocol_rng) in enumerate(
                 _trial_inputs(jobs, self.shared_topology())
             )
         )
-        collected: Dict[int, RunResultTrace] = {}
 
         def consume(index: int, trace: RunResultTrace) -> None:
-            _decorate(jobs[index], trace)
-            if collect:
-                collected[index] = trace
-            if sink is not None:
-                sink(index, trace)
+            sink(index, _decorate(jobs[index], trace))
 
         label = (
             f"continuous:{job_store_key(template, self.cache_context())[:16]}"
@@ -773,7 +697,6 @@ class ExecutionPlan:
                 queue.run(run_task, [0], collect=False, task_labels=[label])
         else:
             queue.run(run_task, [0], collect=False, task_labels=[label])
-        return [collected[i] for i in sorted(collected)] if collect else []
 
     # ------------------------------------------------------------------ #
     # Result-store integration
@@ -782,17 +705,17 @@ class ExecutionPlan:
         """The execution facts baked into this sweep's store keys.
 
         Exact-mode trials are pure functions of their job spec, so their
-        context is just the mode and state-backend knobs.  The collision
-        kernels are interchangeable bit for bit, so the kernel is not part
-        of it.  Fast
-        mode draws from cohort-wide streams — one shared generator per shard
-        — so its context additionally pins the cohort (fast-seed entropy,
-        shard layout): a fast key can only hit when the *whole sweep* is
-        identical, never bit-mixing draws across differently shaped runs.
+        context is just the mode.  Fast mode draws from cohort-wide streams —
+        one shared generator per shard — so its context additionally pins
+        the cohort (fast-seed entropy, shard layout): a fast key can only
+        hit when the *whole sweep* is identical, never bit-mixing draws
+        across differently shaped runs.
         """
         context: Dict[str, object] = {
             "batch_mode": self.batch_mode,
-            "state_backend": self.state_backend,
+            # A constant since the backend stopped being an option; it keeps
+            # existing store and aggregation digests valid.
+            "state_backend": "auto",
         }
         if self.batch_mode == "fast":
             fast_seed = self._fast_seed_or_derived()
@@ -811,31 +734,12 @@ class ExecutionPlan:
     def execute(self) -> List[RunResultTrace]:
         """Run the sweep; returns one trace per job, in job order.
 
-        With a ``store`` attached, cached trials are served from it and only
-        the missing ones are executed (checkpointed back shard by shard); in
-        fast mode the cache is all-or-nothing (see :meth:`cache_context`).
+        The collecting form of :meth:`execute_streaming`: the same store
+        consultation, checkpointing and counters.
         """
-        store = self.store
-        if store is None:
-            return self._run(None)
-        context = self.cache_context()
-        keys = self.job_keys()
-
-        def run_missing(missing: List[int], sink: _ResultSink) -> List[RunResultTrace]:
-            sub = replace(
-                self, jobs=tuple(self.jobs[i] for i in missing), store=None
-            )
-            return sub._run(sink)
-
-        return _consult_store(
-            store,
-            self.jobs,
-            keys,
-            run_missing,
-            # Fast-mode draws are cohort-wide; a partial hit cannot be
-            # extended bit-faithfully, so recompute the whole sweep.
-            all_or_nothing=context["batch_mode"] == "fast",
-        )
+        traces: Dict[int, RunResultTrace] = {}
+        self.execute_streaming(traces.__setitem__)
+        return [traces[index] for index in range(len(self.jobs))]
 
     def execute_streaming(
         self,
@@ -895,7 +799,7 @@ class ExecutionPlan:
                     store.put(keys[index], _trace_store_payload(trace))
                 consume(index, trace)
 
-            sub._run(sink, collect=False)
+            sub._run(sink)
             counts["executed"] = len(missing)
 
         if store is None:
@@ -924,15 +828,12 @@ class ExecutionPlan:
         run_missing(missing)
         return counts
 
-    def _run(
-        self, sink: Optional[_ResultSink], *, collect: bool = True
-    ) -> List[RunResultTrace]:
+    def _run(self, sink: _ResultSink) -> None:
         """Execute every job of the plan (no store consultation), feeding
-        completed traces to ``sink`` as their shard finishes.
+        each completed trace to ``sink(index, trace)``.
 
-        ``collect=False`` is the streaming mode: ``sink`` still sees every
-        trace, but nothing is retained and the return value is empty — a
-        10⁵-trial sweep's memory stays bounded by one shard, not by R.
+        Nothing is retained: a 10⁵-trial sweep's memory stays bounded by one
+        shard, not by R.
         """
         queue = self.queue
         if queue is None:
@@ -943,7 +844,8 @@ class ExecutionPlan:
             and self.batch_mode == "exact"
             and not self.jobs[0].record_rounds
         ):
-            return self._run_stream(queue, sink, collect=collect)
+            self._run_stream(queue, sink)
+            return
 
         # One wave per shard.  Name each shard by its first trial's cell
         # digest, so a poisoned shard is identifiable (WorkerPoolError),
@@ -962,12 +864,11 @@ class ExecutionPlan:
         starts = np.concatenate(
             [[0], np.cumsum([len(shard.jobs) for shard in shards])]
         )
-        if queue.in_process and sink is not None and not collect:
-            # In-process streaming: hand the sink through to the engine so
-            # traces flow out one trial at a time and not even one shard's
-            # trace list is ever materialised.  (Process fan-out keeps the
-            # per-shard list — the traces cross the IPC boundary as a batch
-            # anyway.)
+        if queue.in_process:
+            # Hand the sink through to the engine so traces flow out one
+            # trial at a time and not even one shard's trace list is ever
+            # materialised.  (Process fan-out keeps the per-shard list — the
+            # traces cross the IPC boundary as a batch anyway.)
             def run_streaming(item) -> None:
                 index, shard = item
                 base = int(starts[index])
@@ -981,32 +882,27 @@ class ExecutionPlan:
                 collect=False,
                 task_labels=labels,
             )
-            return []
+            return
 
         # Worker processes buffer their telemetry and ship it back with the
-        # shard results (the parent cannot see their pipelines); in-process
-        # execution emits directly, so no wrapping needed.
-        traced = telemetry.enabled() and not queue.in_process
+        # shard results (the parent cannot see their pipelines).
+        traced = telemetry.enabled()
 
         def on_shard(shard_index: int, shard_result) -> None:
             if traced:
                 shard_result, payload = shard_result
                 telemetry.ingest(payload, shard=labels[shard_index])
-            if sink is not None:
-                base = int(starts[shard_index])
-                for offset, trace in enumerate(shard_result):
-                    sink(base + offset, trace)
+            base = int(starts[shard_index])
+            for offset, trace in enumerate(shard_result):
+                sink(base + offset, trace)
 
-        parts = queue.run(
+        queue.run(
             _execute_batch_shard_traced if traced else _execute_batch_shard,
             shards,
             on_result=on_shard,
-            collect=collect,
+            collect=False,
             task_labels=labels,
         )
-        if traced:
-            return [result for part in parts for result in part[0]]
-        return [result for part in parts for result in part]
 
 
 def build_repetition_plan(
@@ -1017,8 +913,6 @@ def build_repetition_plan(
     seed: int = 0,
     processes: Optional[int] = None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
@@ -1037,10 +931,6 @@ def build_repetition_plan(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if batch_mode is None:
         batch_mode = _EXECUTION_DEFAULTS.batch_mode
-    if state_backend is None:
-        state_backend = _EXECUTION_DEFAULTS.state_backend
-    if kernel is None:
-        kernel = _EXECUTION_DEFAULTS.kernel
     if watermark is None:
         watermark = _EXECUTION_DEFAULTS.watermark
     if "environment" not in job_options:
@@ -1065,8 +955,6 @@ def build_repetition_plan(
         processes=processes,
         batch_mode=batch_mode,
         fast_seed=children[-1],
-        state_backend=state_backend,
-        kernel=kernel,
         store=_resolve_store(store),
         queue=queue,
         shard_count=shards,
@@ -1082,8 +970,6 @@ def repeat_job(
     seed: int = 0,
     processes: Optional[int] = None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
@@ -1100,9 +986,8 @@ def repeat_job(
     aggregates are statistically interchangeable across every execution
     strategy.
 
-    ``batch_mode`` / ``state_backend`` / ``kernel`` default to the
-    process-wide settings of :func:`configure_execution` (out of the box:
-    ``"fast"``, ``"auto"`` node-set state, ``"auto"`` collision kernel).
+    ``batch_mode`` defaults to the process-wide setting of
+    :func:`configure_execution` (out of the box ``"fast"``).
 
     * ``batch_mode="fast"``: one shared generator per shard with vectorised
       draws — statistically identical to the serial engine, not
@@ -1129,8 +1014,6 @@ def repeat_job(
         seed=seed,
         processes=processes,
         batch_mode=batch_mode,
-        state_backend=state_backend,
-        kernel=kernel,
         store=store,
         queue=queue,
         shards=shards,

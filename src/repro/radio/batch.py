@@ -16,8 +16,9 @@ dimension instead:
   (:mod:`repro.radio.nodesets`): dense boolean arrays, bitset-packed
   ``uint64`` words (8x smaller gossip knowledge tensors), or sparse frontier
   index pools (Decay/flooding at large ``n``) — selected automatically per
-  workload or forced via ``state_backend=``; every backend is bit-identical
-  to dense under the exact rng mode.
+  workload (:class:`BatchEngine` takes ``state_backend=`` to force one in
+  tests and benchmarks); every backend is bit-identical to dense under the
+  exact rng mode.
 * :class:`BatchEngine` owns the one batched round loop, masking out trials
   that have individually completed (or gone quiescent) so a finished trial
   costs nothing while its siblings run on.  :meth:`BatchEngine.run` admits
@@ -68,7 +69,7 @@ from repro.radio.environment import (
     as_batch_environment,
     build_batch_environment,
 )
-from repro.radio.kernels import COLLISION_KERNELS, resolve_collision_kernel
+from repro.radio.kernels import compiled_available
 from repro.radio.network import RadioNetwork
 from repro.radio.nodesets import (
     KnowledgeState,
@@ -891,14 +892,9 @@ class BatchEngine:
         Node-set state backend handed to the protocol at bind time:
         ``"auto"`` (default — heuristic per workload), ``"dense"``,
         ``"bitset"`` or ``"sparse"``.  All backends produce identical
-        results (bit-identical in exact rng mode); the knob trades memory
-        (packed gossip knowledge) against per-round bookkeeping (sparse
-        frontiers).
-    kernel:
-        Collision-kernel selection (:data:`repro.radio.kernels.
-        COLLISION_KERNELS`): ``"auto"`` (default — compiled when numba is
-        available, numpy otherwise), ``"numpy"``, ``"compiled"`` (silently
-        falls back to the bit-identical numpy path without numba).
+        results (bit-identical in exact rng mode); sweeps always run
+        ``"auto"``, and the forced values exist for the equivalence tests
+        and the backend benchmarks.
     environment:
         Optional faulty-world layer (a
         :class:`~repro.radio.environment.BatchEnvironment`, a scalar
@@ -918,7 +914,6 @@ class BatchEngine:
         retire_dead: bool = True,
         state_backend: str = "auto",
         environment=None,
-        kernel: str = "auto",
     ):
         if collision_model is None:
             self.collision_model: BatchCollisionModel = BatchStandardCollisionModel()
@@ -937,12 +932,6 @@ class BatchEngine:
                 f"unknown state backend {state_backend!r}; known: {known}"
             )
         self.state_backend = state_backend
-        if kernel not in COLLISION_KERNELS:
-            known = ", ".join(COLLISION_KERNELS)
-            raise ValueError(
-                f"unknown collision kernel {kernel!r}; known: {known}"
-            )
-        self.kernel = kernel
 
     def run(
         self,
@@ -1146,9 +1135,12 @@ class BatchEngine:
             n = queue[0].network.n
         else:
             return []
-        # Installs the kernel on the model for the round loop.
-        collision_kernel = resolve_collision_kernel(self.kernel, record=True)
-        self.collision_model.kernel = collision_kernel
+        # The model runs the compiled kernel only where numba imports.
+        compiled = self.collision_model.kernel == "compiled"
+        collision_kernel = (
+            "compiled" if compiled and compiled_available() else "numpy"
+        )
+        telemetry.counter_inc(f"kernels.resolved.{collision_kernel}")
         environment = self.environment
         if environment is not None and environment.is_null:
             environment = None
@@ -1679,7 +1671,6 @@ def run_protocol_batch(
     retire_dead: bool = True,
     state_backend: str = "auto",
     environment=None,
-    kernel: str = "auto",
 ) -> List[RunResultTrace]:
     """Convenience wrapper: build a :class:`BatchEngine` and run once.
 
@@ -1702,7 +1693,6 @@ def run_protocol_batch(
         retire_dead=retire_dead,
         state_backend=state_backend,
         environment=environment,
-        kernel=kernel,
     )
     return engine.run(
         networks,

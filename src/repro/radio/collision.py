@@ -456,11 +456,11 @@ class BatchCollisionModel:
 
     detects_collisions: bool = False
 
-    #: Resolved collision-kernel name driving :meth:`_batch_exactly_one_rule`
-    #: (``"numpy"`` or ``"compiled"``).  The batch engine
-    #: assigns this at the start of every run from its resolved ``kernel``
-    #: option; direct users of the models get the numpy reference path.
-    kernel: str = "numpy"
+    #: Collision kernel driving :meth:`_batch_exactly_one_rule`:
+    #: ``"compiled"`` when numba imports, the bit-identical ``"numpy"``
+    #: reference otherwise.  Tests and benchmarks set it on an instance to
+    #: force a side.
+    kernel: str = "compiled" if _kernels.compiled_available() else "numpy"
 
     def resolve(
         self,

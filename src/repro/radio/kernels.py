@@ -4,23 +4,23 @@ The engine's per-round cost is dominated by two inner loops: the batched
 collision resolution (gather every transmitter's listeners, count hearers,
 mask the exactly-one deliveries) and the per-trial accumulator ingest of the
 streaming aggregation layer.  This module hosts compiled (numba ``@njit``)
-versions of both behind a tiny registry.
+versions of both.
 
 Design rules:
 
 * **Optional dependency.**  numba is never required.  Every kernel has a
-  pure-numpy/pure-Python fallback with identical semantics, and
-  :func:`resolve_collision_kernel` silently resolves ``"compiled"`` (and
-  ``"auto"``) to ``"numpy"`` when numba is absent, so the package imports
-  and runs unchanged without it.
-* **Exactness.**  The ``"numpy"`` and ``"compiled"`` collision kernels are
+  pure-numpy/pure-Python fallback with identical semantics, and the
+  collision kernel is picked from the platform — compiled when numba
+  imports (:func:`compiled_available`), numpy otherwise — so the package
+  imports and runs unchanged without it.  Tests and benchmarks force a side
+  through :attr:`repro.radio.collision.BatchCollisionModel.kernel`.
+* **Exactness.**  The numpy and compiled collision kernels are
   bit-identical: the fused pass emits receivers in the scalar models'
   transmitter-major edge order, the same order the numpy reference produces
   when no listener filter is installed (exact mode never installs one).
   The ingest kernel reproduces the Shewchuk partial-sum update float for
   float, so streaming moments stay exactly rounded and order-independent.
-* **No approximations.**  Every selectable kernel resolves the round
-  exactly, so the kernel choice never changes a result or a store digest.
+  The kernel therefore never changes a result or a store digest.
 * **Statelessness.**  Kernels keep no state between calls: every invocation
   receives the stacked CSR and transmitter set it operates on.  The
   continuous-batching engine (:meth:`repro.radio.batch.BatchEngine.
@@ -30,9 +30,7 @@ Design rules:
 
 This module deliberately imports nothing from the rest of :mod:`repro` so
 that :mod:`repro.radio.collision` and :mod:`repro.analysis.streaming` can
-depend on it without cycles.  (The one exception is
-:mod:`repro.telemetry`, which is itself stdlib-only and imports nothing
-back, so the no-cycle guarantee holds.)
+depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -41,24 +39,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro import telemetry
-
 __all__ = [
-    "COLLISION_KERNELS",
-    "DEFAULT_KERNEL",
     "compiled_available",
-    "resolve_collision_kernel",
     "exactly_one_fused",
     "exactly_one_fused_reference",
     "partials_extend",
     "warm_kernels",
 ]
-
-#: Selectable collision-kernel names (``"auto"`` picks compiled when
-#: available, numpy otherwise).
-COLLISION_KERNELS = ("auto", "numpy", "compiled")
-
-DEFAULT_KERNEL = "auto"
 
 try:  # pragma: no cover - exercised via the no-numba subprocess test
     from numba import njit as _njit
@@ -81,32 +68,6 @@ except Exception:  # pragma: no cover - ImportError in practice
 def compiled_available() -> bool:
     """Whether numba is importable and the compiled kernels are usable."""
     return _HAVE_NUMBA
-
-
-def resolve_collision_kernel(name: str, *, record: bool = False) -> str:
-    """Resolve a requested kernel name to the implementation that will run.
-
-    ``"auto"`` and ``"compiled"`` both resolve to ``"compiled"`` when numba
-    is available and fall back to the bit-identical ``"numpy"`` path when it
-    is not (the fallback is silent because the two are interchangeable).
-
-    ``record=True`` counts the resolution in the telemetry metrics
-    registry (``kernels.resolved.<name>``).  Only the engines pass it —
-    resolution is also called from validation and cache-key paths, which
-    would inflate the counts into noise.
-    """
-    if name not in COLLISION_KERNELS:
-        raise ValueError(
-            f"unknown collision kernel {name!r}; expected one of "
-            f"{COLLISION_KERNELS}"
-        )
-    if name == "numpy":
-        resolved = "numpy"
-    else:
-        resolved = "compiled" if _HAVE_NUMBA else "numpy"
-    if record:
-        telemetry.counter_inc(f"kernels.resolved.{resolved}")
-    return resolved
 
 
 # --------------------------------------------------------------------------- #

@@ -34,11 +34,11 @@ any protocol logic:
 
 Backends are bundled by :class:`NodeSetKernel` (one factory per state kind)
 and chosen by :func:`select_backend` from ``(R, n, density)`` plus the
-protocol's declared *state profile*, with an explicit override plumbed
-through ``ExecutionPlan`` / ``configure_execution`` and the CLI's
-``--state-backend`` flag.  Every backend is bit-identical to ``dense`` under
-``batch_mode="exact"`` — ``tests/test_nodesets.py`` pins this for the whole
-protocol registry.
+protocol's declared *state profile*.  Sweeps always take that choice;
+``BatchEngine(state_backend=...)`` forces a backend for the equivalence
+tests and the backend benchmarks.  Every backend is bit-identical to
+``dense`` under ``batch_mode="exact"`` — ``tests/test_nodesets.py`` pins
+this for the whole protocol registry.
 
 Packing layout: node ``m`` of a row lives in word ``m // 64`` at bit
 ``m % 64`` (``np.packbits(..., bitorder="little")`` on a little-endian
@@ -78,7 +78,7 @@ __all__ = [
     "SparseBudgetFrontier",
 ]
 
-#: Valid values of every ``state_backend`` knob ("auto" resolves via
+#: Valid ``BatchEngine(state_backend=...)`` values ("auto" resolves via
 #: :func:`select_backend`; the rest name a concrete backend).
 STATE_BACKENDS = ("auto", "dense", "bitset", "sparse")
 
@@ -786,7 +786,7 @@ def resolve_kernel(
     profile: str = "plain",
     density: Optional[float] = None,
 ) -> NodeSetKernel:
-    """Resolve a ``state_backend`` knob value into a concrete kernel."""
+    """Resolve a ``state_backend`` value into a concrete kernel."""
     if state_backend not in STATE_BACKENDS:
         known = ", ".join(STATE_BACKENDS)
         raise ValueError(

@@ -273,8 +273,6 @@ def _run_cell_impl(
     processes: Optional[int] = None,
     store=None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     shards: Optional[int] = None,
     watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
@@ -309,8 +307,6 @@ def _run_cell_impl(
         seed=cell_seed,
         processes=processes,
         batch_mode=batch_mode,
-        state_backend=state_backend,
-        kernel=kernel,
         store=store,
         shards=shards,
         watermark=watermark,
@@ -495,8 +491,6 @@ def run_grid(
     processes: Optional[int] = None,
     store=None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     shards: Optional[int] = None,
     watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
@@ -518,9 +512,7 @@ def run_grid(
                 metrics=metrics,
                 processes=processes,
                 store=store,
-                        batch_mode=batch_mode,
-                state_backend=state_backend,
-                kernel=kernel,
+                batch_mode=batch_mode,
                 shards=shards,
                 watermark=watermark,
                 sketch_capacity=sketch_capacity,
@@ -592,8 +584,6 @@ def run_scenario(
     processes: Optional[int] = None,
     store=None,
     batch_mode: Optional[str] = None,
-    state_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     shards: Optional[int] = None,
     watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
@@ -602,8 +592,8 @@ def run_scenario(
 
     Execution knobs left at ``None`` fall back to the process-wide defaults
     (:func:`~repro.experiments.runner.configure_execution`), exactly like
-    ``repeat_job`` — so the CLI's ``--batch-mode`` / ``--state-backend`` /
-    ``--kernel`` / cache flags govern scenario sweeps too.
+    ``repeat_job`` — so the CLI's ``--batch-mode`` / ``--watermark`` /
+    ``--env`` / cache flags govern scenario sweeps too.
     """
     return run_grid(
         spec.grid,
@@ -612,8 +602,6 @@ def run_scenario(
         processes=processes,
         store=store,
         batch_mode=batch_mode,
-        state_backend=state_backend,
-        kernel=kernel,
         shards=shards,
         watermark=watermark,
         sketch_capacity=sketch_capacity,

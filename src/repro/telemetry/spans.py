@@ -3,8 +3,8 @@
 This module is the zero-dependency spine of ``repro.telemetry``.  It
 deliberately imports nothing from the rest of ``repro`` (and nothing
 beyond the stdlib) so that even the dependency-free hot layers
-(``repro.radio.kernels``, ``repro.radio.nodesets``) can emit telemetry
-without creating an import cycle.
+(``repro.radio.nodesets``) can emit telemetry without creating an import
+cycle.
 
 Design constraints, in order:
 

@@ -26,10 +26,12 @@ from repro.core.broadcast_random import (
     BatchEnergyEfficientBroadcast,
     EnergyEfficientBroadcast,
 )
+import repro.experiments.runner as runner_module
 from repro.experiments.protocols import (
     BATCH_PROTOCOL_FACTORIES,
     PROTOCOL_FACTORIES,
     ProtocolSpec,
+    build_batch_protocol,
 )
 from repro.experiments.runner import (
     ExecutionPlan,
@@ -61,6 +63,35 @@ from repro.radio.engine import SimulationEngine
 def _serial_sweep(graph, protocol, **options):
     """The serial oracle of a ``repeat_job`` sweep: one engine run per job."""
     return [execute_job(j) for j in build_repetition_plan(graph, protocol, **options).jobs]
+
+
+def _engine_sweep(graph, protocol, *, state_backend="auto", kernel=None, **options):
+    """An exact ``repeat_job`` sweep run straight on a :class:`BatchEngine`
+    with the node-set backend (and, when given, the collision kernel)
+    forced: the same per-trial networks, protocol streams and engine
+    options the sweep uses, so every choice must give the same bits."""
+    plan = build_repetition_plan(graph, protocol, batch_mode="exact", **options)
+    job = plan.jobs[0]
+    model = runner_module._batch_collision_model_for(job)
+    if kernel is not None:
+        model.kernel = kernel
+    engine = BatchEngine(
+        model,
+        record_rounds=job.record_rounds,
+        keep_arrays=job.keep_arrays,
+        run_to_quiescence=job.run_to_quiescence,
+        state_backend=state_backend,
+        environment=job.environment,
+    )
+    networks, rngs = zip(
+        *runner_module._trial_inputs(plan.jobs, plan.shared_topology())
+    )
+    return engine.run(
+        list(networks),
+        build_batch_protocol(protocol),
+        rngs=list(rngs),
+        max_rounds=job.max_rounds,
+    )
 
 
 def _serial_runs(networks, make_protocol, seeds, **engine_options):

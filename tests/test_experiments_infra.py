@@ -188,10 +188,21 @@ class TestRunner:
             watermark=0.75,
         )
 
-    @pytest.mark.parametrize("batch", [False, "require"])
-    def test_configure_execution_rejects_non_batch(self, batch):
-        with pytest.raises(ValueError, match="batch=True"):
-            configure_execution(batch=batch)
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("batch", False),
+            ("batch", "require"),
+            ("state_backend", "dense"),
+            ("kernel", "numpy"),
+        ],
+        ids=["False", "require", "state_backend-dense", "kernel-numpy"],
+    )
+    def test_configure_execution_rejects_non_batch(self, name, value):
+        # Each keyword names a choice the code makes itself; only its
+        # automatic value is accepted.
+        with pytest.raises(ValueError, match=f"only {name}="):
+            configure_execution(**{name: value})
 
     def test_repeat_job_invalid(self):
         with pytest.raises(ValueError):

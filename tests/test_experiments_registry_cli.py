@@ -74,21 +74,41 @@ class TestCli:
             main([])
 
     @pytest.mark.parametrize(
-        "flags,message",
+        "argv,message",
         [
-            (["--watermark", "0"], "watermark"),
-            (["--watermark", "1.5"], "watermark"),
-            (["--env", "bogus"], "malformed --env entry"),
-            (["--env", "loss=2"], "rx_loss"),
+            (["run", "E9", "--watermark", "0"], "watermark"),
+            (["run", "E9", "--watermark", "1.5"], "watermark"),
+            (["run", "E9", "--env", "bogus"], "malformed --env entry"),
+            (["run", "E9", "--env", "loss=2"], "rx_loss"),
+            (["run", "E99"], "unknown experiment 'E99'"),
+            (["sweep", "E99"], "unknown experiment 'E99'"),
+            (["chart", "E99"], "unknown experiment 'E99'"),
+            (["report", "--experiments", "E99"], "unknown experiment 'E99'"),
+            (["sweep", "--grid", "missing.json"], "missing.json"),
         ],
-        ids=["watermark-0", "watermark-1.5", "env-bogus", "env-loss-2"],
+        ids=[
+            "watermark-0",
+            "watermark-1.5",
+            "env-bogus",
+            "env-loss-2",
+            "run-unknown-id",
+            "sweep-unknown-id",
+            "chart-unknown-id",
+            "report-unknown-id",
+            "sweep-missing-grid",
+        ],
     )
-    def test_bad_execution_values_are_usage_errors(self, flags, message, capsys):
+    def test_bad_execution_values_are_usage_errors(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
+        # Nothing may be written on the way to the usage error.
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["run", "E9", *flags])
+            main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err
+        assert list(tmp_path.iterdir()) == []
         assert "Traceback" not in err
 
 

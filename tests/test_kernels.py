@@ -1,18 +1,17 @@
-"""Compiled-kernel layer: registry resolution and exactness.
+"""Compiled-kernel layer: platform selection and exactness.
 
 Two contracts are pinned here:
 
-1. **Registry.**  ``resolve_collision_kernel`` maps every selectable name to
-   the implementation that will run — ``auto``/``compiled`` degrade to the
-   bit-identical numpy path without numba, unknown names fail loudly, and
-   the whole package keeps importing (and running) when numba cannot be
+1. **Selection.**  The collision kernel follows the platform — compiled
+   when numba imports, the bit-identical numpy path otherwise — and the
+   whole package keeps importing (and running) when numba cannot be
    imported at all (subprocess test).
 2. **Exactness.**  The fused kernel's outputs are bit-identical to the numpy
-   collision rule, and engine-level sweeps under ``kernel="compiled"`` are
-   bit-identical to ``kernel="numpy"`` in exact mode for every registered
-   protocol — with and without a faulty-world environment.  Exact kernels
-   also share one store-digest space (flipping between them can never
-   invalidate a result cache), pinned against a hard-coded digest.
+   collision rule, and engine-level sweeps with the model forced to the
+   compiled kernel are bit-identical to the numpy kernel in exact mode for
+   every registered protocol — with and without a faulty-world
+   environment.  The kernel never enters a store key, pinned against
+   hard-coded digests.
 """
 
 import os
@@ -24,9 +23,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.protocols import ProtocolSpec
+from repro.experiments.protocols import build_batch_protocol
 from repro.experiments.runner import (
     build_repetition_plan,
-    configure_execution,
     execute_job,
     repeat_job,
 )
@@ -37,7 +36,7 @@ from repro.radio.batch import BatchEngine, NetworkBatch
 from repro.radio.collision import BatchStandardCollisionModel
 from repro.store import trial_digest
 
-from test_batch_engine import _assert_traces_identical
+from test_batch_engine import _assert_traces_identical, _engine_sweep
 from test_batch_engine import TestExactEquivalence as _Exact
 
 _REGISTRY_CASES = _Exact._REGISTRY_CASES
@@ -48,43 +47,21 @@ _REGISTRY_IDS = [
 ]
 
 
-class TestRegistry:
-    def test_kernel_names(self):
-        assert kernels.COLLISION_KERNELS == ("auto", "numpy", "compiled")
-        assert kernels.DEFAULT_KERNEL == "auto"
-
-    def test_numpy_resolves_to_itself(self):
-        assert kernels.resolve_collision_kernel("numpy") == "numpy"
-
-    def test_auto_and_compiled_follow_numba_availability(self):
+class TestSelection:
+    def test_model_default_follows_numba_availability(self):
         expected = "compiled" if kernels.compiled_available() else "numpy"
-        assert kernels.resolve_collision_kernel("auto") == expected
-        assert kernels.resolve_collision_kernel("compiled") == expected
+        assert BatchStandardCollisionModel().kernel == expected
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown collision kernel"):
-            kernels.resolve_collision_kernel("bogus")
-
-    def test_engine_validates_kernel_name(self):
-        with pytest.raises(ValueError, match="unknown collision kernel"):
-            BatchEngine(kernel="bogus")
-
-    def test_configure_execution_validates_kernel(self):
-        with pytest.raises(ValueError, match="unknown collision kernel"):
-            configure_execution(kernel="bogus")
-
-    def test_configure_execution_sets_default(self):
-        try:
-            configure_execution(kernel="numpy")
-            plan = build_repetition_plan(
-                GraphSpec("gnp", {"n": 16, "p": 0.4}),
-                ProtocolSpec("decay", {}),
-                repetitions=2,
-                seed=1,
-            )
-            assert plan.kernel == "numpy"
-        finally:
-            configure_execution(kernel="auto")
+    def test_engine_leaves_a_forced_kernel_alone(self):
+        model = BatchStandardCollisionModel()
+        model.kernel = "numpy"
+        BatchEngine(model).run(
+            random_digraph(24, 0.3, rng=1),
+            build_batch_protocol(ProtocolSpec("decay", {})),
+            trials=2,
+            rng=1,
+        )
+        assert model.kernel == "numpy"
 
 
 class TestFusedKernel:
@@ -153,12 +130,13 @@ class TestFusedKernel:
 
 
 class TestEngineEquivalence:
-    """kernel="compiled" must be bit-identical to kernel="numpy" in exact mode.
+    """The compiled kernel must be bit-identical to the numpy kernel in
+    exact mode.
 
-    Without numba both requests resolve to the numpy path, making the
-    assertions trivially true — the point of running them anyway is that the
-    numba CI leg executes the same parametrisation with the real compiled
-    kernels and must produce the same bits.
+    Without numba a model forced to ``"compiled"`` runs the numpy path,
+    making the assertions trivially true — the point of running them anyway
+    is that the numba CI leg executes the same parametrisation with the
+    real compiled kernels and must produce the same bits.
     """
 
     @pytest.mark.parametrize(
@@ -167,12 +145,14 @@ class TestEngineEquivalence:
     def test_registry_protocols_bit_identical(
         self, name, params, graph_params, options
     ):
-        common = dict(repetitions=4, seed=17, batch_mode="exact", **options)
+        common = dict(repetitions=4, seed=17, **options)
         graph = GraphSpec("gnp", graph_params)
         protocol = ProtocolSpec(name, params)
-        via_numpy = repeat_job(graph, protocol, kernel="numpy", **common)
-        via_compiled = repeat_job(graph, protocol, kernel="compiled", **common)
+        via_numpy = _engine_sweep(graph, protocol, kernel="numpy", **common)
+        via_compiled = _engine_sweep(graph, protocol, kernel="compiled", **common)
         _assert_traces_identical(via_numpy, via_compiled, check_arrays=True)
+        sweep = repeat_job(graph, protocol, batch_mode="exact", **common)
+        _assert_traces_identical(via_numpy, sweep, check_arrays=True)
 
     @pytest.mark.parametrize(
         "environment",
@@ -186,32 +166,32 @@ class TestEngineEquivalence:
         ids=["lossy", "churny"],
     )
     def test_environment_runs_bit_identical(self, environment):
-        common = dict(
-            repetitions=4,
-            seed=23,
-            batch_mode="exact",
-            environment=environment,
-        )
+        common = dict(repetitions=4, seed=23, environment=environment)
         graph = GraphSpec("gnp", {"n": 48, "p": 0.25})
         protocol = ProtocolSpec("decay", {})
-        via_numpy = repeat_job(graph, protocol, kernel="numpy", **common)
-        via_compiled = repeat_job(graph, protocol, kernel="compiled", **common)
+        via_numpy = _engine_sweep(graph, protocol, kernel="numpy", **common)
+        via_compiled = _engine_sweep(graph, protocol, kernel="compiled", **common)
         _assert_traces_identical(via_numpy, via_compiled, check_arrays=True)
 
     def test_fast_mode_numpy_and_compiled_identical(self):
-        # Fast mode consumes the shared stream identically under both exact
+        # Fast mode consumes the shared stream identically under both
         # kernels (the kernel changes how deliveries are computed, not which
         # draws are made), so even fast-mode runs agree bit for bit.
-        graph = GraphSpec("gnp", {"n": 48, "p": 0.25})
-        protocol = ProtocolSpec("decay", {})
-        a = repeat_job(graph, protocol, repetitions=6, seed=3, kernel="numpy")
-        b = repeat_job(graph, protocol, repetitions=6, seed=3, kernel="compiled")
-        _assert_traces_identical(a, b, check_arrays=True)
+        networks = [random_digraph(48, 0.25, rng=40 + t) for t in range(6)]
+
+        def run(kernel):
+            model = BatchStandardCollisionModel()
+            model.kernel = kernel
+            return BatchEngine(model).run(
+                networks, build_batch_protocol(ProtocolSpec("decay", {})), rng=3
+            )
+
+        _assert_traces_identical(run("numpy"), run("compiled"), check_arrays=True)
 
 
 class TestDigestStability:
-    """Exact kernels share the legacy digest space (satellite: a store built
-    before the kernel layer existed keeps hitting)."""
+    """Store keys never name the collision kernel or the node-set backend,
+    so a store built before either was chosen by the code keeps hitting."""
 
     GRAPH = GraphSpec("gnp", {"n": 32, "p": 0.25})
     PROTOCOL = ProtocolSpec("decay", {})
@@ -222,17 +202,16 @@ class TestDigestStability:
         ).job_keys()
 
     @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
-    def test_exact_kernels_share_digests(self, batch_mode):
-        baseline = self._keys(batch_mode=batch_mode)
-        for kernel in ("auto", "numpy", "compiled"):
-            assert self._keys(kernel=kernel, batch_mode=batch_mode) == baseline
-
-    def test_kernel_key_absent_for_exact_kernels(self):
-        for kernel in ("auto", "numpy", "compiled"):
-            plan = build_repetition_plan(
-                self.GRAPH, self.PROTOCOL, repetitions=2, seed=5, kernel=kernel
-            )
-            assert "kernel" not in plan.cache_context()
+    def test_context_names_no_kernel_and_a_constant_backend(self, batch_mode):
+        context = build_repetition_plan(
+            self.GRAPH,
+            self.PROTOCOL,
+            repetitions=2,
+            seed=5,
+            batch_mode=batch_mode,
+        ).cache_context()
+        assert "kernel" not in context
+        assert context["state_backend"] == "auto"
 
     def test_pinned_digest(self):
         # Hard regression pin: this digest was computed before the kernel
@@ -354,7 +333,7 @@ class TestSharedBatchReuse:
 
 
 class TestStreamingBypass:
-    """In-process collect=False execution streams traces one trial at a time."""
+    """In-process execution streams traces one trial at a time."""
 
     def test_execute_streaming_matches_execute(self):
         plan = build_repetition_plan(
@@ -395,12 +374,10 @@ class TestNoNumbaFallback:
                 "        if name.split('.')[0] == 'numba':",
                 "            raise ImportError('numba blocked for test')",
                 "sys.meta_path.insert(0, _Block())",
-                "from repro.radio.kernels import (",
-                "    compiled_available, resolve_collision_kernel, warm_kernels,",
-                ")",
+                "from repro.radio.kernels import compiled_available, warm_kernels",
+                "from repro.radio.collision import BatchStandardCollisionModel",
                 "assert compiled_available() is False",
-                "assert resolve_collision_kernel('compiled') == 'numpy'",
-                "assert resolve_collision_kernel('auto') == 'numpy'",
+                "assert BatchStandardCollisionModel().kernel == 'numpy'",
                 "warm_kernels()  # no-op without numba",
                 "from repro.experiments.protocols import ProtocolSpec",
                 "from repro.experiments.runner import repeat_job",
@@ -408,9 +385,20 @@ class TestNoNumbaFallback:
                 "results = repeat_job(",
                 "    GraphSpec('gnp', {'n': 16, 'p': 0.4}),",
                 "    ProtocolSpec('decay', {}),",
-                "    repetitions=2, seed=1, kernel='compiled',",
+                "    repetitions=2, seed=1,",
                 ")",
                 "assert len(results) == 2",
+                "from repro.graphs import random_digraph",
+                "from repro.radio.batch import BatchEngine",
+                "from repro.experiments.protocols import build_batch_protocol",
+                "model = BatchStandardCollisionModel()",
+                "model.kernel = 'compiled'  # falls back to numpy",
+                "forced = BatchEngine(model).run(",
+                "    random_digraph(16, 0.4, rng=1),",
+                "    build_batch_protocol(ProtocolSpec('decay', {})),",
+                "    trials=2, rng=1,",
+                ")",
+                "assert len(forced) == 2",
                 "print('fallback-ok')",
             ]
         )

@@ -10,8 +10,8 @@ Three groups of guarantees:
    ``BATCH_PROTOCOL_FACTORIES``, an exact-mode batched run is bit-identical
    under ``dense``, ``bitset`` and ``sparse`` state backends (the case table
    is pinned to the registry so a new protocol cannot dodge the property).
-3. **Plumbing** — the ``state_backend`` knob flows through
-   ``ExecutionPlan`` / ``configure_execution`` / the CLI, and the plan-level
+3. **Plumbing** — sweeps let the engine pick the backend (no plan,
+   ``configure_execution`` or CLI option forces one), and the plan-level
    topology cache hands shards a shared network for deterministic families.
 """
 
@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     ExecutionPlan,
     Job,
     build_repetition_plan,
-    configure_execution,
     execute_job,
     repeat_job,
 )
@@ -50,6 +49,8 @@ from repro.radio.nodesets import (
     unpack_bool_rows,
     words_for,
 )
+
+from test_batch_engine import _engine_sweep
 
 
 class TestPackingPrimitives:
@@ -313,33 +314,30 @@ class TestCrossBackendBitExactness:
         params, graph_params, options = self._CASES[name]
         graph = GraphSpec("gnp", graph_params)
         protocol = ProtocolSpec(name, params)
+        common = dict(repetitions=3, seed=23, **options)
         runs = {
-            backend: repeat_job(
-                graph,
-                protocol,
-                repetitions=3,
-                seed=23,
-                batch_mode="exact",
-                state_backend=backend,
-                **options,
+            backend: _engine_sweep(
+                graph, protocol, state_backend=backend, **common
             )
             for backend in ("dense", "bitset", "sparse")
         }
         _assert_traces_identical(runs["dense"], runs["bitset"])
         _assert_traces_identical(runs["dense"], runs["sparse"])
+        # The sweep's own (automatic) choice gives the same bits.
+        sweep = repeat_job(graph, protocol, batch_mode="exact", **common)
+        _assert_traces_identical(runs["dense"], sweep)
 
 
 class TestExecutionPlumbing:
     @pytest.mark.parametrize(
-        "job_options,plan_options,match",
+        "job_options,match",
         [
-            ({}, {"state_backend": "packed"}, "state_backend"),
-            ({"collision_model": "bogus"}, {}, "collision model"),
-            ({"protocol": ProtocolSpec("bogus", {})}, {}, "protocol"),
+            ({"collision_model": "bogus"}, "collision model"),
+            ({"protocol": ProtocolSpec("bogus", {})}, "protocol"),
         ],
-        ids=["state_backend", "collision_model", "protocol"],
+        ids=["collision_model", "protocol"],
     )
-    def test_plan_rejects_unknown_option(self, job_options, plan_options, match):
+    def test_plan_rejects_unknown_option(self, job_options, match):
         job = Job(
             **{
                 "graph": GraphSpec("gnp", {"n": 16, "p": 0.2}),
@@ -349,36 +347,14 @@ class TestExecutionPlumbing:
             }
         )
         with pytest.raises(ValueError, match=match):
-            ExecutionPlan(jobs=(job,), **plan_options)
+            ExecutionPlan(jobs=(job,))
 
-    def test_shards_carry_the_backend(self):
-        job = Job(
-            graph=GraphSpec("gnp", {"n": 16, "p": 0.2}),
-            protocol=ProtocolSpec("algorithm1", {"p": 0.2}),
-            seed=1,
-        )
-        plan = ExecutionPlan(jobs=(job, job), processes=2, state_backend="bitset")
-        assert all(s.state_backend == "bitset" for s in plan.shards())
-
-    def test_configure_execution_default_flows_through(self):
-        configure_execution(state_backend="sparse")
-        try:
-            runs = repeat_job(
-                GraphSpec("gnp", {"n": 48, "p": 0.2}),
-                ProtocolSpec("decay", {}),
-                repetitions=2,
-                seed=3,
-            )
-            assert len(runs) == 2 and all(r.completed for r in runs)
-        finally:
-            configure_execution(state_backend="auto")
-
-    def test_cli_parses_state_backend(self):
-        parser = build_parser()
-        args = parser.parse_args(["run", "E1", "--state-backend", "bitset"])
-        assert args.state_backend == "bitset"
-        args = parser.parse_args(["run", "E1"])
-        assert args.state_backend == "auto"
+    @pytest.mark.parametrize("flag", ["--state-backend", "--kernel"])
+    def test_cli_has_no_engine_choice_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "E1", flag, "auto"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTopologyCache:

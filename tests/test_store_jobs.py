@@ -563,6 +563,27 @@ class TestExecuteMatchesStreaming:
         assert counts["served"] == hits
         assert counts["executed"] == self.REPETITIONS - hits
 
+    @pytest.mark.parametrize(
+        "processes", [None, 2], ids=["in-process", "processes2"]
+    )
+    def test_sharded_fast_plan_reruns_identically(self, processes):
+        # Running one plan twice must draw the cohorts its store keys name,
+        # so the per-shard fast seeds cannot depend on how often they were
+        # derived before.
+        plan = build_repetition_plan(
+            GRAPH,
+            PROTOCOL,
+            repetitions=self.REPETITIONS,
+            seed=0,
+            run_to_quiescence=True,
+            processes=processes,
+            shards=3,
+            store=False,
+        )
+        first = [canonical_dumps(t.to_payload()) for t in plan.execute()]
+        second = [canonical_dumps(t.to_payload()) for t in plan.execute()]
+        assert first == second
+
 
 class TestCli:
     def test_sweep_defaults_to_exact_and_cache(self):
