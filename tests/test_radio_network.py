@@ -141,3 +141,36 @@ class TestDunder:
     def test_indices_read_only(self, tiny_network):
         with pytest.raises(ValueError):
             tiny_network.out_indices[0] = 3
+
+
+class TestCsrAgainstLexsort:
+    """Both CSR directions against a two-key ``np.lexsort`` reference, on
+    either side of the 16-bit node-id boundary (n = 65536 is the largest n
+    whose ids fit ``uint16``)."""
+
+    @pytest.mark.parametrize("n", [65536, 70000])
+    def test_random_edges_with_duplicates(self, n):
+        rng = np.random.default_rng(n)
+        sources = rng.integers(0, n, size=300)
+        targets = rng.integers(0, n, size=300)
+        # Force ids at both ends of the range and a run of duplicates.
+        sources[:4] = [0, n - 1, 7, 7]
+        targets[:4] = [n - 1, 0, 9, 9]
+        sources = np.concatenate([sources, sources[:50]])
+        targets = np.concatenate([targets, targets[:50]])
+        loops = sources == targets
+        sources, targets = sources[~loops], targets[~loops]
+        net = RadioNetwork(n, (sources, targets))
+
+        pairs = np.unique(np.column_stack([sources, targets]), axis=0)
+        for indptr, indices, rows, cols in (
+            (net.out_indptr, net.out_indices, pairs[:, 0], pairs[:, 1]),
+            (net.in_indptr, net.in_indices, pairs[:, 1], pairs[:, 0]),
+        ):
+            order = np.lexsort((cols, rows))
+            want_indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=want_indptr[1:])
+            assert indptr.dtype == np.int64 and indices.dtype == np.int32
+            np.testing.assert_array_equal(indptr, want_indptr)
+            np.testing.assert_array_equal(indices, cols[order])
+        assert net.num_edges == len(pairs)
