@@ -15,7 +15,8 @@ implements that extension:
 * :func:`geometric_digraph_from_positions` — build from given positions
   (used by the mobility model in :mod:`repro.radio.dynamics`).
 
-Distance computations use a cKDTree so construction is ``O(n log n + m)``.
+Distance computations use a cKDTree so construction is ``O(n log n + m)``;
+``scipy.spatial`` is imported on first use, not with the package.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro._util.rng import SeedLike, as_generator
 from repro._util.validation import check_positive, check_positive_int
@@ -93,6 +93,8 @@ def geometric_digraph_from_positions(
     n = positions.shape[0]
     if n == 1:
         return RadioNetwork(1, np.empty((0, 2), dtype=np.int64), name=name)
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
+
     tree = cKDTree(positions)
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
     if pairs.size == 0:
@@ -135,6 +137,8 @@ def heterogeneous_geometric_digraph(
     if n == 1:
         network = RadioNetwork(1, np.empty((0, 2), dtype=np.int64), name=name)
         return (network, positions) if return_positions else network
+
+    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
 
     tree = cKDTree(positions)
     sources_list = []

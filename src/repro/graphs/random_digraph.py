@@ -73,11 +73,12 @@ def random_digraph(
     # reject within-source duplicates until each source's draw is distinct.
     counts = generator.binomial(n - 1, p, size=n)
     sources = np.repeat(np.arange(n, dtype=np.int64), counts)
-    targets = _distinct_targets(n, counts, sources, generator)
-    # Draws live in {0..n-2}; shift to skip the source itself.
-    targets = np.where(targets >= sources, targets + 1, targets)
-    edges = np.column_stack([sources, targets])
-    return RadioNetwork(n, edges, name=name)
+    draws = _distinct_targets(n, counts, sources, generator)
+    # Draws live in {0..n-2}; shift to skip the source itself.  The shift is
+    # monotone within a source, so the rows stay sorted: the edges are
+    # distinct, loop-free and in range, and already form the out-CSR.
+    targets = (draws + (draws >= sources)).astype(np.int32)
+    return RadioNetwork._from_csr(n, counts, targets, name=name)
 
 
 #: Rejection rounds before falling back to per-source distinct sampling.
@@ -87,46 +88,50 @@ _MAX_REJECTION_ROUNDS = 64
 def _distinct_targets(
     n: int, counts: np.ndarray, sources: np.ndarray, generator: np.random.Generator
 ) -> np.ndarray:
-    """Distinct values in ``{0..n-2}`` per source block, without Python loops.
+    """Distinct values in ``{0..n-2}`` per source block, sorted within each
+    block, without Python loops.
 
     All edges draw uniformly in one vectorised call; within-source duplicates
-    (detected by one lexsort pass) are redrawn until none remain.  In the
-    sparse regimes this repository simulates (``k_u ~ d << n``) the expected
-    number of clashes is ``O(k² / n)`` per source, so the loop almost always
-    finishes in one or two rounds.  Sources whose blocks still clash after
+    are redrawn until none remain.  Each scan packs ``(source, draw)`` into
+    one int64 key and takes a stable argsort of it, which groups duplicates
+    adjacently; the scan that finds none has already sorted every block, so
+    its keys are returned decoded.  In the sparse regimes this repository
+    simulates (``k_u ~ d << n``) the expected number of clashes is
+    ``O(k² / n)`` per source, so the loop almost always finishes in one or
+    two rounds.  Sources whose blocks still clash after
     ``_MAX_REJECTION_ROUNDS`` (only plausible for ``p`` near 1, where almost
     every slot is taken) fall back to ``generator.choice(..., replace=False)``
-    for just those blocks.
+    for just those blocks, and the keys are sorted once more.
     """
     total = int(counts.sum())
     targets = generator.integers(0, n - 1, size=total)
     if total == 0:
         return targets
+    # Source ``u``'s keys lie in ``[u (n-1), (u+1)(n-1))``, so sorting the
+    # keys keeps every block in place and ``keys - offsets`` decodes them.
+    offsets = sources * np.int64(n - 1)
 
-    def duplicate_positions() -> np.ndarray:
-        # One sortable key per edge: (source, target) packed into an int64.
-        # A stable argsort of the packed key is several times faster than a
-        # two-key lexsort and groups within-source duplicates adjacently.
-        keys = sources * np.int64(n - 1) + targets
+    def scan():
+        # Sorted keys, and the positions of all but the first copy of each
+        # repeated key (in sorted order).
+        keys = offsets + targets
         order = np.argsort(keys, kind="stable")
-        dup_sorted = np.zeros(total, dtype=bool)
-        keys_sorted = keys[order]
-        dup_sorted[1:] = keys_sorted[1:] == keys_sorted[:-1]
-        return order[dup_sorted]
+        keys = keys[order]
+        return keys, order[1:][keys[1:] == keys[:-1]]
 
     for _ in range(_MAX_REJECTION_ROUNDS):
-        redraw = duplicate_positions()
+        keys, redraw = scan()
         if redraw.size == 0:
-            return targets
+            return keys - offsets
         targets[redraw] = generator.integers(0, n - 1, size=redraw.size)
     # Fallback: per-source distinct sampling for the (rare) stubborn blocks.
     block_ends = np.cumsum(counts)
-    for u in np.unique(sources[duplicate_positions()]):
+    for u in np.unique(sources[scan()[1]]):
         k = int(counts[u])
         targets[block_ends[u] - k : block_ends[u]] = generator.choice(
             n - 1, size=k, replace=False
         )
-    return targets
+    return np.sort(offsets + targets) - offsets
 
 
 def random_undirected_radio_network(

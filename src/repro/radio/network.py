@@ -86,8 +86,45 @@ class RadioNetwork:
             sources = sources[keep]
             targets = targets[keep]
 
-        self._out_indptr, self._out_indices = _build_csr(self._n, sources, targets)
-        self._in_indptr, self._in_indices = _build_csr(self._n, targets, sources)
+        # The edges are now sorted by (source, target): they are the out-CSR.
+        self._set_csr(np.bincount(sources, minlength=self._n), targets.astype(np.int32), name)
+
+    @classmethod
+    def _from_csr(
+        cls, n: int, out_degrees: np.ndarray, out_indices: np.ndarray, *, name: str = ""
+    ) -> "RadioNetwork":
+        """Trusted constructor from an out-CSR given by its row lengths.
+
+        ``out_indices`` (int32) lists each node's out-neighbours, node by
+        node, and ``out_degrees`` says how many belong to each node.  The
+        edges must be distinct, loop-free and in range, with every row sorted;
+        nothing is checked.  Generators that guarantee this by construction,
+        such as :func:`repro.graphs.random_digraph`, use it to skip the
+        validation and sorts of ``__init__``.  ``out_indices`` is adopted, not
+        copied, and made read-only.
+        """
+        net = cls.__new__(cls)
+        net._n = n
+        net._set_csr(out_degrees, out_indices, name)
+        return net
+
+    def _set_csr(self, out_degrees: np.ndarray, out_indices: np.ndarray, name: str) -> None:
+        """Adopt the out-CSR and derive the in-CSR from it: the one CSR builder.
+
+        The rows of the out-CSR list sources in ascending order, so one stable
+        argsort of the targets orders the edges by (target, source).  When
+        node ids fit 16 bits the sort key is narrowed to ``uint16``, which
+        numpy sorts stably with a radix sort — the same permutation, faster.
+        """
+        n = self._n
+        sources = np.repeat(np.arange(n, dtype=np.int32), out_degrees)
+        key = out_indices.astype(np.uint16) if n <= 1 << 16 else out_indices
+        self._out_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(out_degrees, out=self._out_indptr[1:])
+        self._out_indices = out_indices
+        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(out_indices, minlength=n), out=self._in_indptr[1:])
+        self._in_indices = sources[np.argsort(key, kind="stable")]
         for arr in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
             arr.setflags(write=False)
         self._name = str(name)
@@ -199,14 +236,7 @@ class RadioNetwork:
 
     def with_name(self, name: str) -> "RadioNetwork":
         """Return a copy that carries ``name`` (the topology is shared-by-value)."""
-        net = RadioNetwork.__new__(RadioNetwork)
-        net._n = self._n
-        net._out_indptr = self._out_indptr
-        net._out_indices = self._out_indices
-        net._in_indptr = self._in_indptr
-        net._in_indices = self._in_indices
-        net._name = str(name)
-        return net
+        return RadioNetwork._from_csr(self._n, self.out_degrees(), self._out_indices, name=name)
 
     # ------------------------------------------------------------------ #
     # Interop
@@ -289,15 +319,3 @@ def _looks_like_pair(edges: tuple) -> bool:
     """True when a 2-tuple is a single edge ``(u, v)`` rather than two arrays."""
     return all(isinstance(x, (int, np.integer)) for x in edges)
 
-
-def _build_csr(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Build CSR (indptr, indices) with indices sorted within each row."""
-    counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(n, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    if rows.size:
-        order = np.lexsort((cols, rows))
-        indices = cols[order].astype(np.int32, copy=True)
-    else:
-        indices = np.empty(0, dtype=np.int32)
-    return indptr, indices

@@ -74,6 +74,23 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         assert "E1" in proc.stdout
 
+    @pytest.mark.parametrize("module", ["repro.cli", "repro.scenarios"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        """scipy.spatial is imported only when a geometric graph is built."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_public_packages_importable(self):
         import repro.analysis
         import repro.baselines
