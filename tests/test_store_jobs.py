@@ -14,8 +14,10 @@ Covers the three guarantees the subsystem makes:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -583,6 +585,216 @@ class TestExecuteMatchesStreaming:
         first = [canonical_dumps(t.to_payload()) for t in plan.execute()]
         second = [canonical_dumps(t.to_payload()) for t in plan.execute()]
         assert first == second
+
+
+def _sha256_of_files(paths) -> str:
+    """One digest over the names and bytes of ``paths``, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(paths, key=lambda p: p.name):
+        digest.update(path.name.encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+IID_LOSS = {"name": "iid_loss", "params": {"tx_loss": 0.1, "rx_loss": 0.15}}
+
+#: ``(graph, protocol)`` per topology family of the key pins.
+KEY_PIN_SWEEPS = {
+    "gnp": (GRAPH, PROTOCOL),
+    "grid": (GraphSpec("grid", {"rows": 4, "cols": 5}), ProtocolSpec("decay", {})),
+    "path_of_cliques": (
+        GraphSpec("path_of_cliques", {"num_cliques": 3, "clique_size": 4}),
+        ProtocolSpec("deterministic_flood", {}),
+    ),
+}
+
+
+class TestStoreBytePins:
+    """Store keys and on-disk bytes are pinned: a key-encoding or checkpoint
+    change that moves any of them orphans every stored result.  A moved
+    value here needs an ENGINE_VERSION bump, not a new pin."""
+
+    #: sha256 over the newline-joined ``job_keys()`` of each key-pin plan.
+    KEY_PINS = {
+        ("gnp", "exact", 1): (
+            "a9277d8cc10ce60d65d14b321f391737"
+            "ed38008d28cafb93d6abecc08669b7c2"
+        ),
+        ("gnp", "exact", 3): (
+            "a9277d8cc10ce60d65d14b321f391737"
+            "ed38008d28cafb93d6abecc08669b7c2"
+        ),
+        ("gnp", "fast", 1): (
+            "d799eee36d981abf33a11b36115097b3"
+            "13abffd512f88b75bf6d972cc316896f"
+        ),
+        ("gnp", "fast", 3): (
+            "a5ac647c981092cf61bce72f5d1d0482"
+            "8e62c936ebec177c14d8f9c1723522fd"
+        ),
+        ("grid", "exact", 1): (
+            "42742a7866e475672974f8184adc3b42"
+            "0ce8f5a36072490b132356dc829368e2"
+        ),
+        ("grid", "exact", 3): (
+            "42742a7866e475672974f8184adc3b42"
+            "0ce8f5a36072490b132356dc829368e2"
+        ),
+        ("grid", "fast", 1): (
+            "8b38830df0335388e9387ed391758541"
+            "54e9d0cc4f73e1930bb506b3dafa04c9"
+        ),
+        ("grid", "fast", 3): (
+            "536919d5021643acd43a299ceabf56d8"
+            "bd5acb760e24142d245d7b57a4d18144"
+        ),
+        ("path_of_cliques", "exact", 1): (
+            "ae68ffe225f53c1c9b1510535a618023"
+            "1ed9270e2fbd368c6906b8d6cd63cd92"
+        ),
+        ("path_of_cliques", "exact", 3): (
+            "ae68ffe225f53c1c9b1510535a618023"
+            "1ed9270e2fbd368c6906b8d6cd63cd92"
+        ),
+        ("path_of_cliques", "fast", 1): (
+            "3ca8661d576195ed4c08d46509b109e9"
+            "d8b07ac813049f491c12444a2d4d8518"
+        ),
+        ("path_of_cliques", "fast", 3): (
+            "4c35ef5ccfd9fb94d4e00ba2da4da015"
+            "f2f9057f8f317079fc4e10ae4d0d9ff0"
+        ),
+        ("environment", "exact", 1): (
+            "ed6090278f0d407d1cdbc525554b6efe"
+            "6b2807da2ab55ba6d97e006686be0ffc"
+        ),
+        ("labelled", "exact", 1): (
+            "a9277d8cc10ce60d65d14b321f391737"
+            "ed38008d28cafb93d6abecc08669b7c2"
+        ),
+        ("np_int64_seed", "exact", 1): (
+            "a9277d8cc10ce60d65d14b321f391737"
+            "ed38008d28cafb93d6abecc08669b7c2"
+        ),
+    }
+    RESULTS_PIN = (
+        "c37713ffa42c9247bad4e6e7ab098267"
+        "cdd9e1a91f61ea0b3b958ee0995a51aa"
+    )
+    INTERRUPTED_AGGREGATES_PIN = (
+        "3e1ebaed896815b4a935855634307b82"
+        "b87f49c98dd4ee490e5f4f524298673c"
+    )
+    RESUMED_AGGREGATES_PIN = (
+        "742e0dbbf33b0a86263291821fb86fa8"
+        "6b875f86b2787c54a513a8ce70d4bff6"
+    )
+
+    @staticmethod
+    def _plan(case, batch_mode, shards):
+        graph, protocol = KEY_PIN_SWEEPS.get(case, (GRAPH, PROTOCOL))
+        options = {"environment": IID_LOSS} if case == "environment" else {}
+        plan = build_repetition_plan(
+            graph,
+            protocol,
+            repetitions=5,
+            seed=11,
+            batch_mode=batch_mode,
+            shards=shards,
+            store=False,
+            run_to_quiescence=True,
+            **options,
+        )
+        if case == "labelled":
+            jobs = tuple(
+                replace(job, label=f"trial-{i}") for i, job in enumerate(plan.jobs)
+            )
+            plan = replace(plan, jobs=jobs)
+        elif case == "np_int64_seed":
+            jobs = tuple(replace(job, seed=np.int64(job.seed)) for job in plan.jobs)
+            plan = replace(plan, jobs=jobs)
+        return plan
+
+    @pytest.mark.parametrize("case,batch_mode,shards", sorted(KEY_PINS))
+    def test_job_keys_pinned(self, case, batch_mode, shards):
+        plan = self._plan(case, batch_mode, shards)
+        context = plan.cache_context()
+        reference = []
+        for job in plan.jobs:
+            body = job.as_dict()
+            body.pop("label")
+            reference.append(trial_digest({"job": body, "context": context}))
+        keys = plan.job_keys()
+        assert keys == reference
+        assert [job_store_key(job, context) for job in plan.jobs] == reference
+        pinned = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+        assert pinned == self.KEY_PINS[(case, batch_mode, shards)]
+
+    def test_results_files_pinned(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        repeat_job(
+            GraphSpec("gnp", {"n": 24, "p": 0.25}),
+            ProtocolSpec("algorithm1", {"p": 0.25}),
+            repetitions=4,
+            seed=3,
+            batch_mode="exact",
+            keep_arrays=True,
+            record_rounds=True,
+            environment=IID_LOSS,
+            store=store,
+        )
+        files = list((tmp_path / "cache").glob("results-*.jsonl"))
+        assert store.puts == 4 and files
+        assert _sha256_of_files(files) == self.RESULTS_PIN
+
+    def test_resumed_aggregation_checkpoints_pinned(self, tmp_path, monkeypatch):
+        import repro.scenarios.runtime as runtime_module
+        from repro.scenarios import SweepCell, run_cell
+
+        cell = SweepCell(
+            coords={"cell": "pin"},
+            graph=GraphSpec("path_of_cliques", {"num_cliques": 3, "clique_size": 4}),
+            protocol=ProtocolSpec("decay", {}),
+            repetitions=150,
+        )
+        options = dict(
+            seed=7,
+            metrics=("success", "completion_round", "total_tx"),
+            batch_mode="exact",
+            store=ResultStore(tmp_path / "cache"),
+        )
+        real_extract = runtime_module.extract_sample
+        calls = []
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupting_extract(*args):
+            calls.append(None)
+            if len(calls) > 100:
+                raise Interrupted
+            return real_extract(*args)
+
+        monkeypatch.setattr(runtime_module, "extract_sample", interrupting_extract)
+        with pytest.raises(Interrupted):
+            run_cell(cell, **options)
+        monkeypatch.setattr(runtime_module, "extract_sample", real_extract)
+        aggregates = tmp_path / "cache" / "aggregates"
+        interrupted = _sha256_of_files(aggregates.glob("*.json"))
+        resumed = run_cell(cell, **options)
+        # The checkpoint at 64 trials survives; trial 101 was stored just
+        # before its reduction raised.
+        assert resumed.counts == {
+            "total": 150,
+            "skipped": 64,
+            "served": 37,
+            "executed": 49,
+        }
+        assert resumed.trials == 150
+        assert interrupted == self.INTERRUPTED_AGGREGATES_PIN
+        assert _sha256_of_files(aggregates.glob("*.json")) == (
+            self.RESUMED_AGGREGATES_PIN
+        )
 
 
 class TestCli:
