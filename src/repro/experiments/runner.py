@@ -37,8 +37,9 @@ planner.
 
 from __future__ import annotations
 
+import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,7 +75,7 @@ from repro.radio.environment import (
     validate_environment_spec,
 )
 from repro.radio.trace import RunResultTrace
-from repro.store import ResultStore, canonicalize, trial_digest
+from repro.store import SEED_SLOT, ResultStore, canonicalize, seeded_digests
 
 __all__ = [
     "Job",
@@ -186,6 +187,15 @@ def _worker_count(processes: Optional[int], task_count: int) -> int:
 _ResultSink = Callable[[int, RunResultTrace], None]
 
 
+def _key_template(job: Job, context: Dict[str, object]) -> Dict[str, object]:
+    """The store-key body of every job sharing ``job``'s specs and options:
+    :func:`job_store_key`'s payload with the seed left as a slot."""
+    payload = job.as_dict()
+    payload.pop("label", None)
+    payload["seed"] = SEED_SLOT
+    return {"job": payload, "context": dict(context)}
+
+
 def job_store_key(job: Job, context: Dict[str, object]) -> str:
     """The content digest a job's result is stored under.
 
@@ -195,9 +205,7 @@ def job_store_key(job: Job, context: Dict[str, object]) -> str:
     display metadata and deliberately excluded, so relabelled sweeps still
     dedup.
     """
-    payload = job.as_dict()
-    payload.pop("label", None)
-    return trial_digest({"job": payload, "context": dict(context)})
+    return seeded_digests(_key_template(job, context), (job.seed,))[0]
 
 
 def _trace_store_payload(trace: RunResultTrace) -> dict:
@@ -455,6 +463,13 @@ def _batch_collision_model_for(job: Job) -> BatchCollisionModel:
         )
 
 
+#: The :class:`Job` fields every job of a plan shares: all but seed and label.
+_SWEEP_FIELDS = tuple(
+    field.name for field in fields(Job) if field.name not in ("seed", "label")
+)
+_sweep_signature = operator.attrgetter(*_SWEEP_FIELDS)
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How a homogeneous repetition sweep is executed.
@@ -518,7 +533,9 @@ class ExecutionPlan:
     from one shared generator per shard, and a shard's rows never move.
 
     The jobs must be a homogeneous sweep: same specs and engine options,
-    differing only in seed/label (what :func:`repeat_job` builds).
+    differing only in seed/label (what :func:`repeat_job` builds).  The
+    sweep runs every job with the first job's protocol and engine options,
+    so a mixed plan raises ``ValueError`` when constructed.
     """
 
     jobs: Tuple[Job, ...]
@@ -534,6 +551,23 @@ class ExecutionPlan:
         if not self.jobs:
             raise ValueError("ExecutionPlan needs at least one job")
         template = self.jobs[0]
+        signature = _sweep_signature(template)
+        for index, job in enumerate(self.jobs):
+            # Tuple comparison tries ``is`` before ``==`` per field, so the
+            # shared spec objects of a built repetition plan compare cheaply.
+            if _sweep_signature(job) != signature:
+                differing = [
+                    name
+                    for name, ours, theirs in zip(
+                        _SWEEP_FIELDS, _sweep_signature(job), signature
+                    )
+                    if ours != theirs
+                ]
+                raise ValueError(
+                    "an ExecutionPlan's jobs may differ only in seed and "
+                    f"label; job {index} differs from job 0 in "
+                    f"{', '.join(differing)}"
+                )
         if template.protocol.name not in BATCH_PROTOCOL_FACTORIES:
             known = ", ".join(sorted(BATCH_PROTOCOL_FACTORIES))
             raise ValueError(
@@ -727,9 +761,11 @@ class ExecutionPlan:
         return context
 
     def job_keys(self) -> List[str]:
-        """One store digest per job, in job order."""
-        context = self.cache_context()
-        return [job_store_key(job, context) for job in self.jobs]
+        """One store digest per job, in job order: :func:`job_store_key` of
+        each job, spliced from one key template (the jobs differ only in
+        seed and label)."""
+        template = _key_template(self.jobs[0], self.cache_context())
+        return seeded_digests(template, [job.seed for job in self.jobs])
 
     def execute(self) -> List[RunResultTrace]:
         """Run the sweep; returns one trace per job, in job order.

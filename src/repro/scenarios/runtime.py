@@ -182,22 +182,18 @@ def _aggregation_key(
     )
 
 
-def _mask_to_indices(mask_hex: str, total: int) -> List[int]:
-    mask = int(mask_hex, 16) if mask_hex else 0
-    return [i for i in range(total) if mask >> i & 1]
-
-
-def _indices_to_mask(indices) -> str:
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return format(mask, "x")
+def _mask_to_indices(mask: int) -> List[int]:
+    """The positions of ``mask``'s set bits, in increasing order."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _load_checkpoint(
     store, key: str, metric_names, total_trials: int
 ):
-    """A compatible ``(AccumulatorSet, done_indices)`` checkpoint, if any."""
+    """A compatible ``(AccumulatorSet, done_mask)`` checkpoint, if any.
+
+    ``done_mask`` has bit ``i`` set for every trial ``i`` folded into the
+    accumulators."""
     if store is None:
         return None
     state = store.aggregates.load(key)
@@ -207,11 +203,13 @@ def _load_checkpoint(
         return None
     if int(state.get("trials_total", -1)) != total_trials:
         return None
-    done = _mask_to_indices(state.get("done_mask", "0"), total_trials)
+    mask_hex = state.get("done_mask", "0")
+    # Bits past the last trial name no trial; they are dropped.
+    done_mask = int(mask_hex or "0", 16) & ((1 << total_trials) - 1)
     accumulators = AccumulatorSet.from_state(state.get("accumulators", {}))
-    if accumulators.trials != len(done):
+    if accumulators.trials != done_mask.bit_count():
         return None
-    return accumulators, done
+    return accumulators, done_mask
 
 
 def _save_checkpoint(
@@ -222,7 +220,7 @@ def _save_checkpoint(
     seed: int,
     metric_names,
     total_trials: int,
-    done_indices,
+    done_mask: int,
     accumulators: AccumulatorSet,
 ) -> None:
     store.aggregates.save(
@@ -232,7 +230,7 @@ def _save_checkpoint(
             "seed": seed,
             "metrics": sorted(metric_names),
             "trials_total": total_trials,
-            "done_mask": _indices_to_mask(done_indices),
+            "done_mask": format(done_mask, "x"),
             "accumulators": accumulators.state_dict(),
         },
     )
@@ -314,20 +312,23 @@ def _run_cell_impl(
     )
     context = plan.cache_context()
     key = _aggregation_key(cell, cell_seed, context, metric_names, sketch_capacity)
-    done: List[int] = []
+    # Bit ``i`` is set once trial ``i`` is consumed: updated per trial, so a
+    # checkpoint formats it without walking the done set.
+    done_mask = 0
     checkpoint = _load_checkpoint(plan.store, key, metric_names, len(plan.jobs))
     if checkpoint is not None:
-        restored, restored_done = checkpoint
-        partial = len(restored_done) < len(plan.jobs)
+        restored, restored_mask = checkpoint
+        partial = restored.trials < len(plan.jobs)
         if partial and context.get("batch_mode") == "fast":
             # Cohort-wide draws: a partial fast-mode aggregation cannot be
             # extended bit-faithfully, so start the reduction over.
             pass
         else:
             accumulators = restored
-            done = restored_done
+            done_mask = restored_mask
+    done = _mask_to_indices(done_mask)
 
-    done_set = set(done)
+    completed = len(done)
     fresh = 0
     # Samples are buffered and folded in chunks (``observe_many`` — bit
     # identical to per-sample ``observe``, see the streaming layer's
@@ -349,7 +350,7 @@ def _run_cell_impl(
         # of the reduction's semantics).
         flush()
         attrs: Dict[str, object] = {
-            "completed": len(done_set),
+            "completed": completed,
             "total": total_trials,
         }
         store_obj = plan.store
@@ -365,11 +366,12 @@ def _run_cell_impl(
         telemetry.event("progress", **attrs)
 
     def consume(index: int, trace) -> None:
-        nonlocal fresh
+        nonlocal completed, done_mask, fresh
         buffered.append(extract_sample(extractors, trace, cell))
-        done_set.add(index)
+        done_mask |= 1 << index
+        completed += 1
         fresh += 1
-        if tel and len(done_set) % _PROGRESS_EVERY == 0:
+        if tel and completed % _PROGRESS_EVERY == 0:
             emit_progress()
         if plan.store is not None:
             if fresh % _CHECKPOINT_EVERY == 0:
@@ -383,7 +385,7 @@ def _run_cell_impl(
                     seed=cell_seed,
                     metric_names=metric_names,
                     total_trials=len(plan.jobs),
-                    done_indices=done_set,
+                    done_mask=done_mask,
                     accumulators=accumulators,
                 )
         elif len(buffered) >= _INGEST_BUFFER_TRIALS:
@@ -399,7 +401,7 @@ def _run_cell_impl(
             seed=cell_seed,
             metric_names=metric_names,
             total_trials=len(plan.jobs),
-            done_indices=done_set,
+            done_mask=done_mask,
             accumulators=accumulators,
         )
     return CellResult(

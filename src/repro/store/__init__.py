@@ -6,8 +6,9 @@ written once under a canonical digest of *what produced it*, so re-running
 any experiment — or extending its repetition count — only computes the
 trials that are actually missing.
 
-* :mod:`repro.store.keys` — canonical digests (:func:`trial_digest`) and the
-  :data:`ENGINE_VERSION` constant that gates them;
+* :mod:`repro.store.keys` — canonical digests (:func:`trial_digest`, and
+  :func:`seeded_digests` for the keys of one sweep spliced from a single
+  template) and the :data:`ENGINE_VERSION` constant that gates them;
 * :mod:`repro.store.result_store` — :class:`ResultStore`, append-only JSONL
   shards under a cache directory;
 * :mod:`repro.store.aggregates` — :class:`AggregateStore`, checkpointed
@@ -22,8 +23,10 @@ about jobs or traces — it stores opaque JSON payloads under opaque keys.
 from repro.store.aggregates import AggregateStore
 from repro.store.keys import (
     ENGINE_VERSION,
+    SEED_SLOT,
     canonical_dumps,
     canonicalize,
+    seeded_digests,
     trial_digest,
 )
 from repro.store.result_store import ResultStore
@@ -32,7 +35,9 @@ __all__ = [
     "ENGINE_VERSION",
     "AggregateStore",
     "ResultStore",
+    "SEED_SLOT",
     "canonical_dumps",
     "canonicalize",
+    "seeded_digests",
     "trial_digest",
 ]

@@ -14,18 +14,26 @@ Covers the three guarantees the subsystem makes:
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
+import math
 import os
+from collections import OrderedDict
 from dataclasses import replace
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.runner as runner_module
 from repro.experiments.protocols import ProtocolSpec
 from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import (
+    ExecutionPlan,
     Job,
     aggregate_runs,
     build_repetition_plan,
@@ -43,7 +51,14 @@ from repro.jobs import (
 )
 from repro.radio.energy import EnergyReport
 from repro.radio.trace import RoundRecord, RunResultTrace
-from repro.store import ResultStore, canonical_dumps, trial_digest
+from repro.store import (
+    SEED_SLOT,
+    ResultStore,
+    canonical_dumps,
+    canonicalize,
+    seeded_digests,
+    trial_digest,
+)
 from repro.store import keys as keys_module
 
 GRAPH = GraphSpec("gnp", {"n": 64, "p": 0.15})
@@ -129,6 +144,111 @@ class TestKeys:
         relabelled = Job(graph=GRAPH, protocol=PROTOCOL, seed=5, label="b")
         context = {"batch_mode": "exact", "state_backend": "auto"}
         assert job_store_key(job, context) == job_store_key(relabelled, context)
+
+    def test_seeded_digests_match_trial_digest(self):
+        template = {"job": {"seed": SEED_SLOT, "n": 3, "xs": [SEED_SLOT[1:]]}}
+        seeds = [0, 7, -12, 2**64 + 1, np.int64(5), np.uint32(9)]
+        expected = [
+            trial_digest({"job": {"seed": int(s), "n": 3, "xs": ["seed\0"]}})
+            for s in seeds
+        ]
+        assert seeded_digests(template, seeds) == expected
+
+    @pytest.mark.parametrize(
+        "template",
+        [{"seed": 1}, {"seed": SEED_SLOT, "other": SEED_SLOT}],
+        ids=["no-slot", "two-slots"],
+    )
+    def test_seeded_digests_need_exactly_one_slot(self, template):
+        with pytest.raises(ValueError, match="exactly one seed slot"):
+            seeded_digests(template, [1])
+
+
+def _reference_canonicalize(value):
+    """The recursive ``isinstance`` chain ``canonicalize`` must agree with."""
+    if isinstance(value, Mapping):
+        return {
+            str(k): _reference_canonicalize(value[k])
+            for k in sorted(value, key=str)
+        }
+    if isinstance(value, (list, tuple)):
+        return [_reference_canonicalize(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_reference_canonicalize(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(
+        f"value of type {type(value).__name__} cannot be part of a cache key"
+    )
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    _FLOATS,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(max_size=6),
+    st.sampled_from(list(Colour)),
+    st.booleans().map(np.bool_),
+    st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    _FLOATS.map(np.float64),
+    st.lists(st.integers(-5, 5), max_size=4).map(np.array),
+    st.lists(_FLOATS, max_size=4).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(st.booleans(), min_size=4, max_size=4).map(
+        lambda xs: np.array(xs).reshape(2, 2)
+    ),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.sampled_from(list(Colour)))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4).map(OrderedDict),
+        st.dictionaries(_KEYS, children, max_size=4).map(MappingProxyType),
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalizeEquivalence:
+    """``canonicalize`` dispatches on exact built-in types before its
+    ``isinstance`` chain; its output must not move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_matches_reference(self, value):
+        ours = canonicalize(value)
+        reference = _reference_canonicalize(value)
+        assert repr(ours) == repr(reference)
+        assert json.dumps(ours, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, object(), {"nested": [frozenset()]}], ids=repr
+    )
+    def test_unsupported_types_raise(self, value):
+        with pytest.raises(TypeError, match="cannot be part of a cache key"):
+            canonicalize(value)
+        with pytest.raises(TypeError):
+            _reference_canonicalize(value)
 
 
 # --------------------------------------------------------------------------- #
@@ -796,6 +916,110 @@ class TestStoreBytePins:
             self.RESUMED_AGGREGATES_PIN
         )
 
+
+class TestPlanHomogeneity:
+    """A plan runs every job with job 0's protocol and engine options but
+    stores each result under its own job's key, so jobs that differ in
+    anything but seed and label are refused."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("graph", GraphSpec("gnp", {"n": 32, "p": 0.15})),
+            ("protocol", ProtocolSpec("decay", {})),
+            ("max_rounds", 50),
+            ("environment", IID_LOSS),
+        ],
+    )
+    def test_mixed_plan_rejected(self, field, value):
+        jobs = [Job(graph=GRAPH, protocol=PROTOCOL, seed=s) for s in range(3)]
+        jobs[2] = replace(jobs[2], **{field: value})
+        with pytest.raises(ValueError, match=f"job 2 differs from job 0 in {field}"):
+            ExecutionPlan(jobs=tuple(jobs))
+
+    def test_equal_specs_with_other_seeds_and_labels_accepted(self):
+        jobs = tuple(
+            Job(
+                graph=GraphSpec("gnp", {"n": 64, "p": 0.15}),
+                protocol=ProtocolSpec("algorithm1", {"p": 0.15}),
+                seed=s,
+                environment=dict(IID_LOSS),
+                label=f"t{s}",
+            )
+            for s in range(3)
+        )
+        assert len(ExecutionPlan(jobs=jobs).job_keys()) == 3
+
+
+class TestStoreWorkCounters:
+    """Per-trial store bookkeeping is O(1): one canonical encoding per plan,
+    and a checkpoint mask maintained as trials are consumed."""
+
+    def test_job_keys_canonicalise_once_per_plan(self, monkeypatch):
+        plan = build_repetition_plan(
+            GRAPH, PROTOCOL, repetitions=10_000, seed=2, batch_mode="exact", store=False
+        )
+        calls = []
+        real_dumps = keys_module.canonical_dumps
+
+        def counting_dumps(payload):
+            calls.append(None)
+            return real_dumps(payload)
+
+        monkeypatch.setattr(keys_module, "canonical_dumps", counting_dumps)
+        keys = plan.job_keys()
+        assert len(calls) == 1
+        assert len(set(keys)) == 10_000
+        context = plan.cache_context()
+        for index in (0, 4_999, 9_999):
+            assert keys[index] == job_store_key(plan.jobs[index], context)
+
+    def test_checkpoint_masks_match_done_indices(self, tmp_path, monkeypatch):
+        from repro.scenarios import SweepCell, run_cell
+        from repro.store import AggregateStore
+
+        consumed = []
+        saved = []
+        real_streaming = ExecutionPlan.execute_streaming
+        real_save = AggregateStore.save
+
+        def recording_streaming(plan, consume, **kwargs):
+            def record(index, trace):
+                consumed.append(index)
+                consume(index, trace)
+
+            return real_streaming(plan, record, **kwargs)
+
+        def recording_save(aggregates, key, state):
+            mask = 0
+            for index in consumed:
+                mask |= 1 << index
+            saved.append((state["done_mask"], format(mask, "x")))
+            return real_save(aggregates, key, state)
+
+        monkeypatch.setattr(ExecutionPlan, "execute_streaming", recording_streaming)
+        monkeypatch.setattr(AggregateStore, "save", recording_save)
+        cell = SweepCell(
+            coords={"cell": "mask"},
+            graph=GraphSpec("gnp", {"n": 24, "p": 0.25}),
+            protocol=ProtocolSpec("algorithm1", {"p": 0.25}),
+            repetitions=1_000,
+        )
+        result = run_cell(
+            cell,
+            seed=1,
+            metrics=("success", "total_tx"),
+            batch_mode="exact",
+            store=ResultStore(tmp_path / "cache"),
+        )
+        assert result.trials == 1_000
+        # Trials retire out of order, so the masks are not prefixes.
+        assert consumed != sorted(consumed)
+        # One checkpoint per 64 fresh trials, plus the final one.
+        assert len(saved) == 1_000 // 64 + 1
+        for written, reference in saved:
+            assert written == reference
+        assert saved[-1][0] == format((1 << 1_000) - 1, "x")
 
 class TestCli:
     def test_sweep_defaults_to_exact_and_cache(self):
