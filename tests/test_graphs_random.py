@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.properties import is_strongly_connected
 from repro.graphs.random_digraph import (
+    _MAX_REJECTION_ROUNDS,
+    _distinct_targets,
     connectivity_threshold_probability,
     random_digraph,
     random_undirected_radio_network,
@@ -125,6 +129,24 @@ class TestRandomDigraphPins:
         (12, 1.0, 5): (
             "f8904ad2103fc50782ac705023f82bf486a8265d2279356e2dc922cd297b3529"
         ),
+        # Multi-round rejection regimes that the quick experiment suite
+        # samples: three to sixteen rounds of redraws before every block is
+        # distinct.  Their seeds keep the test ids apart from the pins above.
+        (1024, 0.125, 10): (
+            "9dcef41a4d75fec4f055b6788381e3459090f1b5f7d679898c756e0227aac0c7"
+        ),
+        (2048, 0.0693, 11): (
+            "f53f42b727e734811372dae040570732e0bc3bbd18360bc298dcc6a6d6b959c5"
+        ),
+        (1024, 0.0391, 12): (
+            "5976bf8871827b856389f0620addc53e3a6616a16a00afea47325885f3d85de4"
+        ),
+        (8192, connectivity_threshold_probability(8192), 13): (
+            "4c7a9b3a95be627b50e025ec11be775493318d2553e3b11325043f08bd3339cc"
+        ),
+        (96, 0.5487, 14): (
+            "f2f3e2bc871ca47ec70d66702ee22bff885ce548afa81ab20181fcdc9e6707bb"
+        ),
     }
 
     @pytest.mark.parametrize("key", list(PINS), ids=lambda key: f"n{key[0]}-s{key[2]}")
@@ -147,6 +169,75 @@ class TestRandomDigraphPins:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
             assert not any(arr.flags.writeable for arr in _csr_arrays(net))
+
+
+def _reference_distinct_targets(n, counts, sources, generator):
+    """The full-scan rejection sampler that ``_distinct_targets`` replaced:
+    every round takes a stable argsort of all packed ``(source, draw)``
+    keys and redraws all but the first copy of each repeated key."""
+    total = int(counts.sum())
+    targets = generator.integers(0, n - 1, size=total)
+    if total == 0:
+        return targets
+    offsets = sources * np.int64(n - 1)
+
+    def scan():
+        keys = offsets + targets
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        return keys, order[1:][keys[1:] == keys[:-1]]
+
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        keys, redraw = scan()
+        if redraw.size == 0:
+            return keys - offsets
+        targets[redraw] = generator.integers(0, n - 1, size=redraw.size)
+    block_ends = np.cumsum(counts)
+    for u in np.unique(sources[scan()[1]]):
+        k = int(counts[u])
+        targets[block_ends[u] - k : block_ends[u]] = generator.choice(
+            n - 1, size=k, replace=False
+        )
+    return np.sort(offsets + targets) - offsets
+
+
+class TestDistinctTargetsAgainstFullScan:
+    """``_distinct_targets`` returns the same draws as the full-scan reference
+    and leaves the generator in the same state, across sparse, multi-round
+    and near-complete regimes (p near 1 runs the ``generator.choice``
+    fallback)."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(min_value=2, max_value=400),
+        p=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            st.sampled_from([0.9, 0.97, 0.999, 1.0]),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # The dense pin, whose blocks reach the fallback, and a complete graph's
+    # worth of draws at the largest n.
+    @example(n=40, p=0.97, seed=2)
+    @example(n=400, p=1.0, seed=0)
+    def test_same_draws_and_generator_state(self, n, p, seed):
+        generator = np.random.default_rng(seed)
+        counts = generator.binomial(n - 1, p, size=n)
+        sources = np.repeat(np.arange(n, dtype=np.int64), counts)
+        state = generator.bit_generator.state
+        got_gen, want_gen = np.random.default_rng(), np.random.default_rng()
+        got_gen.bit_generator.state = state
+        want_gen.bit_generator.state = state
+        got = _distinct_targets(n, counts, sources, got_gen)
+        want = _reference_distinct_targets(n, counts, sources, want_gen)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
 
 class TestRandomUndirected:
