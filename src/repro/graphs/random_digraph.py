@@ -92,46 +92,79 @@ def _distinct_targets(
     block, without Python loops.
 
     All edges draw uniformly in one vectorised call; within-source duplicates
-    are redrawn until none remain.  Each scan packs ``(source, draw)`` into
-    one int64 key and takes a stable argsort of it, which groups duplicates
-    adjacently; the scan that finds none has already sorted every block, so
-    its keys are returned decoded.  In the sparse regimes this repository
-    simulates (``k_u ~ d << n``) the expected number of clashes is
-    ``O(k² / n)`` per source, so the loop almost always finishes in one or
-    two rounds.  Sources whose blocks still clash after
+    are redrawn until none remain.  Each draw is packed with its source into
+    the key ``source (n-1) + draw``, so source ``u``'s keys fill the range
+    ``[u (n-1), (u+1)(n-1))``: sorting keeps every block in place, two keys
+    clash only inside one block, and ``keys - offsets`` decodes them.
+
+    * **First pass.**  One in-place value sort of all keys (no permutation)
+      finds the clashing keys; ``key // (n-1)`` maps them to their source
+      blocks.
+    * **Rescans.**  Only the keys of blocks that hold a clash are
+      stable-argsorted (:func:`_rescan_blocks`) and written back into the
+      sorted array; the redraw positions are all but the first copy of each
+      repeated key, in that stable order.  Each later round rescans only the
+      blocks whose entries were just redrawn, since no other block changed.
+
+    The redraws are those of a stable argsort of *all* keys every round:
+    blocks are contiguous key ranges, so the stable order of the rescanned
+    blocks is the global stable order restricted to them, and blocks left
+    out hold no clash.  The redraw positions come out in the same order and
+    ``generator`` receives the same calls.  In the sparse regimes this
+    repository simulates (``k_u ~ d << n``) the expected number of clashes
+    is ``O(k² / n)`` per source, so a few rounds over a shrinking set of
+    blocks finish the job.  Sources whose blocks still clash after
     ``_MAX_REJECTION_ROUNDS`` (only plausible for ``p`` near 1, where almost
-    every slot is taken) fall back to ``generator.choice(..., replace=False)``
-    for just those blocks, and the keys are sorted once more.
+    every slot is taken) fall back, in ascending order, to
+    ``generator.choice(..., replace=False)`` for just those blocks, and the
+    keys are sorted once more.
     """
     total = int(counts.sum())
     targets = generator.integers(0, n - 1, size=total)
     if total == 0:
         return targets
-    # Source ``u``'s keys lie in ``[u (n-1), (u+1)(n-1))``, so sorting the
-    # keys keeps every block in place and ``keys - offsets`` decodes them.
     offsets = sources * np.int64(n - 1)
+    sorted_keys = offsets + targets
+    sorted_keys.sort()
+    clashes = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if clashes.size == 0:
+        return sorted_keys - offsets
+    block_ends = np.cumsum(counts)
+    blocks = np.unique(clashes // np.int64(n - 1))
 
-    def scan():
-        # Sorted keys, and the positions of all but the first copy of each
-        # repeated key (in sorted order).
-        keys = offsets + targets
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        return keys, order[1:][keys[1:] == keys[:-1]]
+    def rescan():
+        # Redraw positions among ``blocks``; their sorted keys go back in place.
+        lengths = counts[blocks]
+        ends = np.cumsum(lengths)
+        positions = np.arange(ends[-1]) + np.repeat(block_ends[blocks] - ends, lengths)
+        return _rescan_blocks(sorted_keys, positions, offsets[positions] + targets[positions])
 
     for _ in range(_MAX_REJECTION_ROUNDS):
-        keys, redraw = scan()
+        redraw = rescan()
         if redraw.size == 0:
-            return keys - offsets
+            return sorted_keys - offsets
         targets[redraw] = generator.integers(0, n - 1, size=redraw.size)
+        blocks = np.unique(sources[redraw])
     # Fallback: per-source distinct sampling for the (rare) stubborn blocks.
-    block_ends = np.cumsum(counts)
-    for u in np.unique(sources[scan()[1]]):
+    for u in np.unique(sources[rescan()]):
         k = int(counts[u])
         targets[block_ends[u] - k : block_ends[u]] = generator.choice(
             n - 1, size=k, replace=False
         )
     return np.sort(offsets + targets) - offsets
+
+
+def _rescan_blocks(
+    sorted_keys: np.ndarray, positions: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Stable-sort ``keys``, the keys at ``positions`` (whole source blocks,
+    ascending), and write them back there in ``sorted_keys``.  Returns the
+    positions of all but the first copy of each repeated key, in that sorted
+    order."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    sorted_keys[positions] = keys
+    return positions[order[1:][keys[1:] == keys[:-1]]]
 
 
 def random_undirected_radio_network(

@@ -1,13 +1,14 @@
 """The :class:`RadioNetwork` digraph container.
 
 A :class:`RadioNetwork` stores a directed graph in compressed-sparse-row
-(CSR) form, once for out-edges and once for in-edges, because the simulation
-hot path needs both directions:
+(CSR) form:
 
-* *out*-adjacency (``u -> set of listeners``) to scatter a transmission by
-  ``u`` to everyone who can hear it;
-* *in*-adjacency (``v -> set of stations v can hear``) for analysis
-  (in-degrees, BFS layers from the source, …).
+* the *out*-adjacency (``u -> set of listeners``), which the simulation
+  engine reads to scatter a transmission by ``u`` to everyone who can hear
+  it, is built with the network;
+* the *in*-adjacency (``v -> set of stations v can hear``), which nothing
+  on the simulation path reads, is derived from the out-CSR on first access
+  (for analysis: in-neighbourhoods, reverse reachability, …) and cached.
 
 Edge direction follows the paper's Section 1.2: an edge ``(u, v)`` means a
 message transmitted by ``u`` may be received by ``v``.  Asymmetric links
@@ -101,7 +102,7 @@ class RadioNetwork:
         nothing is checked.  Generators that guarantee this by construction,
         such as :func:`repro.graphs.random_digraph`, use it to skip the
         validation and sorts of ``__init__``.  ``out_indices`` is adopted, not
-        copied, and made read-only.
+        copied, and made read-only; the in-CSR is left to first access.
         """
         net = cls.__new__(cls)
         net._n = n
@@ -109,7 +110,21 @@ class RadioNetwork:
         return net
 
     def _set_csr(self, out_degrees: np.ndarray, out_indices: np.ndarray, name: str) -> None:
-        """Adopt the out-CSR and derive the in-CSR from it: the one CSR builder.
+        """Adopt the out-CSR, the only adjacency built with the network.
+
+        The in-CSR is derived on first access by :meth:`_build_in_csr`: the
+        engine and the samplers read only the out-CSR.
+        """
+        self._out_indptr = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(out_degrees, out=self._out_indptr[1:])
+        self._out_indices = out_indices
+        for arr in (self._out_indptr, self._out_indices):
+            arr.setflags(write=False)
+        self._in_indptr = self._in_indices = None
+        self._name = str(name)
+
+    def _build_in_csr(self) -> None:
+        """Derive and cache the in-CSR from the out-CSR: the one in-CSR builder.
 
         The rows of the out-CSR list sources in ascending order, so one stable
         argsort of the targets orders the edges by (target, source).  When
@@ -117,17 +132,14 @@ class RadioNetwork:
         numpy sorts stably with a radix sort — the same permutation, faster.
         """
         n = self._n
-        sources = np.repeat(np.arange(n, dtype=np.int32), out_degrees)
-        key = out_indices.astype(np.uint16) if n <= 1 << 16 else out_indices
-        self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_degrees, out=self._out_indptr[1:])
-        self._out_indices = out_indices
-        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(out_indices, minlength=n), out=self._in_indptr[1:])
-        self._in_indices = sources[np.argsort(key, kind="stable")]
-        for arr in (self._out_indptr, self._out_indices, self._in_indptr, self._in_indices):
+        sources = np.repeat(np.arange(n, dtype=np.int32), self.out_degrees())
+        key = self._out_indices.astype(np.uint16) if n <= 1 << 16 else self._out_indices
+        in_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.in_degrees(), out=in_indptr[1:])
+        in_indices = sources[np.argsort(key, kind="stable")]
+        for arr in (in_indptr, in_indices):
             arr.setflags(write=False)
-        self._name = str(name)
+        self._in_indptr, self._in_indices = in_indptr, in_indices
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -164,12 +176,16 @@ class RadioNetwork:
 
     @property
     def in_indptr(self) -> np.ndarray:
-        """CSR row pointer of the in-adjacency (read-only)."""
+        """CSR row pointer of the in-adjacency (read-only; built on first use)."""
+        if self._in_indptr is None:
+            self._build_in_csr()
         return self._in_indptr
 
     @property
     def in_indices(self) -> np.ndarray:
-        """CSR column indices of the in-adjacency (read-only)."""
+        """CSR column indices of the in-adjacency (read-only; built on first use)."""
+        if self._in_indices is None:
+            self._build_in_csr()
         return self._in_indices
 
     # ------------------------------------------------------------------ #
@@ -181,7 +197,7 @@ class RadioNetwork:
 
     def in_degrees(self) -> np.ndarray:
         """Array of in-degrees (how many stations each node can hear)."""
-        return np.diff(self._in_indptr)
+        return np.bincount(self._out_indices, minlength=self._n)
 
     def out_neighbors(self, node: int) -> np.ndarray:
         """Nodes that can hear ``node``."""
@@ -191,7 +207,8 @@ class RadioNetwork:
     def in_neighbors(self, node: int) -> np.ndarray:
         """Nodes that ``node`` can hear."""
         node = check_node_index(node, self._n)
-        return self._in_indices[self._in_indptr[node] : self._in_indptr[node + 1]]
+        indptr = self.in_indptr
+        return self.in_indices[indptr[node] : indptr[node + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff a transmission by ``u`` can reach ``v``."""

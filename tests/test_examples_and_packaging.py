@@ -5,6 +5,7 @@ arguments) in a subprocess guards against bit-rot in the public API they
 exercise.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,32 @@ class TestPackaging:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "group, package",
+        [
+            ("dependencies", "numpy"),
+            # The geometric families import it (lazily).
+            ("dependencies", "scipy"),
+            ("test", "pytest"),
+            # Imported at module level by the property-based and store tests.
+            ("test", "hypothesis"),
+            # Imported by the RadioNetwork interop tests.
+            ("test", "networkx"),
+        ],
+    )
+    def test_dependency_declared(self, group, package):
+        """What the code and the tier-1 tests import is declared, so
+        ``pip install -e ".[test]"`` is enough to run the suite."""
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
+        requirements = (
+            project["dependencies"]
+            if group == "dependencies"
+            else project["optional-dependencies"][group]
+        )
+        names = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in requirements}
+        assert package in names
 
     def test_public_packages_importable(self):
         import repro.analysis

@@ -1,6 +1,7 @@
 """Tests for the random-digraph generators."""
 
 import hashlib
+import importlib
 import json
 import math
 
@@ -18,6 +19,10 @@ from repro.graphs.random_digraph import (
     random_undirected_radio_network,
 )
 from repro.radio.network import RadioNetwork
+
+# The module itself: the package re-exports ``random_digraph`` the function
+# under the same name.
+random_digraph_module = importlib.import_module("repro.graphs.random_digraph")
 
 
 class TestRandomDigraph:
@@ -238,6 +243,73 @@ class TestDistinctTargetsAgainstFullScan:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+
+class _DrawSpy(np.random.Generator):
+    """A generator that keeps the binomial counts and every ``integers`` draw."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.counts = None
+        self.draws = []
+
+    def binomial(self, *args, **kwargs):
+        self.counts = super().binomial(*args, **kwargs)
+        return self.counts
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.draws.append(out.copy())
+        return out
+
+
+class TestBlockLocalRescans:
+    """After the first value sort, every rejection round sorts only the keys
+    of source blocks that held a clash (first round) or were just redrawn
+    (later rounds).  Counted on the rescan helper; no timing."""
+
+    def test_rescans_only_touch_clashing_or_redrawn_blocks(self, monkeypatch):
+        calls = []
+        rescan = random_digraph_module._rescan_blocks
+
+        def counting_rescan(sorted_keys, positions, keys):
+            redraw = rescan(sorted_keys, positions, keys)
+            calls.append((positions.copy(), keys.size, redraw.copy()))
+            return redraw
+
+        monkeypatch.setattr(random_digraph_module, "_rescan_blocks", counting_rescan)
+        n = 8192
+        generator = _DrawSpy(0)
+        random_digraph(n, connectivity_threshold_probability(n), rng=generator)
+
+        counts = generator.counts
+        total = int(counts.sum())
+        sources = np.repeat(np.arange(n), counts)
+        starts = np.cumsum(counts) - counts
+        keys, copies = np.unique(
+            sources * (n - 1) + generator.draws[0], return_counts=True
+        )
+        clashing = np.unique(keys[copies > 1] // (n - 1))
+        # One rescan per rejection round: each round that redraws, then the
+        # one that finds every block distinct.
+        assert len(calls) == len(generator.draws) >= 3
+        expected_blocks = clashing
+        for (positions, sorted_count, redraw), drawn in zip(
+            calls, generator.draws[1:] + [np.empty(0)]
+        ):
+            blocks = np.unique(sources[positions])
+            np.testing.assert_array_equal(blocks, expected_blocks)
+            # Whole blocks, nothing else, in ascending position order.
+            want = np.concatenate(
+                [np.arange(starts[u], starts[u] + counts[u]) for u in blocks]
+            )
+            np.testing.assert_array_equal(positions, want)
+            assert sorted_count == positions.size
+            assert redraw.size == drawn.size
+            expected_blocks = np.unique(sources[redraw])
+        # About one block in six clashes here, so no rescan comes near a
+        # full scan of the keys.
+        assert max(sorted_count for _, sorted_count, _ in calls) < 0.2 * total
 
 
 class TestRandomUndirected:

@@ -1,9 +1,16 @@
 """Tests for repro.radio.network.RadioNetwork."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.experiments.protocols import ProtocolSpec
+from repro.graphs.builders import GraphSpec
+from repro.graphs.properties import degree_statistics
+from repro.graphs.random_digraph import random_digraph
 from repro.radio.network import RadioNetwork
+from repro.scenarios import SweepCell, SweepGrid, run_grid
 
 
 class TestConstruction:
@@ -174,3 +181,108 @@ class TestCsrAgainstLexsort:
             np.testing.assert_array_equal(indptr, want_indptr)
             np.testing.assert_array_equal(indices, cols[order])
         assert net.num_edges == len(pairs)
+
+
+@pytest.fixture
+def csr_builds(monkeypatch):
+    """Counts networks given an out-CSR and in-CSRs derived, process-wide."""
+    counts = {"networks": 0, "in_csr": 0}
+    set_csr, build_in_csr = RadioNetwork._set_csr, RadioNetwork._build_in_csr
+
+    def counting_set_csr(self, *args):
+        counts["networks"] += 1
+        set_csr(self, *args)
+
+    def counting_build_in_csr(self):
+        counts["in_csr"] += 1
+        build_in_csr(self)
+
+    monkeypatch.setattr(RadioNetwork, "_set_csr", counting_set_csr)
+    monkeypatch.setattr(RadioNetwork, "_build_in_csr", counting_build_in_csr)
+    return counts
+
+
+def _assert_in_csr_matches_reverse(net):
+    """The in-CSR of a network is the out-CSR of its reverse."""
+    rev = RadioNetwork(net.n, (net.edge_list()[:, 1], net.edge_list()[:, 0]))
+    for got, want in ((net.in_indptr, rev.out_indptr), (net.in_indices, rev.out_indices)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class TestLazyInCsr:
+    """The in-CSR is derived on first access only; nothing on the sampling
+    or simulation path asks for it."""
+
+    def test_random_digraph_builds_no_in_csr(self, csr_builds):
+        random_digraph(500, 0.05, rng=1)
+        random_digraph(40, 0.97, rng=2)
+        assert csr_builds == {"networks": 2, "in_csr": 0}
+
+    def test_exact_sweep_builds_no_in_csr(self, csr_builds):
+        graph = GraphSpec("gnp", {"n": 64, "p": 0.15})
+        grid = SweepGrid(
+            cells=(
+                SweepCell(
+                    coords={"protocol": "algorithm1"},
+                    graph=graph,
+                    protocol=ProtocolSpec("algorithm1", {"p": 0.15}),
+                    repetitions=3,
+                ),
+                SweepCell(
+                    coords={"protocol": "decay"},
+                    graph=graph,
+                    protocol=ProtocolSpec("decay", {}),
+                    repetitions=3,
+                ),
+            )
+        )
+        results = run_grid(
+            grid, seed=0, metrics=("success",), store=False, batch_mode="exact"
+        )
+        assert len(results) == 2
+        assert csr_builds["networks"] >= 6
+        assert csr_builds["in_csr"] == 0
+
+    def test_degree_queries_build_no_in_csr(self, csr_builds):
+        net = random_digraph(300, 0.05, rng=3)
+        ref = RadioNetwork(net.n, net.edge_list())
+        in_deg = net.in_degrees()
+        stats = degree_statistics(net)
+        assert csr_builds["in_csr"] == 0
+        assert in_deg.dtype == np.int64
+        np.testing.assert_array_equal(in_deg, np.diff(ref.in_indptr))
+        assert stats.mean_in == pytest.approx(net.num_edges / net.n)
+        assert stats.max_in == int(in_deg.max())
+
+    def test_first_access_builds_once_read_only(self, csr_builds):
+        net = random_digraph(300, 0.05, rng=4)
+        indptr, indices = net.in_indptr, net.in_indices
+        net.in_neighbors(7)
+        assert net.in_indptr is indptr and net.in_indices is indices
+        assert csr_builds["in_csr"] == 1
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        _assert_in_csr_matches_reverse(net)
+
+    def test_in_neighbors_first(self):
+        net = random_digraph(200, 0.05, rng=5)
+        for v in (0, 17, 199):
+            want = sorted(u for u, w in net.edge_list().tolist() if w == v)
+            assert net.in_neighbors(v).tolist() == want
+
+    @pytest.mark.parametrize("materialise", [False, True])
+    def test_pickle_round_trip(self, materialise):
+        net = random_digraph(200, 0.05, rng=6, name="g")
+        if materialise:
+            net.in_indices
+        back = pickle.loads(pickle.dumps(net))
+        assert back == net and back.name == "g"
+        _assert_in_csr_matches_reverse(back)
+        for got, want in ((back.in_indptr, net.in_indptr), (back.in_indices, net.in_indices)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_network(self):
+        net = RadioNetwork(4, np.empty((0, 2), dtype=np.int64))
+        assert net.in_degrees().tolist() == [0, 0, 0, 0]
+        assert net.in_indptr.tolist() == [0] * 5
+        assert net.in_indices.size == 0
