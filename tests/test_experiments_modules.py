@@ -6,10 +6,48 @@ module allows it.  The full ``quick``-scale outputs are produced by the
 benchmark suite (one bench per experiment) and recorded in EXPERIMENTS.md.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.results import ExperimentResult
+
+#: sha256 of each probe experiment's quick-scale table at seed 0 (see
+#: :func:`_table_digest`).  These experiments measure through probe cells;
+#: a change to how probes execute must leave every table bit-identical.
+PROBE_TABLE_DIGESTS = {
+    "E2": "1d66deaeb793678137cde19c345e6d0cb0a59957e18c279532b429a8c4307ff8",
+    "E7": "644cc953038cf063bc6e0918eb11bddbe0de0cf0853e1caeefb2ffc152635f72",
+    "E8": "d434f59cbebe45c7e9cc6dccc0c84d869c513db25a73cbbd7f35e4209fd2275b",
+    "E10": "f562b2e0a835a764c9f1a5d63ef8324e3578cea3dbbc3cd00f8584471dcc3444",
+    "E13": "0a3c9de46a0f76d29cc4f7b01bcf963768ab6f696a9a154f409692960a641ea1",
+}
+
+
+def _bits(value):
+    """``value`` with every float spelled as ``float.hex`` (exact bits)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _table_digest(result: ExperimentResult) -> str:
+    payload = result.as_dict()
+    body = json.dumps(
+        {"columns": _bits(payload["columns"]), "rows": _bits(payload["rows"])},
+        sort_keys=True,
+    )
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("experiment_id", sorted(PROBE_TABLE_DIGESTS))
+def test_probe_experiment_tables_are_pinned(experiment_id):
+    result = run_experiment(experiment_id, scale="quick", seed=0)
+    assert _table_digest(result) == PROBE_TABLE_DIGESTS[experiment_id]
 
 
 @pytest.mark.parametrize("experiment_id", ["E7", "E9"])
