@@ -54,9 +54,9 @@ backend per workload (:mod:`repro.radio.nodesets`) and runs the compiled
 collision kernel when numba is importable, the bit-identical numpy path
 otherwise (:mod:`repro.radio.kernels`).  In-process exact-mode sweeps run
 as one continuous batch (live-trial retirement, batch compaction and
-refill); ``--watermark FRAC`` sets the occupancy below which it refills.
-An unknown experiment id, a missing ``--grid`` file or a bad
-``--watermark`` / ``--env`` value is a usage error.
+refill).  Probe cells run their trials on the same batch engine.  An
+unknown experiment id, a missing or invalid ``--grid`` file or a bad
+``--env`` value is a usage error.
 
 Caching flags: ``--resume`` turns the result store on for ``run`` / ``chart``
 / ``report`` (they default to uncached), ``--cache-dir DIR`` picks the store
@@ -74,6 +74,7 @@ or store digest.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -110,15 +111,6 @@ def _add_execution_flags(
         "statistically identical to the serial engine) or 'exact' "
         "(bit-identical to it) "
         f"[default: {batch_mode_default}]",
-    )
-    parser.add_argument(
-        "--watermark",
-        type=float,
-        default=0.75,
-        metavar="FRAC",
-        help="occupancy fraction below which the continuous batch of an "
-        "in-process exact-mode sweep compacts and refills, in (0, 1] "
-        "[default: 0.75]",
     )
     parser.add_argument(
         "--env",
@@ -393,10 +385,8 @@ def _command_chart(args: argparse.Namespace) -> int:
 
 def _command_sweep_grid(args: argparse.Namespace, store: Optional[ResultStore]) -> int:
     """Run a serialised scenario / grid file through the streaming pipeline."""
-    import json
-
     from repro.analysis.tables import format_table
-    from repro.scenarios import ScenarioSpec, SweepGrid, run_grid, run_scenario
+    from repro.scenarios import ScenarioSpec, run_grid, run_scenario
     from repro.scenarios.runtime import results_table
 
     # Grid files may reference experiment-registered probes/metrics
@@ -404,25 +394,16 @@ def _command_sweep_grid(args: argparse.Namespace, store: Optional[ResultStore]) 
     # the experiment modules here to populate those registries.
     all_experiments()
 
-    payload = json.loads(Path(args.grid).read_text())
-    if "scenario_id" in payload:
-        spec = ScenarioSpec.from_dict(payload)
-        print(f"[grid] scenario {spec.scenario_id} ({spec.digest()[:12]}…), "
-              f"{len(spec.grid)} cells / {spec.grid.total_trials} trials")
-        results = run_scenario(spec, processes=args.processes, store=store)
+    grid = args.grid_spec
+    if isinstance(grid, ScenarioSpec):
+        print(f"[grid] scenario {grid.scenario_id} ({grid.digest()[:12]}…), "
+              f"{len(grid.grid)} cells / {grid.grid.total_trials} trials")
+        results = run_scenario(grid, processes=args.processes, store=store)
     else:
-        grid = SweepGrid.from_dict(payload)
         print(f"[grid] {len(grid)} cells / {grid.total_trials} trials "
               f"({grid.digest()[:12]}…)")
-        metrics = tuple(getattr(args, "metrics", None) or ())
-        if not metrics and any(cell.metrics is None for cell in grid):
-            raise SystemExit(
-                "a bare grid file carries no metric set; wrap it in a "
-                "ScenarioSpec (with 'metrics'), give every cell its own, "
-                "or pass --metrics"
-            )
         results = run_grid(
-            grid, seed=args.seed, metrics=metrics,
+            grid, seed=args.seed, metrics=tuple(args.metrics or ()),
             processes=args.processes, store=store,
         )
     columns, rows = results_table(results)
@@ -510,8 +491,6 @@ def _command_cache(args: argparse.Namespace) -> int:
 
 
 def _command_telemetry(args: argparse.Namespace) -> int:
-    import json
-
     from repro.telemetry import fold_trace, load_trace, render_summary
 
     try:
@@ -581,8 +560,9 @@ def _command_report(args: argparse.Namespace, store: Optional[ResultStore]) -> i
 def _check_targets(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject unknown experiment ids and a missing grid file as usage errors,
-    before any work starts."""
+    """Reject unknown experiment ids and a missing or invalid grid file as
+    usage errors, before any work starts (a valid grid is kept on
+    ``args.grid_spec``)."""
     ids = list(getattr(args, "experiments", None) or [])
     experiment = getattr(args, "experiment", None)
     # ``run`` and ``sweep`` also take ``all``; ``chart`` needs one id.
@@ -594,8 +574,24 @@ def _check_targets(
         except ValueError as exc:
             parser.error(str(exc))
     grid = getattr(args, "grid", None)
-    if grid is not None and not grid.is_file():
+    if grid is None:
+        return
+    if not grid.is_file():
         parser.error(f"grid file {str(grid)!r} does not exist")
+    from repro.scenarios import ScenarioSpec, SweepGrid
+
+    try:
+        payload = json.loads(grid.read_text())
+        loader = ScenarioSpec if "scenario_id" in payload else SweepGrid
+        args.grid_spec = loader.from_dict(payload)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        parser.error(f"invalid grid file {str(grid)!r}: {exc}")
+    bare = isinstance(args.grid_spec, SweepGrid) and not args.metrics
+    if bare and any(cell.metrics is None for cell in args.grid_spec):
+        parser.error(
+            "a bare grid file carries no metric set; wrap it in a ScenarioSpec "
+            "(with 'metrics'), give every cell its own, or pass --metrics"
+        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -609,7 +605,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         execution_kwargs = dict(
             batch_mode=args.batch_mode,
             store=store,
-            watermark=args.watermark,
         )
         try:
             if args.env is not None:

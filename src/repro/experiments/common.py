@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.analysis.statistics import SummaryStatistics
 from repro.graphs.random_digraph import connectivity_threshold_probability
+from repro.radio.batch import BatchEngine, BatchProtocol
+from repro.radio.network import RadioNetwork
 
 __all__ = [
     "pick",
@@ -16,6 +20,7 @@ __all__ = [
     "stat_mean",
     "log2n",
     "execution_provenance",
+    "gadget_broadcast_samples",
 ]
 
 
@@ -93,3 +98,34 @@ def stat_mean(value) -> Optional[float]:
 def log2n(n: int) -> float:
     """``log2 n`` clamped to at least 1 (the paper's log factors are >= 1)."""
     return max(1.0, math.log2(max(2, n)))
+
+
+def gadget_broadcast_samples(
+    network: RadioNetwork,
+    protocol: BatchProtocol,
+    generators: Sequence[np.random.Generator],
+    *,
+    metric: str,
+    nodes: np.ndarray,
+    reduce: Callable[[np.ndarray], float],
+    max_rounds: Optional[int] = None,
+    run_to_quiescence: bool = False,
+) -> Iterator[Dict[str, object]]:
+    """Per-trial samples of a broadcast on one fixed gadget network.
+
+    One exact-mode batch-engine run covers every trial: trial ``t`` draws
+    from ``generators[t]``, so it is bit-identical to a serial run with that
+    generator.  Each sample holds ``success``; a completed trial adds
+    ``rounds`` and ``metric``, its per-node transmissions over ``nodes``
+    folded by ``reduce`` (``np.sum`` or ``np.mean``).
+    """
+    engine = BatchEngine(keep_arrays=True, run_to_quiescence=run_to_quiescence)
+    for trace in engine.run(
+        network, protocol, rngs=generators, trials=len(generators),
+        max_rounds=max_rounds,
+    ):
+        sample: Dict[str, object] = {"success": float(trace.completed)}
+        if trace.completed:
+            sample["rounds"] = float(trace.completion_round)
+            sample[metric] = float(reduce(trace.per_node_transmissions[nodes]))
+        yield sample

@@ -16,16 +16,15 @@ construction's node indices, so each swept ``q`` is a probe cell.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro._util.rng import spawn_generators
-from repro.core.oblivious import TimeInvariantBroadcast
-from repro.experiments.common import pick
+from repro.core.oblivious import BatchTimeInvariantBroadcast
+from repro.experiments.common import gadget_broadcast_samples, pick
 from repro.experiments.results import ExperimentResult
 from repro.graphs.lowerbound import theorem44_network
-from repro.radio.engine import SimulationEngine
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, register_probe, run_scenario
 
 EXPERIMENT_ID = "E10"
@@ -58,19 +57,15 @@ def _linear_budget_probe(params, seed, repetitions) -> Iterator[dict]:
     _, diameter = _network_parameters(n_param)
     network, structure = theorem44_network(n_param, diameter, return_structure=True)
     budget = int(math.ceil(_TIME_BUDGET_CONSTANT * network.n))
-    leaves = np.concatenate(structure.star_leaves)
-    generators = spawn_generators(seed + int(q * 10_000), repetitions)
-    for rep in range(repetitions):
-        protocol = TimeInvariantBroadcast(q, source=structure.source)
-        engine = SimulationEngine(keep_arrays=True)
-        result = engine.run(network, protocol, rng=generators[rep], max_rounds=budget)
-        sample: Dict[str, object] = {"success": float(result.completed)}
-        if result.completed:
-            sample["rounds"] = float(result.completion_round)
-            sample["leaf_tx"] = float(
-                result.per_node_transmissions[leaves].mean()
-            )
-        yield sample
+    return gadget_broadcast_samples(
+        network,
+        BatchTimeInvariantBroadcast(q, source=structure.source),
+        spawn_generators(seed + int(q * 10_000), repetitions),
+        metric="leaf_tx",
+        nodes=np.concatenate(structure.star_leaves),
+        reduce=np.mean,
+        max_rounds=budget,
+    )
 
 
 def scenario(scale: str = "quick", seed: int = 0) -> ScenarioSpec:

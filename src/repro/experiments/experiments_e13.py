@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro._util.rng import spawn_generators
-from repro.baselines.decay import DecayBroadcast
-from repro.core.broadcast_general import KnownDiameterBroadcast
-from repro.core.broadcast_random import EnergyEfficientBroadcast
+from repro.baselines.decay import BatchDecayBroadcast
+from repro.core.broadcast_general import BatchKnownDiameterBroadcast
+from repro.core.broadcast_random import BatchEnergyEfficientBroadcast
 from repro.experiments.common import pick
 from repro.experiments.results import ExperimentResult
 from repro.graphs.geometric import (
@@ -35,7 +35,7 @@ from repro.graphs.geometric import (
     heterogeneous_geometric_digraph,
 )
 from repro.graphs.properties import diameter_estimate, is_strongly_connected
-from repro.radio.engine import SimulationEngine
+from repro.radio.batch import BatchEngine
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, register_probe, run_scenario
 
 EXPERIMENT_ID = "E13"
@@ -77,6 +77,7 @@ def _geometric_probe(params, seed, repetitions) -> Iterator[dict]:
         + (1 if topology == "geometric" else 2)
     )
     generators = spawn_generators(sub_seed, 3 * repetitions)
+    engine = BatchEngine(run_to_quiescence=True)
     for rep in range(repetitions):
         graph_rng = generators[3 * rep]
         network = build(graph_rng)
@@ -87,14 +88,14 @@ def _geometric_probe(params, seed, repetitions) -> Iterator[dict]:
         diameter = diameter_estimate(network, rng=generators[3 * rep + 1])
         p_eff = max(network.out_degrees().mean() / n, 1.0 / n)
         protocols = {
-            "algorithm1 (p_eff)": EnergyEfficientBroadcast(p_eff),
-            "algorithm3": KnownDiameterBroadcast(max(1, diameter)),
-            "decay": DecayBroadcast(),
+            "algorithm1 (p_eff)": BatchEnergyEfficientBroadcast(p_eff),
+            "algorithm3": BatchKnownDiameterBroadcast(max(1, diameter)),
+            "decay": BatchDecayBroadcast(),
         }
         sample: Dict[str, object] = {}
         for name, protocol in protocols.items():
-            engine = SimulationEngine(run_to_quiescence=True)
-            result = engine.run(network, protocol, rng=generators[3 * rep + 2])
+            # One generator serves the three protocols in turn.
+            (result,) = engine.run([network], protocol, rngs=[generators[3 * rep + 2]])
             sample[f"{name}/success"] = float(result.completed)
             sample[f"{name}/rounds"] = (
                 float(result.completion_round) if result.completed else None

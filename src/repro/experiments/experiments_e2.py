@@ -24,11 +24,11 @@ import numpy as np
 
 from repro._util.rng import spawn_generators
 from repro.analysis.concentration import check_phase1_growth
-from repro.core.broadcast_random import EnergyEfficientBroadcast
+from repro.core.broadcast_random import BatchEnergyEfficientBroadcast
 from repro.experiments.common import pick, sparse_p, threshold_p
 from repro.experiments.results import ExperimentResult
 from repro.graphs.random_digraph import random_digraph
-from repro.radio.engine import SimulationEngine
+from repro.radio.batch import BatchEngine
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, register_probe, run_scenario
 
 EXPERIMENT_ID = "E2"
@@ -50,31 +50,28 @@ def _phase_growth_probe(params, seed, repetitions) -> Iterator[dict]:
     n = params["n"]
     p = params["p"]
     generators = spawn_generators(seed, 2 * repetitions)
+    engine = BatchEngine(record_rounds=True)
     for rep in range(repetitions):
-        graph_rng = generators[2 * rep]
-        protocol_rng = generators[2 * rep + 1]
-        network = random_digraph(n, p, rng=graph_rng)
-        protocol = EnergyEfficientBroadcast(p)
-        engine = SimulationEngine(record_rounds=True)
-        result = engine.run(network, protocol, rng=protocol_rng)
-        history = protocol.active_history
-        check = check_phase1_growth(history, protocol.T, protocol.d)
+        # One trial per run: stacking the n-node samples raises peak memory.
+        network = random_digraph(n, p, rng=generators[2 * rep])
+        protocol = BatchEnergyEfficientBroadcast(p)
+        (trace,) = engine.run([network], protocol, rngs=[generators[2 * rep + 1]])
+        # The protocol's schedule and this trial's phase history.
+        meta = trace.metadata
+        check = check_phase1_growth(meta["active_history"], meta["T"], meta["d"])
         sample: Dict[str, object] = {
-            "success": float(result.completed),
+            "success": float(trace.completed),
             "log_growth": [
                 math.log(g) for g in check.normalized_growth.tolist() if g > 0
             ],
             "phase1_ratio": float(check.phase1_ratio),
-            "T": float(protocol.T),
+            "T": float(meta["T"]),
         }
         # Informed fraction right after Phase 2 (or after Phase 1 when
         # Phase 2 is skipped): use the per-round informed curve.
-        curve = result.informed_curve()
-        boundary = (
-            protocol.phase2_round + 1
-            if protocol.phase2_round is not None
-            else protocol.T
-        )
+        curve = trace.informed_curve()
+        phase2_round = meta["phase2_round"]
+        boundary = phase2_round + 1 if phase2_round is not None else meta["T"]
         boundary = min(boundary, curve.size) - 1
         sample["phase2_fraction"] = (
             float(curve[boundary]) / n if boundary >= 0 else None

@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional
 
+import numpy as np
+
 from repro._util.rng import spawn_generators
-from repro.core.oblivious import TimeInvariantBroadcast
-from repro.experiments.common import pick
+from repro.core.oblivious import BatchTimeInvariantBroadcast
+from repro.experiments.common import gadget_broadcast_samples, pick
 from repro.experiments.results import ExperimentResult, Series
 from repro.graphs.lowerbound import observation43_network
-from repro.radio.engine import SimulationEngine
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, register_probe, run_scenario
 
 EXPERIMENT_ID = "E7"
@@ -53,18 +54,15 @@ def _relay_tx_probe(params, seed, repetitions) -> Iterator[dict]:
     # Generous horizon: informing a destination takes ~1/(2q(1-q))
     # rounds, so scale the budget accordingly.
     horizon = int(math.ceil(40.0 * log_n / max(2 * q * (1 - q), 1e-6))) + 10
-    generators = spawn_generators(seed + n, repetitions)
-    for rep in range(repetitions):
-        protocol = TimeInvariantBroadcast(q, source=structure.source)
-        engine = SimulationEngine(keep_arrays=True)
-        result = engine.run(network, protocol, rng=generators[rep], max_rounds=horizon)
-        sample: Dict[str, object] = {"success": float(result.completed)}
-        if result.completed:
-            sample["rounds"] = float(result.completion_round)
-            sample["relay_tx"] = float(
-                result.per_node_transmissions[structure.relays].sum()
-            )
-        yield sample
+    return gadget_broadcast_samples(
+        network,
+        BatchTimeInvariantBroadcast(q, source=structure.source),
+        spawn_generators(seed + n, repetitions),
+        metric="relay_tx",
+        nodes=structure.relays,
+        reduce=np.sum,
+        max_rounds=horizon,
+    )
 
 
 def scenario(scale: str = "quick", seed: int = 0) -> ScenarioSpec:

@@ -22,17 +22,16 @@ they run as probe cells (one per swept ``q``, one for the reference point).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro._util.rng import spawn_generators
-from repro.core.broadcast_general import KnownDiameterBroadcast
-from repro.core.oblivious import TimeInvariantBroadcast
-from repro.experiments.common import pick
+from repro.core.broadcast_general import BatchKnownDiameterBroadcast
+from repro.core.oblivious import BatchTimeInvariantBroadcast
+from repro.experiments.common import gadget_broadcast_samples, pick
 from repro.experiments.results import ExperimentResult, Series
 from repro.graphs.lowerbound import theorem44_network
-from repro.radio.engine import SimulationEngine
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, register_probe, run_scenario
 
 EXPERIMENT_ID = "E8"
@@ -59,20 +58,16 @@ def _frontier_probe(params, seed, repetitions) -> Iterator[dict]:
     q = params["q"]
     log_n, diameter = _network_parameters(n_param)
     network, structure = theorem44_network(n_param, diameter, return_structure=True)
-    leaves = np.concatenate(structure.star_leaves)
     horizon = int(math.ceil(80.0 * log_n / max(q, 1e-6))) + 8 * diameter
-    generators = spawn_generators(seed, repetitions)
-    for rep in range(repetitions):
-        protocol = TimeInvariantBroadcast(q, source=structure.source)
-        engine = SimulationEngine(keep_arrays=True)
-        result = engine.run(network, protocol, rng=generators[rep], max_rounds=horizon)
-        sample: Dict[str, object] = {"success": float(result.completed)}
-        if result.completed:
-            sample["rounds"] = float(result.completion_round)
-            sample["leaf_tx"] = float(
-                result.per_node_transmissions[leaves].mean()
-            )
-        yield sample
+    return gadget_broadcast_samples(
+        network,
+        BatchTimeInvariantBroadcast(q, source=structure.source),
+        spawn_generators(seed, repetitions),
+        metric="leaf_tx",
+        nodes=np.concatenate(structure.star_leaves),
+        reduce=np.mean,
+        max_rounds=horizon,
+    )
 
 
 @register_probe("e8.algorithm3_reference")
@@ -81,19 +76,15 @@ def _reference_probe(params, seed, repetitions) -> Iterator[dict]:
     n_param = params["n"]
     _, diameter = _network_parameters(n_param)
     network, structure = theorem44_network(n_param, diameter, return_structure=True)
-    leaves = np.concatenate(structure.star_leaves)
-    generators = spawn_generators(seed + 1, repetitions)
-    for rep in range(repetitions):
-        protocol = KnownDiameterBroadcast(diameter, source=structure.source)
-        engine = SimulationEngine(keep_arrays=True, run_to_quiescence=True)
-        result = engine.run(network, protocol, rng=generators[rep])
-        sample: Dict[str, object] = {"success": float(result.completed)}
-        if result.completed:
-            sample["rounds"] = float(result.completion_round)
-            sample["leaf_tx"] = float(
-                result.per_node_transmissions[leaves].mean()
-            )
-        yield sample
+    return gadget_broadcast_samples(
+        network,
+        BatchKnownDiameterBroadcast(diameter, source=structure.source),
+        spawn_generators(seed + 1, repetitions),
+        metric="leaf_tx",
+        nodes=np.concatenate(structure.star_leaves),
+        reduce=np.mean,
+        run_to_quiescence=True,
+    )
 
 
 def scenario(scale: str = "quick", seed: int = 0) -> ScenarioSpec:

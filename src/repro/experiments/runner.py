@@ -248,13 +248,16 @@ class _ExecutionDefaults:
     batch_mode: str = "fast"
     store: Optional[ResultStore] = None
     environment: Optional[Dict[str, object]] = None
-    watermark: float = 0.75
 
 
 _EXECUTION_DEFAULTS = _ExecutionDefaults()
 
 #: Sentinel distinguishing "leave unchanged" from "set to None (disable)".
 _UNSET = object()
+
+#: Occupancy fraction of ``capacity`` below which a continuous sweep
+#: compacts its live batch and refills it (see :class:`ExecutionPlan`).
+_REFILL_WATERMARK = 0.75
 
 
 def configure_execution(
@@ -269,7 +272,7 @@ def configure_execution(
     watermark: Optional[float] = None,
 ) -> None:
     """Set process-wide execution defaults (the CLI's ``--batch-mode`` /
-    ``--watermark`` / ``--env`` / cache flags land here).
+    ``--env`` / cache flags land here).
 
     ``repeat_job`` / :class:`ExecutionPlan` use these whenever the caller
     does not pass ``batch_mode`` explicitly, so the whole experiment suite
@@ -286,21 +289,20 @@ def configure_execution(
     ``environment`` job option then runs under it.  Pass ``None`` to
     disable; omit the argument to leave the current default unchanged.
 
-    ``watermark`` sets the refill occupancy of the continuous batch that
-    in-process exact-mode sweeps run as (the CLI's ``--watermark`` flag
-    lands here; see :class:`ExecutionPlan`).  The remaining keywords name
-    choices the code makes itself and accept only their automatic value:
-    ``batch=True`` (every sweep runs on the batch engine),
-    ``compaction="auto"`` (when rows move follows from the batch mode),
-    ``state_backend="auto"`` (the engine picks the node-set backend per
-    workload) and ``kernel="auto"`` (compiled collision kernel when numba
-    imports, numpy otherwise).
+    The remaining keywords name choices the code makes itself and accept
+    only their automatic value: ``batch=True`` (every sweep runs on the
+    batch engine), ``compaction="auto"`` (when rows move follows from the
+    batch mode), ``watermark=0.75`` (continuous sweeps refill at a fixed
+    occupancy), ``state_backend="auto"`` (the engine picks the node-set
+    backend per workload) and ``kernel="auto"`` (compiled collision kernel
+    when numba imports, numpy otherwise).
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
     for name, value, accepted, reason in (
         ("batch", batch, True, "every sweep runs on the batch engine"),
         ("compaction", compaction, "auto", "it follows from the batch mode"),
+        ("watermark", watermark, _REFILL_WATERMARK, "the refill point is fixed"),
         ("state_backend", state_backend, "auto", "the engine picks it"),
         ("kernel", kernel, "auto", "it follows from the platform"),
     ):
@@ -311,10 +313,6 @@ def configure_execution(
             )
     if batch_mode is not None:
         updates["batch_mode"] = batch_mode
-    if watermark is not None:
-        if not 0.0 < watermark <= 1.0:
-            raise ValueError(f"watermark must be in (0, 1], got {watermark}")
-        updates["watermark"] = float(watermark)
     if store is not _UNSET:
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
@@ -524,7 +522,7 @@ class ExecutionPlan:
     An in-process exact-mode sweep without ``record_rounds`` runs as one
     continuous stream (:meth:`~repro.radio.batch.BatchEngine.run_continuous`):
     completed and dead trials retire the round they stop, the live batch is
-    compacted when occupancy drops below ``watermark * capacity``, and freed
+    compacted when occupancy drops below ``0.75 * capacity``, and freed
     rows refill with pending trials — so a sweep whose completion rounds
     vary widely stops being billed for its slowest trial's horizon.  Every
     trial is bit-identical to the per-shard path, so this never changes
@@ -545,7 +543,6 @@ class ExecutionPlan:
     store: Optional[ResultStore] = None
     queue: Optional[JobQueue] = None
     shard_count: Optional[int] = None
-    watermark: float = 0.75
 
     def __post_init__(self) -> None:
         if not self.jobs:
@@ -579,10 +576,6 @@ class ExecutionPlan:
         if self.batch_mode not in ("fast", "exact"):
             raise ValueError(
                 f"batch_mode must be 'fast' or 'exact', got {self.batch_mode!r}"
-            )
-        if not 0.0 < self.watermark <= 1.0:
-            raise ValueError(
-                f"watermark must be in (0, 1], got {self.watermark}"
             )
         if self.shard_count is not None and self.shard_count < 1:
             raise ValueError(
@@ -713,7 +706,7 @@ class ExecutionPlan:
                 pending,
                 lambda: build_batch_protocol(template.protocol),
                 capacity=capacity,
-                watermark=self.watermark,
+                watermark=_REFILL_WATERMARK,
                 max_rounds=template.max_rounds,
                 result_sink=consume,
             )
@@ -952,7 +945,6 @@ def build_repetition_plan(
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
-    watermark: Optional[float] = None,
     **job_options,
 ) -> ExecutionPlan:
     """The :class:`ExecutionPlan` behind :func:`repeat_job`, unexecuted.
@@ -967,8 +959,6 @@ def build_repetition_plan(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if batch_mode is None:
         batch_mode = _EXECUTION_DEFAULTS.batch_mode
-    if watermark is None:
-        watermark = _EXECUTION_DEFAULTS.watermark
     if "environment" not in job_options:
         if _EXECUTION_DEFAULTS.environment is not None:
             job_options["environment"] = _EXECUTION_DEFAULTS.environment
@@ -994,7 +984,6 @@ def build_repetition_plan(
         store=_resolve_store(store),
         queue=queue,
         shard_count=shards,
-        watermark=watermark,
     )
 
 
@@ -1009,7 +998,6 @@ def repeat_job(
     store=None,
     queue: Optional[JobQueue] = None,
     shards: Optional[int] = None,
-    watermark: Optional[float] = None,
     **job_options,
 ) -> List[RunResultTrace]:
     """Run the same (graph, protocol) pair under ``repetitions`` different seeds.
@@ -1053,7 +1041,6 @@ def repeat_job(
         store=store,
         queue=queue,
         shards=shards,
-        watermark=watermark,
         **job_options,
     )
     return plan.execute()

@@ -12,6 +12,9 @@ The loop stops when the protocol reports completion or the round horizon is
 reached.  The horizon exists only as a safety net — every experiment sets it
 comfortably above the bound it is trying to measure so a correct protocol
 never hits it.
+
+This is the single-run API and the tests' reference: every experiment trial
+runs on :class:`~repro.radio.batch.BatchEngine`, bit-identical in exact mode.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ reference model.  Those become **probe cells**: the cell names a probe
 registered here plus its parameters, and the probe generates per-trial
 metric samples directly.
 
-A probe is a generator ``fn(params, seed, repetitions)`` yielding one
-``{metric: value-or-values}`` mapping per trial; the runtime streams each
-yielded sample straight into the cell's accumulators, so probe sweeps are
-memory-flat exactly like job sweeps.  Probes own their rng derivation (they
-reproduce the historical per-experiment seeding, so ported experiments keep
-their numbers); determinism in ``(params, seed)`` is part of the contract.
+A probe is a callable ``fn(params, seed, repetitions)`` returning an
+iterator of one ``{metric: value-or-values}`` mapping per trial; the runtime
+streams each sample straight into the cell's accumulators.  Probes own their
+rng derivation (they reproduce the historical per-experiment seeding, so
+ported experiments keep their numbers); determinism in ``(params, seed)`` is
+part of the contract.  A probe that runs a protocol runs it on the
+:class:`~repro.radio.batch.BatchEngine` in exact mode (one generator per
+trial), like job cells, so its runs are traced like theirs.
 """
 
 from __future__ import annotations

@@ -272,7 +272,6 @@ def _run_cell_impl(
     store=None,
     batch_mode: Optional[str] = None,
     shards: Optional[int] = None,
-    watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
 ) -> CellResult:
     metric_names = tuple(cell.metrics if cell.metrics is not None else metrics)
@@ -307,7 +306,6 @@ def _run_cell_impl(
         batch_mode=batch_mode,
         store=store,
         shards=shards,
-        watermark=watermark,
         **cell.job_options,
     )
     context = plan.cache_context()
@@ -494,7 +492,6 @@ def run_grid(
     store=None,
     batch_mode: Optional[str] = None,
     shards: Optional[int] = None,
-    watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
     telemetry_label: Optional[str] = None,
 ) -> List[CellResult]:
@@ -516,7 +513,6 @@ def run_grid(
                 store=store,
                 batch_mode=batch_mode,
                 shards=shards,
-                watermark=watermark,
                 sketch_capacity=sketch_capacity,
             )
             for cell in cells
@@ -587,15 +583,14 @@ def run_scenario(
     store=None,
     batch_mode: Optional[str] = None,
     shards: Optional[int] = None,
-    watermark: Optional[float] = None,
     sketch_capacity: int = 1024,
 ) -> List[CellResult]:
     """Execute a scenario: its grid, under its seed and metric set.
 
     Execution knobs left at ``None`` fall back to the process-wide defaults
     (:func:`~repro.experiments.runner.configure_execution`), exactly like
-    ``repeat_job`` — so the CLI's ``--batch-mode`` / ``--watermark`` /
-    ``--env`` / cache flags govern scenario sweeps too.
+    ``repeat_job`` — so the CLI's ``--batch-mode`` / ``--env`` /
+    cache flags govern scenario sweeps too.
     """
     return run_grid(
         spec.grid,
@@ -605,7 +600,6 @@ def run_scenario(
         store=store,
         batch_mode=batch_mode,
         shards=shards,
-        watermark=watermark,
         sketch_capacity=sketch_capacity,
         telemetry_label=spec.scenario_id,
     )

@@ -88,13 +88,11 @@ class SweepCell:
     def __post_init__(self) -> None:
         if self.kind not in ("jobs", "probe"):
             raise ValueError(f"cell kind must be 'jobs' or 'probe', got {self.kind!r}")
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.kind == "jobs":
             if self.graph is None or self.protocol is None:
                 raise ValueError("a jobs cell needs both a graph and a protocol spec")
-            if self.repetitions < 1:
-                raise ValueError(
-                    f"repetitions must be >= 1, got {self.repetitions}"
-                )
             unknown = set(self.job_options) - _JOB_OPTION_KEYS
             if unknown:
                 known = ", ".join(sorted(_JOB_OPTION_KEYS))

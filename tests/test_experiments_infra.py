@@ -195,8 +195,15 @@ class TestRunner:
             ("batch", "require"),
             ("state_backend", "dense"),
             ("kernel", "numpy"),
+            ("watermark", 0.5),
         ],
-        ids=["False", "require", "state_backend-dense", "kernel-numpy"],
+        ids=[
+            "False",
+            "require",
+            "state_backend-dense",
+            "kernel-numpy",
+            "watermark-0.5",
+        ],
     )
     def test_configure_execution_rejects_non_batch(self, name, value):
         # Each keyword names a choice the code makes itself; only its

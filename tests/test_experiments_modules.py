@@ -8,11 +8,14 @@ benchmark suite (one bench per experiment) and recorded in EXPERIMENTS.md.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.experiments
 from repro.experiments import run_experiment
 from repro.experiments.results import ExperimentResult
+from repro.radio.engine import SimulationEngine
 
 #: sha256 of each probe experiment's quick-scale table at seed 0 (see
 #: :func:`_table_digest`).  These experiments measure through probe cells;
@@ -48,6 +51,22 @@ def _table_digest(result: ExperimentResult) -> str:
 def test_probe_experiment_tables_are_pinned(experiment_id):
     result = run_experiment(experiment_id, scale="quick", seed=0)
     assert _table_digest(result) == PROBE_TABLE_DIGESTS[experiment_id]
+
+
+def test_probe_experiments_never_run_the_serial_engine(monkeypatch):
+    # The serial engine is the single-run API and the test oracle; every
+    # experiment trial runs on the batch engine.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an experiment ran the serial SimulationEngine")
+
+    monkeypatch.setattr(SimulationEngine, "run", refuse)
+    for experiment_id in sorted(PROBE_TABLE_DIGESTS):
+        assert run_experiment(experiment_id, scale="quick", seed=0).rows
+    sources = Path(repro.experiments.__file__).parent.glob("experiments_e*.py")
+    for source in sources:
+        text = source.read_text()
+        assert "repro.radio.engine" not in text, source.name
+        assert "SimulationEngine" not in text, source.name
 
 
 @pytest.mark.parametrize("experiment_id", ["E7", "E9"])

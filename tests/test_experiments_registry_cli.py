@@ -8,6 +8,23 @@ from repro.cli import build_parser, main
 from repro.experiments.registry import all_experiments, get_experiment, run_experiment
 
 
+def _probe_scenario_text(*, repetitions=2, kind="probe"):
+    """A one-cell scenario file around an E7 probe cell."""
+    cell = {
+        "kind": kind,
+        "probe": "e7.relay_transmissions",
+        "params": {"n": 32, "q": 0.1},
+        "repetitions": repetitions,
+    }
+    return json.dumps(
+        {
+            "scenario_id": "cli-probe",
+            "metrics": ["success", "relay_tx"],
+            "grid": {"cells": [cell]},
+        }
+    )
+
+
 class TestRegistry:
     def test_all_experiments_listed(self):
         ids = [m.EXPERIMENT_ID for m in all_experiments()]
@@ -74,21 +91,33 @@ class TestCli:
             main([])
 
     @pytest.mark.parametrize(
-        "argv,message",
+        "argv,message,grid",
         [
-            (["run", "E9", "--watermark", "0"], "watermark"),
-            (["run", "E9", "--watermark", "1.5"], "watermark"),
-            (["run", "E9", "--env", "bogus"], "malformed --env entry"),
-            (["run", "E9", "--env", "loss=2"], "rx_loss"),
-            (["run", "E99"], "unknown experiment 'E99'"),
-            (["sweep", "E99"], "unknown experiment 'E99'"),
-            (["chart", "E99"], "unknown experiment 'E99'"),
-            (["report", "--experiments", "E99"], "unknown experiment 'E99'"),
-            (["sweep", "--grid", "missing.json"], "missing.json"),
+            (["run", "E9", "--env", "bogus"], "malformed --env entry", None),
+            (["run", "E9", "--env", "loss=2"], "rx_loss", None),
+            (["run", "E99"], "unknown experiment 'E99'", None),
+            (["sweep", "E99"], "unknown experiment 'E99'", None),
+            (["chart", "E99"], "unknown experiment 'E99'", None),
+            (["report", "--experiments", "E99"], "unknown experiment 'E99'", None),
+            (["sweep", "--grid", "missing.json"], "missing.json", None),
+            (
+                ["sweep", "--grid", "grid.json"],
+                "repetitions must be >= 1",
+                _probe_scenario_text(repetitions=0),
+            ),
+            (
+                ["sweep", "--grid", "grid.json"],
+                "cell kind must be",
+                _probe_scenario_text(kind="mystery"),
+            ),
+            (["sweep", "--grid", "grid.json"], "invalid grid file", "{not json"),
+            (
+                ["sweep", "--grid", "grid.json"],
+                "carries no metric set",
+                json.dumps({"cells": [{"kind": "probe", "probe": "p"}]}),
+            ),
         ],
         ids=[
-            "watermark-0",
-            "watermark-1.5",
             "env-bogus",
             "env-loss-2",
             "run-unknown-id",
@@ -96,19 +125,26 @@ class TestCli:
             "chart-unknown-id",
             "report-unknown-id",
             "sweep-missing-grid",
+            "grid-zero-repetitions",
+            "grid-unknown-kind",
+            "grid-malformed-json",
+            "grid-without-metrics",
         ],
     )
     def test_bad_execution_values_are_usage_errors(
-        self, argv, message, capsys, tmp_path, monkeypatch
+        self, argv, message, grid, capsys, tmp_path, monkeypatch
     ):
         # Nothing may be written on the way to the usage error.
         monkeypatch.chdir(tmp_path)
+        if grid is not None:
+            (tmp_path / "grid.json").write_text(grid)
+        before = sorted(tmp_path.iterdir())
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == before
         assert "Traceback" not in err
 
 
@@ -159,6 +195,17 @@ class TestGridCli:
         assert main(["sweep", "--grid", str(grid), "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "3 already aggregated" in out
+
+    def test_sweep_bare_probe_grid_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bare = json.loads(_probe_scenario_text())["grid"]
+        (tmp_path / "grid.json").write_text(json.dumps(bare))
+        argv = ["sweep", "--grid", "grid.json", "--no-cache"]
+        assert main(argv + ["--metrics", "success", "relay_tx"]) == 0
+        out = capsys.readouterr().out
+        assert "1 cells / 2 trials" in out
+        assert "relay_tx" in out
+        assert "2 trials executed" in out
 
     def test_sweep_without_experiment_or_grid_errors(self):
         with pytest.raises(SystemExit):

@@ -46,6 +46,18 @@ class TestSweepCell:
         with pytest.raises(ValueError, match="kind"):
             SweepCell(kind="mystery")
 
+    @pytest.mark.parametrize("kind", ["jobs", "probe"])
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_repetitions_below_one_rejected(self, kind, repetitions):
+        payload = _jobs_cell().as_dict() if kind == "jobs" else {
+            "kind": "probe",
+            "probe": "e7.relay_transmissions",
+            "params": {"n": 32, "q": 0.1},
+        }
+        payload["repetitions"] = repetitions
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            SweepCell.from_dict(payload)
+
     def test_unknown_job_option_rejected(self):
         with pytest.raises(ValueError, match="unknown job options"):
             _jobs_cell(job_options={"turbo": True})

@@ -323,6 +323,31 @@ class TestEngineRunEvent:
             assert event["refills"] >= 1
 
 
+class TestProbeCellTelemetry:
+    def test_probe_cells_emit_engine_runs(self):
+        # Probe cells run on the batch engine, so they are traced like job
+        # cells: engine.run events hang under each cell span.
+        from repro.experiments.registry import get_experiment, run_experiment
+
+        sink = _memory_pipeline()
+        run_experiment("E7", scale="quick", seed=0)
+        cells = {
+            r["span"]: r["attrs"]["trials"]
+            for r in sink.records
+            if r["type"] == "span_begin" and r["layer"] == "cell"
+        }
+        expected = get_experiment("E7").scenario("quick", 0).grid
+        assert len(cells) == len(expected)
+        traced = {span: 0 for span in cells}
+        for r in sink.records:
+            if r["type"] == "event" and r["name"] == "engine.run":
+                traced[r["parent"]] += r["attrs"]["trials"]
+        assert traced == cells
+        assert sorted(cells.values()) == sorted(
+            cell.repetitions for cell in expected
+        )
+
+
 class TestShardSizeEvents:
     def test_floor_clamp_emits_selection_event(self):
         sink = _memory_pipeline()
