@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, Optional
 
 from repro.analysis.statistics import SummaryStatistics
 from repro.graphs.random_digraph import connectivity_threshold_probability
-from repro.radio.batch import BatchEngine, BatchProtocol
-from repro.radio.network import RadioNetwork
 
 __all__ = [
     "pick",
@@ -101,24 +97,30 @@ def log2n(n: int) -> float:
 
 
 def gadget_broadcast_samples(
-    network: RadioNetwork,
-    protocol: BatchProtocol,
-    generators: Sequence[np.random.Generator],
+    network,
+    protocol,
+    generators,
     *,
     metric: str,
-    nodes: np.ndarray,
-    reduce: Callable[[np.ndarray], float],
+    nodes,
+    reduce,
     max_rounds: Optional[int] = None,
     run_to_quiescence: bool = False,
 ) -> Iterator[Dict[str, object]]:
-    """Per-trial samples of a broadcast on one fixed gadget network.
+    """Per-trial samples of a batched broadcast ``protocol`` on one fixed
+    gadget ``network``.
 
     One exact-mode batch-engine run covers every trial: trial ``t`` draws
     from ``generators[t]``, so it is bit-identical to a serial run with that
     generator.  Each sample holds ``success``; a completed trial adds
-    ``rounds`` and ``metric``, its per-node transmissions over ``nodes``
-    folded by ``reduce`` (``np.sum`` or ``np.mean``).
+    ``rounds`` and ``metric``, its per-node transmissions over the index
+    array ``nodes`` folded by ``reduce`` (``np.sum`` or ``np.mean``).
     """
+    # Imported on first use, like the runner above: importing it at module
+    # top reorders the package's imports, which moves the peak RSS of
+    # allocation-sensitive runs (glibc's dynamic mmap threshold).
+    from repro.radio.batch import BatchEngine
+
     engine = BatchEngine(keep_arrays=True, run_to_quiescence=run_to_quiescence)
     for trace in engine.run(
         network, protocol, rngs=generators, trials=len(generators),
