@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.graphs.geometric import (
     connectivity_radius,
@@ -10,6 +13,92 @@ from repro.graphs.geometric import (
     heterogeneous_geometric_digraph,
 )
 from repro.graphs.properties import is_strongly_connected
+from repro.radio.network import RadioNetwork
+
+
+# --------------------------------------------------------------------------- #
+# cKDTree reference builders: the edge sets the builders must reproduce.
+# --------------------------------------------------------------------------- #
+def _reference_from_positions(positions, radius, name="rgg"):
+    """Symmetric unit-disk edges: ``query_pairs`` mirrored."""
+    positions = np.asarray(positions, dtype=float)
+    pairs = cKDTree(positions).query_pairs(r=radius, output_type="ndarray")
+    edges = np.vstack([pairs, pairs[:, ::-1]]).astype(np.int64)
+    return RadioNetwork(positions.shape[0], edges.reshape(-1, 2), name=name)
+
+
+def _reference_heterogeneous(positions, radii):
+    """Edge ``(u, v)`` whenever ``u`` lies in ``v``'s ball of radius ``radii[v]``."""
+    balls = cKDTree(positions).query_ball_point(positions, r=radii)
+    edges = [(u, v) for v, ball in enumerate(balls) for u in ball if u != v]
+    return RadioNetwork(len(positions), np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+#: E13's sizes (quick 256; full 256, 512, 1024) plus degenerate ones.
+_SIZES = st.sampled_from([1, 2, 3, 17, 256, 512, 1024])
+#: E13's radius factors, plus factors that push the radius past sqrt(2).
+_FACTORS = st.sampled_from([1.25, 1.5, 2.0, 2.5, 3.0, 40.0])
+_SEEDS = st.integers(0, 2**32 - 1)
+#: Coordinates from a short grid give tied x (and y) values and pairs at
+#: exactly the radius; free floats give the generic case.
+_COORD = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+def _radius(n, factor):
+    return factor * connectivity_radius(max(n, 2))
+
+
+class TestCKDTreeIdentity:
+    """Every builder yields exactly the cKDTree edge set, sample for sample."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=_SIZES, factor=_FACTORS, seed=_SEEDS)
+    def test_geometric_digraph(self, n, factor, seed):
+        radius = _radius(n, factor)
+        net, positions = geometric_digraph(
+            n, radius, rng=np.random.default_rng(seed), return_positions=True
+        )
+        assert np.array_equal(positions, np.random.default_rng(seed).random((n, 2)))
+        assert net == _reference_from_positions(positions, radius)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=_SIZES, factor=_FACTORS, seed=_SEEDS)
+    def test_heterogeneous_geometric_digraph(self, n, factor, seed):
+        radius = _radius(n, factor)
+        generator = np.random.default_rng(seed)
+        net, positions = heterogeneous_geometric_digraph(
+            n, 0.7 * radius, 1.3 * radius, rng=generator, return_positions=True
+        )
+        reference = np.random.default_rng(seed)
+        ref_positions = reference.random((n, 2))
+        radii = reference.uniform(0.7 * radius, 1.3 * radius, size=n)
+        assert np.array_equal(positions, ref_positions)
+        assert net == _reference_heterogeneous(ref_positions, radii)
+        # The builder makes exactly the reference's draws, no more.
+        assert generator.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
+        radius=st.one_of(
+            st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.5, 2.0]),
+            st.floats(1e-3, 2.0, allow_nan=False),
+        ),
+        scale=st.sampled_from([1.0, 1e-3, 50.0]),
+        shift=st.sampled_from([0.0, -3.0, 1e4]),
+    )
+    @example(points=[(0.5, 0.5)], radius=0.3, scale=1.0, shift=0.0)
+    @example(points=[(0.3, 0.1), (0.3, 0.9), (0.3, 0.5)], radius=0.4, scale=1.0, shift=0.0)
+    @example(points=[(0.0, 0.0), (1.0, 1.0)], radius=1.5, scale=1.0, shift=0.0)
+    def test_from_positions(self, points, radius, scale, shift):
+        positions = np.asarray(points, dtype=float) * scale + shift
+        radius = radius * scale
+        net = geometric_digraph_from_positions(positions, radius, name="pin")
+        assert net == _reference_from_positions(positions, radius)
+        assert net.name == "pin"
 
 
 class TestGeometricDigraph:

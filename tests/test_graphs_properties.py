@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.properties import (
     bfs_distances,
@@ -12,6 +14,7 @@ from repro.graphs.properties import (
     reachable_from,
     source_eccentricity,
 )
+from repro.graphs.random_digraph import random_digraph
 from repro.graphs.structured import cycle_network, path_network, star_network
 from repro.radio.network import RadioNetwork
 
@@ -56,6 +59,86 @@ class TestEccentricityAndDiameter:
         net = path_network(50)
         est = diameter_estimate(net, exact_threshold=10, samples=8, rng=1)
         assert est >= 25  # sampled estimate is a lower bound, usually exact from endpoints
+
+
+def _reference_diameter(network, sources):
+    """The per-source definition: max eccentricity, first failure raises."""
+    best = 0
+    for source in sources:
+        best = max(best, source_eccentricity(network, int(source)))
+    return best
+
+
+def _outcome(fn):
+    """A call's value, or the exact text of the ``ValueError`` it raised."""
+    try:
+        return ("value", fn())
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+class TestDiameterIdentity:
+    """``diameter_estimate`` equals the per-source definition on random digraphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 70),
+        p=st.floats(0.01, 0.7),
+        graph_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, p=0.01, graph_seed=0)
+    def test_exact_branch(self, n, p, graph_seed):
+        net = random_digraph(n, p, rng=graph_seed)
+        got = _outcome(lambda: diameter_estimate(net))
+        assert got == _outcome(lambda: _reference_diameter(net, range(n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 70),
+        p=st.floats(0.01, 0.7),
+        graph_seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampled_branch(self, n, p, graph_seed, samples, seed):
+        net = random_digraph(n, p, rng=graph_seed)
+        generator = np.random.default_rng(seed)
+        got = _outcome(
+            lambda: diameter_estimate(
+                net, exact_threshold=1, samples=samples, rng=generator
+            )
+        )
+        reference = np.random.default_rng(seed)
+        extra = reference.integers(0, n, size=max(0, samples - 1))
+        sources = np.unique(np.concatenate([[0], extra]))
+        assert got == _outcome(lambda: _reference_diameter(net, sources))
+        # Same generator draws as the reference, whatever the outcome.
+        assert generator.bit_generator.state == reference.bit_generator.state
+
+    def test_disconnected_message_names_first_failing_source(self):
+        # 0 -> 1 -> 2 and an isolated 3: source 0 misses node 3 only.
+        net = RadioNetwork(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError) as exc:
+            diameter_estimate(net)
+        assert str(exc.value) == (
+            "1 nodes are unreachable from source 0; "
+            "broadcast cannot complete on this network"
+        )
+
+    def test_disconnected_sampled_branch_message(self):
+        # Node 0 reaches everything; node 3 reaches only itself and 4.
+        net = RadioNetwork(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        generator = np.random.default_rng(3)
+        state = np.random.default_rng(3)
+        extra = state.integers(0, 5, size=7)
+        first_bad = min(int(s) for s in extra if s != 0)
+        with pytest.raises(ValueError) as exc:
+            diameter_estimate(net, exact_threshold=2, samples=8, rng=generator)
+        assert str(exc.value) == (
+            f"{first_bad} nodes are unreachable from source {first_bad}; "
+            "broadcast cannot complete on this network"
+        )
+        assert generator.bit_generator.state == state.bit_generator.state
 
 
 class TestReachabilityAndConnectivity:
