@@ -1,9 +1,13 @@
 """Graph-property helpers used by the experiments and tests.
 
 Everything here works on the directed :class:`RadioNetwork` CSR arrays
-directly (no networkx in the hot path); :func:`diameter_estimate` optionally
-uses exact all-pairs BFS for small graphs and a sampled double-sweep
-estimate for large ones.
+directly (no networkx in the hot path).  :func:`bfs_distances` and
+:func:`source_eccentricity` are the single-source API.
+:func:`diameter_estimate` runs one bit-parallel BFS from all of its sources
+at once — every source for small graphs (exact), a random sample plus node 0
+for large ones — with each node holding a ``uint64`` bitset over the sources,
+so its cost is one pass over the in-edges per BFS level, not one Python-level
+BFS per source.
 """
 
 from __future__ import annotations
@@ -76,12 +80,15 @@ def source_eccentricity(network: RadioNetwork, source: int) -> int:
     """
     dist = bfs_distances(network, source)
     if np.any(dist < 0):
-        unreachable = int((dist < 0).sum())
-        raise ValueError(
-            f"{unreachable} nodes are unreachable from source {source}; "
-            "broadcast cannot complete on this network"
-        )
+        raise _unreachable_error(int((dist < 0).sum()), source)
     return int(dist.max())
+
+
+def _unreachable_error(unreachable: int, source: int) -> ValueError:
+    return ValueError(
+        f"{unreachable} nodes are unreachable from source {source}; "
+        "broadcast cannot complete on this network"
+    )
 
 
 def reachable_from(network: RadioNetwork, source: int) -> np.ndarray:
@@ -107,27 +114,73 @@ def diameter_estimate(
 ) -> int:
     """Directed diameter (exact for small graphs, sampled lower bound otherwise).
 
-    For ``n <= exact_threshold`` this runs BFS from every node (exact).  For
-    larger graphs it runs BFS from ``samples`` random nodes plus node 0 and
-    returns the largest eccentricity seen — a lower bound that is exact
+    For ``n <= exact_threshold`` the sources are all nodes (exact).  For
+    larger graphs they are ``samples - 1`` random nodes plus node 0, and the
+    result — the largest eccentricity seen — is a lower bound that is exact
     w.h.p. for the highly symmetric families used in the experiments.
 
-    Raises ``ValueError`` if the sampled sources cannot reach every node.
+    Raises ``ValueError`` if a source cannot reach every node, naming the
+    smallest such source (as :func:`source_eccentricity` would).
     """
     n = network.n
     if n <= 1:
         return 0
     if n <= exact_threshold:
-        sources = range(n)
+        sources = np.arange(n, dtype=np.int64)
     else:
         generator = as_generator(rng)
         extra = generator.integers(0, n, size=max(0, samples - 1))
         sources = np.unique(np.concatenate([[0], extra]))
-    best = 0
-    for source in sources:
-        ecc = source_eccentricity(network, int(source))
-        best = max(best, ecc)
-    return best
+    return int(_eccentricities(network, sources).max())
+
+
+def _eccentricities(network: RadioNetwork, sources: np.ndarray) -> np.ndarray:
+    """Eccentricity of each of the ascending ``sources``, by one BFS from all.
+
+    ``reached[v]`` is a bitset over the sources (bit ``i`` of word ``i // 64``
+    for ``sources[i]``) and ``frontier[v]`` holds the bits ``v`` gained at the
+    last level.  Each level ORs the frontier words of every node's
+    in-neighbours; a source's eccentricity is the last level at which its bit
+    was new anywhere.
+    """
+    n, count = network.n, sources.size
+    words = -(-count // 64)
+    bit_word = np.arange(count) // 64
+    bit = np.left_shift(np.uint64(1), (np.arange(count) % 64).astype(np.uint64))
+    reached = np.zeros((n, words), dtype=np.uint64)
+    reached[sources, bit_word] = bit
+    frontier = reached.copy()
+    in_indptr, in_indices = network.in_indptr, network.in_indices
+    # reduceat over an empty row would return the next row's first element,
+    # so only rows with in-edges take part.
+    listens = np.flatnonzero(np.diff(in_indptr))
+    starts = in_indptr[listens]
+    ecc = np.zeros(count, dtype=np.int64)
+    level = 0
+    while listens.size:
+        level += 1
+        fresh = _or_in_neighbours(frontier, in_indices, starts) & ~reached[listens]
+        grew = np.bitwise_or.reduce(fresh, axis=0)
+        if not grew.any():
+            break
+        reached[listens] |= fresh
+        frontier[:] = 0
+        frontier[listens] = fresh
+        ecc[(grew[bit_word] & bit) != 0] = level
+    complete = np.bitwise_and.reduce(reached, axis=0)
+    missing = (complete[bit_word] & bit) == 0
+    if missing.any():
+        i = int(np.argmax(missing))
+        seen = int(np.count_nonzero(reached[:, bit_word[i]] & bit[i]))
+        raise _unreachable_error(n - seen, int(sources[i]))
+    return ecc
+
+
+def _or_in_neighbours(
+    frontier: np.ndarray, in_indices: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """One BFS level: each listening row's OR of its in-neighbours' words."""
+    return np.bitwise_or.reduceat(frontier[in_indices], starts, axis=0)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,48 @@ class TestDiameterIdentity:
         assert generator.bit_generator.state == state.bit_generator.state
 
 
+class TestDiameterWork:
+    """``diameter_estimate`` is one bit-parallel BFS, not one BFS per source."""
+
+    @pytest.mark.parametrize(
+        "network",
+        [cycle_network(40), random_digraph(300, 0.05, rng=5), path_network(70)],
+        ids=["cycle-40", "gnp-300", "path-70"],
+    )
+    @pytest.mark.parametrize("exact_threshold", [600, 1])
+    def test_no_per_source_bfs_and_at_most_d_plus_one_levels(
+        self, network, exact_threshold, monkeypatch
+    ):
+        from repro.graphs import properties
+
+        sources = range(network.n)
+        if exact_threshold < network.n:
+            extra = np.random.default_rng(9).integers(0, network.n, size=15)
+            sources = np.unique(np.concatenate([[0], extra]))
+        diameter = _reference_diameter(network, sources)
+        counts = {"bfs": 0, "levels": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            properties, "bfs_distances", counted("bfs", properties.bfs_distances)
+        )
+        monkeypatch.setattr(
+            properties,
+            "_or_in_neighbours",
+            counted("levels", properties._or_in_neighbours),
+        )
+        got = diameter_estimate(network, exact_threshold=exact_threshold, rng=9)
+        assert got == diameter
+        assert counts["bfs"] == 0
+        assert 1 <= counts["levels"] <= diameter + 1
+
+
 class TestReachabilityAndConnectivity:
     def test_reachable_from(self, tiny_network):
         assert reachable_from(tiny_network, 0).all()
