@@ -15,8 +15,13 @@ implements that extension:
 * :func:`geometric_digraph_from_positions` — build from given positions
   (used by the mobility model in :mod:`repro.radio.dynamics`).
 
-Distance computations use a cKDTree so construction is ``O(n log n + m)``;
-``scipy.spatial`` is imported on first use, not with the package.
+All three share one numpy pair finder, :func:`_pairs_within`: points are
+bucketed into x-strips at least as wide as the largest radius and sorted by
+(strip, y), so each point's candidates are three contiguous runs — strips
+``s - 1 .. s + 1`` over a y-window — and construction stays near-linear for
+the radii used here.  A pair is kept iff ``dx*dx + dy*dy <= reach**2``, the
+same test and arithmetic as a kd-tree query, so the edge sets match one
+exactly.
 """
 
 from __future__ import annotations
@@ -90,18 +95,45 @@ def geometric_digraph_from_positions(
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
     radius = check_positive(radius, "radius")
-    n = positions.shape[0]
-    if n == 1:
-        return RadioNetwork(1, np.empty((0, 2), dtype=np.int64), name=name)
-    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
+    sources, targets = _pairs_within(positions, np.full(positions.shape[0], radius))
+    return RadioNetwork(positions.shape[0], (sources, targets), name=name)
 
-    tree = cKDTree(positions)
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
-    if pairs.size == 0:
-        edges = np.empty((0, 2), dtype=np.int64)
-    else:
-        edges = np.vstack([pairs, pairs[:, ::-1]]).astype(np.int64)
-    return RadioNetwork(n, edges, name=name)
+
+def _pairs_within(positions: np.ndarray, reach: np.ndarray):
+    """Every ordered pair ``(u, v)``, ``u != v``, with ``u`` in ``v``'s reach.
+
+    ``u`` is in reach when ``dx*dx + dy*dy <= reach[v] ** 2``.  That test
+    alone decides; the strips and y-windows only gather candidates, so they
+    are padded by a margin far above any rounding of the coordinates.
+    """
+    n = positions.shape[0]
+    x, y = positions[:, 0], positions[:, 1]
+    span = float(np.abs(positions).max())
+    pad = 1e-9 * (float(reach.max()) + span)
+    reach_max = float(reach.max()) + pad
+    # A floor on the width keeps the strip count (and its key) bounded.
+    width = max(reach_max, 1e-6 * (float(x.max()) - float(x.min())))
+    strip = np.floor((x - x.min()) / width).astype(np.int64)
+    y_sorted = np.sort(y)
+    y_rank = np.empty(n, dtype=np.int64)
+    y_rank[np.argsort(y, kind="stable")] = np.arange(n)
+    # Sorted (strip, y) keys: a strip's points in a y-window form one run.
+    key = strip * (n + 1) + y_rank
+    order = np.argsort(key)
+    key = key[order]
+    low = np.searchsorted(y_sorted, y - reach_max, side="left")
+    high = np.searchsorted(y_sorted, y + reach_max, side="right")
+    offsets = (strip[:, None] + np.arange(-1, 2)) * (n + 1)
+    first = np.searchsorted(key, offsets + low[:, None]).ravel()
+    last = np.searchsorted(key, offsets + high[:, None]).ravel()
+    counts = last - first
+    listener = np.repeat(np.repeat(np.arange(n), 3), counts)
+    run_start = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    speaker = order[run_start + np.arange(int(counts.sum()))]
+    dx = x[speaker] - x[listener]
+    dy = y[speaker] - y[listener]
+    keep = (dx * dx + dy * dy <= reach[listener] ** 2) & (speaker != listener)
+    return speaker[keep], listener[keep]
 
 
 def heterogeneous_geometric_digraph(
@@ -134,29 +166,8 @@ def heterogeneous_geometric_digraph(
     if name is None:
         name = f"rgg-hetero(n={n}, r=[{radius_low:.3g},{radius_high:.3g}])"
 
-    if n == 1:
-        network = RadioNetwork(1, np.empty((0, 2), dtype=np.int64), name=name)
-        return (network, positions) if return_positions else network
-
-    from scipy.spatial import cKDTree  # deferred: scipy.spatial is slow to import
-
-    tree = cKDTree(positions)
-    sources_list = []
-    targets_list = []
-    # For each listener v, every u within radii[v] can be heard by v: edge (u, v).
-    neighbor_lists = tree.query_ball_point(positions, r=radii)
-    for v, neighbours in enumerate(neighbor_lists):
-        for u in neighbours:
-            if u != v:
-                sources_list.append(u)
-                targets_list.append(v)
-    if sources_list:
-        edges = np.column_stack(
-            [np.asarray(sources_list, dtype=np.int64), np.asarray(targets_list, dtype=np.int64)]
-        )
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    network = RadioNetwork(n, edges, name=name)
+    sources, targets = _pairs_within(positions, radii)
+    network = RadioNetwork(n, (sources, targets), name=name)
     if return_positions:
         return network, positions
     return network

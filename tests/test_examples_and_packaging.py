@@ -5,6 +5,7 @@ arguments) in a subprocess guards against bit-rot in the public API they
 exercise.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -57,6 +58,25 @@ class TestExamples:
         assert "churn 25%" in proc.stdout
 
 
+#: Builds both geometric families, measures a diameter and runs E13 with a
+#: meta-path hook that makes every scipy import fail.
+_GEOMETRIC_WITH_SCIPY_BLOCKED = """
+class _BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ImportError(f'{name} is blocked')
+
+sys.meta_path.insert(0, _BlockScipy())
+from repro.cli import main
+from repro.graphs import geometric_digraph, heterogeneous_geometric_digraph
+from repro.graphs.properties import diameter_estimate
+
+assert diameter_estimate(geometric_digraph(300, 0.2, rng=1)) > 1
+heterogeneous_geometric_digraph(300, 0.1, 0.2, rng=2)
+assert main(['run', 'E13', '--scale', 'quick', '--no-cache']) == 0
+"""
+
+
 class TestPackaging:
     def test_version_exposed(self):
         import repro
@@ -75,29 +95,43 @@ class TestPackaging:
         assert proc.returncode == 0, proc.stderr
         assert "E1" in proc.stdout
 
-    @pytest.mark.parametrize("module", ["repro.cli", "repro.scenarios"])
-    def test_import_leaves_scipy_unloaded(self, module):
-        """scipy.spatial is imported only when a geometric graph is built."""
+    @pytest.mark.parametrize(
+        "code",
+        ["import repro.cli", "import repro.scenarios", _GEOMETRIC_WITH_SCIPY_BLOCKED],
+        ids=["repro.cli", "repro.scenarios", "geometric-e13-scipy-blocked"],
+    )
+    def test_import_leaves_scipy_unloaded(self, code, tmp_path):
+        """Nothing outside the tests imports scipy: the CLI and scenario
+        imports leave it unloaded, and both geometric families,
+        ``diameter_estimate`` and a full E13 run work with it blocked."""
         proc = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                f"import sys, {module}; "
+                f"import sys\n{code}\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ],
             capture_output=True,
             text=True,
-            timeout=120,
+            timeout=240,
+            # Run away from the repo, so nothing is written into it.
+            cwd=str(tmp_path),
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(
+                    [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+                ),
+            },
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize(
         "group, package",
         [
             ("dependencies", "numpy"),
-            # The geometric families import it (lazily).
-            ("dependencies", "scipy"),
+            # The cKDTree reference of the geometric builder tests.
+            ("test", "scipy"),
             ("test", "pytest"),
             # Imported at module level by the property-based and store tests.
             ("test", "hypothesis"),

@@ -101,6 +101,25 @@ class TestCKDTreeIdentity:
         assert net.name == "pin"
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
+        radius_low=st.floats(1e-3, 1.0, allow_nan=False),
+        spread=st.floats(1.0, 3.0, allow_nan=False),
+        seed=_SEEDS,
+    )
+    def test_listener_radii_on_tied_positions(self, points, radius_low, spread, seed):
+        """The heterogeneous family's per-listener rule, on positions with ties."""
+        from repro.graphs.geometric import _pairs_within
+
+        positions = np.asarray(points, dtype=float)
+        radii = np.random.default_rng(seed).uniform(
+            radius_low, radius_low * spread, size=len(points)
+        )
+        net = RadioNetwork(len(points), _pairs_within(positions, radii))
+        assert net == _reference_heterogeneous(positions, radii)
+
+
 class TestGeometricDigraph:
     def test_basic(self):
         net = geometric_digraph(100, 0.2, rng=1)
