@@ -389,11 +389,6 @@ def _command_sweep_grid(args: argparse.Namespace, store: Optional[ResultStore]) 
     from repro.scenarios import ScenarioSpec, run_grid, run_scenario
     from repro.scenarios.runtime import results_table
 
-    # Grid files may reference experiment-registered probes/metrics
-    # ("e7.relay_transmissions", ...); registry discovery is lazy, so import
-    # the experiment modules here to populate those registries.
-    all_experiments()
-
     grid = args.grid_spec
     if isinstance(grid, ScenarioSpec):
         print(f"[grid] scenario {grid.scenario_id} ({grid.digest()[:12]}…), "
@@ -437,8 +432,6 @@ def _command_sweep(args: argparse.Namespace, store: Optional[ResultStore]) -> in
         if store is not None:
             print(_cache_summary(store))
         return code
-    if args.experiment is None:
-        raise SystemExit("repro sweep needs an experiment id or --grid FILE")
     targets = (
         [m.EXPERIMENT_ID for m in all_experiments()]
         if args.experiment.lower() == "all"
@@ -560,9 +553,11 @@ def _command_report(args: argparse.Namespace, store: Optional[ResultStore]) -> i
 def _check_targets(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> None:
-    """Reject unknown experiment ids and a missing or invalid grid file as
-    usage errors, before any work starts (a valid grid is kept on
-    ``args.grid_spec``)."""
+    """Reject unknown experiment ids, a sweep without a target and a missing
+    or invalid grid file as usage errors, before any work starts (a valid
+    grid is kept on ``args.grid_spec``)."""
+    if args.command == "sweep" and args.experiment is None and args.grid is None:
+        parser.error("repro sweep needs an experiment id or --grid FILE")
     ids = list(getattr(args, "experiments", None) or [])
     experiment = getattr(args, "experiment", None)
     # ``run`` and ``sweep`` also take ``all``; ``chart`` needs one id.
@@ -592,6 +587,17 @@ def _check_targets(
             "a bare grid file carries no metric set; wrap it in a ScenarioSpec "
             "(with 'metrics'), give every cell its own, or pass --metrics"
         )
+    from repro.scenarios.probes import get_probe
+
+    # Experiment modules register the probes a grid file may name.
+    all_experiments()
+    spec = args.grid_spec
+    for cell in spec.grid if isinstance(spec, ScenarioSpec) else spec:
+        if cell.kind == "probe":
+            try:
+                get_probe(cell.probe)
+            except ValueError as exc:
+                parser.error(f"invalid grid file {str(grid)!r}: {exc}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

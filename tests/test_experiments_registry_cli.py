@@ -8,11 +8,13 @@ from repro.cli import build_parser, main
 from repro.experiments.registry import all_experiments, get_experiment, run_experiment
 
 
-def _probe_scenario_text(*, repetitions=2, kind="probe"):
+def _probe_scenario_text(
+    *, repetitions=2, kind="probe", probe="e7.relay_transmissions"
+):
     """A one-cell scenario file around an E7 probe cell."""
     cell = {
         "kind": kind,
-        "probe": "e7.relay_transmissions",
+        "probe": probe,
         "params": {"n": 32, "q": 0.1},
         "repetitions": repetitions,
     }
@@ -116,6 +118,12 @@ class TestCli:
                 "carries no metric set",
                 json.dumps({"cells": [{"kind": "probe", "probe": "p"}]}),
             ),
+            (
+                ["sweep", "--grid", "grid.json"],
+                "unknown probe 'nope'",
+                _probe_scenario_text(probe="nope"),
+            ),
+            (["sweep"], "needs an experiment id or --grid FILE", None),
         ],
         ids=[
             "env-bogus",
@@ -129,6 +137,8 @@ class TestCli:
             "grid-unknown-kind",
             "grid-malformed-json",
             "grid-without-metrics",
+            "grid-unknown-probe",
+            "sweep-no-target",
         ],
     )
     def test_bad_execution_values_are_usage_errors(
