@@ -95,11 +95,14 @@ def geometric_digraph_from_positions(
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
     radius = check_positive(radius, "radius")
-    sources, targets = _pairs_within(positions, np.full(positions.shape[0], radius))
-    return RadioNetwork(positions.shape[0], (sources, targets), name=name)
+    n = check_positive_int(positions.shape[0], "n")
+    sources, targets = _pairs_within(positions, np.full(n, radius))
+    return RadioNetwork(n, (sources, targets), name=name)
 
 
-def _pairs_within(positions: np.ndarray, reach: np.ndarray):
+def _pairs_within(
+    positions: np.ndarray, reach: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Every ordered pair ``(u, v)``, ``u != v``, with ``u`` in ``v``'s reach.
 
     ``u`` is in reach when ``dx*dx + dy*dy <= reach[v] ** 2``.  That test
