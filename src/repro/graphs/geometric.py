@@ -111,9 +111,8 @@ def _pairs_within(
     """
     n = positions.shape[0]
     x, y = positions[:, 0], positions[:, 1]
-    span = float(np.abs(positions).max())
-    pad = 1e-9 * (float(reach.max()) + span)
-    reach_max = float(reach.max()) + pad
+    reach_max = float(reach.max())
+    reach_max += 1e-9 * (reach_max + float(np.abs(positions).max()))
     # A floor on the width keeps the strip count (and its key) bounded.
     width = max(reach_max, 1e-6 * (float(x.max()) - float(x.min())))
     strip = np.floor((x - x.min()) / width).astype(np.int64)
