@@ -131,23 +131,23 @@ def diameter_estimate(
         generator = as_generator(rng)
         extra = generator.integers(0, n, size=max(0, samples - 1))
         sources = np.unique(np.concatenate([[0], extra]))
-    return int(_eccentricities(network, sources).max())
+    return _max_eccentricity(network, sources)
 
 
-def _eccentricities(network: RadioNetwork, sources: np.ndarray) -> np.ndarray:
-    """Eccentricity of each of the ascending ``sources``, by one BFS from all.
+def _max_eccentricity(network: RadioNetwork, sources: np.ndarray) -> int:
+    """Largest eccentricity among the ascending ``sources``, by one BFS from all.
 
     ``reached[v]`` is a bitset over the sources (bit ``i`` of word ``i // 64``
     for ``sources[i]``) and ``frontier[v]`` holds the bits ``v`` gained at the
     last level.  Each level ORs the frontier words of every node's
-    in-neighbours; a source's eccentricity is the last level at which its bit
-    was new anywhere.
+    in-neighbours.  A source's eccentricity is the last level at which its
+    bit was new anywhere, so the largest is the last level at which any bit
+    was.
     """
     n, count = network.n, sources.size
-    words = -(-count // 64)
     bit_word = np.arange(count) // 64
     bit = np.left_shift(np.uint64(1), (np.arange(count) % 64).astype(np.uint64))
-    reached = np.zeros((n, words), dtype=np.uint64)
+    reached = np.zeros((n, -(-count // 64)), dtype=np.uint64)
     reached[sources, bit_word] = bit
     frontier = reached.copy()
     in_indptr, in_indices = network.in_indptr, network.in_indices
@@ -155,25 +155,22 @@ def _eccentricities(network: RadioNetwork, sources: np.ndarray) -> np.ndarray:
     # so only rows with in-edges take part.
     listens = np.flatnonzero(np.diff(in_indptr))
     starts = in_indptr[listens]
-    ecc = np.zeros(count, dtype=np.int64)
-    level = 0
+    depth = 0
     while listens.size:
-        level += 1
         fresh = _or_in_neighbours(frontier, in_indices, starts) & ~reached[listens]
-        grew = np.bitwise_or.reduce(fresh, axis=0)
-        if not grew.any():
+        if not fresh.any():
             break
+        depth += 1
         reached[listens] |= fresh
         frontier[:] = 0
         frontier[listens] = fresh
-        ecc[(grew[bit_word] & bit) != 0] = level
     complete = np.bitwise_and.reduce(reached, axis=0)
     missing = (complete[bit_word] & bit) == 0
     if missing.any():
         i = int(np.argmax(missing))
         seen = int(np.count_nonzero(reached[:, bit_word[i]] & bit[i]))
         raise _unreachable_error(n - seen, int(sources[i]))
-    return ecc
+    return depth
 
 
 def _or_in_neighbours(
