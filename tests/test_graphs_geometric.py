@@ -120,6 +120,39 @@ class TestCKDTreeIdentity:
         assert net == _reference_heterogeneous(positions, radii)
 
 
+class TestValidatingConstructorIdentity:
+    """The builders' CSR arrays equal the validating constructor's, exactly."""
+
+    @staticmethod
+    def _assert_csr_equal(net, reference):
+        for name in ("out_indptr", "out_indices"):
+            got, want = getattr(net, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 400])
+    def test_geometric_digraph(self, n):
+        radius = _radius(n, 1.5)
+        net, positions = geometric_digraph(n, radius, rng=n, return_positions=True)
+        self._assert_csr_equal(net, _reference_from_positions(positions, radius))
+        self._assert_csr_equal(
+            geometric_digraph_from_positions(positions, radius),
+            _reference_from_positions(positions, radius),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 400])
+    def test_heterogeneous_geometric_digraph(self, n):
+        radius = _radius(n, 1.5)
+        net, positions = heterogeneous_geometric_digraph(
+            n, 0.5 * radius, 1.5 * radius, rng=n, return_positions=True
+        )
+        reference = np.random.default_rng(n)
+        reference.random((n, 2))
+        radii = reference.uniform(0.5 * radius, 1.5 * radius, size=n)
+        self._assert_csr_equal(net, _reference_heterogeneous(positions, radii))
+
+
 class TestGeometricDigraph:
     def test_basic(self):
         net = geometric_digraph(100, 0.2, rng=1)

@@ -86,21 +86,33 @@ class TestFusedKernel:
         assert np.array_equal(fused.hear_counts, reference.hear_counts)
         assert np.array_equal(fused.collision_flags, reference.collision_flags)
 
-    @pytest.mark.parametrize("seed", [4, 5])
-    def test_fused_matches_numpy_rule_with_filter(self, seed):
-        batch, tx_flat = self._random_case(seed)
+    @pytest.mark.parametrize(
+        "seed, n, p, trials, sparse",
+        [(4, 48, 0.2, 5, True), (5, 48, 0.2, 5, True), (6, 400, 0.04, 6, False)],
+    )
+    def test_fused_matches_numpy_rule_with_filter(self, seed, n, p, trials, sparse):
+        batch, tx_flat = self._random_case(seed, n=n, p=p, trials=trials)
         rng = np.random.default_rng(100 + seed)
         interest = rng.random(batch.total_nodes) < 0.5
         model = BatchStandardCollisionModel()
+        model.kernel = "numpy"
         reference = model._batch_exactly_one_rule(
             batch, tx_flat, listener_filter=interest
         )
         fused = model._fused_rule(batch, tx_flat, interest)
-        # Filtered paths may order receivers differently (the dense numpy
-        # path sorts); the delivered *set* and all counts must agree.
-        assert np.array_equal(
-            np.sort(fused.receiver_flat), np.sort(reference.receiver_flat)
+        edges = int(reference.hear_counts.sum())
+        assert (edges < model._SPARSE_EDGE_THRESHOLD) == sparse
+        assert reference.receiver_flat.size > 0
+        if sparse:
+            # Both emit receivers in transmitter-major edge order.
+            assert np.array_equal(fused.receiver_flat, reference.receiver_flat)
+            assert np.array_equal(fused.sender_flat, reference.sender_flat)
+        # The dense numpy path sorts its receivers; the delivered
+        # (receiver, sender) pairs and all counts must agree either way.
+        assert dict(zip(fused.receiver_flat.tolist(), fused.sender_flat.tolist())) == (
+            dict(zip(reference.receiver_flat.tolist(), reference.sender_flat.tolist()))
         )
+        assert fused.receiver_flat.size == reference.receiver_flat.size
         assert np.array_equal(fused.receiver_counts, reference.receiver_counts)
         assert np.array_equal(fused.hear_counts, reference.hear_counts)
 
