@@ -21,7 +21,9 @@ bucketed into x-strips at least as wide as the largest radius and sorted by
 ``s - 1 .. s + 1`` over a y-window — and construction stays near-linear for
 the radii used here.  A pair is kept iff ``dx*dx + dy*dy <= reach**2``, the
 same test and arithmetic as a kd-tree query, so the edge sets match one
-exactly.
+exactly.  The pairs come out sorted by (source, target), so the builders
+hand them to the trusted :meth:`RadioNetwork._from_csr` without the
+validating constructor's dedup sort.
 """
 
 from __future__ import annotations
@@ -96,14 +98,16 @@ def geometric_digraph_from_positions(
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
     radius = check_positive(radius, "radius")
     n = check_positive_int(positions.shape[0], "n")
-    sources, targets = _pairs_within(positions, np.full(n, radius))
-    return RadioNetwork(n, (sources, targets), name=name)
+    return _network_from_pairs(n, positions, np.full(n, radius), name)
 
 
 def _pairs_within(
     positions: np.ndarray, reach: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every ordered pair ``(u, v)``, ``u != v``, with ``u`` in ``v``'s reach.
+
+    Returns ``(sources, targets)`` sorted by ``(source, target)``: the
+    out-CSR of the network, ready for :meth:`RadioNetwork._from_csr`.
 
     ``u`` is in reach when ``dx*dx + dy*dy <= reach[v] ** 2``.  That test
     alone decides; the strips and y-windows only gather candidates, so they
@@ -129,13 +133,27 @@ def _pairs_within(
     first = np.searchsorted(key, offsets + low[:, None]).ravel()
     last = np.searchsorted(key, offsets + high[:, None]).ravel()
     counts = last - first
-    listener = np.repeat(np.repeat(np.arange(n), 3), counts)
+    speaker = np.repeat(np.repeat(np.arange(n), 3), counts)
     run_start = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    speaker = order[run_start + np.arange(int(counts.sum()))]
+    listener = order[run_start + np.arange(int(counts.sum()))]
     dx = x[speaker] - x[listener]
     dy = y[speaker] - y[listener]
     keep = (dx * dx + dy * dy <= reach[listener] ** 2) & (speaker != listener)
-    return speaker[keep], listener[keep]
+    # The pairs come out grouped by speaker; one sort of the packed keys
+    # orders each speaker's listeners too.
+    key = speaker[keep] * n + listener[keep]
+    key.sort()
+    return key // n, key % n
+
+
+def _network_from_pairs(
+    n: int, positions: np.ndarray, reach: np.ndarray, name: str
+) -> RadioNetwork:
+    """The network of :func:`_pairs_within`, through the trusted CSR constructor."""
+    sources, targets = _pairs_within(positions, reach)
+    return RadioNetwork._from_csr(
+        n, np.bincount(sources, minlength=n), targets.astype(np.int32), name=name
+    )
 
 
 def heterogeneous_geometric_digraph(
@@ -168,8 +186,7 @@ def heterogeneous_geometric_digraph(
     if name is None:
         name = f"rgg-hetero(n={n}, r=[{radius_low:.3g},{radius_high:.3g}])"
 
-    sources, targets = _pairs_within(positions, radii)
-    network = RadioNetwork(n, (sources, targets), name=name)
+    network = _network_from_pairs(n, positions, radii, name)
     if return_positions:
         return network, positions
     return network

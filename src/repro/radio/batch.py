@@ -541,9 +541,13 @@ class BatchProtocol(abc.ABC):
         When a protocol ignores deliveries to some nodes (a broadcast ignores
         deliveries to already-informed nodes), returning that mask lets the
         engine drop uninteresting deliveries inside collision resolution —
-        late rounds then cost O(new information), not O(deliveries).  Only
-        consulted in fast mode with ``record_rounds`` off, where trimmed
-        outcomes are observably equivalent.  ``None`` keeps every delivery.
+        late rounds then cost O(new information), not O(deliveries).  The
+        trimmed outcome may list the kept deliveries in another order, so
+        :meth:`observe` must not depend on the order of
+        ``outcome.receiver_flat`` nor read its counts.  Consulted with
+        ``record_rounds`` off and no environment, in fast mode and — unless
+        the collision model draws per delivery — in exact mode.  ``None``
+        keeps every delivery.
         """
         return None
 
@@ -1144,13 +1148,18 @@ class BatchEngine:
         environment = self.environment
         if environment is not None and environment.is_null:
             environment = None
-        # Trimmed outcomes (deliveries the protocol would ignore dropped in
-        # collision resolution) are observably equivalent only when nobody
-        # records per-round delivery counts, no per-trial stream has to
-        # match the serial engine call for call, and no environment can
-        # resurrect interest in a delivery the protocol would ignore.
+        # Trimming drops, inside collision resolution, the deliveries the
+        # protocol says it ignores.  The observers that declare an interest
+        # use the delivered set only as an index set (a set update, a sort,
+        # an index assignment, an order-free frontier admit), so a trimmed
+        # outcome changes nothing they do.  It is off when the per-round log
+        # records delivery counts, when an environment may act on every
+        # delivery, and in exact mode when the model draws per delivered
+        # edge: a shorter delivery list would shift its per-trial streams.
         use_interest = (
-            not exact_mode and not self.record_rounds and environment is None
+            not self.record_rounds
+            and environment is None
+            and not (exact_mode and self.collision_model.draws_per_delivery)
         )
         movable = exact_mode and not self.record_rounds
 

@@ -277,9 +277,13 @@ class BatchCollisionOutcome:
     """The resolved result of one synchronous round across ``R`` trials.
 
     Receivers and senders are stored as *flat* node ids ``trial * n + node``
-    in trial-major order (all of trial 0's deliveries, then trial 1's, …);
-    within a trial the order matches what the scalar models produce, which is
-    what makes the exact-equivalence mode of the batch engine possible.
+    in trial-major order (all of trial 0's deliveries, then trial 1's, …).
+    In an unfiltered outcome the order within a trial matches what the
+    scalar models produce, which is what makes the exact-equivalence mode of
+    the batch engine possible.  An outcome resolved with a listener filter
+    holds the same deliveries restricted to the filter, in edge order or
+    sorted by id; the engine passes a filter only where the observer does
+    not depend on the order.
 
     Everything beyond ``receiver_flat`` is derived lazily: the batch engine's
     broadcast hot path only reads the receivers, so the unique senders, the
@@ -456,6 +460,11 @@ class BatchCollisionModel:
 
     detects_collisions: bool = False
 
+    #: Whether the model draws randomness per delivered edge.  Trimming
+    #: deliveries the protocol ignores would then shift the model's streams,
+    #: so the engine passes no listener filter to such a model in exact mode.
+    draws_per_delivery: bool = False
+
     #: Collision kernel driving :meth:`_batch_exactly_one_rule`:
     #: ``"compiled"`` when numba imports, the bit-identical ``"numpy"``
     #: reference otherwise.  Tests and benchmarks set it on an instance to
@@ -487,7 +496,9 @@ class BatchCollisionModel:
             it is ``False`` are dropped from the outcome.  The engine passes
             the protocol's interest set (e.g. the still-uninformed nodes of a
             broadcast) so rounds don't pay for deliveries the protocol would
-            ignore.  Collision *counting* always uses every transmission.
+            ignore.  Collision *counting* always uses every transmission, and
+            the kept deliveries may come out sorted by id instead of in edge
+            order.
         """
         raise NotImplementedError
 
@@ -515,9 +526,11 @@ class BatchCollisionModel:
         :meth:`CollisionModel._gather_listener_edges`) and counts hearers
         over ``trial * n + listener`` ids — by one ``bincount`` when the
         round is dense, or by an argsort of the gathered edges when it is
-        sparse.  Both strategies — and the fused compiled kernel — yield
-        receivers in the scalar models\' edge order, which the
-        exact-equivalence mode relies on.
+        sparse.  Without a listener filter both strategies — and the fused
+        compiled kernel — yield receivers in the scalar models\' edge order,
+        which the exact-equivalence mode relies on.  With a filter the
+        sparse scan sorts only the edges into interesting listeners and
+        keeps edge order, while the dense scan yields sorted ids.
         """
         trials, n = batch.trials, batch.n
         transmitters = np.asarray(transmitters)
@@ -560,8 +573,8 @@ class BatchCollisionModel:
                 # Dense scan: with an interest filter the receivers are just
                 # the ids heard exactly once that the protocol still cares
                 # about — no per-edge gather or compress at all.  The ids
-                # come out sorted, which only the exact-equivalence mode
-                # (which never passes a filter) would mind.
+                # come out sorted rather than in edge order; the engine
+                # passes a filter only to observers that ignore the order.
                 receiver_flat = np.flatnonzero(
                     (flat_counts == 1) & listener_filter
                 )
@@ -571,19 +584,34 @@ class BatchCollisionModel:
                     np.int64, copy=False
                 )
         else:
-            order = np.argsort(listeners, kind="stable")
-            sorted_listeners = listeners[order]
-            run_first = np.empty(total_edges, dtype=bool)
-            run_last = np.empty(total_edges, dtype=bool)
-            run_first[0] = True
-            run_first[1:] = sorted_listeners[1:] != sorted_listeners[:-1]
-            run_last[-1] = True
-            run_last[:-1] = run_first[1:]
-            delivered_mask = np.empty(total_edges, dtype=bool)
-            delivered_mask[order] = run_first & run_last
-            if listener_filter is not None:
-                delivered_mask &= listener_filter[listeners]
-            receiver_flat = listeners[delivered_mask].astype(np.int64, copy=False)
+            # Sparse scan: sort the edges by listener and keep the runs of
+            # length one.  A filter drops the edges into uninteresting
+            # listeners before the sort.  All edges into one listener share
+            # its fate, so every kept listener's run is whole and the
+            # receivers stay in edge order.
+            if listener_filter is None:
+                kept = None
+                scanned = listeners
+            else:
+                kept = np.flatnonzero(listener_filter[listeners])
+                scanned = listeners[kept]
+            hits = np.zeros(scanned.size, dtype=bool)
+            if scanned.size:
+                order = np.argsort(scanned, kind="stable")
+                sorted_listeners = scanned[order]
+                run_first = np.empty(scanned.size, dtype=bool)
+                run_last = np.empty(scanned.size, dtype=bool)
+                run_first[0] = True
+                run_first[1:] = sorted_listeners[1:] != sorted_listeners[:-1]
+                run_last[-1] = True
+                run_last[:-1] = run_first[1:]
+                hits[order] = run_first & run_last
+            receiver_flat = scanned[hits].astype(np.int64, copy=False)
+            if kept is None:
+                delivered_mask = hits
+            else:
+                delivered_mask = np.zeros(total_edges, dtype=bool)
+                delivered_mask[kept[hits]] = True
         return BatchCollisionOutcome(
             receiver_flat=receiver_flat,
             trials=trials,
@@ -692,6 +720,7 @@ class BatchErasureCollisionModel(BatchCollisionModel):
     """
 
     detects_collisions = False
+    draws_per_delivery = True
 
     def __init__(self, erasure_probability: float):
         self.erasure_probability = check_probability(

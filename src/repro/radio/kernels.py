@@ -17,7 +17,9 @@ Design rules:
 * **Exactness.**  The numpy and compiled collision kernels are
   bit-identical: the fused pass emits receivers in the scalar models'
   transmitter-major edge order, the same order the numpy reference produces
-  when no listener filter is installed (exact mode never installs one).
+  without a listener filter and on its sparse branch with one.  With a
+  filter on a dense round the numpy reference sorts the same deliveries by
+  id; the engine installs a filter only for observers that ignore the order.
   The ingest kernel reproduces the Shewchuk partial-sum update float for
   float, so streaming moments stay exactly rounded and order-independent.
   The kernel therefore never changes a result or a store digest.

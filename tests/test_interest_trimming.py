@@ -14,6 +14,10 @@ pinned here:
    traces through :meth:`BatchEngine.run` and through
    :meth:`BatchEngine.run_continuous` with refills equal the traces of a
    model that declares per-delivery draws, which the engine never trims.
+3. **Where the filter goes.**  A spy model counts the resolve calls that
+   receive a filter: every call for the standard model in exact mode, none
+   for a model that draws per delivery, under an environment, with
+   ``record_rounds`` or for gossip.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from repro.radio.batch import (
     NetworkBatch,
     PendingTrial,
 )
-from repro.radio.collision import BatchCollisionModel, BatchStandardCollisionModel
+from repro.radio.collision import (
+    BatchCollisionModel,
+    BatchErasureCollisionModel,
+    BatchStandardCollisionModel,
+)
+from repro.radio.environment import build_batch_environment
 
 _THRESHOLD = BatchCollisionModel._SPARSE_EDGE_THRESHOLD
 
@@ -227,3 +236,81 @@ class TestEngineTrimmingIsInvisible:
         _assert_same(reference, trimmed)
         # Continuous traces equal the single wave's, trimmed or not.
         _assert_same(_run(BatchStandardCollisionModel(), networks, name), trimmed)
+
+
+# --------------------------------------------------------------------------- #
+# Work counters: which resolve calls receive a filter
+# --------------------------------------------------------------------------- #
+class _SpyMixin:
+    """Counts resolve calls, and those that receive a listener filter."""
+
+    def resolve(self, batch, transmitters, rng_source=None, listener_filter=None):
+        self.calls = getattr(self, "calls", 0) + 1
+        self.filtered = getattr(self, "filtered", 0) + (listener_filter is not None)
+        return super().resolve(batch, transmitters, rng_source, listener_filter)
+
+
+class _SpyStandard(_SpyMixin, BatchStandardCollisionModel):
+    pass
+
+
+class _SpyErasure(_SpyMixin, BatchErasureCollisionModel):
+    pass
+
+
+_LOSS = {"name": "iid_loss", "params": {"tx_loss": 0.1, "rx_loss": 0.15}}
+
+
+def _spy_run(model, networks, name="decay", params=None, **engine_options):
+    params = BROADCAST_PARAMS[name] if params is None else params
+    BatchEngine(model, **engine_options).run(
+        networks,
+        BATCH_PROTOCOL_FACTORIES[name](**params),
+        rngs=_rngs(),
+        max_rounds=MAX_ROUNDS,
+    )
+    assert model.calls > 0
+    return model.filtered, model.calls
+
+
+class TestFilterWorkCounters:
+    @pytest.mark.parametrize("name", ["algorithm1", "decay", "deterministic_flood"])
+    def test_standard_model_filters_every_exact_round(self, networks, name):
+        filtered, calls = _spy_run(_SpyStandard(), networks, name)
+        assert filtered == calls
+
+    def test_standard_model_filters_every_continuous_round(self, networks):
+        model = _SpyStandard()
+        _run_continuous(model, networks, "decay")
+        assert model.calls > 0
+        assert model.filtered == model.calls
+
+    def test_per_delivery_draws_get_no_filter_in_exact_mode(self, networks):
+        filtered, _ = _spy_run(_SpyErasure(0.2), networks)
+        assert filtered == 0
+
+    def test_per_delivery_draws_get_the_filter_in_fast_mode(self, networks):
+        model = _SpyErasure(0.2)
+        BatchEngine(model).run(
+            networks, BATCH_PROTOCOL_FACTORIES["decay"](), rng=3, max_rounds=MAX_ROUNDS
+        )
+        assert model.calls > 0
+        assert model.filtered == model.calls
+
+    def test_environment_gets_no_filter(self, networks):
+        model = _SpyStandard()
+        filtered, _ = _spy_run(
+            model, networks, environment=build_batch_environment(_LOSS)
+        )
+        assert filtered == 0
+
+    def test_record_rounds_gets_no_filter(self, networks):
+        filtered, _ = _spy_run(_SpyStandard(), networks, record_rounds=True)
+        assert filtered == 0
+
+    def test_gossip_declares_no_interest(self):
+        small = [random_digraph(32, 0.2, rng=60 + t) for t in range(TRIALS)]
+        filtered, _ = _spy_run(
+            _SpyStandard(), small, "uniform_gossip", params=GOSSIP_PARAMS["uniform_gossip"]
+        )
+        assert filtered == 0
