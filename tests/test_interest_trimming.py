@@ -244,9 +244,12 @@ class TestEngineTrimmingIsInvisible:
 class _SpyMixin:
     """Counts resolve calls, and those that receive a listener filter."""
 
+    calls = 0
+    filtered = 0
+
     def resolve(self, batch, transmitters, rng_source=None, listener_filter=None):
-        self.calls = getattr(self, "calls", 0) + 1
-        self.filtered = getattr(self, "filtered", 0) + (listener_filter is not None)
+        self.calls += 1
+        self.filtered += listener_filter is not None
         return super().resolve(batch, transmitters, rng_source, listener_filter)
 
 
