@@ -15,6 +15,10 @@ for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
   ``churn``);
 * exact mode with the node-set ``state_backend`` forced to ``dense``,
   ``bitset`` and ``sparse``, pinned to the same digests as ``auto``;
+* exact mode for Decay and deterministic flooding on one wide batch
+  (``R = 256`` distinct ``G(256, 0.03)`` topologies, ``R * n = 2**16``),
+  whose trials stop over a spread of rounds, so the frontier state is
+  compacted while it holds thousands of rows;
 * one ``record_rounds=True``, one ``keep_arrays=True`` and one
   ``run_to_quiescence=True`` case;
 * an in-process fast-mode ``repeat_job(..., shards=3)`` sweep, which pins
@@ -93,6 +97,12 @@ FAST_SEED = 2024
 #: refills on its way through the exact cases.
 CAPACITY = 4
 
+#: The wide exact-mode batch: R = 256 trials on distinct G(256, 0.03)
+#: topologies, run to the protocol's own horizon.
+WIDE_TRIALS = 256
+WIDE_N = 256
+WIDE_PROTOCOLS = ("decay", "deterministic_flood")
+
 SWEEP_GRAPH = GraphSpec("gnp", {"n": 48, "p": 0.15})
 SWEEP_PROTOCOLS = {
     "algorithm1": {"p": 0.15},
@@ -141,6 +151,12 @@ def _run(config, name):
         return _engine().run(
             _networks(), _protocol(name), rngs=_rngs(), max_rounds=MAX_ROUNDS
         )
+    if config == "exact-wide":
+        networks = [
+            random_digraph(WIDE_N, 0.03, rng=700 + t) for t in range(WIDE_TRIALS)
+        ]
+        rngs = [np.random.default_rng(500 + t) for t in range(WIDE_TRIALS)]
+        return _engine().run(networks, _protocol(name), rngs=rngs)
     if config.startswith("exact-"):
         return _engine(config[len("exact-"):]).run(
             _shared_network(), _protocol(name), trials=TRIALS,
@@ -216,6 +232,7 @@ ENGINE_CASES = (
     ]
 )
 EXACT_CASES = [case for case in ENGINE_CASES if case[0].startswith("exact")]
+WIDE_CASES = [("exact-wide", name) for name in WIDE_PROTOCOLS]
 
 
 def _case_id(config, name):
@@ -225,7 +242,7 @@ def _case_id(config, name):
 def compute_corpus():
     corpus = {
         _case_id(config, name): _digests(_run(config, name))
-        for config, name in ENGINE_CASES
+        for config, name in ENGINE_CASES + WIDE_CASES
     }
     for config, mode in SWEEP_CASES.items():
         for name in sorted(SWEEP_PROTOCOLS):
@@ -240,7 +257,7 @@ def golden():
 
 def test_corpus_covers_every_batch_protocol(golden):
     assert PROTOCOL_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
-    expected = {_case_id(c, n) for c, n in ENGINE_CASES} | {
+    expected = {_case_id(c, n) for c, n in ENGINE_CASES + WIDE_CASES} | {
         _case_id(c, n) for c in SWEEP_CASES for n in SWEEP_PROTOCOLS
     }
     assert set(golden) == expected
@@ -250,6 +267,13 @@ def test_corpus_covers_every_batch_protocol(golden):
     "config,name", ENGINE_CASES, ids=[_case_id(*c) for c in ENGINE_CASES]
 )
 def test_run_matches_golden(golden, config, name):
+    assert _digests(_run(config, name)) == golden[_case_id(config, name)]
+
+
+@pytest.mark.parametrize(
+    "config,name", WIDE_CASES, ids=[_case_id(*c) for c in WIDE_CASES]
+)
+def test_wide_batch_matches_golden(golden, config, name):
     assert _digests(_run(config, name)) == golden[_case_id(config, name)]
 
 
