@@ -13,18 +13,10 @@ PRs.
 most-used protocols batched by the unified-pipeline PR — ``algorithm2``
 (gossip, E4/E14/E16) and ``decay`` (the classic baseline, E14/E15) — so the
 perf trajectory has more than one data point.
-
-``test_bench_gossip_state_backends`` and ``test_bench_decay_state_backends``
-track the node-set state layer at the scales it was built for: a gossip
-batch whose dense knowledge tensor crosses ``R * n² > 10⁸`` bool cells
-(memory + per-round throughput, dense vs bitset, peak allocation recorded)
-and a large-``n`` decay run (trial throughput, dense vs sparse frontier).
 """
 
 import os
-import resource
 import time
-import tracemalloc
 
 import pytest
 
@@ -167,141 +159,6 @@ def test_bench_batch_vs_serial_protocol(benchmark, protocol_name):
     # locally only (shared CI runners are too noisy for timing asserts).
     if not os.environ.get("CI"):
         assert speedup >= 3.0
-
-
-def test_bench_gossip_state_backends(benchmark):
-    """Large-n gossip: bitset-packed vs dense knowledge tensors.
-
-    The cell sits just past the dense ceiling named in the ROADMAP:
-    ``R * n² = 8 * 4096² ≈ 1.34e8`` bool cells (~128 MiB for the tensor
-    alone), which the bitset backend packs into ~17 MiB of uint64 words.
-    A fixed number of rounds is simulated (the protocol would take thousands
-    to complete at this n; throughput per round is the tracked quantity) and
-    the peak engine allocation of each backend is recorded via tracemalloc,
-    plus the process peak RSS for context.
-    """
-    n, trials, rounds = 4096, 8, 24
-    p = connectivity_threshold_probability(n, delta=4.0)
-    networks = [random_digraph(n, p, rng=5000 + t) for t in range(trials)]
-
-    def run(backend):
-        tracemalloc.start()
-        start = time.perf_counter()
-        BatchEngine(state_backend=backend).run(
-            networks, BatchRandomNetworkGossip(p), rng=3, max_rounds=rounds
-        )
-        seconds = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return seconds, peak
-
-    def bitset_run():
-        return run("bitset")
-
-    bitset_seconds, bitset_peak = benchmark.pedantic(
-        bitset_run, rounds=2, iterations=1
-    )
-    dense_seconds, dense_peak = run("dense")
-    memory_ratio = dense_peak / bitset_peak
-    benchmark.extra_info.update(
-        {
-            "n": n,
-            "trials": trials,
-            "rounds": rounds,
-            "bool_cells": trials * n * n,
-            "dense_peak_mib": dense_peak / 2**20,
-            "bitset_peak_mib": bitset_peak / 2**20,
-            "memory_ratio": memory_ratio,
-            "dense_rounds_per_second": rounds / dense_seconds,
-            "bitset_rounds_per_second": rounds / bitset_seconds,
-            "round_speedup": dense_seconds / bitset_seconds,
-            "process_peak_rss_mib": resource.getrusage(
-                resource.RUSAGE_SELF
-            ).ru_maxrss
-            / 1024,
-        }
-    )
-    print(
-        f"\ngossip n={n} R={trials} ({trials * n * n / 1e8:.1f}e8 bool cells): "
-        f"dense {dense_peak / 2**20:.0f} MiB peak / "
-        f"{rounds / dense_seconds:.1f} rounds/s, "
-        f"bitset {bitset_peak / 2**20:.0f} MiB peak / "
-        f"{rounds / bitset_seconds:.1f} rounds/s "
-        f"({memory_ratio:.1f}x memory, "
-        f"{dense_seconds / bitset_seconds:.1f}x rounds)"
-    )
-    # The memory footprint is deterministic (no timing noise), so this gate
-    # holds on CI too: a dense tensor this size cannot fit a budget the
-    # bitset backend clears four times over.
-    assert memory_ratio >= 4.0
-    if not os.environ.get("CI"):
-        assert bitset_seconds < dense_seconds
-
-
-def test_bench_decay_state_backends(benchmark):
-    """Large-n decay: sparse frontier pools vs dense quota masks.
-
-    The cell is the regime the sparse backend was built for: a
-    high-diameter, low-degree topology (a 128x128 grid, n = 16384) under the
-    retirement-capped Decay variant, where the live frontier is a thin band
-    moving across the grid.  The run lasts thousands of rounds; the dense
-    backend re-scans all ``R * n`` quota cells every round while the sparse
-    pool only touches the band (and halves within each phase).  On
-    edge-dense G(n, p) workloads the phase-start collision gathers dominate
-    instead and the two backends converge — that regime is covered by
-    ``test_bench_batch_vs_serial_protocol[decay]``.
-    """
-    import numpy as np
-
-    from repro.graphs import structured
-    from repro.radio.batch import NetworkBatch
-
-    trials, max_phases_active = 8, 10
-    network = structured.grid_network(128, 128)
-    n = network.n
-    batch = NetworkBatch.shared(network, trials)
-
-    def run(backend):
-        start = time.perf_counter()
-        results = BatchEngine(state_backend=backend).run(
-            batch,
-            BatchDecayBroadcast(max_phases_active=max_phases_active),
-            rng=11,
-            max_rounds=25000,
-        )
-        return time.perf_counter() - start, results
-
-    def sparse_run():
-        return run("sparse")
-
-    sparse_seconds, results = benchmark.pedantic(sparse_run, rounds=2, iterations=1)
-    assert all(r.completed for r in results)
-    rounds = int(np.max([r.rounds_executed for r in results]))
-    dense_seconds, _ = run("dense")
-    speedup = dense_seconds / sparse_seconds
-    benchmark.extra_info.update(
-        {
-            "n": n,
-            "trials": trials,
-            "max_phases_active": max_phases_active,
-            "rounds": rounds,
-            "dense_seconds": dense_seconds,
-            "sparse_seconds": sparse_seconds,
-            "dense_trials_per_second": trials / dense_seconds,
-            "sparse_trials_per_second": trials / sparse_seconds,
-            "frontier_speedup": speedup,
-        }
-    )
-    print(
-        f"\ndecay grid n={n} R={trials} ({rounds} rounds): "
-        f"dense {dense_seconds:.2f}s ({trials / dense_seconds:.1f} trials/s), "
-        f"sparse {sparse_seconds:.2f}s ({trials / sparse_seconds:.1f} trials/s), "
-        f"speedup {speedup:.2f}x"
-    )
-    # Timing gate is local-only (shared CI runners are too noisy); CI still
-    # records the measured ratio in the JSON.
-    if not os.environ.get("CI"):
-        assert speedup >= 1.2
 
 
 def test_bench_batch_collision_round(benchmark, e1_workload):

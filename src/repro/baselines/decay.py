@@ -17,13 +17,9 @@ grows linearly with the number of phases it lives through —
 per node overall.  This is the energy cost Algorithm 3 avoids.  An optional
 ``max_phases_active`` cut-off bounds it for the comparison experiments.
 
-Frontier bookkeeping goes through the :mod:`repro.radio.nodesets` kernel:
-phase quotas live in a :class:`~repro.radio.nodesets.QuotaFrontier`, drawn
-only for the participating nodes.  The serial protocol always uses the
-sparse pool (strictly less work than a dense quota array at every ``n``);
-the batched protocol takes whichever backend its kernel selects, so large-n
-sweeps prune the frontier geometrically within each phase instead of paying
-``O(R * n)`` mask work per round.
+Phase quotas live in a :class:`~repro.radio.nodesets.QuotaFrontier` (a
+dense quota array, one row per trial; the serial protocol uses one row),
+drawn only for the participating nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import numpy as np
 from repro._util.validation import check_positive_int
 from repro.radio.batch import BatchBroadcastProtocol
 from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
-from repro.radio.nodesets import QuotaFrontier, SparseQuotaFrontier
+from repro.radio.nodesets import QuotaFrontier
 from repro.radio.protocol import BroadcastProtocol
 
 __all__ = ["DecayBroadcast", "BatchDecayBroadcast"]
@@ -73,9 +69,7 @@ class DecayBroadcast(BroadcastProtocol):
     def _setup_broadcast(self) -> None:
         n = self.n
         self.phase_length = max(1, int(math.ceil(2 * math.log2(max(2, n)))))
-        # Sparse pool: quotas are drawn (and stored) only for the phase's
-        # participants, and the pool halves every round of the phase.
-        self._frontier = SparseQuotaFrontier(1, n)
+        self._frontier = QuotaFrontier(1, n)
         self._informed_phase = np.full(n, -1, dtype=np.int64)
         self._informed_phase[self.source] = 0
         self._stuck = False
@@ -174,17 +168,15 @@ class BatchDecayBroadcast(BatchBroadcastProtocol):
     At each phase boundary the participating nodes of every running trial
     draw their geometric transmission quotas in one concatenated call
     (:meth:`~repro.radio.batch.BatchRandomSource.geometrics_for_counts`); the
-    within-phase rounds then ask the kernel's
+    within-phase rounds then ask the
     :class:`~repro.radio.nodesets.QuotaFrontier` for the surviving
-    transmitters — a dense ``(R, n)`` mask comparison or, under the sparse
-    backend, an index pool that shrinks geometrically as the phase decays.
-    Exact mode draws each trial's block from its own generator — the serial
-    protocol's ``rng.geometric(0.5, count)`` call — so batched runs are
-    bit-identical to serial ones under every backend.
+    transmitters, one ``(R, n)`` mask comparison per round.  Exact mode
+    draws each trial's block from its own generator — the serial protocol's
+    ``rng.geometric(0.5, count)`` call — so batched runs are bit-identical
+    to serial ones.
     """
 
     name = DecayBroadcast.name
-    state_profile = "frontier"
 
     def __init__(self, *, source: int = 0, max_phases_active: Optional[int] = None):
         super().__init__(source=source)
@@ -200,7 +192,7 @@ class BatchDecayBroadcast(BatchBroadcastProtocol):
     def _setup_broadcast(self) -> None:
         trials, n = self.trials, self.n
         self.phase_length = max(1, int(math.ceil(2 * math.log2(max(2, n)))))
-        self._frontier = self.kernel.quota_frontier(trials, n)
+        self._frontier = QuotaFrontier(trials, n)
         self._informed_phase = np.full((trials, n), -1, dtype=np.int64)
         self._informed_phase[:, self.source] = 0
         self._stuck = np.zeros(trials, dtype=bool)

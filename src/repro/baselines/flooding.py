@@ -12,11 +12,9 @@
   the energy-oblivious strawman against which the paper's bounded-energy
   protocols are measured in E14.
 
-Deterministic flooding's per-node budget bookkeeping goes through the
-:mod:`repro.radio.nodesets` kernel's
-:class:`~repro.radio.nodesets.BudgetFrontier`: the serial protocol always
-uses the sparse pool (flooded-out nodes cost nothing once evicted), the
-batched protocol takes whichever backend its kernel selects.
+Deterministic flooding keeps its per-node budgets in a
+:class:`~repro.radio.nodesets.BudgetFrontier` (a dense budget array, one
+row per trial; the serial protocol uses one row).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 from repro._util.validation import check_positive_int, check_probability
 from repro.radio.batch import BatchBroadcastProtocol
 from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
-from repro.radio.nodesets import BudgetFrontier, SparseBudgetFrontier
+from repro.radio.nodesets import BudgetFrontier
 from repro.radio.protocol import BroadcastProtocol
 
 __all__ = [
@@ -55,7 +53,7 @@ class DeterministicFlood(BroadcastProtocol):
         self.run_metadata: Dict[str, object] = {}
 
     def _setup_broadcast(self) -> None:
-        self._frontier = SparseBudgetFrontier(1, self.n)
+        self._frontier = BudgetFrontier(1, self.n)
         self._frontier.admit(
             np.array([self.source], dtype=np.int64),
             self.max_transmissions_per_node,
@@ -111,17 +109,14 @@ class BernoulliFlood(BroadcastProtocol):
 
 
 class BatchDeterministicFlood(BatchBroadcastProtocol):
-    """Batched :class:`DeterministicFlood` on a kernel budget frontier.
+    """Batched :class:`DeterministicFlood` on a budget frontier.
 
     The informed-with-budget-left set is exactly a
-    :class:`~repro.radio.nodesets.BudgetFrontier`: dense backends compare a
-    ``(R, n)`` remaining-budget array per round, the sparse backend walks an
-    index pool that evicts flooded-out nodes — identical transmitters either
-    way.
+    :class:`~repro.radio.nodesets.BudgetFrontier`: one comparison of the
+    ``(R, n)`` remaining-budget array per round.
     """
 
     name = DeterministicFlood.name
-    state_profile = "frontier"
 
     def __init__(self, *, source: int = 0, max_transmissions_per_node: int = 64):
         super().__init__(source=source)
@@ -132,7 +127,7 @@ class BatchDeterministicFlood(BatchBroadcastProtocol):
 
     def _setup_broadcast(self) -> None:
         trials, n = self.trials, self.n
-        self._frontier = self.kernel.budget_frontier(trials, n)
+        self._frontier = BudgetFrontier(trials, n)
         self._frontier.admit(
             np.arange(trials, dtype=np.int64) * n + self.source,
             self.max_transmissions_per_node,
@@ -172,9 +167,7 @@ class BatchBernoulliFlood(BatchBroadcastProtocol):
 
     In exact mode each running trial draws its full ``rng.random(n)`` vector
     from its own generator, matching the serial protocol's stream call for
-    call.  (The per-round draws are dense by construction, so this protocol
-    gains nothing from the sparse frontier backend and keeps the plain
-    membership profile.)
+    call.
     """
 
     name = BernoulliFlood.name

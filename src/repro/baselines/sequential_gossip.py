@@ -155,8 +155,7 @@ class BatchSequentialBroadcastGossip(BatchGossipProtocol):
             return masks
         epoch = round_index // self.epoch_length
         rumour = epoch % n
-        # Participants: nodes that already know the epoch's rumour (a bit
-        # extraction under the packed backends — the tensor never expands).
+        # Participants: nodes that already know the epoch's rumour.
         participants = self.knows_rumour(rumour)
         if self._sequences is not None:
             for t in np.flatnonzero(running):

@@ -49,8 +49,7 @@ sweep advance together through the vectorised
 :class:`~repro.radio.batch.BatchEngine`; ``--processes K`` shards them into
 ``K`` per-worker batches).  ``--batch-mode exact`` makes batched runs
 bit-identical to the serial engine (one rng stream per trial) instead of
-the default vectorised ``fast`` mode.  The engine picks the node-set state
-backend per workload (:mod:`repro.radio.nodesets`) and runs the compiled
+the default vectorised ``fast`` mode.  The engine runs the compiled
 collision kernel when numba is importable, the bit-identical numpy path
 otherwise (:mod:`repro.radio.kernels`).  In-process exact-mode sweeps run
 as one continuous batch (live-trial retirement, batch compaction and

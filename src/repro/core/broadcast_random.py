@@ -42,7 +42,6 @@ from repro._util.logmath import expected_degree, phase1_round_count
 from repro._util.validation import check_positive, check_probability
 from repro.radio.batch import BatchBroadcastProtocol
 from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
-from repro.radio.nodesets import _remap_flat_pool
 from repro.radio.protocol import BroadcastProtocol
 
 __all__ = [
@@ -56,6 +55,21 @@ __all__ = [
 _UNINFORMED = 0
 _ACTIVE = 1
 _PASSIVE = 2
+
+
+def _remap_flat_pool(ids: np.ndarray, keep: np.ndarray, n: int):
+    """Row-select a sorted flat-id pool under the compaction remapping.
+
+    Returns ``(alive, new_ids)``: ``alive`` masks the pool entries whose
+    trial survives, ``new_ids`` are those entries re-addressed into the
+    compacted trial space.  The old-row -> new-row map is monotone, so a
+    sorted pool stays sorted.
+    """
+    rows = ids // n
+    alive = keep[rows]
+    new_row = np.cumsum(keep, dtype=np.int64) - 1
+    old_rows = rows[alive]
+    return alive, new_row[old_rows] * n + (ids[alive] - old_rows * n)
 
 
 @dataclass(frozen=True)

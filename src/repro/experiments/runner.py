@@ -293,9 +293,9 @@ def configure_execution(
     only their automatic value: ``batch=True`` (every sweep runs on the
     batch engine), ``compaction="auto"`` (when rows move follows from the
     batch mode), ``watermark=0.75`` (continuous sweeps refill at a fixed
-    occupancy), ``state_backend="auto"`` (the engine picks the node-set
-    backend per workload) and ``kernel="auto"`` (compiled collision kernel
-    when numba imports, numpy otherwise).
+    occupancy), ``state_backend="auto"`` (node-set state has one dense
+    representation) and ``kernel="auto"`` (compiled collision kernel when
+    numba imports, numpy otherwise).
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
@@ -303,7 +303,7 @@ def configure_execution(
         ("batch", batch, True, "every sweep runs on the batch engine"),
         ("compaction", compaction, "auto", "it follows from the batch mode"),
         ("watermark", watermark, _REFILL_WATERMARK, "the refill point is fixed"),
-        ("state_backend", state_backend, "auto", "the engine picks it"),
+        ("state_backend", state_backend, "auto", "node-set state is dense"),
         ("kernel", kernel, "auto", "it follows from the platform"),
     ):
         if value not in (None, accepted):
@@ -494,10 +494,9 @@ class ExecutionPlan:
     exactly as the serial engine would — bit-identical to
     :func:`execute_job`, regardless of sharding).
 
-    The engine picks the node-set state backend per workload
-    (:mod:`repro.radio.nodesets`) and the collision kernel from the
-    platform (:mod:`repro.radio.kernels`); every choice is bit-identical,
-    so neither is a plan option nor part of a store key.
+    The engine picks the collision kernel from the platform
+    (:mod:`repro.radio.kernels`); both kernels are bit-identical, so the
+    kernel is neither a plan option nor part of a store key.
 
     Deterministic graph families (paths, grids, the lower-bound gadgets …)
     sample to the same network under every seed, so the plan builds that
@@ -740,8 +739,8 @@ class ExecutionPlan:
         """
         context: Dict[str, object] = {
             "batch_mode": self.batch_mode,
-            # A constant since the backend stopped being an option; it keeps
-            # existing store and aggregation digests valid.
+            # A constant since node-set state stopped having backends; it
+            # keeps existing store and aggregation digests valid.
             "state_backend": "auto",
         }
         if self.batch_mode == "fast":

@@ -28,10 +28,9 @@ Public surface:
 * :mod:`~repro.radio.batch` — the batched Monte-Carlo engine: ``R``
   independent trials advanced per vectorised round on stacked ``(R, n)``
   state, with per-trial completion masking and an exact-equivalence mode.
-* :mod:`~repro.radio.nodesets` — pluggable node-set state backends (dense
-  boolean arrays, bitset-packed ``uint64`` words, sparse frontier index
-  pools) behind the :class:`~repro.radio.nodesets.NodeSetKernel` the batch
-  protocols bind against.
+* :mod:`~repro.radio.nodesets` — the node-set state the protocols keep:
+  membership sets, gossip knowledge, Decay quotas and flooding budgets, one
+  dense class each.
 * :mod:`~repro.radio.environment` — composable faulty-world layers (i.i.d.
   and burst message loss, crash/churn schedules, adversarial jamming,
   wake-up asynchrony) wrapped around collision resolution, with scalar and
@@ -61,12 +60,6 @@ from repro.radio.collision import (
     as_batch_collision_model,
 )
 from repro.radio.energy import BatchEnergyAccountant, EnergyAccountant, EnergyReport
-from repro.radio.nodesets import (
-    STATE_BACKENDS,
-    NodeSetKernel,
-    resolve_kernel,
-    select_backend,
-)
 from repro.radio.engine import SimulationEngine, run_protocol
 from repro.radio.environment import (
     ENVIRONMENT_FAMILIES,
@@ -117,10 +110,6 @@ __all__ = [
     "BatchWithCollisionDetectionModel",
     "BatchErasureCollisionModel",
     "as_batch_collision_model",
-    "STATE_BACKENDS",
-    "NodeSetKernel",
-    "resolve_kernel",
-    "select_backend",
     "Environment",
     "NullEnvironment",
     "IidLossEnvironment",

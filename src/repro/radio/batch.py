@@ -11,14 +11,9 @@ dimension instead:
   flattened gather plus one ``bincount`` over ``trial * n + listener`` ids
   (see :class:`~repro.radio.collision.BatchCollisionModel`).
 * :class:`BatchProtocol` (and the broadcast/gossip bases) keep per-node state
-  in whole-batch node-set structures and advance every trial with one set of
-  vectorised operations per round.  The state representation is pluggable
-  (:mod:`repro.radio.nodesets`): dense boolean arrays, bitset-packed
-  ``uint64`` words (8x smaller gossip knowledge tensors), or sparse frontier
-  index pools (Decay/flooding at large ``n``) — selected automatically per
-  workload (:class:`BatchEngine` takes ``state_backend=`` to force one in
-  tests and benchmarks); every backend is bit-identical to dense under the
-  exact rng mode.
+  in whole-batch node-set structures (:mod:`repro.radio.nodesets`: dense
+  boolean masks and tensors, dense quota and budget arrays) and advance
+  every trial with one set of vectorised operations per round.
 * :class:`BatchEngine` owns the one batched round loop, masking out trials
   that have individually completed (or gone quiescent) so a finished trial
   costs nothing while its siblings run on.  :meth:`BatchEngine.run` admits
@@ -71,13 +66,7 @@ from repro.radio.environment import (
 )
 from repro.radio.kernels import compiled_available
 from repro.radio.network import RadioNetwork
-from repro.radio.nodesets import (
-    KnowledgeState,
-    NodeSetKernel,
-    NodeSetState,
-    STATE_BACKENDS,
-    resolve_kernel,
-)
+from repro.radio.nodesets import KnowledgeState, NodeSetState
 from repro.radio.trace import RoundRecord, RunResultTrace
 
 __all__ = [
@@ -181,12 +170,6 @@ class NetworkBatch:
         """Batch that runs every trial on the same shared topology."""
         trials = check_positive_int(trials, "trials")
         return cls([network] * trials)
-
-    @property
-    def edge_density(self) -> float:
-        """Fraction of possible (directed, loop-free) edges present."""
-        possible = self.trials * self.n * max(self.n - 1, 1)
-        return self.out_indices.size / possible
 
     def __repr__(self) -> str:
         return f"NetworkBatch(trials={self.trials}, n={self.n})"
@@ -433,12 +416,6 @@ class BatchProtocol(abc.ABC):
     #: drop into existing experiment tables unchanged.
     name: str = "batch-protocol"
 
-    #: State shape consumed by the backend auto-selection heuristic
-    #: (:func:`repro.radio.nodesets.select_backend`): ``"knowledge"`` for
-    #: gossip's ``(R, n, n)`` tensor, ``"frontier"`` for quota/budget-pool
-    #: protocols (Decay, deterministic flooding), ``"plain"`` otherwise.
-    state_profile: str = "plain"
-
     #: Whether :meth:`observe` consumes ``outcome.sender_flat``.  The
     #: continuous engine only materialises (and row-slices) sender
     #: identities from its union outcomes for cohorts that need them.
@@ -447,35 +424,14 @@ class BatchProtocol(abc.ABC):
     def __init__(self) -> None:
         self._batch: Optional[NetworkBatch] = None
         self._rng_source: Optional[BatchRandomSource] = None
-        self._kernel: Optional[NodeSetKernel] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def bind(
-        self,
-        batch: NetworkBatch,
-        rng_source: BatchRandomSource,
-        kernel: Optional[NodeSetKernel] = None,
-    ) -> None:
-        """Attach to a network batch and reset all per-run state.
-
-        ``kernel`` picks the node-set state backend; when omitted the
-        ``"auto"`` heuristic resolves one from the batch shape and the
-        protocol's :attr:`state_profile`.  Every backend is bit-identical
-        under the exact rng mode, so the choice is purely a space/time one.
-        """
+    def bind(self, batch: NetworkBatch, rng_source: BatchRandomSource) -> None:
+        """Attach to a network batch and reset all per-run state."""
         self._batch = batch
         self._rng_source = rng_source
-        if kernel is None:
-            kernel = resolve_kernel(
-                "auto",
-                batch.trials,
-                batch.n,
-                profile=self.state_profile,
-                density=batch.edge_density,
-            )
-        self._kernel = kernel
         self._setup()
 
     def _setup(self) -> None:
@@ -589,13 +545,6 @@ class BatchProtocol(abc.ABC):
         return self._rng_source
 
     @property
-    def kernel(self) -> NodeSetKernel:
-        """The node-set state kernel this run was bound with."""
-        if self._kernel is None:
-            raise RuntimeError(f"{type(self).__name__} is not bound yet")
-        return self._kernel
-
-    @property
     def trials(self) -> int:
         """Number of trials in the bound batch."""
         return self.batch.trials
@@ -613,9 +562,8 @@ class BatchBroadcastProtocol(BatchProtocol):
     """Batched broadcasting: one source per trial informs every node.
 
     Mirrors :class:`~repro.radio.protocol.BroadcastProtocol`; the informed
-    set lives in a kernel-selected :class:`~repro.radio.nodesets.
-    NodeSetState` (dense mask or packed bitset), the informed-round array
-    stays dense (it is trace metadata, identical under every backend).
+    set lives in a :class:`~repro.radio.nodesets.NodeSetState` next to the
+    ``(R, n)`` informed-round array (trace metadata).
     """
 
     name = "broadcast"
@@ -629,7 +577,7 @@ class BatchBroadcastProtocol(BatchProtocol):
     def _setup(self) -> None:
         trials, n = self.trials, self.n
         check_node_index(self.source, n, "source")
-        self._members = self.kernel.node_set(trials, n)
+        self._members = NodeSetState(trials, n)
         self._members.add_flat(
             np.arange(trials, dtype=np.int64) * n + self.source
         )
@@ -696,18 +644,14 @@ class BatchBroadcastProtocol(BatchProtocol):
 class BatchGossipProtocol(BatchProtocol):
     """Batched gossiping on an ``R x n x n`` rumour-knowledge relation.
 
-    The knowledge lives in a kernel-selected
-    :class:`~repro.radio.nodesets.KnowledgeState`: the dense backend keeps
-    the original boolean ``(R, n, n)`` tensor, the bitset/sparse backends a
-    packed ``(R, n, ceil(n/64))`` uint64 tensor — 8x smaller, which is what
-    lifts the practical gossip batch ceiling past ``R * n² ~ 1e8`` bool
-    cells.  Deliveries merge with the same sender-rows-gathered-first
-    semantics the serial :class:`~repro.radio.protocol.GossipProtocol` uses,
-    so merges always see round-start knowledge.
+    The knowledge lives in a :class:`~repro.radio.nodesets.KnowledgeState`,
+    a boolean ``(R, n, n)`` tensor.  Deliveries merge with the same
+    sender-rows-gathered-first semantics the serial
+    :class:`~repro.radio.protocol.GossipProtocol` uses, so merges always see
+    round-start knowledge.
     """
 
     name = "gossip"
-    state_profile = "knowledge"
     needs_senders = True
 
     def __init__(self) -> None:
@@ -715,7 +659,7 @@ class BatchGossipProtocol(BatchProtocol):
         self._knowledge_state: Optional[KnowledgeState] = None
 
     def _setup(self) -> None:
-        self._knowledge_state = self.kernel.knowledge(self.trials, self.n)
+        self._knowledge_state = KnowledgeState(self.trials, self.n)
         self._setup_gossip()
 
     def _setup_gossip(self) -> None:
@@ -730,20 +674,14 @@ class BatchGossipProtocol(BatchProtocol):
 
     @property
     def knowledge_state(self) -> KnowledgeState:
-        """The backend knowledge object (preferred over :attr:`knowledge`)."""
+        """The knowledge state object."""
         if self._knowledge_state is None:
             raise RuntimeError("protocol not bound")
         return self._knowledge_state
 
     @property
     def knowledge(self) -> np.ndarray:
-        """The ``(R, n, n)`` bool tensor.
-
-        A live view on the dense backend; packed backends materialise a
-        fresh unpacked copy, so large-``n`` code should prefer the
-        :attr:`knowledge_state` operations (:meth:`knows_rumour`,
-        :meth:`rumours_known`) which never expand the tensor.
-        """
+        """The ``(R, n, n)`` bool tensor (live — do not mutate)."""
         return self.knowledge_state.as_dense()
 
     def knows_rumour(self, rumour: int) -> np.ndarray:
@@ -892,13 +830,6 @@ class BatchEngine:
         burned the round cap (disconnected graphs under sub-threshold
         ``p``).  On by default; mirrored by the serial engine so exact-mode
         equivalence holds round for round.
-    state_backend:
-        Node-set state backend handed to the protocol at bind time:
-        ``"auto"`` (default — heuristic per workload), ``"dense"``,
-        ``"bitset"`` or ``"sparse"``.  All backends produce identical
-        results (bit-identical in exact rng mode); sweeps always run
-        ``"auto"``, and the forced values exist for the equivalence tests
-        and the backend benchmarks.
     environment:
         Optional faulty-world layer (a
         :class:`~repro.radio.environment.BatchEnvironment`, a scalar
@@ -916,7 +847,6 @@ class BatchEngine:
         keep_arrays: bool = False,
         run_to_quiescence: bool = False,
         retire_dead: bool = True,
-        state_backend: str = "auto",
         environment=None,
     ):
         if collision_model is None:
@@ -930,12 +860,6 @@ class BatchEngine:
         self.keep_arrays = bool(keep_arrays)
         self.run_to_quiescence = bool(run_to_quiescence)
         self.retire_dead = bool(retire_dead)
-        if state_backend not in STATE_BACKENDS:
-            known = ", ".join(STATE_BACKENDS)
-            raise ValueError(
-                f"unknown state backend {state_backend!r}; known: {known}"
-            )
-        self.state_backend = state_backend
 
     def run(
         self,
@@ -1178,7 +1102,7 @@ class BatchEngine:
         }
         retire = False  # set from the admitted protocol's class
         needs_senders = False
-        protocol_name = state_backend = None
+        protocol_name = None
 
         # Telemetry is hoisted once per call: when disabled, the loop pays
         # a few `if tel:` branch checks per round and nothing else.
@@ -1255,15 +1179,8 @@ class BatchEngine:
             tags: Optional[List[object]],
             start_round: int,
         ) -> _Cohort:
-            nonlocal admitted, retire, needs_senders, protocol_name, state_backend
-            kernel = resolve_kernel(
-                self.state_backend,
-                batch.trials,
-                batch.n,
-                profile=protocol.state_profile,
-                density=batch.edge_density,
-            )
-            protocol.bind(batch, rng_source, kernel)
+            nonlocal admitted, retire, needs_senders, protocol_name
+            protocol.bind(batch, rng_source)
             cohort_env = None
             if environment is not None:
                 # The first wave runs under the engine's own environment;
@@ -1313,7 +1230,6 @@ class BatchEngine:
             needs_senders = type(protocol).needs_senders
             if protocol_name is None:
                 protocol_name = protocol.name
-                state_backend = kernel.backend
             cohorts.append(c)
             # Trials complete at bind never enter the loop (serial rule);
             # retire them on the spot so their rows can be reclaimed.
@@ -1413,8 +1329,8 @@ class BatchEngine:
                     union_stale = True
                 live = sum(int(c.running.sum()) for c in cohorts)
                 rows = sum(c.batch.trials for c in cohorts)
-                # Anti-thrash: row-level compaction rebuilds CSR + state
-                # backends, so it must either make room for a refill or
+                # Anti-thrash: row-level compaction rebuilds CSR + node-set
+                # state, so it must either make room for a refill or
                 # reclaim rows that will actually repay the rebuild.  While
                 # the queue can still refill, a quarter of the rows is
                 # enough (freed rows turn into fresh trials).  Once it runs
@@ -1631,7 +1547,6 @@ class BatchEngine:
                 trials=stats["retired"],
                 n=n,
                 kernel=collision_kernel,
-                state_backend=state_backend,
                 rounds=global_round,
                 trial_rounds=stats["trial_rounds"],
                 seconds=total_seconds,
@@ -1678,7 +1593,6 @@ def run_protocol_batch(
     keep_arrays: bool = False,
     run_to_quiescence: bool = False,
     retire_dead: bool = True,
-    state_backend: str = "auto",
     environment=None,
 ) -> List[RunResultTrace]:
     """Convenience wrapper: build a :class:`BatchEngine` and run once.
@@ -1700,7 +1614,6 @@ def run_protocol_batch(
         keep_arrays=keep_arrays,
         run_to_quiescence=run_to_quiescence,
         retire_dead=retire_dead,
-        state_backend=state_backend,
         environment=environment,
     )
     return engine.run(

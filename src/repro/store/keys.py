@@ -3,7 +3,7 @@
 Every per-trial result is addressed by a SHA-256 digest of *what produced
 it*: the job's declarative specs (graph family + params, protocol name +
 params, seed, engine options) plus the execution context that affects the
-result bits (randomness policy, state backend) and :data:`ENGINE_VERSION`.
+result bits (the randomness policy) and :data:`ENGINE_VERSION`.
 Two configurations that would produce identical bits must digest to the same
 key, so the payload is canonicalised before hashing:
 
@@ -50,7 +50,7 @@ __all__ = [
 #: consumption order, collision resolution, protocol round logic, trace
 #: contents — and every previously stored result silently becomes a cache
 #: miss instead of a wrong answer.  Purely representational changes (state
-#: backends, scheduling, sharding) are bit-identical by construction and do
+#: layout, scheduling, sharding) are bit-identical by construction and do
 #: not require a bump.
 ENGINE_VERSION = "4.0"
 

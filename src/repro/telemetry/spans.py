@@ -2,9 +2,8 @@
 
 This module is the zero-dependency spine of ``repro.telemetry``.  It
 deliberately imports nothing from the rest of ``repro`` (and nothing
-beyond the stdlib) so that even the dependency-free hot layers
-(``repro.radio.nodesets``) can emit telemetry without creating an import
-cycle.
+beyond the stdlib) so that any layer, the radio engine included, can
+emit telemetry without creating an import cycle.
 
 Design constraints, in order:
 

@@ -155,7 +155,7 @@ def _render_tree(
     trials = _span_trials(attrs)
     if trials is not None:
         extras.append(f"trials={trials}")
-    for key in ("kernel", "state_backend", "shard", "error"):
+    for key in ("kernel", "shard", "error"):
         if key in attrs:
             extras.append(f"{key}={attrs[key]}")
     suffix = f"  [{', '.join(extras)}]" if extras else ""

@@ -65,11 +65,11 @@ def _serial_sweep(graph, protocol, **options):
     return [execute_job(j) for j in build_repetition_plan(graph, protocol, **options).jobs]
 
 
-def _engine_sweep(graph, protocol, *, state_backend="auto", kernel=None, **options):
+def _engine_sweep(graph, protocol, *, kernel=None, **options):
     """An exact ``repeat_job`` sweep run straight on a :class:`BatchEngine`
-    with the node-set backend (and, when given, the collision kernel)
-    forced: the same per-trial networks, protocol streams and engine
-    options the sweep uses, so every choice must give the same bits."""
+    with, when given, the collision kernel forced: the same per-trial
+    networks, protocol streams and engine options the sweep uses, so every
+    kernel must give the same bits."""
     plan = build_repetition_plan(graph, protocol, batch_mode="exact", **options)
     job = plan.jobs[0]
     model = runner_module._batch_collision_model_for(job)
@@ -80,7 +80,6 @@ def _engine_sweep(graph, protocol, *, state_backend="auto", kernel=None, **optio
         record_rounds=job.record_rounds,
         keep_arrays=job.keep_arrays,
         run_to_quiescence=job.run_to_quiescence,
-        state_backend=state_backend,
         environment=job.environment,
     )
     networks, rngs = zip(

@@ -12,10 +12,8 @@ Contracts pinned here:
 2. **Resume crosses compaction boundaries.**  A continuous sweep killed
    mid-run keeps its per-trial checkpoints; the resumed sweep serves them
    from the store and completes bit-identically to an uninterrupted run.
-3. **Backend repacks are lossless.**  Every node-set / frontier state
-   backend (dense, bitset, sparse) survives ``select_rows`` with surviving
-   rows' state intact — both unit-level and through the engine with the
-   backend forced.
+3. **State repacks are lossless.**  Every node-set / frontier state class
+   survives ``select_rows`` with the surviving rows' state intact.
 4. **The continuous engine is observable.**  A traced run emits occupancy
    gauges plus compaction / refill / dead-retirement counters.
 """
@@ -32,14 +30,7 @@ from repro.experiments.runner import repeat_job
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
 from repro.radio.batch import BatchEngine, PendingTrial
-from repro.radio.nodesets import (
-    BitsetNodeSet,
-    DenseBudgetFrontier,
-    DenseNodeSet,
-    DenseQuotaFrontier,
-    SparseBudgetFrontier,
-    SparseQuotaFrontier,
-)
+from repro.radio.nodesets import BudgetFrontier, NodeSetState, QuotaFrontier
 from repro.store import ResultStore
 from repro.telemetry import MemorySink, configure_telemetry, telemetry_shutdown
 
@@ -89,16 +80,16 @@ def _trial_rngs(seed0=500, trials=TRIALS):
     return [np.random.default_rng(seed0 + t) for t in range(trials)]
 
 
-def _engine(env_name=None, state_backend="auto"):
+def _engine(env_name=None):
     environment = (
         build_batch_environment(ENV_SPECS[env_name]) if env_name else None
     )
-    return BatchEngine(environment=environment, state_backend=state_backend)
+    return BatchEngine(environment=environment)
 
 
-def _run_sharded(net, protocol_name, env_name=None, state_backend="auto"):
+def _run_sharded(net, protocol_name, env_name=None):
     factory = BATCH_PROTOCOL_FACTORIES[protocol_name]
-    return _engine(env_name, state_backend).run(
+    return _engine(env_name).run(
         net,
         factory(**PROTOCOL_PARAMS[protocol_name]),
         trials=TRIALS,
@@ -107,7 +98,7 @@ def _run_sharded(net, protocol_name, env_name=None, state_backend="auto"):
     )
 
 
-def _run_continuous(net, protocol_name, env_name=None, state_backend="auto"):
+def _run_continuous(net, protocol_name, env_name=None):
     factory = BATCH_PROTOCOL_FACTORIES[protocol_name]
     params = PROTOCOL_PARAMS[protocol_name]
     cohorts = {"built": 0}
@@ -120,7 +111,7 @@ def _run_continuous(net, protocol_name, env_name=None, state_backend="auto"):
         PendingTrial(net, rng=rng, tag=t)
         for t, rng in enumerate(_trial_rngs())
     )
-    traces = _engine(env_name, state_backend).run_continuous(
+    traces = _engine(env_name).run_continuous(
         pending,
         make_protocol,
         capacity=CAPACITY,
@@ -168,34 +159,14 @@ class TestContinuousBitIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# Forced state backends survive the repack in situ
-# --------------------------------------------------------------------------- #
-class TestBackendRepackInEngine:
-    @pytest.mark.parametrize("state_backend", ["dense", "bitset", "sparse"])
-    @pytest.mark.parametrize(
-        "protocol_name", ["algorithm1", "decay", "deterministic_flood"]
-    )
-    def test_forced_backend_matches_run(
-        self, net96, protocol_name, state_backend
-    ):
-        sharded = _run_sharded(net96, protocol_name, state_backend=state_backend)
-        continuous, cohorts = _run_continuous(
-            net96, protocol_name, state_backend=state_backend
-        )
-        assert cohorts > 1
-        _assert_traces_identical(sharded, continuous)
-
-
-# --------------------------------------------------------------------------- #
 # Unit-level repack round-trips
 # --------------------------------------------------------------------------- #
-class TestBackendRepackUnit:
+class TestStateRepackUnit:
     KEEP = np.array([True, False, True, True, False], dtype=bool)
 
-    @pytest.mark.parametrize("cls", [DenseNodeSet, BitsetNodeSet])
-    def test_nodeset_roundtrip(self, cls):
+    def test_nodeset_roundtrip(self):
         rng = np.random.default_rng(42)
-        state = cls(5, 17)
+        state = NodeSetState(5, 17)
         members = rng.choice(5 * 17, size=30, replace=False)
         state.add_flat(members)
         before_mask = state.mask().copy()
@@ -218,36 +189,43 @@ class TestBackendRepackUnit:
         n = 13
         participating = rng.random((5, n)) < 0.4
         values = rng.integers(1, 6, size=int(participating.sum()))
-        dense = DenseQuotaFrontier(5, n)
-        sparse = SparseQuotaFrontier(5, n)
-        dense.begin_phase(participating, values)
-        sparse.begin_phase(participating, values)
-        dense.select_rows(self.KEEP)
-        sparse.select_rows(self.KEEP)
+        state = QuotaFrontier(5, n)
+        state.begin_phase(participating, values)
+        state.select_rows(self.KEEP)
+        # Reference: the same phase begun on the surviving rows alone.
+        reference = QuotaFrontier(3, n)
+        reference.begin_phase(
+            participating[self.KEEP],
+            values[np.repeat(self.KEEP, participating.sum(axis=1))],
+        )
         running = np.ones(3, dtype=bool)
         for within in range(6):
             np.testing.assert_array_equal(
-                sparse.transmitters(within, running),
-                dense.transmitters(within, running),
+                state.transmitters(within, running),
+                reference.transmitters(within, running),
             )
 
     def test_budget_frontier_roundtrip(self):
         rng = np.random.default_rng(9)
         n = 13
         ids = np.sort(rng.choice(5 * n, size=24, replace=False))
-        dense = DenseBudgetFrontier(5, n)
-        sparse = SparseBudgetFrontier(5, n)
-        dense.admit(ids, 2)
-        sparse.admit(ids, 2)
-        dense.select_rows(self.KEEP)
-        sparse.select_rows(self.KEEP)
-        np.testing.assert_array_equal(sparse.counts(), dense.counts())
+        state = BudgetFrontier(5, n)
+        state.admit(ids, 2)
+        state.select_rows(self.KEEP)
+        # Reference: the surviving ids admitted straight into the compacted
+        # trial space.
+        kept = ids[self.KEEP[ids // n]]
+        new_row = np.cumsum(self.KEEP) - 1
+        reference = BudgetFrontier(3, n)
+        reference.admit(new_row[kept // n] * n + kept % n, 2)
+        np.testing.assert_array_equal(state.counts(), reference.counts())
         running = np.ones(3, dtype=bool)
-        while dense.counts().any() or sparse.counts().any():
+        while reference.counts().any():
             np.testing.assert_array_equal(
-                sparse.transmitters(running), dense.transmitters(running)
+                state.transmitters(running), reference.transmitters(running)
             )
-            np.testing.assert_array_equal(sparse.counts(), dense.counts())
+            np.testing.assert_array_equal(state.counts(), reference.counts())
+        assert not state.counts().any()
 
 
 # --------------------------------------------------------------------------- #

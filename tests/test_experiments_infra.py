@@ -8,14 +8,19 @@ import pytest
 from repro.experiments.figures import ascii_chart, series_to_csv
 from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec, build_protocol
 from repro.experiments.results import ExperimentResult, Series
+from repro.cli import build_parser
 from repro.experiments.runner import (
+    ExecutionPlan,
     Job,
     aggregate_runs,
+    build_repetition_plan,
     configure_execution,
     execute_job,
     repeat_job,
 )
-from repro.graphs.builders import GraphSpec
+from repro.graphs.builders import GraphSpec, spec_is_deterministic
+
+from test_batch_engine import _assert_traces_identical
 
 
 class TestExperimentResult:
@@ -272,3 +277,88 @@ class TestFigures:
     def test_series_to_csv_mismatch(self):
         with pytest.raises(ValueError):
             series_to_csv([Series("a", [1, 2], [1.0])])
+
+
+class TestExecutionPlumbing:
+    @pytest.mark.parametrize(
+        "job_options,match",
+        [
+            ({"collision_model": "bogus"}, "collision model"),
+            ({"protocol": ProtocolSpec("bogus", {})}, "protocol"),
+        ],
+        ids=["collision_model", "protocol"],
+    )
+    def test_plan_rejects_unknown_option(self, job_options, match):
+        job = Job(
+            **{
+                "graph": GraphSpec("gnp", {"n": 16, "p": 0.2}),
+                "protocol": ProtocolSpec("algorithm1", {"p": 0.2}),
+                "seed": 1,
+                **job_options,
+            }
+        )
+        with pytest.raises(ValueError, match=match):
+            ExecutionPlan(jobs=(job,))
+
+    @pytest.mark.parametrize("flag", ["--state-backend", "--kernel"])
+    def test_cli_has_no_engine_choice_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "E1", flag, "auto"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestTopologyCache:
+    def test_deterministic_spec_detection(self):
+        assert spec_is_deterministic(GraphSpec("path", {"n": 8}))
+        assert spec_is_deterministic(GraphSpec("grid", {"rows": 3, "cols": 3}))
+        assert not spec_is_deterministic(GraphSpec("gnp", {"n": 8, "p": 0.5}))
+        assert not spec_is_deterministic(GraphSpec("nope", {}))
+
+    def test_plan_builds_deterministic_topology_once(self, monkeypatch):
+        import repro.experiments.runner as runner_module
+
+        calls = []
+        real_build = runner_module.build_network
+
+        def counting_build(spec, *, rng=None):
+            calls.append(spec.family)
+            return real_build(spec, rng=rng)
+
+        monkeypatch.setattr(runner_module, "build_network", counting_build)
+        runs = repeat_job(
+            GraphSpec("path", {"n": 24}),
+            ProtocolSpec("decay", {}),
+            repetitions=6,
+            seed=5,
+        )
+        assert len(runs) == 6
+        # One plan-level build; no per-job rebuilds.
+        assert calls == ["path"]
+
+    def test_random_specs_keep_per_trial_samples(self):
+        job_template = GraphSpec("gnp", {"n": 32, "p": 0.2})
+        plan = ExecutionPlan(
+            jobs=tuple(
+                Job(graph=job_template, protocol=ProtocolSpec("decay", {}), seed=s)
+                for s in range(3)
+            )
+        )
+        assert plan.shared_topology() is None
+
+    def test_cached_topology_matches_serial_results(self):
+        graph = GraphSpec("path", {"n": 32})
+        protocol = ProtocolSpec("decay", {})
+        plan = build_repetition_plan(graph, protocol, repetitions=4, seed=7)
+        serial = [execute_job(j) for j in plan.jobs]
+        batched = repeat_job(graph, protocol, repetitions=4, seed=7, batch_mode="exact")
+        _assert_traces_identical(serial, batched)
+        sharded = repeat_job(
+            graph,
+            protocol,
+            repetitions=4,
+            seed=7,
+            batch_mode="exact",
+            processes=2,
+        )
+        _assert_traces_identical(serial, sharded)

@@ -1,7 +1,7 @@
 """Golden engine traces: SHA-256 digests of every batched protocol's results.
 
-Pairwise equivalence tests (serial vs batch, ``run`` vs ``run_continuous``,
-dense vs bitset) pass when a shared helper moves both sides at once.  This
+Pairwise equivalence tests (serial vs batch, ``run`` vs ``run_continuous``)
+pass when a shared helper moves both sides at once.  This
 corpus does not depend on two implementations staying in sync: it pins the
 canonical :meth:`~repro.radio.trace.RunResultTrace.to_payload` of each trial
 for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
@@ -13,8 +13,6 @@ for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
 * exact mode under every environment family (``iid_loss``, ``burst_loss``,
   ``churn``, ``jam``, ``wakeup`` and a ``compose`` of ``iid_loss`` with
   ``churn``);
-* exact mode with the node-set ``state_backend`` forced to ``dense``,
-  ``bitset`` and ``sparse``, pinned to the same digests as ``auto``;
 * exact mode for Decay and deterministic flooding on one wide batch
   (``R = 256`` distinct ``G(256, 0.03)`` topologies, ``R * n = 2**16``),
   whose trials stop over a spread of rounds, so the frontier state is
@@ -84,10 +82,6 @@ ENV_SPECS = {
     "wakeup": {"name": "wakeup", "params": {"max_delay": 6}},
     "compose": {"name": "compose", "params": {"layers": [IID_LOSS, CHURN]}},
 }
-
-#: Protocols whose exact traces are also pinned under each forced backend.
-BACKEND_PROTOCOLS = ("algorithm1", "decay", "uniform_gossip")
-FORCED_BACKENDS = ("dense", "bitset", "sparse")
 
 N = 64
 TRIALS = 6
@@ -283,15 +277,6 @@ def test_wide_batch_matches_golden(golden, config, name):
 def test_run_continuous_matches_golden(golden, config, name):
     traces = _run_continuous(config, name)
     assert _digests(traces) == golden[_case_id(config, name)]
-
-
-@pytest.mark.parametrize("backend", FORCED_BACKENDS)
-@pytest.mark.parametrize("name", BACKEND_PROTOCOLS)
-def test_forced_state_backend_matches_auto_golden(golden, name, backend):
-    traces = _engine(state_backend=backend).run(
-        _networks(), _protocol(name), rngs=_rngs(), max_rounds=MAX_ROUNDS
-    )
-    assert _digests(traces) == golden[_case_id("exact", name)]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PROTOCOLS))

@@ -172,9 +172,9 @@ def _rngs():
     return [np.random.default_rng(4200 + t) for t in range(TRIALS)]
 
 
-def _run(model, networks, name, state_backend="auto"):
+def _run(model, networks, name):
     factory = BATCH_PROTOCOL_FACTORIES[name]
-    engine = BatchEngine(model, keep_arrays=True, state_backend=state_backend)
+    engine = BatchEngine(model, keep_arrays=True)
     return engine.run(
         networks, factory(**BROADCAST_PARAMS[name]), rngs=_rngs(), max_rounds=MAX_ROUNDS
     )
@@ -222,11 +222,10 @@ class TestEngineTrimmingIsInvisible:
             BROADCAST_PARAMS
         )
 
-    @pytest.mark.parametrize("state_backend", ["dense", "bitset", "sparse"])
     @pytest.mark.parametrize("name", sorted(BROADCAST_PARAMS))
-    def test_run(self, networks, name, state_backend):
-        reference = _run(_PerDeliveryDrawsModel(), networks, name, state_backend)
-        trimmed = _run(BatchStandardCollisionModel(), networks, name, state_backend)
+    def test_run(self, networks, name):
+        reference = _run(_PerDeliveryDrawsModel(), networks, name)
+        trimmed = _run(BatchStandardCollisionModel(), networks, name)
         _assert_same(reference, trimmed)
 
     @pytest.mark.parametrize("name", sorted(BROADCAST_PARAMS))

@@ -241,7 +241,7 @@ class TestGridSpans:
         counters = telemetry.current_registry().snapshot()["counters"]
         assert counters["engine.trials"] == 8
         assert counters["kernels.resolved.numpy"] >= 2
-        assert counters["nodesets.backend.dense"] >= 2
+        assert not any(name.startswith("nodesets.") for name in counters)
 
     def test_process_pool_shards_attribute_to_their_cell(self):
         sink = _memory_pipeline()
@@ -314,7 +314,7 @@ class TestEngineRunEvent:
         assert event["trial_rounds"] == sum(t.rounds_executed for t in traces)
         assert event["rounds"] >= max(t.rounds_executed for t in traces)
         assert event["kernel"] in ("numpy", "compiled")
-        assert event["state_backend"] in ("dense", "bitset", "sparse")
+        assert "state_backend" not in event
         # Cohort bookkeeping appears only when rows moved.
         if entry == "run":
             assert "compactions" not in event
