@@ -12,8 +12,10 @@ Contracts pinned here:
 2. **Resume crosses compaction boundaries.**  A continuous sweep killed
    mid-run keeps its per-trial checkpoints; the resumed sweep serves them
    from the store and completes bit-identically to an uninterrupted run.
-3. **State repacks are lossless.**  Every node-set / frontier state class
-   survives ``select_rows`` with the surviving rows' state intact.
+3. **State repacks are lossless.**  Every state class (node set,
+   knowledge, quota and budget frontier) survives ``select_rows`` with the
+   surviving rows' state intact, whether it keeps a scattered subset, every
+   row, no row or only the last.
 4. **The continuous engine is observable.**  A traced run emits occupancy
    gauges plus compaction / refill / dead-retirement counters.
 """
@@ -30,7 +32,12 @@ from repro.experiments.runner import repeat_job
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
 from repro.radio.batch import BatchEngine, PendingTrial
-from repro.radio.nodesets import BudgetFrontier, NodeSetState, QuotaFrontier
+from repro.radio.nodesets import (
+    BudgetFrontier,
+    KnowledgeState,
+    NodeSetState,
+    QuotaFrontier,
+)
 from repro.store import ResultStore
 from repro.telemetry import MemorySink, configure_telemetry, telemetry_shutdown
 
@@ -161,21 +168,36 @@ class TestContinuousBitIdentity:
 # --------------------------------------------------------------------------- #
 # Unit-level repack round-trips
 # --------------------------------------------------------------------------- #
-class TestStateRepackUnit:
-    KEEP = np.array([True, False, True, True, False], dtype=bool)
+#: Survivor masks over five trials: a scattered subset, every trial (the
+#: repack is a no-op), none (the last cohort retires at once) and only the
+#: last row (every survivor moves up).
+KEEPS = {
+    "scattered": [True, False, True, True, False],
+    "all": [True] * 5,
+    "none": [False] * 5,
+    "last": [False, False, False, False, True],
+}
 
-    def test_nodeset_roundtrip(self):
+
+@pytest.fixture(params=sorted(KEEPS))
+def keep(request):
+    return np.array(KEEPS[request.param], dtype=bool)
+
+
+class TestStateRepackUnit:
+    def test_nodeset_roundtrip(self, keep):
         rng = np.random.default_rng(42)
         state = NodeSetState(5, 17)
         members = rng.choice(5 * 17, size=30, replace=False)
         state.add_flat(members)
         before_mask = state.mask().copy()
         before_counts = state.counts().copy()
-        state.select_rows(self.KEEP)
-        assert state.trials == 3
-        np.testing.assert_array_equal(state.mask(), before_mask[self.KEEP])
+        state.select_rows(keep)
+        assert state.trials == keep.sum()
+        np.testing.assert_array_equal(state.mask(), before_mask[keep])
+        np.testing.assert_array_equal(state.counts(), before_counts[keep])
         np.testing.assert_array_equal(
-            state.counts(), before_counts[self.KEEP]
+            state.complement_flat(), ~before_mask[keep].reshape(-1)
         )
         # The repacked state keeps working: re-adding members is a no-op,
         # new members land in the right rows.
@@ -183,43 +205,65 @@ class TestStateRepackUnit:
         assert state.add_flat(still_member).size == 0
         fresh = np.flatnonzero(~state.mask().reshape(-1))[:1]
         np.testing.assert_array_equal(state.add_flat(fresh), fresh)
+        np.testing.assert_array_equal(state.counts(), state.mask().sum(axis=1))
 
-    def test_quota_frontier_roundtrip(self):
+    def test_knowledge_roundtrip(self, keep):
+        rng = np.random.default_rng(5)
+        n = 11
+        state = KnowledgeState(5, n)
+        receivers = rng.choice(5 * n, size=20, replace=False)
+        senders = (receivers // n) * n + rng.integers(0, n, size=receivers.size)
+        state.merge_flat(senders, receivers)
+        before = state.as_dense().copy()
+        state.select_rows(keep)
+        assert state.trials == keep.sum()
+        np.testing.assert_array_equal(state.as_dense(), before[keep])
+        np.testing.assert_array_equal(
+            state.per_node_counts(), before[keep].sum(axis=2)
+        )
+        # A merge after the repack addresses the compacted rows: every node
+        # of every surviving trial learns node 0's rumours.
+        rows = np.arange(state.trials * n)
+        state.merge_flat((rows // n) * n, rows)
+        expected = before[keep] | before[keep][:, :1, :]
+        np.testing.assert_array_equal(state.as_dense(), expected)
+
+    def test_quota_frontier_roundtrip(self, keep):
         rng = np.random.default_rng(7)
         n = 13
         participating = rng.random((5, n)) < 0.4
         values = rng.integers(1, 6, size=int(participating.sum()))
         state = QuotaFrontier(5, n)
         state.begin_phase(participating, values)
-        state.select_rows(self.KEEP)
+        state.select_rows(keep)
         # Reference: the same phase begun on the surviving rows alone.
-        reference = QuotaFrontier(3, n)
+        reference = QuotaFrontier(int(keep.sum()), n)
         reference.begin_phase(
-            participating[self.KEEP],
-            values[np.repeat(self.KEEP, participating.sum(axis=1))],
+            participating[keep],
+            values[np.repeat(keep, participating.sum(axis=1))],
         )
-        running = np.ones(3, dtype=bool)
+        running = np.ones(reference.trials, dtype=bool)
         for within in range(6):
             np.testing.assert_array_equal(
                 state.transmitters(within, running),
                 reference.transmitters(within, running),
             )
 
-    def test_budget_frontier_roundtrip(self):
+    def test_budget_frontier_roundtrip(self, keep):
         rng = np.random.default_rng(9)
         n = 13
         ids = np.sort(rng.choice(5 * n, size=24, replace=False))
         state = BudgetFrontier(5, n)
         state.admit(ids, 2)
-        state.select_rows(self.KEEP)
+        state.select_rows(keep)
         # Reference: the surviving ids admitted straight into the compacted
         # trial space.
-        kept = ids[self.KEEP[ids // n]]
-        new_row = np.cumsum(self.KEEP) - 1
-        reference = BudgetFrontier(3, n)
+        kept = ids[keep[ids // n]]
+        new_row = np.cumsum(keep) - 1
+        reference = BudgetFrontier(int(keep.sum()), n)
         reference.admit(new_row[kept // n] * n + kept % n, 2)
         np.testing.assert_array_equal(state.counts(), reference.counts())
-        running = np.ones(3, dtype=bool)
+        running = np.ones(reference.trials, dtype=bool)
         while reference.counts().any():
             np.testing.assert_array_equal(
                 state.transmitters(running), reference.transmitters(running)

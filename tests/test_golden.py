@@ -16,7 +16,8 @@ for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
 * exact mode for Decay and deterministic flooding on one wide batch
   (``R = 256`` distinct ``G(256, 0.03)`` topologies, ``R * n = 2**16``),
   whose trials stop over a spread of rounds, so the frontier state is
-  compacted while it holds thousands of rows;
+  compacted while it holds hundreds of trials; also as a continuous stream
+  of capacity 64 against the same digests;
 * one ``record_rounds=True``, one ``keep_arrays=True`` and one
   ``run_to_quiescence=True`` case;
 * an in-process fast-mode ``repeat_job(..., shards=3)`` sweep, which pins
@@ -96,6 +97,9 @@ CAPACITY = 4
 WIDE_TRIALS = 256
 WIDE_N = 256
 WIDE_PROTOCOLS = ("decay", "deterministic_flood")
+#: The wide batch as a continuous stream, a quarter of it at a time, so
+#: frontier rows of the wide shape retire, compact and refill.
+WIDE_CAPACITY = 64
 
 SWEEP_GRAPH = GraphSpec("gnp", {"n": 48, "p": 0.15})
 SWEEP_PROTOCOLS = {
@@ -125,6 +129,14 @@ def _rngs():
     return [np.random.default_rng(500 + t) for t in range(TRIALS)]
 
 
+def _wide_inputs():
+    networks = [
+        random_digraph(WIDE_N, 0.03, rng=700 + t) for t in range(WIDE_TRIALS)
+    ]
+    rngs = [np.random.default_rng(500 + t) for t in range(WIDE_TRIALS)]
+    return networks, rngs
+
+
 def _protocol(name):
     return BATCH_PROTOCOL_FACTORIES[name](**PROTOCOL_PARAMS[name])
 
@@ -146,10 +158,7 @@ def _run(config, name):
             _networks(), _protocol(name), rngs=_rngs(), max_rounds=MAX_ROUNDS
         )
     if config == "exact-wide":
-        networks = [
-            random_digraph(WIDE_N, 0.03, rng=700 + t) for t in range(WIDE_TRIALS)
-        ]
-        rngs = [np.random.default_rng(500 + t) for t in range(WIDE_TRIALS)]
+        networks, rngs = _wide_inputs()
         return _engine().run(networks, _protocol(name), rngs=rngs)
     if config.startswith("exact-"):
         return _engine(config[len("exact-"):]).run(
@@ -175,6 +184,12 @@ def _run(config, name):
 
 def _run_continuous(config, name):
     """An exact case as a refilled :meth:`BatchEngine.run_continuous` stream."""
+    if config == "exact-wide":
+        networks, rngs = _wide_inputs()
+        pending = (PendingTrial(net, rng=rng) for net, rng in zip(networks, rngs))
+        return _engine().run_continuous(
+            pending, lambda: _protocol(name), capacity=WIDE_CAPACITY, watermark=1.0
+        )
     if config == "exact":
         networks = _networks()
         engine = _engine()
@@ -269,6 +284,14 @@ def test_run_matches_golden(golden, config, name):
 )
 def test_wide_batch_matches_golden(golden, config, name):
     assert _digests(_run(config, name)) == golden[_case_id(config, name)]
+
+
+@pytest.mark.parametrize(
+    "config,name", WIDE_CASES, ids=[_case_id(*c) for c in WIDE_CASES]
+)
+def test_wide_batch_continuous_matches_golden(golden, config, name):
+    traces = _run_continuous(config, name)
+    assert _digests(traces) == golden[_case_id(config, name)]
 
 
 @pytest.mark.parametrize(
