@@ -22,7 +22,13 @@ for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
   ``run_to_quiescence=True`` case;
 * an in-process fast-mode ``repeat_job(..., shards=3)`` sweep, which pins
   the per-shard fast seeds, and an in-process exact-mode one, which runs
-  as one continuous stream that retires and refills rows.
+  as one continuous stream that retires and refills rows;
+* the single-run entry points, each against the batch engine with one
+  generator per trial (``oracle-*`` cases): engine runs with the erasure
+  and collision-detection models, flooding caps, ``record_rounds`` and
+  ``keep_arrays``; exact ``repeat_job`` sweeps (every registry case, two
+  environments, ``processes=2``) against ``execute_job`` per job; and
+  every registry protocol through ``run_protocol``.
 
 A digest change means the engine computes something else: it needs an
 ``ENGINE_VERSION`` bump and a justification, then a regenerated corpus::
@@ -39,11 +45,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments.protocols import BATCH_PROTOCOL_FACTORIES, ProtocolSpec
-from repro.experiments.runner import repeat_job
+from repro.experiments.protocols import (
+    BATCH_PROTOCOL_FACTORIES,
+    ProtocolSpec,
+    build_batch_protocol,
+    build_protocol,
+)
+from repro.experiments.runner import build_repetition_plan, execute_job, repeat_job
 from repro.graphs.builders import GraphSpec
-from repro.graphs.random_digraph import random_digraph
+from repro.graphs.random_digraph import (
+    connectivity_threshold_probability,
+    random_digraph,
+)
 from repro.radio.batch import BatchEngine, PendingTrial
+from repro.radio.collision import (
+    ErasureCollisionModel,
+    WithCollisionDetectionModel,
+)
+from repro.radio.engine import SimulationEngine, run_protocol
 from repro.radio.environment import build_batch_environment
 from repro.store.keys import canonical_dumps
 
@@ -244,6 +263,210 @@ EXACT_CASES = [case for case in ENGINE_CASES if case[0].startswith("exact")]
 WIDE_CASES = [("exact-wide", name) for name in WIDE_PROTOCOLS]
 
 
+# --------------------------------------------------------------------- #
+# Single-run entry points against the batch engine ("oracle-*" cases)
+# --------------------------------------------------------------------- #
+def _gnp_batch():
+    """Eight distinct G(192, p) samples at four times the threshold."""
+    n = 192
+    p = connectivity_threshold_probability(n, delta=4.0)
+    return [random_digraph(n, p, rng=300 + t) for t in range(8)], p
+
+
+def _gossip_batch():
+    return [random_digraph(40, 0.25, rng=400 + t) for t in range(4)], 0.25
+
+
+#: Engine-level cases: ``(inputs, protocol spec from p, seeds, collision
+#: model factory, engine options, also as a continuous stream)``.
+ORACLE_RUNS = {
+    "algorithm1-quiescence-arrays": (
+        _gnp_batch, lambda p: ProtocolSpec("algorithm1", {"p": p}),
+        range(50, 58), None,
+        {"run_to_quiescence": True, "keep_arrays": True}, False,
+    ),
+    "uniform_gossip": (
+        _gossip_batch, lambda p: ProtocolSpec("uniform_gossip", {}),
+        range(90, 94), None, {}, False,
+    ),
+    "erasure-algorithm1-quiescence": (
+        _gnp_batch, lambda p: ProtocolSpec("algorithm1", {"p": p}),
+        range(60, 68), lambda: ErasureCollisionModel(0.25),
+        {"run_to_quiescence": True}, True,
+    ),
+    "erasure-decay": (
+        _gnp_batch, lambda p: ProtocolSpec("decay", {}),
+        range(60, 68), lambda: ErasureCollisionModel(0.25), {}, True,
+    ),
+    "collision_detection-algorithm1": (
+        _gnp_batch, lambda p: ProtocolSpec("algorithm1", {"p": p}),
+        range(100, 108), WithCollisionDetectionModel, {}, True,
+    ),
+    "collision_detection-uniform_gossip": (
+        _gossip_batch, lambda p: ProtocolSpec("uniform_gossip", {}),
+        range(100, 104), WithCollisionDetectionModel, {}, True,
+    ),
+    "bernoulli_flood": (
+        _gnp_batch, lambda p: ProtocolSpec("bernoulli_flood", {"q": 0.05}),
+        range(70, 78), None, {}, False,
+    ),
+    "deterministic_flood-cap6": (
+        _gnp_batch,
+        lambda p: ProtocolSpec(
+            "deterministic_flood", {"max_transmissions_per_node": 6}
+        ),
+        range(70, 78), None, {}, False,
+    ),
+    "algorithm1-record_rounds": (
+        lambda: (_gnp_batch()[0][:4], _gnp_batch()[1]),
+        lambda p: ProtocolSpec("algorithm1", {"p": p}),
+        range(80, 84), None, {"record_rounds": True}, False,
+    ),
+}
+
+
+def _oracle_run(case, *, serial=False, continuous=False):
+    inputs, spec_for, seeds, model, options, _ = ORACLE_RUNS[case]
+    networks, p = inputs()
+    spec = spec_for(p)
+
+    def engine(cls):
+        return cls(model() if model else None, **options)
+
+    if serial:
+        return [
+            engine(SimulationEngine).run(
+                net, build_protocol(spec), rng=np.random.default_rng(seed)
+            )
+            for net, seed in zip(networks, seeds)
+        ]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if continuous:
+        return engine(BatchEngine).run_continuous(
+            (PendingTrial(net, rng=rng) for net, rng in zip(networks, rngs)),
+            lambda: build_batch_protocol(spec),
+            capacity=3,
+            watermark=1.0,
+        )
+    return engine(BatchEngine).run(networks, build_batch_protocol(spec), rngs=rngs)
+
+
+_REGISTRY_GRAPH = {"n": 64, "p": 0.18}
+#: Exact ``repeat_job`` sweeps: ``(graph params, protocol, params, options)``.
+ORACLE_SWEEPS = {
+    "algorithm1-quiescence": (
+        {"n": 128, "p": 0.08}, "algorithm1", {"p": 0.08},
+        {"repetitions": 6, "seed": 11, "run_to_quiescence": True},
+    ),
+    "algorithm1-processes2": (
+        {"n": 96, "p": 0.1}, "algorithm1", {"p": 0.1},
+        {"repetitions": 6, "seed": 3, "processes": 2,
+         "run_to_quiescence": True},
+    ),
+    "decay-iid_loss": (
+        {"n": 48, "p": 0.25}, "decay", {},
+        {"repetitions": 4, "seed": 23,
+         "environment": {"name": "iid_loss", "params": {"rx_loss": 0.15}}},
+    ),
+    "decay-churn": (
+        {"n": 48, "p": 0.25}, "decay", {},
+        {"repetitions": 4, "seed": 23, "environment": {
+            "name": "churn",
+            "params": {"events": [{"round": 4, "crash_fraction": 0.2}]},
+        }},
+    ),
+    "registry-algorithm2": ({"n": 48, "p": 0.2}, "algorithm2", {"p": 0.2}, {}),
+    "registry-algorithm3": (_REGISTRY_GRAPH, "algorithm3", {"diameter": 3}, {}),
+    "registry-algorithm3-q": (
+        _REGISTRY_GRAPH, "algorithm3", {"diameter": 3},
+        {"run_to_quiescence": True},
+    ),
+    "registry-tradeoff": (
+        _REGISTRY_GRAPH, "tradeoff", {"diameter": 3, "lam": 4.0}, {}
+    ),
+    "registry-decay": (_REGISTRY_GRAPH, "decay", {}, {}),
+    "registry-decay-q-capped": (
+        _REGISTRY_GRAPH, "decay", {"max_phases_active": 3},
+        {"run_to_quiescence": True},
+    ),
+    "registry-time_invariant": (
+        _REGISTRY_GRAPH, "time_invariant",
+        {"distribution": {"kind": "fixed", "q": 0.06}}, {},
+    ),
+    "registry-time_invariant-q-capped": (
+        _REGISTRY_GRAPH, "time_invariant",
+        {"distribution": {"kind": "alpha", "n": 64, "diameter": 3},
+         "active_window": 60},
+        {"run_to_quiescence": True},
+    ),
+    "registry-czumaj_rytter_known_d": (
+        _REGISTRY_GRAPH, "czumaj_rytter_known_d", {"diameter": 3}, {}
+    ),
+    "registry-uniform_selection": (
+        _REGISTRY_GRAPH, "uniform_selection", {"diameter": 3}, {}
+    ),
+    "registry-elsasser_gasieniec-q": (
+        _REGISTRY_GRAPH, "elsasser_gasieniec", {"p": 0.18},
+        {"run_to_quiescence": True},
+    ),
+    "registry-sequential_gossip": (
+        {"n": 24, "p": 0.3}, "sequential_gossip", {}, {}
+    ),
+}
+
+
+def _oracle_sweep(case, *, serial=False):
+    graph_params, name, params, options = ORACLE_SWEEPS[case]
+    options = {"repetitions": 4, "seed": 17, **options}
+    graph = GraphSpec("gnp", graph_params)
+    protocol = ProtocolSpec(name, params)
+    if serial:
+        options.pop("processes", None)
+        plan = build_repetition_plan(graph, protocol, **options)
+        return [execute_job(job) for job in plan.jobs]
+    return repeat_job(graph, protocol, batch_mode="exact", store=False, **options)
+
+
+#: ``run_protocol`` on one G(64, 0.15) sample, run to quiescence with the
+#: per-node arrays kept, for every registry protocol.
+FACADE_SEEDS = (31, 32, 33)
+
+
+def _facade_run(name, *, serial=False):
+    network = _shared_network()
+    spec = ProtocolSpec(name, PROTOCOL_PARAMS[name])
+    options = {"run_to_quiescence": True, "keep_arrays": True,
+               "max_rounds": MAX_ROUNDS}
+    if serial:
+        return [
+            run_protocol(network, build_protocol(spec), rng=seed, **options)
+            for seed in FACADE_SEEDS
+        ]
+    max_rounds = options.pop("max_rounds")
+    return BatchEngine(**options).run(
+        network, build_batch_protocol(spec), trials=len(FACADE_SEEDS),
+        rngs=list(FACADE_SEEDS), max_rounds=max_rounds,
+    )
+
+
+ORACLE_RUN_IDS = [f"oracle-run/{case}" for case in ORACLE_RUNS]
+ORACLE_CONTINUOUS = [case for case, spec in ORACLE_RUNS.items() if spec[-1]]
+ORACLE_SWEEP_IDS = [f"oracle-sweep/{case}" for case in ORACLE_SWEEPS]
+FACADE_IDS = [f"oracle-run_protocol/{name}" for name in sorted(PROTOCOL_PARAMS)]
+
+
+def _oracle(case_id, **kwargs):
+    kind, case = case_id.split("/", 1)
+    if kind == "oracle-run":
+        return _oracle_run(case, **kwargs)
+    if kind == "oracle-sweep":
+        return _oracle_sweep(case, **kwargs)
+    return _facade_run(case, **kwargs)
+
+
+ORACLE_IDS = ORACLE_RUN_IDS + ORACLE_SWEEP_IDS + FACADE_IDS
+
+
 def _case_id(config, name):
     return f"{config}/{name}"
 
@@ -256,6 +479,8 @@ def compute_corpus():
     for config, mode in SWEEP_CASES.items():
         for name in sorted(SWEEP_PROTOCOLS):
             corpus[_case_id(config, name)] = _digests(_sweep(name, mode))
+    for case_id in ORACLE_IDS:
+        corpus[case_id] = _digests(_oracle(case_id))
     return corpus
 
 
@@ -268,7 +493,7 @@ def test_corpus_covers_every_batch_protocol(golden):
     assert PROTOCOL_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
     expected = {_case_id(c, n) for c, n in ENGINE_CASES + WIDE_CASES} | {
         _case_id(c, n) for c in SWEEP_CASES for n in SWEEP_PROTOCOLS
-    }
+    } | set(ORACLE_IDS)
     assert set(golden) == expected
 
 
@@ -312,6 +537,23 @@ def test_sharded_fast_sweep_matches_golden(golden, name):
 def test_exact_stream_sweep_matches_golden(golden, name):
     case = _case_id("repeat_job-exact-stream", name)
     assert _digests(_sweep(name, "exact")) == golden[case]
+
+
+@pytest.mark.parametrize("case_id", ORACLE_IDS)
+def test_oracle_batch_matches_golden(golden, case_id):
+    assert _digests(_oracle(case_id)) == golden[case_id]
+
+
+@pytest.mark.parametrize("case_id", ORACLE_IDS)
+def test_oracle_single_run_matches_golden(golden, case_id):
+    """``SimulationEngine.run``, ``execute_job`` and ``run_protocol``."""
+    assert _digests(_oracle(case_id, serial=True)) == golden[case_id]
+
+
+@pytest.mark.parametrize("case", ORACLE_CONTINUOUS)
+def test_oracle_continuous_matches_golden(golden, case):
+    traces = _oracle_run(case, continuous=True)
+    assert _digests(traces) == golden[f"oracle-run/{case}"]
 
 
 if __name__ == "__main__":
