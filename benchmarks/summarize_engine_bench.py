@@ -1,7 +1,7 @@
 """Condense a pytest-benchmark JSON into the tracked BENCH_engine.json.
 
 Keeps one entry per benchmark (min/mean seconds plus any ``extra_info`` the
-benchmark recorded — notably the batched-vs-serial speedups) so the file
+benchmark recorded — notably the batch-vs-one-trial speedups) so the file
 stays small enough to diff across PRs.
 
 Usage: python benchmarks/summarize_engine_bench.py raw.json BENCH_engine.json

@@ -29,8 +29,8 @@ import time
 
 import pytest
 
-from repro.baselines.decay import BatchDecayBroadcast
-from repro.core.broadcast_random import BatchEnergyEfficientBroadcast
+from repro.baselines.decay import DecayBroadcast
+from repro.core.broadcast_random import EnergyEfficientBroadcast
 from repro.graphs.random_digraph import (
     connectivity_threshold_probability,
     random_digraph,
@@ -79,7 +79,7 @@ def _sharded_seconds(networks):
         results.extend(
             engine.run(
                 nets,
-                BatchDecayBroadcast(),
+                DecayBroadcast(),
                 rngs=[2000 + base + i for i in range(len(nets))],
                 max_rounds=DECAY_MAX_ROUNDS,
             )
@@ -97,7 +97,7 @@ def test_bench_continuous_subthreshold_decay(benchmark, subthreshold_workload):
         ]
         return BatchEngine().run_continuous(
             pend,
-            BatchDecayBroadcast,
+            DecayBroadcast,
             capacity=DECAY_SHARD,
             max_rounds=DECAY_MAX_ROUNDS,
         )
@@ -162,7 +162,7 @@ def test_bench_continuous_uniform_no_regression(benchmark, uniform_workload):
         ]
         return BatchEngine().run_continuous(
             pend,
-            lambda: BatchEnergyEfficientBroadcast(p),
+            lambda: EnergyEfficientBroadcast(p),
             capacity=UNIFORM_TRIALS,
         )
 
@@ -171,7 +171,7 @@ def test_bench_continuous_uniform_no_regression(benchmark, uniform_workload):
     start = time.perf_counter()
     batch_results = engine.run(
         networks,
-        BatchEnergyEfficientBroadcast(p),
+        EnergyEfficientBroadcast(p),
         rngs=[2000 + t for t in range(UNIFORM_TRIALS)],
     )
     batch_seconds = time.perf_counter() - start

@@ -3,7 +3,9 @@
 These measure the per-round and per-run cost of the vectorised engine so
 performance regressions in the hot path (CSR gather + bincount collision
 resolution, graph sampling) are visible independently of the experiment
-sweeps.
+sweeps.  The full-run cells go through ``run_protocol``, the single-run
+façade (the batch engine with one exact-mode trial), so they time the
+one-trial path.
 """
 
 import numpy as np
@@ -42,7 +44,8 @@ def test_bench_collision_resolution_round(benchmark, large_gnp):
 
 
 def test_bench_algorithm1_full_run(benchmark, large_gnp):
-    """A complete Algorithm-1 broadcast on n=4096 (the E1 unit of work)."""
+    """A complete Algorithm-1 broadcast on n=4096 (the E1 unit of work),
+    as one one-trial ``run_protocol`` call."""
     network, p = large_gnp
     result = benchmark(
         lambda: run_protocol(
@@ -53,7 +56,8 @@ def test_bench_algorithm1_full_run(benchmark, large_gnp):
 
 
 def test_bench_gossip_full_run(benchmark):
-    """A complete Algorithm-2 gossip on n=128 (the E4 unit of work)."""
+    """A complete Algorithm-2 gossip on n=128 (the E4 unit of work), as one
+    one-trial ``run_protocol`` call."""
     n = 128
     p = connectivity_threshold_probability(n, delta=4.0)
     network = random_digraph(n, p, rng=2)

@@ -4,7 +4,7 @@ The faulty-world layer (``repro.radio.environment``) promises to be free
 when the world is reliable: a null environment short-circuits every hook
 (``is_null`` skips them entirely) and must not disturb the engine's fast
 path.  This cell measures a full Decay repetition sweep — the same
-shape as the batch-vs-serial comparison — bare vs wrapped in a
+shape as the batch-vs-one-trial comparison — bare vs wrapped in a
 null-by-construction environment (``iid_loss`` at rate 0), and records
 ``environment_overhead_ratio`` (wrapped seconds / bare seconds) into
 ``BENCH_engine.json``.  A non-null cell (20% i.i.d. delivery loss) is
@@ -17,13 +17,13 @@ import time
 
 import pytest
 
-from repro.baselines.decay import BatchDecayBroadcast
+from repro.baselines.decay import DecayBroadcast
 from repro.graphs.random_digraph import (
     connectivity_threshold_probability,
     random_digraph,
 )
 from repro.radio.batch import BatchEngine
-from repro.radio.environment import build_batch_environment
+from repro.radio.environment import build_environment
 
 N = 512
 TRIALS = 64
@@ -39,7 +39,7 @@ def workload():
 def _run(networks, environment) -> float:
     engine = BatchEngine(environment=environment)
     start = time.perf_counter()
-    results = engine.run(networks, BatchDecayBroadcast(), rng=13)
+    results = engine.run(networks, DecayBroadcast(), rng=13)
     seconds = time.perf_counter() - start
     assert all(r.completed for r in results)
     return seconds
@@ -49,7 +49,7 @@ def test_bench_environment_overhead(benchmark, workload):
     """Null-environment wrapper must stay within 5% of the bare engine."""
     networks, _ = workload
     null_env = {"name": "iid_loss", "params": {"tx_loss": 0.0, "rx_loss": 0.0}}
-    assert build_batch_environment(null_env).is_null
+    assert build_environment(null_env).is_null
 
     def wrapped():
         return _run(networks, null_env)

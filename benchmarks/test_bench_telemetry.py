@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.baselines.decay import BatchDecayBroadcast
+from repro.baselines.decay import DecayBroadcast
 from repro.graphs.random_digraph import (
     connectivity_threshold_probability,
     random_digraph,
@@ -47,7 +47,7 @@ def workload():
 def _run(networks) -> float:
     engine = BatchEngine()
     start = time.perf_counter()
-    results = engine.run(networks, BatchDecayBroadcast(), rng=13)
+    results = engine.run(networks, DecayBroadcast(), rng=13)
     seconds = time.perf_counter() - start
     assert all(r.completed for r in results)
     return seconds

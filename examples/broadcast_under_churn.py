@@ -26,7 +26,7 @@ import sys
 
 from repro.analysis.tables import format_table
 from repro.experiments.common import threshold_p
-from repro.experiments.protocols import BATCH_PROTOCOL_FACTORIES
+from repro.experiments.protocols import PROTOCOL_FACTORIES
 from repro.graphs.random_digraph import random_digraph
 from repro.radio import parse_environment_option, run_protocol_batch
 
@@ -41,10 +41,10 @@ WORLDS = [
 def main(n: int = 128, trials: int = 8, seed: int = 7) -> None:
     network = random_digraph(n, threshold_p(n), rng=seed)
     protocols = {
-        "algorithm1": lambda: BATCH_PROTOCOL_FACTORIES["algorithm1"](
+        "algorithm1": lambda: PROTOCOL_FACTORIES["algorithm1"](
             p=threshold_p(n)
         ),
-        "bernoulli_flood": lambda: BATCH_PROTOCOL_FACTORIES["bernoulli_flood"](
+        "bernoulli_flood": lambda: PROTOCOL_FACTORIES["bernoulli_flood"](
             q=0.1
         ),
     }

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core import RandomNetworkGossip
-from repro.radio import SimulationEngine
+from repro.radio import BatchRandomSource, BatchStandardCollisionModel, NetworkBatch
 from repro.radio.dynamics import WaypointDriftModel
 
 
@@ -43,24 +43,30 @@ def main(n: int = 128, seed: int = 11, epochs: int = 12, rounds_per_epoch: int =
         f"effective density p_eff={p_eff:.3f}\n"
     )
 
-    engine = SimulationEngine()
+    # The protocol is driven one round at a time on a one-trial batch whose
+    # generator is ``rng`` (the binding run_protocol makes).
+    collision_model = BatchStandardCollisionModel()
+    rng_source = BatchRandomSource.exact([rng])
+    running = np.ones(1, dtype=bool)
     rows = []
     total_tx = np.zeros(n, dtype=np.int64)
-    bound_once = False
     completed_epoch = None
 
     for epoch, network in enumerate(drift.snapshots(n, epochs, rng=rng)):
-        if not bound_once:
-            protocol.bind(network, rng)
-            bound_once = True
+        batch = NetworkBatch([network])
+        if epoch == 0:
+            protocol.bind(batch, rng_source)
         else:
-            # Keep rumour knowledge, swap the topology under the protocol.
-            protocol._network = network  # deliberate: dynamic-topology variant
+            # Keep rumour knowledge, swap the topology under the protocol:
+            # compact() rebinds to a new batch and keeps the rows it is told
+            # to keep -- here, the one trial.
+            protocol.compact(running, batch, rng_source)
         for round_index in range(rounds_per_epoch):
-            mask = protocol.transmit_mask(round_index)
-            outcome = engine.collision_model.resolve(network, mask, rng)
-            protocol.observe(round_index, mask, outcome)
-            total_tx += mask
+            # With one trial, flat node ids are node ids.
+            tx = protocol.transmit_flat(round_index, running)
+            outcome = collision_model.resolve(batch, tx, rng_source)
+            protocol.observe(round_index, tx, outcome, running)
+            total_tx[tx] += 1
         coverage = protocol.knowledge.mean()
         min_known = int(protocol.rumours_known().min())
         rows.append(
@@ -72,7 +78,7 @@ def main(n: int = 128, seed: int = 11, epochs: int = 12, rounds_per_epoch: int =
                 int(total_tx.max()),
             ]
         )
-        if protocol.is_complete() and completed_epoch is None:
+        if protocol.completed()[0] and completed_epoch is None:
             completed_epoch = epoch
             break
 

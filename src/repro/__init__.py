@@ -7,11 +7,14 @@ The package is organised as:
 
 * :mod:`repro.radio` — the radio-network simulation substrate (the paper's
   model: directed links, synchronous rounds, collisions, fixed power,
-  energy = number of transmissions);
+  energy = number of transmissions).  One engine runs every protocol:
+  :class:`~repro.radio.batch.BatchEngine` advances ``R`` trials per
+  vectorised round, and the single-run API
+  (:func:`~repro.radio.engine.run_protocol`) is that engine with one trial;
 * :mod:`repro.graphs` — topology generators (directed ``G(n, p)``, random
   geometric graphs, the lower-bound constructions, structured families) and
   graph properties;
-* :mod:`repro.core` — the paper's algorithms: Algorithm 1 (random-network
+* :mod:`repro.core` — the paper's algorithms, one class each: Algorithm 1 (random-network
   broadcast, ≤1 transmission per node), Algorithm 2 (random-network gossip),
   Algorithm 3 (known-diameter broadcast), the Theorem 4.2 tradeoff family,
   the Fig. 1 distributions, and the time-invariant oblivious class used by

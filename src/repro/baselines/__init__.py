@@ -21,50 +21,36 @@
 """
 
 from repro.baselines.czumaj_rytter import (
-    BatchKnownDiameterCR,
-    BatchUniformSelectionBroadcast,
     KnownDiameterCR,
     UniformSelectionBroadcast,
 )
-from repro.baselines.decay import BatchDecayBroadcast, DecayBroadcast
+from repro.baselines.decay import DecayBroadcast
 from repro.baselines.elsasser_gasieniec import (
-    BatchElsasserGasieniecBroadcast,
     ElsasserGasieniecBroadcast,
 )
 from repro.baselines.flooding import (
-    BatchBernoulliFlood,
-    BatchDeterministicFlood,
     BernoulliFlood,
     DeterministicFlood,
 )
-from repro.baselines.gossip_uniform import BatchUniformScaleGossip, UniformScaleGossip
+from repro.baselines.gossip_uniform import UniformScaleGossip
 from repro.baselines.phone_call import (
     PhoneCallResult,
     run_push_broadcast,
     run_push_gossip,
 )
 from repro.baselines.sequential_gossip import (
-    BatchSequentialBroadcastGossip,
     SequentialBroadcastGossip,
 )
 
 __all__ = [
     "SequentialBroadcastGossip",
-    "BatchSequentialBroadcastGossip",
     "DeterministicFlood",
     "BernoulliFlood",
-    "BatchDeterministicFlood",
-    "BatchBernoulliFlood",
-    "BatchUniformScaleGossip",
-    "DecayBroadcast",
-    "BatchDecayBroadcast",
-    "ElsasserGasieniecBroadcast",
-    "BatchElsasserGasieniecBroadcast",
-    "KnownDiameterCR",
-    "BatchKnownDiameterCR",
-    "UniformSelectionBroadcast",
-    "BatchUniformSelectionBroadcast",
     "UniformScaleGossip",
+    "DecayBroadcast",
+    "ElsasserGasieniecBroadcast",
+    "KnownDiameterCR",
+    "UniformSelectionBroadcast",
     "PhoneCallResult",
     "run_push_broadcast",
     "run_push_gossip",

@@ -29,37 +29,13 @@ import math
 from typing import Optional
 
 from repro._util.logmath import lambda_of
-from repro.core.broadcast_general import (
-    BatchKnownDiameterBroadcast,
-    KnownDiameterBroadcast,
-)
+from repro.core.broadcast_general import KnownDiameterBroadcast
 from repro.core.distributions import CzumajRytterDistribution, UniformScaleDistribution
 
 __all__ = [
     "KnownDiameterCR",
     "UniformSelectionBroadcast",
-    "BatchKnownDiameterCR",
-    "BatchUniformSelectionBroadcast",
 ]
-
-
-def _install_cr_configuration(proto) -> None:
-    """α′ distribution + log(n/D)-longer window, shared by the serial and
-    batched CR classes so the two cannot drift apart."""
-    lam = lambda_of(proto.n, proto.diameter)
-    proto._distribution_override = CzumajRytterDistribution(proto.n, proto.diameter)
-    proto.window_factor = max(1.0, lam)
-
-
-def _uniform_selection_round_budget(proto) -> int:
-    """Safety-net horizon with the Θ(log n)-per-hop slack the uniform-scale
-    protocol pays, shared by the serial and batched classes."""
-    log_n = max(1.0, math.log2(proto.n))
-    return int(
-        math.ceil(
-            proto.round_budget_constant * (proto.diameter * log_n + log_n**2)
-        )
-    )
 
 
 class KnownDiameterCR(KnownDiameterBroadcast):
@@ -90,7 +66,9 @@ class KnownDiameterCR(KnownDiameterBroadcast):
         )
 
     def _setup_broadcast(self) -> None:
-        _install_cr_configuration(self)
+        # α′ scales and a log(n/D)-longer window.
+        self._distribution_override = CzumajRytterDistribution(self.n, self.diameter)
+        self.window_factor = max(1.0, lambda_of(self.n, self.diameter))
         super()._setup_broadcast()
 
 
@@ -122,56 +100,11 @@ class UniformSelectionBroadcast(KnownDiameterBroadcast):
     def _setup_broadcast(self) -> None:
         self._distribution_override = UniformScaleDistribution(self.n)
         super()._setup_broadcast()
-        self.round_budget = _uniform_selection_round_budget(self)
-        self.run_metadata["round_budget"] = self.round_budget
-
-
-class BatchKnownDiameterCR(BatchKnownDiameterBroadcast):
-    """Batched :class:`KnownDiameterCR` (α′ scales, log(n/D)-longer window)."""
-
-    name = KnownDiameterCR.name
-
-    def __init__(
-        self,
-        diameter: int,
-        *,
-        source: int = 0,
-        beta: float = 2.0,
-        round_budget_constant: float = 24.0,
-    ):
-        super().__init__(
-            diameter,
-            source=source,
-            beta=beta,
-            round_budget_constant=round_budget_constant,
+        # Safety-net horizon with the Θ(log n)-per-hop slack the
+        # uniform-scale protocol pays.
+        log_n = max(1.0, math.log2(self.n))
+        self.round_budget = int(
+            math.ceil(
+                self.round_budget_constant * (self.diameter * log_n + log_n**2)
+            )
         )
-
-    def _setup_broadcast(self) -> None:
-        _install_cr_configuration(self)
-        super()._setup_broadcast()
-
-
-class BatchUniformSelectionBroadcast(BatchKnownDiameterBroadcast):
-    """Batched :class:`UniformSelectionBroadcast` (uniform scales, unknown D)."""
-
-    name = UniformSelectionBroadcast.name
-
-    def __init__(
-        self,
-        diameter: int,
-        *,
-        source: int = 0,
-        beta: float = 2.0,
-        round_budget_constant: float = 48.0,
-    ):
-        super().__init__(
-            diameter,
-            source=source,
-            beta=beta,
-            round_budget_constant=round_budget_constant,
-        )
-
-    def _setup_broadcast(self) -> None:
-        self._distribution_override = UniformScaleDistribution(self.n)
-        super()._setup_broadcast()
-        self.round_budget = _uniform_selection_round_budget(self)

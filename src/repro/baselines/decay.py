@@ -18,7 +18,7 @@ per node overall.  This is the energy cost Algorithm 3 avoids.  An optional
 ``max_phases_active`` cut-off bounds it for the comparison experiments.
 
 Phase quotas live in a :class:`~repro.radio.nodesets.QuotaFrontier` (a
-dense quota array, one row per trial; the serial protocol uses one row),
+dense quota array, one row per trial),
 drawn only for the participating nodes.
 """
 
@@ -31,14 +31,13 @@ import numpy as np
 
 from repro._util.validation import check_positive_int
 from repro.radio.batch import BatchBroadcastProtocol
-from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
+from repro.radio.collision import BatchCollisionOutcome
 from repro.radio.nodesets import QuotaFrontier
-from repro.radio.protocol import BroadcastProtocol
 
-__all__ = ["DecayBroadcast", "BatchDecayBroadcast"]
+__all__ = ["DecayBroadcast"]
 
 
-class DecayBroadcast(BroadcastProtocol):
+class DecayBroadcast(BatchBroadcastProtocol):
     """Bar-Yehuda et al. Decay protocol.
 
     Parameters
@@ -49,134 +48,17 @@ class DecayBroadcast(BroadcastProtocol):
         Optional retirement rule: a node stops participating after this many
         phases counted from the phase in which it was informed.  ``None``
         reproduces the original (energy-unbounded) protocol.
-    """
-
-    name = "decay-broadcast"
-
-    def __init__(self, *, source: int = 0, max_phases_active: Optional[int] = None):
-        super().__init__(source=source)
-        if max_phases_active is not None:
-            max_phases_active = check_positive_int(
-                max_phases_active, "max_phases_active"
-            )
-        self.max_phases_active = max_phases_active
-        self.phase_length: int = 1
-        self._frontier: Optional[QuotaFrontier] = None
-        self._all_running = np.ones(1, dtype=bool)
-        self._informed_phase: Optional[np.ndarray] = None
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_broadcast(self) -> None:
-        n = self.n
-        self.phase_length = max(1, int(math.ceil(2 * math.log2(max(2, n)))))
-        self._frontier = QuotaFrontier(1, n)
-        self._informed_phase = np.full(n, -1, dtype=np.int64)
-        self._informed_phase[self.source] = 0
-        self._stuck = False
-        self._probe_count = -1
-        self._tested_count = -1
-        self.run_metadata = {
-            "phase_length": self.phase_length,
-            "max_phases_active": self.max_phases_active,
-        }
-
-    def _draw_phase_quotas(self, participating: np.ndarray) -> None:
-        """Draw the per-phase geometric transmission quotas for participants."""
-        count = int(participating.sum())
-        if count:
-            draws = self.rng.geometric(0.5, size=count)
-            values = np.minimum(draws, self.phase_length)
-        else:
-            values = np.empty(0, dtype=np.int64)
-        self._frontier.begin_phase(participating[None, :], values)
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        phase_index, within = divmod(round_index, self.phase_length)
-        if within == 0:
-            participating = self.informed.copy()
-            if self.max_phases_active is not None:
-                alive = (phase_index - self._informed_phase) < self.max_phases_active
-                participating &= alive & (self._informed_phase >= 0)
-            self._draw_phase_quotas(participating)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self._frontier.transmitters(within, self._all_running)] = True
-        return mask
-
-    def observe(
-        self,
-        round_index: int,
-        transmit_mask: np.ndarray,
-        outcome: CollisionOutcome,
-    ) -> None:
-        newly = self.mark_informed(outcome.receivers, round_index)
-        if newly.size:
-            phase_index = round_index // self.phase_length
-            # Newly informed nodes join from the *next* phase.
-            self._informed_phase[newly] = phase_index + 1
-
-    def _frontier_closed(self) -> bool:
-        """True when no informed node has an edge to an uninformed one."""
-        informed = self.informed
-        net = self.network
-        src_informed = np.repeat(informed, np.diff(net.out_indptr))
-        return not (src_informed & ~informed[net.out_indices]).any()
-
-    def is_quiescent(self, round_index: int) -> bool:
-        # Decay nodes transmit forever, so the schedule never runs dry;
-        # instead a run is *dead* exactly when no transmission can change
-        # anything: the informed set has no edge into an uninformed node
-        # (the disconnected sub-threshold case), or the optional retirement
-        # rule has permanently silenced every informed node.  Closure is a
-        # whole-graph test, so it is probed once per phase and only after a
-        # phase made zero progress; the verdict is monotone (an informed
-        # set only grows), so a stuck run stays stuck.
-        if self._stuck:
-            return True
-        if round_index % self.phase_length == 0:
-            count = int(self.informed.sum())
-            if count < self.n:
-                if self.max_phases_active is not None:
-                    phase_index = round_index // self.phase_length
-                    alive = (
-                        self.informed
-                        & (self._informed_phase >= 0)
-                        & (
-                            (phase_index - self._informed_phase)
-                            < self.max_phases_active
-                        )
-                    )
-                    if not alive.any():
-                        self._stuck = True
-                if (
-                    not self._stuck
-                    and count == self._probe_count
-                    and count != self._tested_count
-                ):
-                    self._tested_count = count
-                    self._stuck = self._frontier_closed()
-            self._probe_count = count
-        return self._stuck or self.is_complete()
-
-    def suggested_max_rounds(self) -> int:
-        log_n = max(1.0, math.log2(max(2, self.n)))
-        return int(math.ceil(32 * (self.n + log_n) * log_n))
-
-
-class BatchDecayBroadcast(BatchBroadcastProtocol):
-    """Batched Decay: ``R`` trials draw their phase quotas together.
 
     At each phase boundary the participating nodes of every running trial
     draw their geometric transmission quotas in one concatenated call
     (:meth:`~repro.radio.batch.BatchRandomSource.geometrics_for_counts`); the
     within-phase rounds then ask the
     :class:`~repro.radio.nodesets.QuotaFrontier` for the surviving
-    transmitters, one ``(R, n)`` mask comparison per round.  Exact mode
-    draws each trial's block from its own generator — the serial protocol's
-    ``rng.geometric(0.5, count)`` call — so batched runs are bit-identical
-    to serial ones.
+    transmitters, one ``(R, n)`` mask comparison per round.  Exact mode draws
+    each trial's block, ``rng.geometric(0.5, count)``, from its own generator.
     """
 
-    name = DecayBroadcast.name
+    name = "decay-broadcast"
 
     def __init__(self, *, source: int = 0, max_phases_active: Optional[int] = None):
         super().__init__(source=source)
@@ -211,7 +93,7 @@ class BatchDecayBroadcast(BatchBroadcastProtocol):
             counts = participating.sum(axis=1)
             if counts.any():
                 # Concatenated trial-major draws land on participating nodes
-                # in ascending id order — the serial assignment exactly.
+                # in ascending id order.
                 draws = self.rng_source.geometrics_for_counts(0.5, counts)
                 values = np.minimum(draws, self.phase_length)
             else:
@@ -243,10 +125,7 @@ class BatchDecayBroadcast(BatchBroadcastProtocol):
         return not (src_informed & ~row[targets - trial * n]).any()
 
     def quiescent(self, round_index: int) -> np.ndarray:
-        # Mirrors the serial rule (same probe rounds, same stagnation
-        # trigger) so dead trials retire in the same round under the serial
-        # and batched engines and exact-mode streams stay bit-identical: a
-        # trial is dead when its informed set is closed under out-edges, or
+        # A trial is dead when its informed set is closed under out-edges, or
         # when ``max_phases_active`` silenced every informed node for good.
         # The O(edges) closure test runs at most once per distinct informed
         # count, and only at phase boundaries that made zero progress.

@@ -30,13 +30,11 @@ import numpy as np
 from repro._util.logmath import ceil_log_ratio, expected_degree
 from repro._util.validation import check_positive, check_probability
 from repro.radio.batch import BatchBroadcastProtocol
-from repro.radio.collision import CollisionOutcome
-from repro.radio.protocol import BroadcastProtocol
 
-__all__ = ["ElsasserGasieniecBroadcast", "BatchElsasserGasieniecBroadcast"]
+__all__ = ["ElsasserGasieniecBroadcast"]
 
 
-class ElsasserGasieniecBroadcast(BroadcastProtocol):
+class ElsasserGasieniecBroadcast(BatchBroadcastProtocol):
     """The three-phase broadcast of Elsässer and Gasieniec (SPAA 2005).
 
     Parameters
@@ -47,95 +45,13 @@ class ElsasserGasieniecBroadcast(BroadcastProtocol):
         Broadcast originator.
     beta:
         Phase-3 length multiplier (``ceil(beta * log2 n)`` rounds).
-    """
-
-    name = "elsasser-gasieniec-broadcast"
-
-    def __init__(self, p: float, *, source: int = 0, beta: float = 8.0):
-        super().__init__(source=source)
-        self.p = check_probability(p, "p", allow_zero=False)
-        self.beta = check_positive(beta, "beta")
-        self.d: float = 0.0
-        self.D: int = 1
-        self.phase2_probability: float = 0.0
-        self.phase3_probability: float = 0.0
-        self.phase3_rounds: int = 0
-        self._eligible_phase3: Optional[np.ndarray] = None
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_broadcast(self) -> None:
-        n = self.n
-        self.d = max(expected_degree(n, self.p), 1.0 + 1e-9)
-        self.D = max(1, ceil_log_ratio(n, self.d))
-        log_n = max(1.0, math.log2(n))
-        self.phase2_probability = min(1.0, n / (self.d**self.D))
-        self.phase3_probability = min(1.0, 1.0 / self.d)
-        self.phase3_rounds = int(math.ceil(self.beta * log_n))
-        self._eligible_phase3 = None
-        self.run_metadata = {
-            "p": self.p,
-            "d": self.d,
-            "D": self.D,
-            "phase2_probability": self.phase2_probability,
-            "phase3_probability": self.phase3_probability,
-            "phase3_rounds": self.phase3_rounds,
-        }
-
-    # Phase boundaries (0-based round indices):
-    #   rounds [0, D-2]            -> Phase 1 (D-1 rounds)
-    #   round  D-1                 -> Phase 2
-    #   rounds [D, D+phase3_rounds) -> Phase 3
-    def phase_of_round(self, round_index: int) -> str:
-        if round_index < self.D - 1:
-            return "phase1"
-        if round_index == self.D - 1:
-            return "phase2"
-        if round_index < self.D + self.phase3_rounds:
-            return "phase3"
-        return "done"
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        phase = self.phase_of_round(round_index)
-        if phase == "phase1":
-            return self.informed.copy()
-        if phase == "phase2":
-            draws = self.rng.random(self.n) < self.phase2_probability
-            return self.informed & draws
-        if phase == "phase3":
-            if self._eligible_phase3 is None:
-                # Nodes informed during Phases 1-2 are the Phase-3 pool.
-                self._eligible_phase3 = self.informed.copy()
-            draws = self.rng.random(self.n) < self.phase3_probability
-            return self._eligible_phase3 & draws
-        return np.zeros(self.n, dtype=bool)
-
-    def observe(
-        self,
-        round_index: int,
-        transmit_mask: np.ndarray,
-        outcome: CollisionOutcome,
-    ) -> None:
-        self.mark_informed(outcome.receivers, round_index)
-
-    def is_quiescent(self, round_index: int) -> bool:
-        if round_index >= self.D + self.phase3_rounds:
-            return True
-        return not bool(self.informed.any())
-
-    def suggested_max_rounds(self) -> int:
-        return self.D + self.phase3_rounds + 1
-
-
-class BatchElsasserGasieniecBroadcast(BatchBroadcastProtocol):
-    """Batched :class:`ElsasserGasieniecBroadcast` on ``(R, n)`` state.
 
     The phase of a round depends only on the round index, so all trials move
     through the three phases together.  In exact mode each running trial
-    draws its full ``rng.random(n)`` vector in Phases 2–3 from its own
-    generator, matching the serial stream call for call.
+    draws its ``rng.random(n)`` vector in Phases 2–3 from its own generator.
     """
 
-    name = ElsasserGasieniecBroadcast.name
+    name = "elsasser-gasieniec-broadcast"
 
     def __init__(self, p: float, *, source: int = 0, beta: float = 8.0):
         super().__init__(source=source)

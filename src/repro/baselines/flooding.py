@@ -14,7 +14,7 @@
 
 Deterministic flooding keeps its per-node budgets in a
 :class:`~repro.radio.nodesets.BudgetFrontier` (a dense budget array, one
-row per trial; the serial protocol uses one row).
+row per trial).
 """
 
 from __future__ import annotations
@@ -26,97 +26,24 @@ import numpy as np
 
 from repro._util.validation import check_positive_int, check_probability
 from repro.radio.batch import BatchBroadcastProtocol
-from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
+from repro.radio.collision import BatchCollisionOutcome
 from repro.radio.nodesets import BudgetFrontier
-from repro.radio.protocol import BroadcastProtocol
 
 __all__ = [
     "DeterministicFlood",
     "BernoulliFlood",
-    "BatchDeterministicFlood",
-    "BatchBernoulliFlood",
 ]
 
 
-class DeterministicFlood(BroadcastProtocol):
-    """Every informed node transmits every round (until its cut-off)."""
+class DeterministicFlood(BatchBroadcastProtocol):
+    """Every informed node transmits every round (until its cut-off).
 
-    name = "deterministic-flood"
-
-    def __init__(self, *, source: int = 0, max_transmissions_per_node: int = 64):
-        super().__init__(source=source)
-        self.max_transmissions_per_node = check_positive_int(
-            max_transmissions_per_node, "max_transmissions_per_node"
-        )
-        self._frontier: Optional[BudgetFrontier] = None
-        self._all_running = np.ones(1, dtype=bool)
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_broadcast(self) -> None:
-        self._frontier = BudgetFrontier(1, self.n)
-        self._frontier.admit(
-            np.array([self.source], dtype=np.int64),
-            self.max_transmissions_per_node,
-        )
-        self.run_metadata = {
-            "max_transmissions_per_node": self.max_transmissions_per_node
-        }
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self._frontier.transmitters(self._all_running)] = True
-        return mask
-
-    def observe(
-        self,
-        round_index: int,
-        transmit_mask: np.ndarray,
-        outcome: CollisionOutcome,
-    ) -> None:
-        newly = self.mark_informed(outcome.receivers, round_index)
-        if newly.size:
-            self._frontier.admit(newly, self.max_transmissions_per_node)
-
-    def is_quiescent(self, round_index: int) -> bool:
-        # An empty frontier can never refill (nobody transmits, so nobody
-        # new is informed): the deadlocked run is permanently silent.
-        return int(self._frontier.counts()[0]) == 0
-
-    def suggested_max_rounds(self) -> int:
-        return 4 * self.n + self.max_transmissions_per_node
-
-
-class BernoulliFlood(BroadcastProtocol):
-    """Every informed node transmits with probability ``q`` each round, forever."""
-
-    name = "bernoulli-flood"
-
-    def __init__(self, q: float, *, source: int = 0):
-        super().__init__(source=source)
-        self.q = check_probability(q, "q", allow_zero=False)
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_broadcast(self) -> None:
-        self.run_metadata = {"q": self.q}
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        draws = self.rng.random(self.n) < self.q
-        return self.informed & draws
-
-    def suggested_max_rounds(self) -> int:
-        log_n = max(1.0, math.log2(self.n))
-        return int(math.ceil(64 * (self.n + log_n) / self.q))
-
-
-class BatchDeterministicFlood(BatchBroadcastProtocol):
-    """Batched :class:`DeterministicFlood` on a budget frontier.
-
-    The informed-with-budget-left set is exactly a
+    The informed-with-budget-left set is a
     :class:`~repro.radio.nodesets.BudgetFrontier`: one comparison of the
     ``(R, n)`` remaining-budget array per round.
     """
 
-    name = DeterministicFlood.name
+    name = "deterministic-flood"
 
     def __init__(self, *, source: int = 0, max_transmissions_per_node: int = 64):
         super().__init__(source=source)
@@ -148,8 +75,8 @@ class BatchDeterministicFlood(BatchBroadcastProtocol):
             self._frontier.admit(newly, self.max_transmissions_per_node)
 
     def quiescent(self, round_index: int) -> np.ndarray:
-        # Mirrors the serial rule: a trial whose frontier emptied is
-        # permanently silent (an empty frontier can never refill).
+        # An empty frontier can never refill (nobody transmits, so nobody
+        # new is informed): the deadlocked trial is permanently silent.
         return self._frontier.counts() == 0
 
     def _compact_broadcast(self, keep: np.ndarray) -> None:
@@ -162,15 +89,14 @@ class BatchDeterministicFlood(BatchBroadcastProtocol):
         return {"max_transmissions_per_node": self.max_transmissions_per_node}
 
 
-class BatchBernoulliFlood(BatchBroadcastProtocol):
-    """Batched :class:`BernoulliFlood`.
+class BernoulliFlood(BatchBroadcastProtocol):
+    """Every informed node transmits with probability ``q`` each round, forever.
 
-    In exact mode each running trial draws its full ``rng.random(n)`` vector
-    from its own generator, matching the serial protocol's stream call for
-    call.
+    In exact mode each running trial draws its ``rng.random(n)`` vector from
+    its own generator.
     """
 
-    name = BernoulliFlood.name
+    name = "bernoulli-flood"
 
     def __init__(self, q: float, *, source: int = 0):
         super().__init__(source=source)

@@ -22,12 +22,11 @@ from repro._util.validation import check_positive
 from repro.core.distributions import UniformScaleDistribution
 from repro.core.selection import SelectionSequence
 from repro.radio.batch import BatchGossipProtocol
-from repro.radio.protocol import GossipProtocol
 
-__all__ = ["UniformScaleGossip", "BatchUniformScaleGossip"]
+__all__ = ["UniformScaleGossip"]
 
 
-class UniformScaleGossip(GossipProtocol):
+class UniformScaleGossip(BatchGossipProtocol):
     """Gossip where all nodes transmit with a shared uniform-scale probability.
 
     Parameters
@@ -36,49 +35,14 @@ class UniformScaleGossip(GossipProtocol):
         Safety-net horizon constant ``C``: the protocol stops scheduling
         transmissions after ``C · n · log2 n`` rounds (the engine stops much
         earlier on the workloads we use, as soon as gossip completes).
+
+    Each trial has its own public scale sequence.  In exact mode trial ``t``
+    materialises a :class:`~repro.core.selection.SelectionSequence` from its
+    own generator and interleaves the scale-block and node draws; in fast
+    mode one shared generator draws the ``R`` scales of a round at once.
     """
 
     name = "uniform-scale-gossip"
-
-    def __init__(self, *, rounds_constant: float = 8.0):
-        super().__init__()
-        self.rounds_constant = check_positive(rounds_constant, "rounds_constant")
-        self.selection: Optional[SelectionSequence] = None
-        self.round_budget: int = 0
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_gossip(self) -> None:
-        n = self.n
-        log_n = max(1.0, math.log2(max(2, n)))
-        self.selection = SelectionSequence(UniformScaleDistribution(max(2, n)), rng=self.rng)
-        self.round_budget = int(math.ceil(self.rounds_constant * n * log_n))
-        self.run_metadata = {"round_budget": self.round_budget}
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        if round_index >= self.round_budget:
-            return np.zeros(self.n, dtype=bool)
-        probability = self.selection.probability_at(round_index)
-        return self.rng.random(self.n) < probability
-
-    def is_quiescent(self, round_index: int) -> bool:
-        return round_index >= self.round_budget
-
-    def suggested_max_rounds(self) -> int:
-        return self.round_budget
-
-
-class BatchUniformScaleGossip(BatchGossipProtocol):
-    """Batched :class:`UniformScaleGossip` on an ``(R, n, n)`` knowledge tensor.
-
-    Each trial has its own public scale sequence, as the serial protocol does
-    per run.  In exact mode trial ``t`` materialises a
-    :class:`~repro.core.selection.SelectionSequence` from its own generator
-    and interleaves the scale-block and node draws exactly as the serial
-    protocol would, so batched trials are bit-identical to serial runs.  In
-    fast mode one shared generator draws the ``R`` scales of a round at once.
-    """
-
-    name = UniformScaleGossip.name
 
     def __init__(self, *, rounds_constant: float = 8.0):
         super().__init__()
@@ -109,7 +73,7 @@ class BatchUniformScaleGossip(BatchGossipProtocol):
             return masks
         if self._sequences is not None:
             # Exact mode: per trial, the scale lookup (which may draw a block
-            # of public randomness) then the n node coins — the serial order.
+            # of public randomness) then the n node coins.
             for t in np.flatnonzero(running):
                 probability = self._sequences[t].probability_at(round_index)
                 draws = self.rng_source.generator_for_trial(t).random(n)

@@ -28,12 +28,11 @@ from repro._util.validation import check_positive
 from repro.core.distributions import UniformScaleDistribution
 from repro.core.selection import SelectionSequence
 from repro.radio.batch import BatchGossipProtocol
-from repro.radio.protocol import GossipProtocol
 
-__all__ = ["SequentialBroadcastGossip", "BatchSequentialBroadcastGossip"]
+__all__ = ["SequentialBroadcastGossip"]
 
 
-class SequentialBroadcastGossip(GossipProtocol):
+class SequentialBroadcastGossip(BatchGossipProtocol):
     """Gossip by broadcasting one rumour per epoch, in node-id order.
 
     Parameters
@@ -47,77 +46,14 @@ class SequentialBroadcastGossip(GossipProtocol):
         One pass suffices on strongly connected networks because rumours
         accumulate (the join model); the option exists for stress tests on
         poorly connected topologies.
-    """
-
-    name = "sequential-broadcast-gossip"
-
-    def __init__(self, *, epoch_length_factor: float = 2.0, passes: int = 1):
-        super().__init__()
-        self.epoch_length_factor = check_positive(
-            epoch_length_factor, "epoch_length_factor"
-        )
-        if passes < 1:
-            raise ValueError(f"passes must be >= 1, got {passes}")
-        self.passes = int(passes)
-        self.epoch_length: int = 1
-        self.round_budget: int = 0
-        self.selection: Optional[SelectionSequence] = None
-        self._current_epoch: int = -1
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_gossip(self) -> None:
-        n = self.n
-        log_n = max(1.0, math.log2(max(2, n)))
-        self.epoch_length = max(1, int(math.ceil(self.epoch_length_factor * log_n**2)))
-        self.round_budget = self.epoch_length * n * self.passes
-        self.selection = SelectionSequence(UniformScaleDistribution(max(2, n)), rng=self.rng)
-        self._current_epoch = -1
-        self.run_metadata = {
-            "epoch_length": self.epoch_length,
-            "round_budget": self.round_budget,
-            "passes": self.passes,
-        }
-
-    def _rumour_for_epoch(self, epoch: int) -> int:
-        return epoch % self.n
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        if round_index >= self.round_budget:
-            return np.zeros(self.n, dtype=bool)
-        epoch = round_index // self.epoch_length
-        rumour = self._rumour_for_epoch(epoch)
-        # Participants: nodes that already know the epoch's rumour.
-        participants = self.knowledge[:, rumour]
-        if not participants.any():
-            return np.zeros(self.n, dtype=bool)
-        probability = self.selection.probability_at(round_index)
-        draws = self.rng.random(self.n) < probability
-        return participants & draws
-
-    def is_quiescent(self, round_index: int) -> bool:
-        return round_index >= self.round_budget
-
-    def suggested_max_rounds(self) -> int:
-        return self.round_budget
-
-    def __repr__(self) -> str:
-        return (
-            f"SequentialBroadcastGossip(epoch_length_factor={self.epoch_length_factor}, "
-            f"passes={self.passes})"
-        )
-
-
-class BatchSequentialBroadcastGossip(BatchGossipProtocol):
-    """Batched :class:`SequentialBroadcastGossip`.
 
     The epoch (and therefore the scheduled rumour) depends only on the round
     index, so all trials broadcast the same rumour slot; participants are
     read off the ``(R, n, n)`` knowledge tensor.  Exact mode interleaves each
-    trial's public-scale block draws and node coins exactly as the serial
-    protocol does.
+    trial's public-scale block draws and node coins from its own generator.
     """
 
-    name = SequentialBroadcastGossip.name
+    name = "sequential-broadcast-gossip"
 
     def __init__(self, *, epoch_length_factor: float = 2.0, passes: int = 1):
         super().__init__()

@@ -47,9 +47,9 @@ Execution flags (``run`` / ``chart`` / ``report`` / ``sweep``)
 Repetition sweeps run on the batched execution pipeline (all seeds of a
 sweep advance together through the vectorised
 :class:`~repro.radio.batch.BatchEngine`; ``--processes K`` shards them into
-``K`` per-worker batches).  ``--batch-mode exact`` makes batched runs
-bit-identical to the serial engine (one rng stream per trial) instead of
-the default vectorised ``fast`` mode.  The engine runs the compiled
+``K`` per-worker batches).  ``--batch-mode exact`` gives each trial its own
+rng stream, so its result does not depend on the batch it ran in (the
+default vectorised ``fast`` mode shares one stream per batch).  The engine runs the compiled
 collision kernel when numba is importable, the bit-identical numpy path
 otherwise (:mod:`repro.radio.kernels`).  In-process exact-mode sweeps run
 as one continuous batch (live-trial retirement, batch compaction and
@@ -106,9 +106,9 @@ def _add_execution_flags(
         "--batch-mode",
         choices=["fast", "exact"],
         default=batch_mode_default,
-        help="randomness policy of the batched pipeline: 'fast' (vectorised, "
-        "statistically identical to the serial engine) or 'exact' "
-        "(bit-identical to it) "
+        help="randomness policy of the batched pipeline: 'fast' (one "
+        "vectorised stream per batch) or 'exact' (one stream per trial, "
+        "independent of batching) "
         f"[default: {batch_mode_default}]",
     )
     parser.add_argument(

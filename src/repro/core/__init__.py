@@ -20,12 +20,10 @@
 """
 
 from repro.core.broadcast_general import (
-    BatchKnownDiameterBroadcast,
     KnownDiameterBroadcast,
 )
 from repro.core.broadcast_random import (
     Algorithm1Schedule,
-    BatchEnergyEfficientBroadcast,
     EnergyEfficientBroadcast,
     compute_algorithm1_schedule,
 )
@@ -36,24 +34,19 @@ from repro.core.distributions import (
     ScaleDistribution,
     UniformScaleDistribution,
 )
-from repro.core.gossip_random import BatchRandomNetworkGossip, RandomNetworkGossip
-from repro.core.oblivious import BatchTimeInvariantBroadcast, TimeInvariantBroadcast
+from repro.core.gossip_random import RandomNetworkGossip
+from repro.core.oblivious import TimeInvariantBroadcast
 from repro.core.selection import SelectionSequence
-from repro.core.tradeoff import BatchTradeoffBroadcast, TradeoffBroadcast
+from repro.core.tradeoff import TradeoffBroadcast
 
 __all__ = [
     "EnergyEfficientBroadcast",
-    "BatchEnergyEfficientBroadcast",
     "Algorithm1Schedule",
     "compute_algorithm1_schedule",
     "RandomNetworkGossip",
-    "BatchRandomNetworkGossip",
     "KnownDiameterBroadcast",
-    "BatchKnownDiameterBroadcast",
     "TradeoffBroadcast",
-    "BatchTradeoffBroadcast",
     "TimeInvariantBroadcast",
-    "BatchTimeInvariantBroadcast",
     "ScaleDistribution",
     "AlphaDistribution",
     "CzumajRytterDistribution",

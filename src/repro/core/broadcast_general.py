@@ -37,13 +37,11 @@ from repro._util.validation import check_positive, check_positive_int
 from repro.core.distributions import AlphaDistribution, ScaleDistribution
 from repro.core.selection import SelectionSequence
 from repro.radio.batch import BatchBroadcastProtocol
-from repro.radio.collision import CollisionOutcome
-from repro.radio.protocol import BroadcastProtocol
 
-__all__ = ["KnownDiameterBroadcast", "BatchKnownDiameterBroadcast"]
+__all__ = ["KnownDiameterBroadcast"]
 
 
-class KnownDiameterBroadcast(BroadcastProtocol):
+class KnownDiameterBroadcast(BatchBroadcastProtocol):
     """Algorithm 3 of the paper (and the engine behind its variants).
 
     Parameters
@@ -69,112 +67,14 @@ class KnownDiameterBroadcast(BroadcastProtocol):
         Safety-net horizon constant ``c`` in
         ``c * (D * log(n/D) + log² n)`` rounds; the engine also stops as soon
         as every node is informed.
-    """
 
-    name = "algorithm3-known-diameter-broadcast"
-
-    def __init__(
-        self,
-        diameter: int,
-        *,
-        source: int = 0,
-        beta: float = 2.0,
-        distribution: Optional[ScaleDistribution] = None,
-        window_factor: float = 1.0,
-        round_budget_constant: float = 24.0,
-    ):
-        super().__init__(source=source)
-        self.diameter = check_positive_int(diameter, "diameter")
-        self.beta = check_positive(beta, "beta")
-        self.window_factor = check_positive(window_factor, "window_factor")
-        self.round_budget_constant = check_positive(
-            round_budget_constant, "round_budget_constant"
-        )
-        self._distribution_override = distribution
-
-        self.distribution: Optional[ScaleDistribution] = None
-        self.selection: Optional[SelectionSequence] = None
-        self.active_window: int = 0
-        self.round_budget: int = 0
-        self.lam: float = 1.0
-        self.run_metadata: Dict[str, object] = {}
-
-    # ------------------------------------------------------------------ #
-    def _setup_broadcast(self) -> None:
-        n = self.n
-        log_n = max(1.0, math.log2(n))
-        self.lam = lambda_of(n, self.diameter)
-        if self._distribution_override is not None:
-            self.distribution = self._distribution_override
-        else:
-            self.distribution = AlphaDistribution(n, self.diameter)
-        self.selection = SelectionSequence(self.distribution, rng=self.rng)
-        self.active_window = max(
-            1, int(math.ceil(self.beta * self.window_factor * log_n**2))
-        )
-        self.round_budget = int(
-            math.ceil(
-                self.round_budget_constant
-                * (self.diameter * self.lam + log_n**2)
-            )
-        )
-        self.run_metadata = {
-            "diameter": self.diameter,
-            "lambda": self.lam,
-            "distribution": self.distribution.name,
-            "active_window": self.active_window,
-            "round_budget": self.round_budget,
-            "mean_transmission_probability": self.distribution.mean_transmission_probability(),
-        }
-
-    # ------------------------------------------------------------------ #
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        informed_round = self.informed_round
-        informed = self.informed
-        # A node is active while informed and within its window.
-        active = informed & (round_index < informed_round + self.active_window)
-        if not active.any():
-            return np.zeros(self.n, dtype=bool)
-        probability = self.selection.probability_at(round_index)
-        draws = self.rng.random(self.n) < probability
-        return active & draws
-
-    def is_quiescent(self, round_index: int) -> bool:
-        # No node is (or will ever again be) inside its active window: nodes
-        # only enter the window by being informed, which requires an active
-        # transmitter, so "no active node now" is absorbing.
-        informed = self.informed
-        active = informed & (round_index < self.informed_round + self.active_window)
-        return not bool(active.any())
-
-    def suggested_max_rounds(self) -> int:
-        return self.round_budget
-
-    def __repr__(self) -> str:
-        dist = self._distribution_override.name if self._distribution_override else "alpha"
-        return (
-            f"{type(self).__name__}(diameter={self.diameter}, beta={self.beta}, "
-            f"window_factor={self.window_factor}, distribution={dist!r})"
-        )
-
-
-class BatchKnownDiameterBroadcast(BatchBroadcastProtocol):
-    """Batched Algorithm 3: ``R`` selection-sequence trials per round.
-
-    Same parameters and window/horizon arithmetic as
-    :class:`KnownDiameterBroadcast`; each trial carries its own public
-    selection sequence, exactly as each serial run does.  The batched
-    Czumaj–Rytter and Theorem 4.2 variants subclass this the same way their
-    serial counterparts subclass the serial class, so the two hierarchies
-    cannot drift apart.
-
-    In exact mode trial ``t`` materialises its
+    Each trial carries its own public selection sequence.  In exact mode
+    trial ``t`` materialises its
     :class:`~repro.core.selection.SelectionSequence` from its own generator
     and interleaves the lazy scale-block draws with the per-round ``n`` node
-    coins exactly as the serial protocol would (including the no-draw
-    early-out of rounds with no active node), so batched runs are
-    bit-identical to serial runs.  In fast mode one shared generator draws
-    the round's ``R`` public scales in a single call.
+    coins (skipping both in rounds with no active node).  In fast mode one
+    shared generator draws the round's ``R`` public scales in a single call.
+    The Czumaj–Rytter and Theorem 4.2 variants subclass this class.
     """
 
     name = "algorithm3-known-diameter-broadcast"
@@ -243,8 +143,8 @@ class BatchKnownDiameterBroadcast(BatchBroadcastProtocol):
         masks = np.zeros((trials, n), dtype=bool)
         if self._sequences is not None:
             # Exact mode: per running trial, the scale lookup (which may draw
-            # a block of public randomness) then the n node coins — in the
-            # serial order, and skipped entirely when nothing is active.
+            # a block of public randomness) then the n node coins, skipped
+            # entirely when nothing is active.
             for t in np.flatnonzero(running):
                 if not active[t].any():
                     continue

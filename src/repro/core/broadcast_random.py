@@ -41,12 +41,10 @@ import numpy as np
 from repro._util.logmath import expected_degree, phase1_round_count
 from repro._util.validation import check_positive, check_probability
 from repro.radio.batch import BatchBroadcastProtocol
-from repro.radio.collision import BatchCollisionOutcome, CollisionOutcome
-from repro.radio.protocol import BroadcastProtocol
+from repro.radio.collision import BatchCollisionOutcome
 
 __all__ = [
     "EnergyEfficientBroadcast",
-    "BatchEnergyEfficientBroadcast",
     "Algorithm1Schedule",
     "compute_algorithm1_schedule",
 ]
@@ -76,8 +74,8 @@ def _remap_flat_pool(ids: np.ndarray, keep: np.ndarray, n: int):
 class Algorithm1Schedule:
     """The phase schedule of Algorithm 1, derived from ``(n, p)`` alone.
 
-    Both the serial and the batched protocol compute their round logic from
-    this one object, so the two implementations cannot drift apart.
+    The protocol computes its round logic from this one object, which the
+    experiments also read for the phase boundaries.
     """
 
     n: int
@@ -179,49 +177,7 @@ def compute_algorithm1_schedule(
     )
 
 
-class _Algorithm1Params:
-    """Shared constructor validation for the serial and batched Algorithm 1."""
-
-    def _init_algorithm1_params(
-        self,
-        p: float,
-        *,
-        beta: float,
-        phase2_threshold_exponent: float,
-        phase1_overshoot_factor: float,
-        dense_min_degree_factor: float,
-        enable_phase2: bool,
-    ) -> None:
-        self.p = check_probability(p, "p", allow_zero=False)
-        self.beta = check_positive(beta, "beta")
-        self.phase2_threshold_exponent = check_positive(
-            phase2_threshold_exponent, "phase2_threshold_exponent"
-        )
-        if dense_min_degree_factor < 0:
-            raise ValueError(
-                f"dense_min_degree_factor must be >= 0, got {dense_min_degree_factor}"
-            )
-        if phase1_overshoot_factor < 0:
-            raise ValueError(
-                f"phase1_overshoot_factor must be >= 0, got {phase1_overshoot_factor}"
-            )
-        self.dense_min_degree_factor = float(dense_min_degree_factor)
-        self.phase1_overshoot_factor = float(phase1_overshoot_factor)
-        self.enable_phase2 = bool(enable_phase2)
-
-    def _compute_schedule(self, n: int) -> Algorithm1Schedule:
-        return compute_algorithm1_schedule(
-            n,
-            self.p,
-            beta=self.beta,
-            phase2_threshold_exponent=self.phase2_threshold_exponent,
-            phase1_overshoot_factor=self.phase1_overshoot_factor,
-            dense_min_degree_factor=self.dense_min_degree_factor,
-            enable_phase2=self.enable_phase2,
-        )
-
-
-class EnergyEfficientBroadcast(_Algorithm1Params, BroadcastProtocol):
+class EnergyEfficientBroadcast(BatchBroadcastProtocol):
     """Algorithm 1 of the paper.
 
     Parameters
@@ -264,6 +220,18 @@ class EnergyEfficientBroadcast(_Algorithm1Params, BroadcastProtocol):
     enable_phase2:
         Ablation switch (E11): when False, Phase 2 is skipped even in the
         sparse regime.
+
+    ``R`` trials advance through the phases together: the phase of a round
+    depends only on the round index (one :class:`Algorithm1Schedule`), so
+    one vectorised update advances every trial.  The active pool is kept
+    *sparse* — a sorted array of flat node ids (``trial * n + node``) plus
+    per-trial counts — because after Phase 1 only a vanishing fraction of
+    the ``R x n`` state is active: a Phase-3 round then costs
+    O(active + transmissions), not O(R n).
+
+    In exact mode the Phase-2/3 coin flips are drawn one trial at a time,
+    ``rng.random(active_count)`` from that trial's generator, and land on
+    the active nodes in ascending id order.
     """
 
     name = "algorithm1-energy-efficient-broadcast"
@@ -280,192 +248,22 @@ class EnergyEfficientBroadcast(_Algorithm1Params, BroadcastProtocol):
         enable_phase2: bool = True,
     ):
         super().__init__(source=source)
-        self._init_algorithm1_params(
-            p,
-            beta=beta,
-            phase2_threshold_exponent=phase2_threshold_exponent,
-            phase1_overshoot_factor=phase1_overshoot_factor,
-            dense_min_degree_factor=dense_min_degree_factor,
-            enable_phase2=enable_phase2,
+        self.p = check_probability(p, "p", allow_zero=False)
+        self.beta = check_positive(beta, "beta")
+        self.phase2_threshold_exponent = check_positive(
+            phase2_threshold_exponent, "phase2_threshold_exponent"
         )
-
-        # Filled in at bind time (depend on n).
-        self._status: Optional[np.ndarray] = None
-        self.schedule: Optional[Algorithm1Schedule] = None
-        self.T: int = 0
-        self.d: float = 0.0
-        self.phase2_round: Optional[int] = None
-        self.phase3_start: int = 0
-        self.phase3_rounds: int = 0
-        self.phase3_probability: float = 0.0
-        self.phase2_probability: float = 0.0
-        self.run_metadata: Dict[str, object] = {}
-        self._active_history: List[int] = []
-
-    # ------------------------------------------------------------------ #
-    # Setup
-    # ------------------------------------------------------------------ #
-    def _setup_broadcast(self) -> None:
-        n = self.n
-        schedule = self._compute_schedule(n)
-        self.schedule = schedule
-        self.d = schedule.d
-        self.T = schedule.T
-        self.phase2_round = schedule.phase2_round
-        self.phase3_start = schedule.phase3_start
-        self.phase3_rounds = schedule.phase3_rounds
-        self.phase2_probability = schedule.phase2_probability
-        self.phase3_probability = schedule.phase3_probability
-        self._sparse_regime = schedule.sparse_regime
-
-        self._status = np.full(n, _UNINFORMED, dtype=np.int8)
-        self._status[self.source] = _ACTIVE
-        self._active_history = []
-        self.run_metadata = dict(schedule.metadata())
-        self.run_metadata["active_history"] = self._active_history
-
-    # ------------------------------------------------------------------ #
-    # Round logic
-    # ------------------------------------------------------------------ #
-    def phase_of_round(self, round_index: int) -> str:
-        """Which phase (``"phase1"``, ``"phase2"``, ``"phase3"``, ``"done"``) a round belongs to."""
-        return self.schedule.phase_of_round(round_index)
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        """Who transmits this round.
-
-        Phase-2/3 coin flips are drawn only for the currently *active* nodes
-        (in ascending node-id order), not for all ``n`` nodes: late Phase-3
-        rounds have a handful of active nodes, and full-width draws dominated
-        the round cost.  This changes the RNG stream relative to older
-        releases — the same seed now yields different (equally valid) runs.
-        """
-        status = self._status
-        active = status == _ACTIVE
-        self._active_history.append(int(active.sum()))
-        phase = self.phase_of_round(round_index)
-        if phase == "phase1":
-            return active
-        if phase in ("phase2", "phase3"):
-            probability = (
-                self.phase2_probability
-                if phase == "phase2"
-                else self.phase3_probability
+        if dense_min_degree_factor < 0:
+            raise ValueError(
+                f"dense_min_degree_factor must be >= 0, got {dense_min_degree_factor}"
             )
-            mask = np.zeros(self.n, dtype=bool)
-            idx = np.flatnonzero(active)
-            if idx.size:
-                draws = self.rng.random(idx.size)
-                mask[idx[draws < probability]] = True
-            return mask
-        return np.zeros(self.n, dtype=bool)
-
-    def observe(
-        self,
-        round_index: int,
-        transmit_mask: np.ndarray,
-        outcome: CollisionOutcome,
-    ) -> None:
-        phase = self.phase_of_round(round_index)
-        status = self._status
-        newly = self.mark_informed(outcome.receivers, round_index)
-
-        if phase in ("phase1", "phase2"):
-            # Every node that was active this round retires (it either
-            # transmitted, or — in Phase 2 — consumed its single chance).
-            status[status == _ACTIVE] = _PASSIVE
-            # Nodes informed for the first time become active for the next round.
-            if newly.size:
-                status[newly] = _ACTIVE
-        elif phase == "phase3":
-            # Only nodes that actually transmitted retire; Phase-3 recruits
-            # are informed but never become active (Algorithm 1, Phase 3).
-            tx = np.asarray(transmit_mask, dtype=bool)
-            status[tx & (status == _ACTIVE)] = _PASSIVE
-            if newly.size:
-                # mark_informed only returns previously uninformed nodes, so
-                # these go straight to passive (informed, never active).
-                status[newly] = _PASSIVE
-
-    # ------------------------------------------------------------------ #
-    # Introspection used by the experiments
-    # ------------------------------------------------------------------ #
-    def active_count(self) -> int:
-        """Number of currently active nodes."""
-        return int((self._status == _ACTIVE).sum())
-
-    @property
-    def active_history(self) -> List[int]:
-        """``|U_t|`` — the number of active nodes at the start of each round."""
-        return list(self._active_history)
-
-    def is_quiescent(self, round_index: int) -> bool:
-        # The schedule has a hard end (Phase 3's last round) and the active
-        # pool only shrinks once Phase 3 starts, so either condition below is
-        # absorbing.
-        if round_index >= self.phase3_start + self.phase3_rounds:
-            return True
-        return self.active_count() == 0
-
-    def suggested_max_rounds(self) -> int:
-        return self.phase3_start + self.phase3_rounds + 1
-
-    def is_complete(self) -> bool:
-        # The run is over either when everyone is informed or when the
-        # protocol has exhausted its schedule (it never transmits again).
-        return bool(self.informed.all())
-
-    def __repr__(self) -> str:
-        return (
-            f"EnergyEfficientBroadcast(p={self.p}, source={self.source}, "
-            f"beta={self.beta}, enable_phase2={self.enable_phase2})"
-        )
-
-
-class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
-    """Batched Algorithm 1: ``R`` trials advance through the phases together.
-
-    Same parameters and phase logic as :class:`EnergyEfficientBroadcast`
-    (both derive their round behaviour from the one
-    :class:`Algorithm1Schedule`).  The phase of a round depends only on the
-    round index, so all trials are always in the same phase and one
-    vectorised update advances everyone.
-
-    The active pool is kept *sparse* — a sorted array of flat node ids
-    (``trial * n + node``) plus per-trial counts — because after Phase 1 only
-    a vanishing fraction of the ``R x n`` state is active: a Phase-3 round
-    then costs O(active + transmissions), not O(R n), which is where the
-    batch engine's throughput comes from.
-
-    In the exact-equivalence rng mode the Phase-2/3 coin flips are drawn one
-    trial at a time from that trial's generator, matching the serial
-    protocol's active-only ``rng.random(active_count)`` call (uniforms land
-    on active nodes in ascending id order in both implementations) — batched
-    runs are then bit-identical to serial runs of the same per-trial seeds.
-    """
-
-    name = EnergyEfficientBroadcast.name
-
-    def __init__(
-        self,
-        p: float,
-        *,
-        source: int = 0,
-        beta: float = 8.0,
-        phase2_threshold_exponent: float = 0.4,
-        phase1_overshoot_factor: float = 2.0,
-        dense_min_degree_factor: float = 2.0,
-        enable_phase2: bool = True,
-    ):
-        super().__init__(source=source)
-        self._init_algorithm1_params(
-            p,
-            beta=beta,
-            phase2_threshold_exponent=phase2_threshold_exponent,
-            phase1_overshoot_factor=phase1_overshoot_factor,
-            dense_min_degree_factor=dense_min_degree_factor,
-            enable_phase2=enable_phase2,
-        )
+        if phase1_overshoot_factor < 0:
+            raise ValueError(
+                f"phase1_overshoot_factor must be >= 0, got {phase1_overshoot_factor}"
+            )
+        self.dense_min_degree_factor = float(dense_min_degree_factor)
+        self.phase1_overshoot_factor = float(phase1_overshoot_factor)
+        self.enable_phase2 = bool(enable_phase2)
         self.schedule: Optional[Algorithm1Schedule] = None
         self._active_flat: Optional[np.ndarray] = None
         self._active_count: Optional[np.ndarray] = None
@@ -476,7 +274,15 @@ class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
 
     def _setup_broadcast(self) -> None:
         trials, n = self.trials, self.n
-        self.schedule = self._compute_schedule(n)
+        self.schedule = compute_algorithm1_schedule(
+            n,
+            self.p,
+            beta=self.beta,
+            phase2_threshold_exponent=self.phase2_threshold_exponent,
+            phase1_overshoot_factor=self.phase1_overshoot_factor,
+            dense_min_degree_factor=self.dense_min_degree_factor,
+            enable_phase2=self.enable_phase2,
+        )
         self._active_flat = (
             np.arange(trials, dtype=np.int64) * n + self.source
         )
@@ -488,7 +294,7 @@ class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
         self._phase3_offsets = None
 
     # ------------------------------------------------------------------ #
-    # Round logic (mirrors the serial class on the sparse active pool)
+    # Round logic on the sparse active pool
     # ------------------------------------------------------------------ #
     def transmit_flat(self, round_index: int, running: np.ndarray) -> np.ndarray:
         counts = self._active_count
@@ -512,9 +318,9 @@ class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
                 if phase == "phase2"
                 else self.schedule.phase3_probability
             )
-            # Per-trial draw counts mirror the serial rng.random(active_count)
-            # call; `gated` is trial-major ascending, matching the serial
-            # assignment of uniforms to active nodes in ascending id order.
+            # One rng.random(active_count) call per running trial; `gated` is
+            # trial-major ascending, so uniforms land on active nodes in
+            # ascending id order.
             draw_counts = np.where(running, counts, 0)
             draws = self.rng_source.uniforms_for_counts(draw_counts)
             return gated[draws < probability]
@@ -627,7 +433,7 @@ class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
         return self._active_count.copy()
 
     def active_history(self, trial: int) -> List[int]:
-        """``|U_t|`` per round for one trial (serial ``active_history``)."""
+        """``|U_t|`` — the number of active nodes at the start of each round."""
         return [
             int(counts[trial])
             for running, counts in self._history_log
@@ -649,6 +455,6 @@ class BatchEnergyEfficientBroadcast(_Algorithm1Params, BatchBroadcastProtocol):
 
     def __repr__(self) -> str:
         return (
-            f"BatchEnergyEfficientBroadcast(p={self.p}, source={self.source}, "
+            f"EnergyEfficientBroadcast(p={self.p}, source={self.source}, "
             f"beta={self.beta}, enable_phase2={self.enable_phase2})"
         )

@@ -33,12 +33,11 @@ import numpy as np
 from repro._util.logmath import expected_degree
 from repro._util.validation import check_positive, check_probability
 from repro.radio.batch import BatchGossipProtocol
-from repro.radio.protocol import GossipProtocol
 
-__all__ = ["RandomNetworkGossip", "BatchRandomNetworkGossip"]
+__all__ = ["RandomNetworkGossip"]
 
 
-class RandomNetworkGossip(GossipProtocol):
+class RandomNetworkGossip(BatchGossipProtocol):
     """Algorithm 2 of the paper.
 
     Parameters
@@ -48,60 +47,13 @@ class RandomNetworkGossip(GossipProtocol):
         ``d = n p`` is the transmission probability denominator.
     rounds_constant:
         The constant ``C`` in the round budget ``C · d · log2 n``.
+
+    Every node of every running trial flips the same Bernoulli(1/d) coin
+    each round, so a round is one ``(k, n)`` uniform draw; in exact mode each
+    running trial draws its ``rng.random(n)`` vector from its own generator.
     """
 
     name = "algorithm2-random-gossip"
-
-    def __init__(self, p: float, *, rounds_constant: float = 8.0):
-        super().__init__()
-        self.p = check_probability(p, "p", allow_zero=False)
-        self.rounds_constant = check_positive(rounds_constant, "rounds_constant")
-        self.d: float = 0.0
-        self.transmit_probability: float = 0.0
-        self.round_budget: int = 0
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_gossip(self) -> None:
-        n = self.n
-        self.d = max(expected_degree(n, self.p), 1.0)
-        self.transmit_probability = min(1.0, 1.0 / self.d)
-        log_n = max(1.0, math.log2(n))
-        self.round_budget = int(math.ceil(self.rounds_constant * self.d * log_n))
-        self.run_metadata = {
-            "p": self.p,
-            "d": self.d,
-            "transmit_probability": self.transmit_probability,
-            "round_budget": self.round_budget,
-        }
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        if round_index >= self.round_budget:
-            return np.zeros(self.n, dtype=bool)
-        return self.rng.random(self.n) < self.transmit_probability
-
-    def is_quiescent(self, round_index: int) -> bool:
-        return round_index >= self.round_budget
-
-    def suggested_max_rounds(self) -> int:
-        return self.round_budget
-
-    def __repr__(self) -> str:
-        return (
-            f"RandomNetworkGossip(p={self.p}, rounds_constant={self.rounds_constant})"
-        )
-
-
-class BatchRandomNetworkGossip(BatchGossipProtocol):
-    """Batched Algorithm 2: ``R`` gossip trials per vectorised round.
-
-    Every node of every running trial flips the same Bernoulli(1/d) coin each
-    round, so a round is one ``(k, n)`` uniform draw.  In exact mode each
-    running trial draws its full ``rng.random(n)`` vector from its own
-    generator — the serial protocol's stream call for call — making batched
-    runs bit-identical to serial ones.
-    """
-
-    name = RandomNetworkGossip.name
 
     def __init__(self, p: float, *, rounds_constant: float = 8.0):
         super().__init__()
@@ -145,6 +97,5 @@ class BatchRandomNetworkGossip(BatchGossipProtocol):
 
     def __repr__(self) -> str:
         return (
-            f"BatchRandomNetworkGossip(p={self.p}, "
-            f"rounds_constant={self.rounds_constant})"
+            f"RandomNetworkGossip(p={self.p}, rounds_constant={self.rounds_constant})"
         )

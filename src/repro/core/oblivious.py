@@ -28,13 +28,12 @@ import numpy as np
 from repro._util.validation import check_positive_int
 from repro.core.distributions import FixedProbabilityOblivious, ScaleDistribution
 from repro.radio.batch import BatchBroadcastProtocol
-from repro.radio.protocol import BroadcastProtocol
 
-__all__ = ["TimeInvariantBroadcast", "BatchTimeInvariantBroadcast"]
+__all__ = ["TimeInvariantBroadcast"]
 
 
 def _coerce_distribution(distribution) -> ScaleDistribution:
-    """Accept a ScaleDistribution or a float ``q`` shorthand (shared check)."""
+    """Accept a ScaleDistribution or a float ``q`` shorthand."""
     if isinstance(distribution, (int, float)) and not isinstance(distribution, bool):
         distribution = FixedProbabilityOblivious(float(distribution))
     if not isinstance(distribution, ScaleDistribution):
@@ -45,7 +44,7 @@ def _coerce_distribution(distribution) -> ScaleDistribution:
     return distribution
 
 
-class TimeInvariantBroadcast(BroadcastProtocol):
+class TimeInvariantBroadcast(BatchBroadcastProtocol):
     """Oblivious broadcast with a time-invariant transmission distribution.
 
     Parameters
@@ -61,76 +60,15 @@ class TimeInvariantBroadcast(BroadcastProtocol):
         transmissions-per-node number.
     source:
         Broadcast originator.
-    """
-
-    name = "time-invariant-oblivious-broadcast"
-
-    def __init__(
-        self,
-        distribution,
-        *,
-        active_window: Optional[int] = None,
-        source: int = 0,
-    ):
-        super().__init__(source=source)
-        self.distribution = _coerce_distribution(distribution)
-        if active_window is not None:
-            active_window = check_positive_int(active_window, "active_window")
-        self.active_window = active_window
-        self.run_metadata: Dict[str, object] = {}
-
-    def _setup_broadcast(self) -> None:
-        self.run_metadata = {
-            "distribution": self.distribution.name,
-            "mean_transmission_probability": self.distribution.mean_transmission_probability(),
-            "active_window": self.active_window,
-        }
-
-    def _shared_probability(self) -> float:
-        if isinstance(self.distribution, FixedProbabilityOblivious):
-            return self.distribution.per_round_probability()
-        return float(self.distribution.sample_probabilities(1, rng=self.rng)[0])
-
-    def transmit_mask(self, round_index: int) -> np.ndarray:
-        eligible = self.informed
-        if self.active_window is not None:
-            eligible = eligible & (
-                round_index < self.informed_round + self.active_window
-            )
-        if not eligible.any():
-            return np.zeros(self.n, dtype=bool)
-        probability = self._shared_probability()
-        draws = self.rng.random(self.n) < probability
-        return eligible & draws
-
-    def is_quiescent(self, round_index: int) -> bool:
-        if self.active_window is None:
-            return self.is_complete()
-        eligible = self.informed & (
-            round_index < self.informed_round + self.active_window
-        )
-        return not bool(eligible.any())
-
-    def suggested_max_rounds(self) -> int:
-        import math
-
-        log_n = max(1.0, math.log2(max(2, self.n)))
-        mean_q = max(self.distribution.mean_transmission_probability(), 1e-9)
-        return int(math.ceil(64 * (self.n + log_n) / mean_q))
-
-
-class BatchTimeInvariantBroadcast(BatchBroadcastProtocol):
-    """Batched :class:`TimeInvariantBroadcast`: ``R`` oblivious trials per round.
 
     Each trial draws its own shared per-round probability (one scale draw)
     followed by its ``n`` node coins.  In exact mode both draws come from the
-    trial's own generator in the serial order (and are skipped entirely for
-    trials with no eligible node), so batched runs are bit-identical to
-    serial ones; in fast mode the round's ``R`` scale draws collapse into one
-    call on the shared generator.
+    trial's own generator (and are skipped for trials with no eligible node);
+    in fast mode the round's ``R`` scale draws collapse into one call on the
+    shared generator.
     """
 
-    name = TimeInvariantBroadcast.name
+    name = "time-invariant-oblivious-broadcast"
 
     def __init__(
         self,

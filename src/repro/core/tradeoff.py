@@ -22,13 +22,10 @@ import math
 
 from repro._util.logmath import lambda_of
 from repro._util.validation import check_positive
-from repro.core.broadcast_general import (
-    BatchKnownDiameterBroadcast,
-    KnownDiameterBroadcast,
-)
+from repro.core.broadcast_general import KnownDiameterBroadcast
 from repro.core.distributions import AlphaDistribution
 
-__all__ = ["TradeoffBroadcast", "BatchTradeoffBroadcast", "admissible_lambda_range"]
+__all__ = ["TradeoffBroadcast", "admissible_lambda_range"]
 
 
 def admissible_lambda_range(n: int, diameter: int) -> tuple:
@@ -36,25 +33,6 @@ def admissible_lambda_range(n: int, diameter: int) -> tuple:
     low = lambda_of(n, diameter)
     high = max(low, math.log2(max(2, n)))
     return (low, high)
-
-
-def _install_tradeoff_distribution(proto) -> float:
-    """Clamp the requested λ and install its α distribution; shared by the
-    serial and batched classes so the two cannot drift apart."""
-    low, high = admissible_lambda_range(proto.n, proto.diameter)
-    lam = float(min(max(proto.requested_lam, low), high))
-    proto._distribution_override = AlphaDistribution(
-        proto.n, proto.diameter, lam=lam
-    )
-    return lam
-
-
-def _tradeoff_round_budget(proto, lam: float) -> int:
-    """The horizon covering the slower D*λ regime of the theorem."""
-    log_n = max(1.0, math.log2(proto.n))
-    return int(
-        math.ceil(proto.round_budget_constant * (proto.diameter * lam + log_n**2))
-    )
 
 
 class TradeoffBroadcast(KnownDiameterBroadcast):
@@ -92,44 +70,20 @@ class TradeoffBroadcast(KnownDiameterBroadcast):
         self.requested_lam = check_positive(lam, "lam")
 
     def _setup_broadcast(self) -> None:
-        # Install the λ-specific distribution before the parent wires up the
-        # selection sequence and the window/horizon arithmetic.
-        lam = _install_tradeoff_distribution(self)
-        super()._setup_broadcast()
-        self.lam = lam
-        self.run_metadata["lambda"] = lam
-        self.run_metadata["requested_lambda"] = self.requested_lam
-        self.round_budget = _tradeoff_round_budget(self, lam)
-        self.run_metadata["round_budget"] = self.round_budget
-
-
-class BatchTradeoffBroadcast(BatchKnownDiameterBroadcast):
-    """Batched :class:`TradeoffBroadcast` (Theorem 4.2 with caller-chosen λ)."""
-
-    name = TradeoffBroadcast.name
-
-    def __init__(
-        self,
-        diameter: int,
-        lam: float,
-        *,
-        source: int = 0,
-        beta: float = 2.0,
-        round_budget_constant: float = 24.0,
-    ):
-        super().__init__(
-            diameter,
-            source=source,
-            beta=beta,
-            round_budget_constant=round_budget_constant,
+        # Install the clamped λ's distribution before the parent wires up
+        # the selection sequences and the window/horizon arithmetic.
+        low, high = admissible_lambda_range(self.n, self.diameter)
+        lam = float(min(max(self.requested_lam, low), high))
+        self._distribution_override = AlphaDistribution(
+            self.n, self.diameter, lam=lam
         )
-        self.requested_lam = check_positive(lam, "lam")
-
-    def _setup_broadcast(self) -> None:
-        lam = _install_tradeoff_distribution(self)
         super()._setup_broadcast()
         self.lam = lam
-        self.round_budget = _tradeoff_round_budget(self, lam)
+        # The horizon covers the slower D*λ regime of the theorem.
+        log_n = max(1.0, math.log2(self.n))
+        self.round_budget = int(
+            math.ceil(self.round_budget_constant * (self.diameter * lam + log_n**2))
+        )
 
     def trial_metadata(self, trial: int) -> dict:
         meta = super().trial_metadata(trial)

@@ -111,8 +111,8 @@ def gadget_broadcast_samples(
     gadget ``network``.
 
     One exact-mode batch-engine run covers every trial: trial ``t`` draws
-    from ``generators[t]``, so it is bit-identical to a serial run with that
-    generator.  Each sample holds ``success``; a completed trial adds
+    from ``generators[t]``, so it is bit-identical to a one-trial run with
+    that generator.  Each sample holds ``success``; a completed trial adds
     ``rounds`` and ``metric``, its per-node transmissions over the index
     array ``nodes`` folded by ``reduce`` (``np.sum`` or ``np.mean``).
     """

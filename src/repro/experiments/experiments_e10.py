@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro._util.rng import spawn_generators
-from repro.core.oblivious import BatchTimeInvariantBroadcast
+from repro.core.oblivious import TimeInvariantBroadcast
 from repro.experiments.common import gadget_broadcast_samples, pick
 from repro.experiments.results import ExperimentResult
 from repro.graphs.lowerbound import theorem44_network
@@ -59,7 +59,7 @@ def _linear_budget_probe(params, seed, repetitions) -> Iterator[dict]:
     budget = int(math.ceil(_TIME_BUDGET_CONSTANT * network.n))
     return gadget_broadcast_samples(
         network,
-        BatchTimeInvariantBroadcast(q, source=structure.source),
+        TimeInvariantBroadcast(q, source=structure.source),
         spawn_generators(seed + int(q * 10_000), repetitions),
         metric="leaf_tx",
         nodes=np.concatenate(structure.star_leaves),

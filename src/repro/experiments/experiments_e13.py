@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro._util.rng import spawn_generators
-from repro.baselines.decay import BatchDecayBroadcast
-from repro.core.broadcast_general import BatchKnownDiameterBroadcast
-from repro.core.broadcast_random import BatchEnergyEfficientBroadcast
+from repro.baselines.decay import DecayBroadcast
+from repro.core.broadcast_general import KnownDiameterBroadcast
+from repro.core.broadcast_random import EnergyEfficientBroadcast
 from repro.experiments.common import pick
 from repro.experiments.results import ExperimentResult
 from repro.graphs.geometric import (
@@ -88,9 +88,9 @@ def _geometric_probe(params, seed, repetitions) -> Iterator[dict]:
         diameter = diameter_estimate(network, rng=generators[3 * rep + 1])
         p_eff = max(network.out_degrees().mean() / n, 1.0 / n)
         protocols = {
-            "algorithm1 (p_eff)": BatchEnergyEfficientBroadcast(p_eff),
-            "algorithm3": BatchKnownDiameterBroadcast(max(1, diameter)),
-            "decay": BatchDecayBroadcast(),
+            "algorithm1 (p_eff)": EnergyEfficientBroadcast(p_eff),
+            "algorithm3": KnownDiameterBroadcast(max(1, diameter)),
+            "decay": DecayBroadcast(),
         }
         sample: Dict[str, object] = {}
         for name, protocol in protocols.items():

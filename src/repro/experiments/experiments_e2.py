@@ -24,7 +24,7 @@ import numpy as np
 
 from repro._util.rng import spawn_generators
 from repro.analysis.concentration import check_phase1_growth
-from repro.core.broadcast_random import BatchEnergyEfficientBroadcast
+from repro.core.broadcast_random import EnergyEfficientBroadcast
 from repro.experiments.common import pick, sparse_p, threshold_p
 from repro.experiments.results import ExperimentResult
 from repro.graphs.random_digraph import random_digraph
@@ -54,7 +54,7 @@ def _phase_growth_probe(params, seed, repetitions) -> Iterator[dict]:
     for rep in range(repetitions):
         # One trial per run: stacking the n-node samples raises peak memory.
         network = random_digraph(n, p, rng=generators[2 * rep])
-        protocol = BatchEnergyEfficientBroadcast(p)
+        protocol = EnergyEfficientBroadcast(p)
         (trace,) = engine.run([network], protocol, rngs=[generators[2 * rep + 1]])
         # The protocol's schedule and this trial's phase history.
         meta = trace.metadata

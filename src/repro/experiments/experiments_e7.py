@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional
 import numpy as np
 
 from repro._util.rng import spawn_generators
-from repro.core.oblivious import BatchTimeInvariantBroadcast
+from repro.core.oblivious import TimeInvariantBroadcast
 from repro.experiments.common import gadget_broadcast_samples, pick
 from repro.experiments.results import ExperimentResult, Series
 from repro.graphs.lowerbound import observation43_network
@@ -56,7 +56,7 @@ def _relay_tx_probe(params, seed, repetitions) -> Iterator[dict]:
     horizon = int(math.ceil(40.0 * log_n / max(2 * q * (1 - q), 1e-6))) + 10
     return gadget_broadcast_samples(
         network,
-        BatchTimeInvariantBroadcast(q, source=structure.source),
+        TimeInvariantBroadcast(q, source=structure.source),
         spawn_generators(seed + n, repetitions),
         metric="relay_tx",
         nodes=structure.relays,

@@ -27,8 +27,8 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro._util.rng import spawn_generators
-from repro.core.broadcast_general import BatchKnownDiameterBroadcast
-from repro.core.oblivious import BatchTimeInvariantBroadcast
+from repro.core.broadcast_general import KnownDiameterBroadcast
+from repro.core.oblivious import TimeInvariantBroadcast
 from repro.experiments.common import gadget_broadcast_samples, pick
 from repro.experiments.results import ExperimentResult, Series
 from repro.graphs.lowerbound import theorem44_network
@@ -61,7 +61,7 @@ def _frontier_probe(params, seed, repetitions) -> Iterator[dict]:
     horizon = int(math.ceil(80.0 * log_n / max(q, 1e-6))) + 8 * diameter
     return gadget_broadcast_samples(
         network,
-        BatchTimeInvariantBroadcast(q, source=structure.source),
+        TimeInvariantBroadcast(q, source=structure.source),
         spawn_generators(seed, repetitions),
         metric="leaf_tx",
         nodes=np.concatenate(structure.star_leaves),
@@ -78,7 +78,7 @@ def _reference_probe(params, seed, repetitions) -> Iterator[dict]:
     network, structure = theorem44_network(n_param, diameter, return_structure=True)
     return gadget_broadcast_samples(
         network,
-        BatchKnownDiameterBroadcast(diameter, source=structure.source),
+        KnownDiameterBroadcast(diameter, source=structure.source),
         spawn_generators(seed + 1, repetitions),
         metric="leaf_tx",
         nodes=np.concatenate(structure.star_leaves),

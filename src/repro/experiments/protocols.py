@@ -12,55 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
 
-from repro.baselines.czumaj_rytter import (
-    BatchKnownDiameterCR,
-    BatchUniformSelectionBroadcast,
-    KnownDiameterCR,
-    UniformSelectionBroadcast,
-)
-from repro.baselines.decay import BatchDecayBroadcast, DecayBroadcast
-from repro.baselines.elsasser_gasieniec import (
-    BatchElsasserGasieniecBroadcast,
-    ElsasserGasieniecBroadcast,
-)
-from repro.baselines.flooding import (
-    BatchBernoulliFlood,
-    BatchDeterministicFlood,
-    BernoulliFlood,
-    DeterministicFlood,
-)
-from repro.baselines.gossip_uniform import BatchUniformScaleGossip, UniformScaleGossip
-from repro.baselines.sequential_gossip import (
-    BatchSequentialBroadcastGossip,
-    SequentialBroadcastGossip,
-)
-from repro.core.broadcast_general import (
-    BatchKnownDiameterBroadcast,
-    KnownDiameterBroadcast,
-)
-from repro.core.broadcast_random import (
-    BatchEnergyEfficientBroadcast,
-    EnergyEfficientBroadcast,
-)
+from repro.baselines.czumaj_rytter import KnownDiameterCR, UniformSelectionBroadcast
+from repro.baselines.decay import DecayBroadcast
+from repro.baselines.elsasser_gasieniec import ElsasserGasieniecBroadcast
+from repro.baselines.flooding import BernoulliFlood, DeterministicFlood
+from repro.baselines.gossip_uniform import UniformScaleGossip
+from repro.baselines.sequential_gossip import SequentialBroadcastGossip
+from repro.core.broadcast_general import KnownDiameterBroadcast
+from repro.core.broadcast_random import EnergyEfficientBroadcast
 from repro.core.distributions import (
     AlphaDistribution,
     CzumajRytterDistribution,
     FixedProbabilityOblivious,
     UniformScaleDistribution,
 )
-from repro.core.gossip_random import BatchRandomNetworkGossip, RandomNetworkGossip
-from repro.core.oblivious import BatchTimeInvariantBroadcast, TimeInvariantBroadcast
-from repro.core.tradeoff import BatchTradeoffBroadcast, TradeoffBroadcast
+from repro.core.gossip_random import RandomNetworkGossip
+from repro.core.oblivious import TimeInvariantBroadcast
+from repro.core.tradeoff import TradeoffBroadcast
 from repro.radio.batch import BatchProtocol
-from repro.radio.protocol import Protocol
 
-__all__ = [
-    "ProtocolSpec",
-    "build_protocol",
-    "build_batch_protocol",
-    "PROTOCOL_FACTORIES",
-    "BATCH_PROTOCOL_FACTORIES",
-]
+__all__ = ["ProtocolSpec", "build_protocol", "PROTOCOL_FACTORIES"]
 
 
 def _resolve_distribution(dist_spec):
@@ -89,14 +60,8 @@ def _build_time_invariant(**params) -> TimeInvariantBroadcast:
     return TimeInvariantBroadcast(dist, **params)
 
 
-def _build_batch_time_invariant(**params) -> BatchTimeInvariantBroadcast:
-    """Batched counterpart of :func:`_build_time_invariant` (same spec)."""
-    dist = _resolve_distribution(params.pop("distribution"))
-    return BatchTimeInvariantBroadcast(dist, **params)
-
-
 #: Registry: protocol name -> factory taking keyword parameters.
-PROTOCOL_FACTORIES: Dict[str, Callable[..., Protocol]] = {
+PROTOCOL_FACTORIES: Dict[str, Callable[..., BatchProtocol]] = {
     "algorithm1": EnergyEfficientBroadcast,
     "algorithm2": RandomNetworkGossip,
     "algorithm3": KnownDiameterBroadcast,
@@ -132,7 +97,7 @@ class ProtocolSpec:
         return cls(name=payload["name"], params=dict(payload.get("params", {})))
 
 
-def build_protocol(spec: ProtocolSpec) -> Protocol:
+def build_protocol(spec: ProtocolSpec) -> BatchProtocol:
     """Instantiate the protocol described by ``spec``."""
     try:
         factory = PROTOCOL_FACTORIES[spec.name]
@@ -140,40 +105,5 @@ def build_protocol(spec: ProtocolSpec) -> Protocol:
         known = ", ".join(sorted(PROTOCOL_FACTORIES))
         raise ValueError(
             f"unknown protocol {spec.name!r}; known protocols: {known}"
-        )
-    return factory(**spec.params)
-
-
-#: Protocols with a batched (R-trials-per-round) implementation.  Every name
-#: in :data:`PROTOCOL_FACTORIES` has an entry (the tests assert the two key
-#: sets are equal), so :func:`repro.experiments.runner.repeat_job` runs
-#: every protocol on the batch engine; the scalar implementations remain the
-#: serial oracle of :func:`repro.experiments.runner.execute_job`.
-BATCH_PROTOCOL_FACTORIES: Dict[str, Callable[..., BatchProtocol]] = {
-    "algorithm1": BatchEnergyEfficientBroadcast,
-    "algorithm2": BatchRandomNetworkGossip,
-    "algorithm3": BatchKnownDiameterBroadcast,
-    "tradeoff": BatchTradeoffBroadcast,
-    "time_invariant": _build_batch_time_invariant,
-    "decay": BatchDecayBroadcast,
-    "elsasser_gasieniec": BatchElsasserGasieniecBroadcast,
-    "czumaj_rytter_known_d": BatchKnownDiameterCR,
-    "uniform_selection": BatchUniformSelectionBroadcast,
-    "deterministic_flood": BatchDeterministicFlood,
-    "bernoulli_flood": BatchBernoulliFlood,
-    "uniform_gossip": BatchUniformScaleGossip,
-    "sequential_gossip": BatchSequentialBroadcastGossip,
-}
-
-
-def build_batch_protocol(spec: ProtocolSpec) -> BatchProtocol:
-    """Instantiate the batched implementation of ``spec``."""
-    try:
-        factory = BATCH_PROTOCOL_FACTORIES[spec.name]
-    except KeyError:
-        known = ", ".join(sorted(BATCH_PROTOCOL_FACTORIES))
-        raise ValueError(
-            f"protocol {spec.name!r} has no batched implementation; "
-            f"batchable protocols: {known}"
         )
     return factory(**spec.params)

@@ -3,16 +3,15 @@
 A :class:`Job` is a fully declarative description of one protocol run
 (topology spec + protocol spec + seed + engine options).  The per-job seed
 fully determines both the topology sample and the protocol's randomness, so
-results are independent of scheduling.  :func:`execute_job` runs one job on
-the serial :class:`~repro.radio.engine.SimulationEngine`; the tests use it as
-the oracle the batch engine must match in exact mode.
+results are independent of scheduling.  :func:`execute_job` runs one job as
+a one-trial exact-mode :class:`~repro.radio.batch.BatchEngine` call, which
+gives the same trace as the job run inside an exact-mode sweep.
 
 Repetition sweeps (the workload behind every experiment E1–E17) go through an
 :class:`ExecutionPlan`, which composes two execution axes:
 
-* **batching** — every registered protocol has a batched implementation
-  (``BATCH_PROTOCOL_FACTORIES`` covers ``PROTOCOL_FACTORIES`` completely), so
-  all ``R`` repetitions advance together through the
+* **batching** — every protocol in ``PROTOCOL_FACTORIES`` runs ``R``
+  repetitions together through the
   :class:`~repro.radio.batch.BatchEngine` on stacked ``(R, n)`` state;
 * **process fan-out** — ``processes=K`` shards the ``R`` per-trial seeds into
   ``K`` contiguous chunks, each worker running its chunk as its own
@@ -49,9 +48,8 @@ from repro import telemetry
 from repro._util.rng import spawn_generators
 from repro.analysis.statistics import summarize
 from repro.experiments.protocols import (
-    BATCH_PROTOCOL_FACTORIES,
+    PROTOCOL_FACTORIES,
     ProtocolSpec,
-    build_batch_protocol,
     build_protocol,
 )
 from repro.graphs.builders import GraphSpec, build_network, spec_is_deterministic
@@ -63,17 +61,8 @@ from repro.radio.collision import (
     BatchErasureCollisionModel,
     BatchStandardCollisionModel,
     BatchWithCollisionDetectionModel,
-    CollisionModel,
-    ErasureCollisionModel,
-    StandardCollisionModel,
-    WithCollisionDetectionModel,
 )
-from repro.radio.engine import SimulationEngine
-from repro.radio.environment import (
-    build_batch_environment,
-    build_environment,
-    validate_environment_spec,
-)
+from repro.radio.environment import build_environment, validate_environment_spec
 from repro.radio.trace import RunResultTrace
 from repro.store import SEED_SLOT, ResultStore, canonicalize, seeded_digests
 
@@ -89,11 +78,6 @@ __all__ = [
 ]
 
 _COLLISION_MODELS = {
-    "standard": StandardCollisionModel,
-    "collision_detection": WithCollisionDetectionModel,
-}
-
-_BATCH_COLLISION_MODELS = {
     "standard": BatchStandardCollisionModel,
     "collision_detection": BatchWithCollisionDetectionModel,
 }
@@ -135,41 +119,22 @@ class Job:
         return out
 
 
-def _collision_model_for(job: Job) -> CollisionModel:
-    if job.erasure_probability > 0.0:
-        return ErasureCollisionModel(job.erasure_probability)
-    try:
-        return _COLLISION_MODELS[job.collision_model]()
-    except KeyError:
-        known = ", ".join(sorted(_COLLISION_MODELS))
-        raise ValueError(
-            f"unknown collision model {job.collision_model!r}; known: {known}"
-        )
-
-
 def execute_job(job: Job) -> RunResultTrace:
     """Build the network and protocol from the job's specs and run once.
 
     Two independent generator streams are spawned from the job seed: one for
     the topology sample, one for the protocol/engine randomness — so e.g.
     comparing two protocols with the same seed uses the *same* sampled
-    network.
+    network.  The run is one exact-mode trial of the batch engine.
     """
-    graph_rng, protocol_rng = spawn_generators(job.seed, 2)
-    network = build_network(job.graph, rng=graph_rng)
-    protocol = build_protocol(job.protocol)
-    engine = SimulationEngine(
-        _collision_model_for(job),
-        record_rounds=job.record_rounds,
-        keep_arrays=job.keep_arrays,
-        run_to_quiescence=job.run_to_quiescence,
-        environment=build_environment(job.environment),
-    )
-    result = engine.run(network, protocol, rng=protocol_rng, max_rounds=job.max_rounds)
-    result.metadata.setdefault("job", job.as_dict())
-    if job.label:
-        result.metadata["label"] = job.label
-    return result
+    network, protocol_rng = next(_trial_inputs([job], None))
+    result = _batch_engine_for(job).run(
+        [network],
+        build_protocol(job.protocol),
+        rngs=[protocol_rng],
+        max_rounds=job.max_rounds,
+    )[0]
+    return _decorate(job, result)
 
 
 def _worker_count(processes: Optional[int], task_count: int) -> int:
@@ -405,11 +370,11 @@ def _trial_inputs(
 def _batch_engine_for(job: Job) -> BatchEngine:
     """The batch engine a sweep of jobs like ``job`` runs on."""
     return BatchEngine(
-        _batch_collision_model_for(job),
+        _collision_model_for(job),
         record_rounds=job.record_rounds,
         keep_arrays=job.keep_arrays,
         run_to_quiescence=job.run_to_quiescence,
-        environment=build_batch_environment(job.environment),
+        environment=build_environment(job.environment),
     )
 
 
@@ -441,7 +406,7 @@ def _execute_batch_shard_impl(
 
     results = engine.run(
         shard.shared_batch if shard.shared_batch is not None else networks,
-        build_batch_protocol(template.protocol),
+        build_protocol(template.protocol),
         max_rounds=template.max_rounds,
         result_sink=engine_sink,
         **randomness,
@@ -449,13 +414,13 @@ def _execute_batch_shard_impl(
     return [_decorate(job, result) for job, result in zip(jobs, results)]
 
 
-def _batch_collision_model_for(job: Job) -> BatchCollisionModel:
+def _collision_model_for(job: Job) -> BatchCollisionModel:
     if job.erasure_probability > 0.0:
         return BatchErasureCollisionModel(job.erasure_probability)
     try:
-        return _BATCH_COLLISION_MODELS[job.collision_model]()
+        return _COLLISION_MODELS[job.collision_model]()
     except KeyError:
-        known = ", ".join(sorted(_BATCH_COLLISION_MODELS))
+        known = ", ".join(sorted(_COLLISION_MODELS))
         raise ValueError(
             f"unknown collision model {job.collision_model!r}; known: {known}"
         )
@@ -489,10 +454,9 @@ class ExecutionPlan:
     plan is constructed.
 
     ``batch_mode`` selects the randomness policy: ``"fast"`` (one shared
-    generator per shard, vectorised draws — statistically identical to the
-    serial engine) or ``"exact"`` (one child generator per trial, consumed
-    exactly as the serial engine would — bit-identical to
-    :func:`execute_job`, regardless of sharding).
+    generator per shard, vectorised draws — statistically identical to
+    exact mode) or ``"exact"`` (one child generator per trial —
+    bit-identical to :func:`execute_job`, regardless of sharding).
 
     The engine picks the collision kernel from the platform
     (:mod:`repro.radio.kernels`); both kernels are bit-identical, so the
@@ -564,14 +528,14 @@ class ExecutionPlan:
                     f"label; job {index} differs from job 0 in "
                     f"{', '.join(differing)}"
                 )
-        if template.protocol.name not in BATCH_PROTOCOL_FACTORIES:
-            known = ", ".join(sorted(BATCH_PROTOCOL_FACTORIES))
+        if template.protocol.name not in PROTOCOL_FACTORIES:
+            known = ", ".join(sorted(PROTOCOL_FACTORIES))
             raise ValueError(
                 f"unknown protocol {template.protocol.name!r}; "
                 f"known protocols: {known}"
             )
         # Building the model validates its name and erasure probability.
-        _batch_collision_model_for(template)
+        _collision_model_for(template)
         if self.batch_mode not in ("fast", "exact"):
             raise ValueError(
                 f"batch_mode must be 'fast' or 'exact', got {self.batch_mode!r}"
@@ -703,7 +667,7 @@ class ExecutionPlan:
         def run_task(_task) -> None:
             engine.run_continuous(
                 pending,
-                lambda: build_batch_protocol(template.protocol),
+                lambda: build_protocol(template.protocol),
                 capacity=capacity,
                 watermark=_REFILL_WATERMARK,
                 max_rounds=template.max_rounds,
@@ -1013,12 +977,10 @@ def repeat_job(
     :func:`configure_execution` (out of the box ``"fast"``).
 
     * ``batch_mode="fast"``: one shared generator per shard with vectorised
-      draws — statistically identical to the serial engine, not
-      bit-identical.
-    * ``batch_mode="exact"``: one child generator per trial, consumed exactly
-      as the serial engine would — each trace is bit-identical to
-      :func:`execute_job` on the same job (the equivalence tests rely on
-      this), regardless of sharding.
+      draws — statistically identical to exact mode, not bit-identical.
+    * ``batch_mode="exact"``: one child generator per trial — each trace is
+      bit-identical to :func:`execute_job` on the same job (the golden
+      corpus pins both), regardless of sharding.
 
     ``store`` selects the content-addressed result store (``None``: the
     process-wide default installed by :func:`configure_execution`,

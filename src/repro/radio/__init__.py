@@ -18,23 +18,25 @@ This package implements the communication model of Section 1.2 of the paper:
 Public surface:
 
 * :class:`~repro.radio.network.RadioNetwork` — CSR digraph container.
-* :class:`~repro.radio.protocol.Protocol` — base class for oblivious
-  protocols (what the paper calls "algorithms").
+* :mod:`~repro.radio.batch` — the synchronous round engine
+  (:class:`~repro.radio.batch.BatchEngine`): ``R`` independent trials
+  advanced per vectorised round on stacked ``(R, n)`` state, with per-trial
+  completion masking and an exact mode (one generator per trial); and
+  :class:`~repro.radio.batch.BatchProtocol`, the base class of every
+  protocol (what the paper calls "algorithms").
 * :class:`~repro.radio.engine.SimulationEngine` and
-  :func:`~repro.radio.engine.run_protocol` — the synchronous round engine.
-* :class:`~repro.radio.energy.EnergyAccountant` — transmission accounting.
+  :func:`~repro.radio.engine.run_protocol` — the single-run API: the batch
+  engine with one exact-mode trial.
+* :class:`~repro.radio.energy.BatchEnergyAccountant` — transmission
+  accounting.
 * :mod:`~repro.radio.collision` — pluggable collision semantics.
 * :mod:`~repro.radio.trace` — per-round traces and run summaries.
-* :mod:`~repro.radio.batch` — the batched Monte-Carlo engine: ``R``
-  independent trials advanced per vectorised round on stacked ``(R, n)``
-  state, with per-trial completion masking and an exact-equivalence mode.
 * :mod:`~repro.radio.nodesets` — the node-set state the protocols keep:
   membership sets, gossip knowledge, Decay quotas and flooding budgets, one
   dense class each.
 * :mod:`~repro.radio.environment` — composable faulty-world layers (i.i.d.
   and burst message loss, crash/churn schedules, adversarial jamming,
-  wake-up asynchrony) wrapped around collision resolution, with scalar and
-  batched mirrors pinned bit-identical in exact mode.
+  wake-up asynchrony) wrapped around collision resolution.
 """
 
 from repro.radio.batch import (
@@ -59,11 +61,10 @@ from repro.radio.collision import (
     WithCollisionDetectionModel,
     as_batch_collision_model,
 )
-from repro.radio.energy import BatchEnergyAccountant, EnergyAccountant, EnergyReport
+from repro.radio.energy import BatchEnergyAccountant, EnergyReport
 from repro.radio.engine import SimulationEngine, run_protocol
 from repro.radio.environment import (
     ENVIRONMENT_FAMILIES,
-    BatchEnvironment,
     BurstLossEnvironment,
     ChurnEnvironment,
     ComposedEnvironment,
@@ -72,22 +73,16 @@ from repro.radio.environment import (
     JamEnvironment,
     NullEnvironment,
     WakeupEnvironment,
-    as_batch_environment,
-    build_batch_environment,
     build_environment,
     parse_environment_option,
     validate_environment_spec,
 )
 from repro.radio.network import RadioNetwork
-from repro.radio.protocol import BroadcastProtocol, GossipProtocol, Protocol
 from repro.radio.trace import RoundRecord, RunResultTrace
 
 __all__ = [
     "RadioNetwork",
     "NetworkBatch",
-    "Protocol",
-    "BroadcastProtocol",
-    "GossipProtocol",
     "BatchProtocol",
     "BatchBroadcastProtocol",
     "BatchGossipProtocol",
@@ -96,7 +91,6 @@ __all__ = [
     "BatchEngine",
     "BatchRandomSource",
     "run_protocol_batch",
-    "EnergyAccountant",
     "BatchEnergyAccountant",
     "EnergyReport",
     "CollisionModel",
@@ -118,11 +112,8 @@ __all__ = [
     "JamEnvironment",
     "WakeupEnvironment",
     "ComposedEnvironment",
-    "BatchEnvironment",
     "ENVIRONMENT_FAMILIES",
     "build_environment",
-    "build_batch_environment",
-    "as_batch_environment",
     "validate_environment_spec",
     "parse_environment_option",
     "RoundRecord",

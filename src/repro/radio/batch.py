@@ -1,10 +1,9 @@
 """Batched Monte-Carlo simulation: ``R`` independent trials per round.
 
 Every experiment in this repository is a Monte-Carlo sweep — the same
-``(n, p, protocol)`` point repeated over dozens of seeds.  The serial
-:class:`~repro.radio.engine.SimulationEngine` pays the full Python round-loop
-overhead once *per trial*; this module makes the repetition axis an array
-dimension instead:
+``(n, p, protocol)`` point repeated over dozens of seeds.  This module makes
+the repetition axis an array dimension, so the Python round-loop overhead is
+paid once per round for all trials:
 
 * :class:`NetworkBatch` stacks ``R`` equally-sized networks into one
   block-diagonal CSR, so collision resolution for all trials is a single
@@ -21,30 +20,30 @@ dimension instead:
   streams exact-mode trials through the same loop, compacting stopped rows
   and refilling them from a pending queue.
 
-This module is the execution substrate of the *unified pipeline*: every
-protocol in ``repro.experiments.protocols.PROTOCOL_FACTORIES`` has a batched
-implementation registered in ``BATCH_PROTOCOL_FACTORIES``, and the
-experiment runner's ``ExecutionPlan`` composes this engine with process
-fan-out (each worker runs one :class:`NetworkBatch` shard of a sweep).
+This is the one engine: every protocol in
+``repro.experiments.protocols.PROTOCOL_FACTORIES`` is a :class:`BatchProtocol`,
+the experiment runner's ``ExecutionPlan`` composes this engine with process
+fan-out (each worker runs one :class:`NetworkBatch` shard of a sweep), and
+the single-run API (:class:`~repro.radio.engine.SimulationEngine`,
+:func:`~repro.radio.engine.run_protocol`) runs it with one exact-mode trial.
 
 Randomness comes in two modes, selected by the :class:`BatchRandomSource`
 the engine builds:
 
 * **fast** (default): one shared generator serves all trials with single
-  vectorised draws per round.  Results are statistically identical to serial
-  runs but not bit-identical.
-* **exact**: one child generator per trial, consumed in exactly the calls
-  the serial engine + protocol would make.  Batched runs are then
-  *bit-identical* to serial runs trial by trial — the equivalence tests in
-  ``tests/test_batch_engine.py`` assert this for broadcast, gossip and the
-  erasure collision model.
+  vectorised draws per round.  A trial's draws depend on the batch it runs
+  in; its distribution does not.
+* **exact**: one generator per trial, consumed trial by trial, so a
+  trial's result is a function of its network and generator alone — the
+  same whether it runs alone, in a batch, or in a continuous stream.  The
+  golden corpus (``tests/golden/engine_traces.json``) pins these results.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,11 +58,7 @@ from repro.radio.collision import (
     as_batch_collision_model,
 )
 from repro.radio.energy import BatchEnergyAccountant
-from repro.radio.environment import (
-    BatchEnvironment,
-    as_batch_environment,
-    build_batch_environment,
-)
+from repro.radio.environment import Environment, build_environment
 from repro.radio.kernels import compiled_available
 from repro.radio.network import RadioNetwork
 from repro.radio.nodesets import KnowledgeState, NodeSetState
@@ -179,10 +174,10 @@ class BatchRandomSource:
     """Random draws for a batch of trials, in fast or exact mode.
 
     Fast mode serves every request from one shared generator with a single
-    vectorised draw.  Exact mode holds one generator per trial and consumes
-    each trial's stream with exactly the calls the serial path would make
-    (``rng.random(k)`` per trial, trials in ascending order), which is what
-    makes batched runs bit-identical to serial ones.
+    vectorised draw.  Exact mode holds one generator per trial and serves
+    each trial's block with its own call (``rng.random(k)`` per trial,
+    trials in ascending order), so a trial's draws do not depend on its
+    batch.
     """
 
     def __init__(
@@ -203,12 +198,12 @@ class BatchRandomSource:
 
     @classmethod
     def exact(cls, rngs: Sequence[SeedLike]) -> "BatchRandomSource":
-        """Per-trial-generator mode (bit-identical to serial runs)."""
+        """Per-trial-generator mode (batch-independent draws)."""
         return cls(per_trial=[as_generator(r) for r in rngs])
 
     @property
     def exact_mode(self) -> bool:
-        """True when each trial owns its generator (serial-equivalent draws)."""
+        """True when each trial owns its generator."""
         return self._per_trial is not None
 
     @property
@@ -231,9 +226,8 @@ class BatchRandomSource:
         """``counts[t]`` uniforms per trial, concatenated in trial order.
 
         Exact mode draws trial ``t``'s block as one ``random(counts[t])``
-        call from trial ``t``'s generator — the same call (and therefore the
-        same values, assigned in the caller's trial-major order) the serial
-        protocol makes.
+        call from trial ``t``'s generator, assigned in the caller's
+        trial-major order.
         """
         counts = np.asarray(counts)
         if not self.exact_mode:
@@ -284,8 +278,7 @@ class BatchRandomSource:
         """``counts[t]`` Geometric(p) draws per trial, concatenated in trial order.
 
         Exact mode draws trial ``t``'s block as one ``geometric(p, counts[t])``
-        call from trial ``t``'s generator — the call the serial Decay protocol
-        makes at a phase boundary.
+        call from trial ``t``'s generator (Decay's phase-boundary quotas).
         """
         counts = np.asarray(counts)
         if not self.exact_mode:
@@ -389,10 +382,14 @@ def _slice_outcome_rows(
 
 
 class BatchProtocol(abc.ABC):
-    """Base class for batched protocols: ``R`` trials on stacked state.
+    """Base class for oblivious radio protocols: ``R`` trials on stacked state.
 
-    The lifecycle mirrors :class:`~repro.radio.protocol.Protocol`, with every
-    hook operating on whole-batch data and a ``running`` mask of trials still
+    A *protocol* (what the paper calls an algorithm) is a per-node rule that
+    decides, in every synchronous round, whether the node transmits, based
+    only on global constants every node knows (``n``, optionally ``D``, the
+    paper's constants), the node's own history, and — for selection-sequence
+    algorithms — shared randomness independent of the topology.  Every hook
+    operates on whole-batch data and a ``running`` mask of trials still
     being advanced::
 
         protocol.bind(batch, rng_source)
@@ -409,12 +406,11 @@ class BatchProtocol(abc.ABC):
 
     Implementations must not consume randomness for trials outside
     ``running`` (the rng helpers make this natural), so a trial's stream is
-    untouched after it stops — a requirement of the exact-equivalence mode.
+    untouched after it stops — a requirement of exact mode.
     """
 
-    #: Same machine-readable name as the serial counterpart, so batched runs
-    #: drop into existing experiment tables unchanged.
-    name: str = "batch-protocol"
+    #: Short machine-readable name used in experiment tables.
+    name: str = "protocol"
 
     #: Whether :meth:`observe` consumes ``outcome.sender_flat``.  The
     #: continuous engine only materialises (and row-slices) sender
@@ -512,7 +508,15 @@ class BatchProtocol(abc.ABC):
         """Per-trial bool vector: objective reached."""
 
     def quiescent(self, round_index: int) -> np.ndarray:
-        """Per-trial bool vector: no node will ever transmit again."""
+        """Per-trial bool vector: no node will ever transmit again.
+
+        Radio protocols have no termination detection: a node keeps
+        following its schedule after the objective is reached.  Energy
+        experiments therefore run to *quiescence*; protocols with bounded
+        schedules override this to report when theirs is exhausted.  The
+        default is quiescent only when complete (protocols without a
+        stopping rule are cut off at completion).
+        """
         return self.completed()
 
     def suggested_max_rounds(self) -> int:
@@ -559,11 +563,11 @@ class BatchProtocol(abc.ABC):
 
 
 class BatchBroadcastProtocol(BatchProtocol):
-    """Batched broadcasting: one source per trial informs every node.
+    """Broadcasting: one source per trial informs every node.
 
-    Mirrors :class:`~repro.radio.protocol.BroadcastProtocol`; the informed
-    set lives in a :class:`~repro.radio.nodesets.NodeSetState` next to the
-    ``(R, n)`` informed-round array (trace metadata).
+    The informed set lives in a :class:`~repro.radio.nodesets.NodeSetState`
+    next to the ``(R, n)`` informed-round array (trace metadata); a trial
+    is complete when every node is informed.
     """
 
     name = "broadcast"
@@ -642,12 +646,13 @@ class BatchBroadcastProtocol(BatchProtocol):
 
 
 class BatchGossipProtocol(BatchProtocol):
-    """Batched gossiping on an ``R x n x n`` rumour-knowledge relation.
+    """Gossiping: every node's rumour must reach every node.
 
     The knowledge lives in a :class:`~repro.radio.nodesets.KnowledgeState`,
-    a boolean ``(R, n, n)`` tensor.  Deliveries merge with the same
-    sender-rows-gathered-first semantics the serial
-    :class:`~repro.radio.protocol.GossipProtocol` uses, so merges always see
+    a bit-packed ``(R, n, n)`` relation with ``K[t, v, u]`` true iff node
+    ``v`` knows ``u``'s rumour in trial ``t``.  As in the paper, a transmission by
+    ``v`` carries every rumour ``v`` knows at the start of the round:
+    sender rows are gathered before the merge, so merges always see
     round-start knowledge.
     """
 
@@ -681,7 +686,7 @@ class BatchGossipProtocol(BatchProtocol):
 
     @property
     def knowledge(self) -> np.ndarray:
-        """The ``(R, n, n)`` bool tensor (live — do not mutate)."""
+        """The ``(R, n, n)`` bool relation (a copy)."""
         return self.knowledge_state.as_dense()
 
     def knows_rumour(self, rumour: int) -> np.ndarray:
@@ -708,7 +713,7 @@ class BatchGossipProtocol(BatchProtocol):
         self.merge_deliveries(outcome)
 
     def informed_counts(self) -> np.ndarray:
-        """Per-trial minimum rumour count (the serial progress metric)."""
+        """Per-trial minimum rumour count (the progress metric)."""
         return self.knowledge_state.min_counts()
 
     def completed(self) -> np.ndarray:
@@ -724,8 +729,8 @@ class PendingTrial:
         The trial's :class:`RadioNetwork`.  Trials admitted in the same wave
         that share one network *object* keep the shared-topology CSR tiling.
     rng:
-        The trial's exact-mode seed/generator, consumed exactly as the
-        serial engine would.  Required by :meth:`BatchEngine.run_continuous`:
+        The trial's exact-mode seed/generator.  Required by
+        :meth:`BatchEngine.run_continuous`:
         its rows move between waves, which only per-trial streams survive
         unchanged.
     tag:
@@ -803,10 +808,14 @@ def _round_records(round_log: List[dict], trial: int) -> List[RoundRecord]:
 class BatchEngine:
     """Runs batched protocols over stacked trials with one loop of vectorised rounds.
 
-    Per-trial completion masking reproduces the serial engine's stopping rule
-    exactly: a trial stops when it completes (or, under
-    ``run_to_quiescence``, when it goes quiescent), and a stopped trial
-    neither transmits nor consumes randomness while its siblings continue.
+    The round loop: each round asks the protocol for its transmitters,
+    resolves collisions (vectorised CSR gather + ``bincount``), feeds the
+    outcome back to the protocol and accounts energy.  Per-trial completion
+    masking stops each trial on its own: a trial stops when it completes
+    (or, under ``run_to_quiescence``, when it goes quiescent), and a
+    stopped trial neither transmits nor consumes randomness while its
+    siblings continue.  The round horizon is a safety net set above the
+    bound an experiment measures.
 
     :meth:`run` executes one prebuilt batch; :meth:`run_continuous` streams
     trials through the same loop in refilled waves.
@@ -818,9 +827,15 @@ class BatchEngine:
         :class:`~repro.radio.collision.CollisionModel` (converted via
         :func:`~repro.radio.collision.as_batch_collision_model`).  Defaults
         to the batched standard model.
-    record_rounds / keep_arrays / run_to_quiescence:
-        Same semantics as on :class:`~repro.radio.engine.SimulationEngine`,
-        applied per trial.
+    record_rounds:
+        Keep a :class:`~repro.radio.trace.RoundRecord` per round and trial
+        (the phase-growth and lower-bound experiments need it).
+    keep_arrays:
+        Keep per-node arrays (transmission counts, informed rounds) on each
+        result.
+    run_to_quiescence:
+        Run each trial until its protocol goes quiescent instead of
+        stopping at completion (energy accounting of bounded schedules).
     retire_dead:
         Retire a trial the round it goes *dead* — quiescent (no node will
         ever transmit again) without completing, or environment-doomed
@@ -828,13 +843,14 @@ class BatchEngine:
         it to ``max_rounds``.  A dead trial's outcome can never change, so
         this only shortens ``rounds_executed`` for trials that would have
         burned the round cap (disconnected graphs under sub-threshold
-        ``p``).  On by default; mirrored by the serial engine so exact-mode
-        equivalence holds round for round.
+        ``p``).  On by default.
     environment:
-        Optional faulty-world layer (a
-        :class:`~repro.radio.environment.BatchEnvironment`, a scalar
-        :class:`~repro.radio.environment.Environment`, or a spec dict) that
-        perturbs each round around collision resolution for every trial.
+        Optional faulty-world layer (an
+        :class:`~repro.radio.environment.Environment` or a spec dict) that
+        perturbs each round around collision resolution for every trial:
+        crashed/asleep radios are gated before energy accounting,
+        transmitter-side loss is applied after it (charged but lost),
+        deliveries are filtered after resolution.
         An active environment disables interest trimming (it must see the
         full delivery set); a null environment costs nothing.
     """
@@ -853,8 +869,13 @@ class BatchEngine:
             self.collision_model: BatchCollisionModel = BatchStandardCollisionModel()
         else:
             self.collision_model = as_batch_collision_model(collision_model)
-        if environment is not None and not isinstance(environment, BatchEnvironment):
-            environment = as_batch_environment(environment)
+        if environment is not None and not isinstance(environment, Environment):
+            if not isinstance(environment, Mapping):
+                raise TypeError(
+                    "environment must be an Environment or a spec dict, "
+                    f"got {type(environment).__name__}"
+                )
+            environment = build_environment(environment)
         self.environment = environment
         self.record_rounds = bool(record_rounds)
         self.keep_arrays = bool(keep_arrays)
@@ -887,10 +908,8 @@ class BatchEngine:
             Fast-mode seed/generator: one shared stream serves all trials
             with vectorised draws.  Ignored when ``rngs`` is given.
         rngs:
-            Exact-equivalence mode: one seed/generator per trial, consumed
-            exactly as the serial engine would — batched results are then
-            bit-identical to ``SimulationEngine.run`` with the same per-trial
-            generators.
+            Exact mode: one seed/generator per trial; each trial's result
+            then depends only on its network and generator.
         max_rounds:
             Per-trial horizon (defaults to the protocol's suggestion).
         result_sink:
@@ -944,8 +963,8 @@ class BatchEngine:
         Trials admitted at global round ``g`` see their protocol's round
         ``0`` at ``g``: each admission wave runs as its own cohort.  Every
         :class:`PendingTrial` carries its own ``rng``, so each trial's
-        results are bit-identical to :meth:`run` and to the serial engine —
-        per-trial streams are position-independent by construction.
+        results are bit-identical to :meth:`run` — per-trial streams are
+        position-independent by construction.
 
         Parameters
         ----------
@@ -1188,7 +1207,7 @@ class BatchEngine:
                 cohort_env = (
                     environment
                     if not admitted
-                    else build_batch_environment(environment.spec())
+                    else build_environment(environment.spec())
                 )
                 cohort_env.bind(batch, rng_source)
             c = _Cohort()
@@ -1209,8 +1228,8 @@ class BatchEngine:
             c.completed = np.asarray(protocol.completed(), dtype=bool).copy()
             c.completion_round = np.zeros(batch.trials, dtype=np.int64)
             c.rounds_executed = np.zeros(batch.trials, dtype=np.int64)
-            # Serial rule: a trial that is already complete enters the loop
-            # only under run_to_quiescence (it may still transmit).
+            # A trial that is already complete enters the loop only under
+            # run_to_quiescence (it may still transmit).
             if self.run_to_quiescence:
                 c.running = np.ones(batch.trials, dtype=bool)
             else:
@@ -1231,8 +1250,8 @@ class BatchEngine:
             if protocol_name is None:
                 protocol_name = protocol.name
             cohorts.append(c)
-            # Trials complete at bind never enter the loop (serial rule);
-            # retire them on the spot so their rows can be reclaimed.
+            # Trials complete at bind never enter the loop; retire them on
+            # the spot so their rows can be reclaimed.
             at_bind = np.flatnonzero(~c.running)
             if at_bind.size:
                 _note_retired(c, at_bind)
@@ -1469,7 +1488,6 @@ class BatchEngine:
                     c.protocol.informed_counts() if self.record_rounds else None
                 )
                 c.protocol.observe(local, c.last_tx, out_c, c.running)
-                c.rounds_executed[c.running] = local + 1
                 if self.record_rounds:
                     c.round_log.append(
                         {
@@ -1483,40 +1501,44 @@ class BatchEngine:
                         }
                     )
 
-                completed_now = np.asarray(c.protocol.completed(), dtype=bool)
-                newly = c.running & completed_now & ~c.completed
-                c.completion_round[newly] = local + 1
-                c.completed |= newly
+                # The per-trial bookkeeping below runs every round, so the
+                # common round (nobody stops) costs a handful of vector ops:
+                # completion rounds and rounds executed are written only for
+                # the trials that stop.
+                completed_now = c.protocol.completed()
                 if self.run_to_quiescence:
-                    stop = c.running & np.asarray(
-                        c.protocol.quiescent(local + 1), dtype=bool
-                    )
+                    # A complete trial runs on until quiescent, so completion
+                    # is recorded apart from stopping.
+                    newly = c.running & completed_now & ~c.completed
+                    if newly.any():
+                        c.completion_round[newly] = local + 1
+                        c.completed |= newly
+                    stop = c.running & c.protocol.quiescent(local + 1)
                 else:
                     stop = c.running & completed_now
                     if retire:
                         # Dead retirement: quiescent-but-incomplete trials
                         # can never change outcome — cut them loose now
                         # instead of spinning them to the round cap.
-                        stop |= (
-                            c.running
-                            & ~stop
-                            & np.asarray(
-                                c.protocol.quiescent(local + 1), dtype=bool
-                            )
-                        )
+                        stop |= c.running & c.protocol.quiescent(local + 1)
                 if c.environment is not None and self.retire_dead:
                     doomed = c.environment.doomed_trials(local)
                     if doomed is not None:
-                        stop |= c.running & np.asarray(doomed, dtype=bool)
+                        stop |= c.running & doomed
                 at_horizon = local + 1 >= c.horizon
                 if at_horizon or stop.any():
-                    dead = (
-                        0
-                        if self.run_to_quiescence
-                        else int((stop & ~c.completed).sum())
-                    )
+                    dead = 0
+                    if not self.run_to_quiescence:
+                        # A running trial is not complete yet, so the
+                        # stopping trials that completed now are the new
+                        # completions and the others are dead.
+                        newly = stop & completed_now
+                        c.completion_round[newly] = local + 1
+                        c.completed |= newly
+                        dead = int((stop & ~completed_now).sum())
                     if at_horizon:
                         stop = stop | c.running
+                    c.rounds_executed[stop] = local + 1
                     c.running = c.running & ~stop
                     idx = np.flatnonzero(stop)
                     if idx.size:
@@ -1600,10 +1622,10 @@ def run_protocol_batch(
     Examples
     --------
     >>> from repro.graphs import random_digraph
-    >>> from repro.core import BatchEnergyEfficientBroadcast
+    >>> from repro.core import EnergyEfficientBroadcast
     >>> net = random_digraph(256, 0.05, rng=1)
     >>> results = run_protocol_batch(
-    ...     net, BatchEnergyEfficientBroadcast(0.05), trials=8, rng=2
+    ...     net, EnergyEfficientBroadcast(0.05), trials=8, rng=2
     ... )
     >>> max(r.energy.max_per_node for r in results) <= 1
     True

@@ -15,13 +15,16 @@ extension experiment:
 
 All models operate on whole rounds at once and are fully vectorised.
 
-Batched counterparts (:class:`BatchCollisionModel` and subclasses) resolve
-the rounds of ``R`` independent trials in a single flattened gather plus one
-count over ``trial * n + listener`` ids.  Because the trials of a
-:class:`~repro.radio.batch.NetworkBatch` are stacked block-diagonally, the
-scalar models' gather machinery (:meth:`CollisionModel._gather_listener_edges`)
-applies verbatim to the stacked CSR — no edge crosses a trial boundary, so
-per-trial semantics are preserved exactly.
+The engine runs the batched models (:class:`BatchCollisionModel` and
+subclasses), which resolve the rounds of ``R`` independent trials in a
+single flattened gather plus one count over ``trial * n + listener`` ids.
+Because the trials of a :class:`~repro.radio.batch.NetworkBatch` are
+stacked block-diagonally, the gather machinery
+(:meth:`CollisionModel._gather_listener_edges`) applies verbatim to the
+stacked CSR — no edge crosses a trial boundary, so per-trial semantics are
+preserved exactly.  The one-network models above stay as the single-network
+form of each rule; :func:`as_batch_collision_model` maps them to their
+batched counterparts, which is how the engines accept them.
 """
 
 from __future__ import annotations
@@ -566,7 +569,9 @@ class BatchCollisionModel:
 
         hear_dense = None
         delivered_mask = None
-        if total_edges >= BatchCollisionModel._SPARSE_EDGE_THRESHOLD:
+        if total_edges >= BatchCollisionModel._SPARSE_EDGE_THRESHOLD or (
+            listener_filter is None and 8 * total_edges >= batch.total_nodes
+        ):
             flat_counts = np.bincount(listeners, minlength=batch.total_nodes)
             hear_dense = flat_counts.reshape(trials, n)
             if listener_filter is not None:
@@ -713,10 +718,9 @@ class BatchWithCollisionDetectionModel(BatchCollisionModel):
 class BatchErasureCollisionModel(BatchCollisionModel):
     """Batched :class:`ErasureCollisionModel`.
 
-    In the exact-equivalence mode of the batch engine the keep/erase draws
-    come one trial at a time from that trial's own generator — the same
-    ``rng.random(receivers.size)`` call the scalar model makes — so batched
-    runs are bit-identical to serial ones.
+    In exact mode the keep/erase draws come one trial at a time from that
+    trial's own generator (``rng.random(receivers)`` per trial), so a
+    trial's erasures do not depend on its batch.
     """
 
     detects_collisions = False

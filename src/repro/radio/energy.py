@@ -3,9 +3,9 @@
 The paper measures energy as the number of transmissions, because every node
 sends with a fixed power (Section 1: *"We believe that under these
 circumstances the number of transmissions is a very good measure for the
-overall energy consumption"*).  :class:`EnergyAccountant` accumulates
-per-node transmission counts over a run and summarises them as an
-:class:`EnergyReport` with the quantities the theorems bound:
+overall energy consumption"*).  :class:`BatchEnergyAccountant` accumulates
+per-node transmission counts over each trial of a run and summarises them
+as an :class:`EnergyReport` with the quantities the theorems bound:
 
 * total number of transmissions (Theorem 2.1: ``O(log n / p)``),
 * maximum transmissions per node (Theorem 2.1: at most 1; Theorem 3.2:
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["EnergyAccountant", "BatchEnergyAccountant", "EnergyReport"]
+__all__ = ["BatchEnergyAccountant", "EnergyReport"]
 
 
 @dataclass(frozen=True)
@@ -62,77 +62,12 @@ class EnergyReport:
         )
 
 
-class EnergyAccountant:
-    """Accumulates per-node transmission counts round by round."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self._n = int(n)
-        self._per_node = np.zeros(self._n, dtype=np.int64)
-        self._rounds_recorded = 0
-
-    @property
-    def n(self) -> int:
-        """Number of nodes tracked."""
-        return self._n
-
-    @property
-    def rounds_recorded(self) -> int:
-        """How many rounds have been recorded."""
-        return self._rounds_recorded
-
-    def record_round(self, transmit_mask: np.ndarray) -> int:
-        """Add one round's transmissions; returns the number of transmitters."""
-        transmit_mask = np.asarray(transmit_mask, dtype=bool)
-        if transmit_mask.shape != (self._n,):
-            raise ValueError(
-                f"transmit_mask must have shape ({self._n},), got {transmit_mask.shape}"
-            )
-        self._per_node += transmit_mask
-        self._rounds_recorded += 1
-        return int(transmit_mask.sum())
-
-    def per_node(self) -> np.ndarray:
-        """Copy of the per-node transmission counts."""
-        return self._per_node.copy()
-
-    def total(self) -> int:
-        """Total transmissions so far."""
-        return int(self._per_node.sum())
-
-    def report(self) -> EnergyReport:
-        """Summarise the counts accumulated so far."""
-        counts = self._per_node
-        return EnergyReport(
-            total_transmissions=int(counts.sum()),
-            max_per_node=int(counts.max()) if self._n else 0,
-            mean_per_node=float(counts.mean()) if self._n else 0.0,
-            median_per_node=float(np.median(counts)) if self._n else 0.0,
-            p95_per_node=float(np.percentile(counts, 95)) if self._n else 0.0,
-            transmitting_nodes=int((counts > 0).sum()),
-            n=self._n,
-        )
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self._per_node[:] = 0
-        self._rounds_recorded = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"EnergyAccountant(n={self._n}, rounds={self._rounds_recorded}, "
-            f"total={self.total()})"
-        )
-
-
 class BatchEnergyAccountant:
     """Per-node transmission counts for ``R`` trials advancing in lockstep.
 
     The counters live in one ``(R, n)`` matrix so a whole batched round is
-    accounted with a single vectorised add; :meth:`reports` summarises every
-    trial with the same statistics (and therefore bit-identical values) as
-    :class:`EnergyAccountant` produces for a serial run.
+    accounted with a single vectorised add; :meth:`reports_for` summarises
+    trials as :class:`EnergyReport` objects.
     """
 
     def __init__(self, trials: int, n: int):
@@ -160,28 +95,13 @@ class BatchEnergyAccountant:
         """How many batched rounds have been recorded."""
         return self._rounds_recorded
 
-    def record_round(self, transmit_masks: np.ndarray) -> np.ndarray:
-        """Add one round's transmissions; returns per-trial transmitter counts."""
-        transmit_masks = np.asarray(transmit_masks, dtype=bool)
-        if transmit_masks.shape != (self._trials, self._n):
-            raise ValueError(
-                f"transmit_masks must have shape ({self._trials}, {self._n}), "
-                f"got {transmit_masks.shape}"
-            )
-        self._per_node += transmit_masks
-        self._rounds_recorded += 1
-        return transmit_masks.sum(axis=1)
-
-    def record_flat(self, tx_flat: np.ndarray) -> np.ndarray:
+    def record_flat(self, tx_flat: np.ndarray) -> None:
         """Add one round given sorted flat transmitter ids (``trial*n + node``).
 
-        The sparse counterpart of :meth:`record_round`: cost scales with the
-        number of transmitters, not with ``R * n``.  Returns the per-trial
-        transmitter counts.
+        Cost scales with the number of transmitters, not with ``R * n``.
         """
         self._per_node.reshape(-1)[tx_flat] += 1
         self._rounds_recorded += 1
-        return np.bincount(tx_flat // self._n, minlength=self._trials)
 
     def select_rows(self, keep: np.ndarray) -> None:
         """Shrink to the trials where ``keep`` is True (compaction repack)."""
@@ -195,32 +115,14 @@ class BatchEnergyAccountant:
             return self._per_node.copy()
         return self._per_node[trial].copy()
 
-    def report_for(self, trial: int) -> "EnergyReport":
-        """One trial's :class:`EnergyReport` (same statistics — and therefore
-        bit-identical values — as the corresponding :meth:`reports` entry)."""
-        counts = self._per_node[trial]
-        return EnergyReport(
-            total_transmissions=int(counts.sum()),
-            max_per_node=int(counts.max()),
-            mean_per_node=float(counts.mean()),
-            median_per_node=float(np.median(counts)),
-            p95_per_node=float(np.percentile(counts, 95)),
-            transmitting_nodes=int((counts > 0).sum()),
-            n=self._n,
-        )
-
     def reports_for(self, rows: np.ndarray) -> List["EnergyReport"]:
         """Reports for the selected trial rows, in ``rows`` order.
 
-        Vectorised like :meth:`reports` (bit-identical statistics to
-        :meth:`report_for`); the continuous engine retires several trials at
-        once and per-trial median/percentile passes dominate otherwise.
+        Vectorised across trials: the continuous engine retires several
+        trials at once and per-trial median/percentile passes dominate
+        otherwise.
         """
         return self._reports_from(self._per_node[np.asarray(rows, dtype=np.intp)])
-
-    def reports(self) -> List["EnergyReport"]:
-        """One :class:`EnergyReport` per trial (vectorised across trials)."""
-        return self._reports_from(self._per_node)
 
     def _reports_from(self, counts: np.ndarray) -> List["EnergyReport"]:
         n = counts.shape[1]

@@ -9,7 +9,7 @@ straight back to the protocol.  An :class:`Environment` perturbs that round
 1. :meth:`~Environment.begin_round` — advance per-round stochastic state
    (e.g. the Gilbert–Elliott burst-loss chains) and fire schedule events
    (churn crash/recover);
-2. :meth:`~Environment.gate_transmitters` — remove transmissions of nodes
+2. :meth:`~Environment.gate_transmit_flat` — remove transmissions of nodes
    whose radio is off (crashed, not yet awake).  Gated transmissions are
    **not** energy-charged: the node never keyed its transmitter;
 3. :meth:`~Environment.perturb_transmissions` — drop transmissions on the
@@ -22,17 +22,14 @@ straight back to the protocol.  An :class:`Environment` perturbs that round
    resolution (receiver-side i.i.d. loss, burst-state receivers, jammed
    channels, deliveries to crashed/asleep nodes).
 
-The same split as ``CollisionModel`` / ``BatchCollisionModel`` applies: the
-scalar :class:`Environment` serves :class:`~repro.radio.engine
-.SimulationEngine`, the vectorised :class:`BatchEnvironment` mirror serves
-:class:`~repro.radio.batch.BatchEngine`, and in exact rng mode the two are
-bit-identical — every stochastic layer draws per-trial blocks in trial
-order through the :class:`~repro.radio.batch.BatchRandomSource` helpers,
-consuming each trial's stream with exactly the calls the scalar layer
-makes.  The batch engine bypasses listener interest trimming whenever an
-environment is active; a **null** environment
-(:attr:`~Environment.is_null`) costs nothing — the engine skips every hook
-and keeps its fast paths.
+Hooks act on ``R`` stacked trials of :class:`~repro.radio.batch.BatchEngine`
+at once, on flat node ids (``trial * n + node``) and per-trial masks.
+Every stochastic layer draws per-trial blocks in trial order through the
+:class:`~repro.radio.batch.BatchRandomSource` helpers, so in exact rng mode
+a trial's draws do not depend on who shares its batch.  The engine bypasses
+listener interest trimming whenever an environment is active; a **null**
+environment (:attr:`~Environment.is_null`) costs nothing — the engine skips
+every hook and keeps its fast paths.
 
 Crash semantics are "radio dead, clock alive": a down node's protocol
 state still advances with the global round counter, but its transmissions
@@ -47,8 +44,8 @@ charged transmissions it lost, how many deliveries it dropped, and how
 many transmissions it gated while a radio was down.
 
 Environments are built from JSON-clean **spec dicts** (``{"name": ...,
-"params": {...}}``) via :func:`build_environment` /
-:func:`build_batch_environment`, so a spec can ride inside a
+"params": {...}}``) via :func:`build_environment`, so a spec can ride
+inside a
 :class:`~repro.experiments.runner.Job`, a scenario grid, or a store key
 unchanged.  :func:`parse_environment_option` turns the CLI's compact
 ``--env loss=0.1,churn=0.2@5:40`` form into a spec.
@@ -56,7 +53,6 @@ unchanged.  :func:`parse_environment_option` turns the CLI's compact
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -78,18 +74,15 @@ __all__ = [
     "JamEnvironment",
     "WakeupEnvironment",
     "ComposedEnvironment",
-    "BatchEnvironment",
     "ENVIRONMENT_FAMILIES",
     "build_environment",
-    "build_batch_environment",
-    "as_batch_environment",
     "validate_environment_spec",
     "parse_environment_option",
 ]
 
 
 # --------------------------------------------------------------------------- #
-# Spec validation helpers (shared by the scalar and batch constructors)
+# Spec validation helpers
 # --------------------------------------------------------------------------- #
 def _check_round(value, name: str) -> int:
     return check_positive_int(value, name, minimum=0)
@@ -148,90 +141,123 @@ def _normalise_churn_events(events) -> List[Dict[str, object]]:
 
 
 # --------------------------------------------------------------------------- #
-# Scalar environments (SimulationEngine)
+# Environments
 # --------------------------------------------------------------------------- #
 class Environment:
-    """Base class: fault bookkeeping plus identity (no-op) hooks.
+    """Base class: per-trial fault bookkeeping plus identity (no-op) hooks.
 
-    Subclasses override the hooks they need; every hook must keep its rng
-    consumption mirrored in the corresponding :class:`BatchEnvironment`
-    (same draws, per trial, in the same order) so exact-mode batch runs
-    stay bit-identical to serial ones.
+    Hooks operate on flat ids (``trial * n + node``) and per-trial masks,
+    like :class:`~repro.radio.collision.BatchCollisionModel`.  Subclasses
+    override the hooks they need.  Stochastic hooks draw per-trial blocks
+    in trial order through the :class:`~repro.radio.batch.BatchRandomSource`
+    helpers, and a stopped trial (absent from ``running`` / the transmit
+    set) draws nothing.
     """
 
     name = "environment"
 
     def __init__(self) -> None:
+        self._trials = 0
         self._n = 0
-        self._last_fault_round = 0
-        self._fault_events = 0
-        self._lost_transmissions = 0
-        self._lost_deliveries = 0
-        self._suppressed_transmissions = 0
+        self._rng = None
 
-    # -- identity / lifecycle ------------------------------------------- #
     @property
     def is_null(self) -> bool:
         """True when the environment can never perturb anything — the
         engine then skips every hook (and keeps its fast paths)."""
         return False
 
-    def reset(self, network) -> None:
-        """Prepare for one run on ``network`` (clears all fault state)."""
-        self._n = int(network.n)
-        self._last_fault_round = 0
-        self._fault_events = 0
-        self._lost_transmissions = 0
-        self._lost_deliveries = 0
-        self._suppressed_transmissions = 0
-        self._reset()
+    def bind(self, batch, rng_source) -> None:
+        """Prepare for one batched run (clears all per-trial fault state)."""
+        self._trials = int(batch.trials)
+        self._n = int(batch.n)
+        self._rng = rng_source
+        self._last_fault = np.zeros(self._trials, dtype=np.int64)
+        self._fault_events = np.zeros(self._trials, dtype=np.int64)
+        self._lost_tx = np.zeros(self._trials, dtype=np.int64)
+        self._lost_rx = np.zeros(self._trials, dtype=np.int64)
+        self._suppressed = np.zeros(self._trials, dtype=np.int64)
+        self._bind()
 
-    def _reset(self) -> None:  # pragma: no cover - trivial default
+    def _bind(self) -> None:  # pragma: no cover - trivial default
         pass
 
     # -- per-round hooks ------------------------------------------------- #
-    def begin_round(self, round_index: int, rng: np.random.Generator) -> None:
+    def begin_round(self, round_index: int, running: np.ndarray) -> None:
         """Advance stochastic state / fire schedule events for this round."""
 
-    def gate_transmitters(self, round_index: int, mask: np.ndarray) -> np.ndarray:
+    def gate_transmit_flat(
+        self, round_index: int, tx_flat: np.ndarray, running: np.ndarray
+    ) -> np.ndarray:
         """Remove transmissions of down radios (rng-free, not charged)."""
-        return mask
+        return tx_flat
 
     def perturb_transmissions(
-        self, round_index: int, mask: np.ndarray, rng: np.random.Generator
+        self, round_index: int, tx_flat: np.ndarray, running: np.ndarray
     ) -> np.ndarray:
         """Drop charged transmissions on the air (before resolution)."""
-        return mask
+        return tx_flat
 
-    def filter_deliveries(self, round_index: int, outcome, rng: np.random.Generator):
+    def filter_deliveries(self, round_index: int, outcome, running: np.ndarray):
         """Drop deliveries after resolution."""
         return outcome
 
-    def is_doomed(self, round_index: int) -> bool:
-        """True when the run can never progress again (crashed forever).
+    def doomed_trials(self, round_index: int) -> Optional[np.ndarray]:
+        """Per-trial bool: the trial can never progress again, or ``None``.
 
-        Consulted after round ``round_index``'s events have fired.  The
-        engine retires a doomed run immediately instead of spinning it to
-        the round cap; only environments that can prove doom (churn with
-        every radio down and no recovery scheduled) override this.
+        Consulted after round ``round_index``'s events fired.  The engine
+        retires a doomed trial immediately instead of spinning it to the
+        round cap; only environments that can prove doom (churn with every
+        radio down and no recovery scheduled) override this.  ``None`` (the
+        default, and the cheap common case) means no trial is provably
+        doomed.
         """
-        return False
+        return None
+
+    # -- compaction -------------------------------------------------------- #
+    def select_rows(self, keep: np.ndarray, rng_source=None) -> None:
+        """Shrink all per-trial state to the trials where ``keep`` is True.
+
+        The continuous engine's compaction repack: surviving trials keep
+        their relative order, matching the row selection applied to the
+        stacked CSR, the protocol state and the rng source.  ``rng_source``
+        is the *compacted* random source: the environment draws per-trial
+        blocks by row, so it must swap to the new source alongside the
+        protocol or a surviving trial would consume a retired trial's
+        generator (silently corrupting the exact-mode stream).
+        """
+        keep = np.asarray(keep, dtype=bool)
+        if rng_source is not None:
+            self._rng = rng_source
+        self._last_fault = self._last_fault[keep].copy()
+        self._fault_events = self._fault_events[keep].copy()
+        self._lost_tx = self._lost_tx[keep].copy()
+        self._lost_rx = self._lost_rx[keep].copy()
+        self._suppressed = self._suppressed[keep].copy()
+        self._trials = int(self._last_fault.size)
+        self._select_rows(keep)
+
+    def _select_rows(self, keep: np.ndarray) -> None:
+        """Subclass hook: row-select any additional per-trial state."""
 
     # -- bookkeeping ------------------------------------------------------ #
-    def _record_fault(self, round_index: int) -> None:
-        self._fault_events += 1
-        self._last_fault_round = round_index + 1
-        telemetry.counter_inc("environment.fault_events")
+    def _mark_fault(self, round_index: int, trials_mask: np.ndarray) -> None:
+        self._fault_events[trials_mask] += 1
+        self._last_fault[trials_mask] = round_index + 1
+        if telemetry.enabled():
+            mask = np.asarray(trials_mask)
+            faulted = mask.sum() if mask.dtype == np.bool_ else mask.size
+            telemetry.counter_inc("environment.fault_events", int(faulted))
 
-    def report(self) -> Dict[str, object]:
-        """JSON-clean fault summary merged into the trace metadata."""
+    def trial_report(self, trial: int) -> Dict[str, object]:
+        """Trial ``trial``'s JSON-clean fault summary (trace metadata)."""
         return {
             "spec": self.spec(),
-            "fault_events": int(self._fault_events),
-            "last_fault_round": int(self._last_fault_round),
-            "lost_transmissions": int(self._lost_transmissions),
-            "lost_deliveries": int(self._lost_deliveries),
-            "suppressed_transmissions": int(self._suppressed_transmissions),
+            "fault_events": int(self._fault_events[trial]),
+            "last_fault_round": int(self._last_fault[trial]),
+            "lost_transmissions": int(self._lost_tx[trial]),
+            "lost_deliveries": int(self._lost_rx[trial]),
+            "suppressed_transmissions": int(self._suppressed[trial]),
         }
 
     def spec(self) -> Dict[str, object]:
@@ -240,16 +266,21 @@ class Environment:
 
     # -- shared delivery surgery ----------------------------------------- #
     def _drop_deliveries(self, round_index: int, outcome, keep: np.ndarray):
-        dropped = int(keep.size - int(keep.sum()))
-        if dropped == 0:
+        """Shrink the outcome to ``keep`` (like the erasure model, senders
+        are materialised *before* the receiver set changes)."""
+        if keep.all():
             return outcome
-        self._lost_deliveries += dropped
-        self._record_fault(round_index)
-        return dataclass_replace(
-            outcome,
-            receivers=outcome.receivers[keep],
-            senders=outcome.senders[keep],
+        dropped = outcome.receiver_flat[~keep]
+        drop_counts = np.bincount(dropped // self._n, minlength=self._trials)
+        self._lost_rx += drop_counts
+        self._mark_fault(round_index, drop_counts > 0)
+        senders = outcome.sender_flat
+        outcome.receiver_flat = outcome.receiver_flat[keep]
+        outcome.sender_flat = senders[keep]
+        outcome.receiver_counts = np.bincount(
+            outcome.receiver_flat // self._n, minlength=self._trials
         )
+        return outcome
 
 
 class NullEnvironment(Environment):
@@ -291,560 +322,6 @@ class IidLossEnvironment(Environment):
             "params": {"tx_loss": self.tx_loss, "rx_loss": self.rx_loss},
         }
 
-    def perturb_transmissions(self, round_index, mask, rng):
-        if self.tx_loss <= 0.0:
-            return mask
-        tx = np.flatnonzero(mask)
-        if tx.size == 0:
-            return mask
-        keep = rng.random(tx.size) >= self.tx_loss
-        lost = tx[~keep]
-        if lost.size == 0:
-            return mask
-        self._lost_transmissions += int(lost.size)
-        self._record_fault(round_index)
-        air = mask.copy()
-        air[lost] = False
-        return air
-
-    def filter_deliveries(self, round_index, outcome, rng):
-        if self.rx_loss <= 0.0 or outcome.receivers.size == 0:
-            return outcome
-        keep = rng.random(outcome.receivers.size) >= self.rx_loss
-        return self._drop_deliveries(round_index, outcome, keep)
-
-
-class BurstLossEnvironment(Environment):
-    """Gilbert–Elliott burst loss: a two-state chain per receiver node.
-
-    Each node is Good or Bad; per round a Good node turns Bad with
-    probability ``p_bad`` and a Bad node turns Good with probability
-    ``p_good`` (one uniform per node per round serves both transitions).
-    Deliveries to a node currently in the Bad state are dropped, so losses
-    arrive in bursts of mean length ``1 / p_good``.  All nodes start Good.
-    """
-
-    name = "burst_loss"
-
-    def __init__(self, p_bad: float, p_good: float = 0.5) -> None:
-        super().__init__()
-        self.p_bad = check_probability(p_bad, "p_bad")
-        self.p_good = check_probability(p_good, "p_good")
-        self._bad = np.zeros(0, dtype=bool)
-
-    @property
-    def is_null(self) -> bool:
-        return self.p_bad == 0.0
-
-    def spec(self) -> Dict[str, object]:
-        return {
-            "name": "burst_loss",
-            "params": {"p_bad": self.p_bad, "p_good": self.p_good},
-        }
-
-    def _reset(self) -> None:
-        self._bad = np.zeros(self._n, dtype=bool)
-
-    def begin_round(self, round_index, rng):
-        u = rng.random(self._n)
-        bad = self._bad
-        flip = (~bad & (u < self.p_bad)) | (bad & (u < self.p_good))
-        bad ^= flip
-
-    def filter_deliveries(self, round_index, outcome, rng):
-        receivers = outcome.receivers
-        if receivers.size == 0 or not self._bad.any():
-            return outcome
-        keep = ~self._bad[receivers]
-        return self._drop_deliveries(round_index, outcome, keep)
-
-
-class ChurnEnvironment(Environment):
-    """Deterministic crash-stop / crash-recovery schedule.
-
-    ``events`` is a round-sorted list of ``{"round": r, ...}`` dicts with
-    any of ``crash`` (node list), ``crash_fraction`` (the highest-numbered
-    ``round(f * n)`` nodes — deterministic, and it spares node 0, the
-    conventional broadcast source, for every ``f < 1``), ``recover`` (node
-    list) and ``recover_all``.  A down node's radio is off: its
-    transmissions are gated (uncharged) and deliveries to it are dropped;
-    its protocol state keeps advancing, so a recovered node resumes from
-    where it crashed.  With no recover events this is crash-stop.
-    """
-
-    name = "churn"
-
-    def __init__(self, events: Sequence[Mapping[str, object]]) -> None:
-        super().__init__()
-        self.events = _normalise_churn_events(events)
-        self._down = np.zeros(0, dtype=bool)
-        self._schedule: Dict[int, List[Dict[str, object]]] = {}
-
-    @property
-    def is_null(self) -> bool:
-        return not self.events
-
-    def spec(self) -> Dict[str, object]:
-        return {"name": "churn", "params": {"events": [dict(e) for e in self.events]}}
-
-    def _reset(self) -> None:
-        self._down = np.zeros(self._n, dtype=bool)
-        # Last round with any recovery action: while the clock is at or
-        # before it, a fully-crashed network may still come back.
-        self._last_recovery_round = max(
-            (
-                int(e["round"])
-                for e in self.events
-                if "recover" in e or e.get("recover_all")
-            ),
-            default=-1,
-        )
-        self._schedule = {}
-        for event in self.events:
-            resolved = dict(event)
-            for key in ("crash", "recover"):
-                if key in resolved:
-                    for node in resolved[key]:
-                        check_node_index(node, self._n, f"churn {key} node")
-                    resolved[key] = np.asarray(resolved[key], dtype=np.int64)
-            if "crash_fraction" in resolved:
-                count = int(round(float(resolved.pop("crash_fraction")) * self._n))
-                resolved["crash"] = np.concatenate(
-                    [
-                        resolved.get("crash", np.empty(0, dtype=np.int64)),
-                        np.arange(self._n - count, self._n, dtype=np.int64),
-                    ]
-                )
-            self._schedule.setdefault(int(resolved["round"]), []).append(resolved)
-
-    def begin_round(self, round_index, rng):
-        actions = self._schedule.get(round_index)
-        if actions is None:
-            return
-        for action in actions:
-            crash = action.get("crash")
-            if crash is not None and crash.size:
-                self._down[crash] = True
-            if action.get("recover_all"):
-                self._down[:] = False
-            recover = action.get("recover")
-            if recover is not None and recover.size:
-                self._down[recover] = False
-            self._record_fault(round_index)
-
-    def gate_transmitters(self, round_index, mask):
-        if not self._down.any():
-            return mask
-        blocked = mask & self._down
-        count = int(blocked.sum())
-        if count == 0:
-            return mask
-        self._suppressed_transmissions += count
-        self._record_fault(round_index)
-        return mask & ~self._down
-
-    def filter_deliveries(self, round_index, outcome, rng):
-        receivers = outcome.receivers
-        if receivers.size == 0 or not self._down.any():
-            return outcome
-        keep = ~self._down[receivers]
-        return self._drop_deliveries(round_index, outcome, keep)
-
-    def is_doomed(self, round_index: int) -> bool:
-        if round_index < self._last_recovery_round:
-            return False
-        return bool(self._down.all())
-
-
-class JamEnvironment(Environment):
-    """Adversarial jamming of the ``k`` loudest (or fixed target) channels.
-
-    Each round inside the ``[start, stop)`` window the adversary destroys
-    every delivery to the ``k`` nodes hearing the most transmissions this
-    round (ties broken toward the lowest node id), or to a fixed
-    ``targets`` set.  Jamming is rng-free: the adversary reacts to the
-    realised channel activity.  The jam budget must fit the network
-    (``k <= n``, checked when the environment binds to a network).
-    """
-
-    name = "jam"
-
-    def __init__(
-        self,
-        k: Optional[int] = None,
-        targets: Optional[Sequence[int]] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        if k is not None and targets is not None:
-            raise ValueError("jam takes either k (loudest channels) or targets, not both")
-        if k is None and targets is None:
-            k = 1
-        self.k = check_positive_int(k, "jam budget k", minimum=0) if k is not None else None
-        self.targets = _check_node_list(targets, "jam targets") if targets is not None else None
-        self.start = _check_round(start, "jam window start")
-        self.stop = _check_round(stop, "jam window stop") if stop is not None else None
-        if self.stop is not None and self.stop <= self.start:
-            raise ValueError(
-                f"jam window stop must be > start, got [{self.start}, {self.stop})"
-            )
-        self._target_mask = np.zeros(0, dtype=bool)
-
-    @property
-    def is_null(self) -> bool:
-        if self.targets is not None:
-            return not self.targets
-        return self.k == 0
-
-    def spec(self) -> Dict[str, object]:
-        params: Dict[str, object] = {"start": self.start, "stop": self.stop}
-        if self.targets is not None:
-            params["targets"] = list(self.targets)
-        else:
-            params["k"] = self.k
-        return {"name": "jam", "params": params}
-
-    def _reset(self) -> None:
-        if self.k is not None and self.k > self._n:
-            raise ValueError(
-                f"jam budget k={self.k} exceeds the number of channels (n={self._n})"
-            )
-        if self.targets is not None:
-            self._target_mask = np.zeros(self._n, dtype=bool)
-            for node in self.targets:
-                self._target_mask[check_node_index(node, self._n, "jam target")] = True
-
-    def _window_active(self, round_index: int) -> bool:
-        if round_index < self.start:
-            return False
-        return self.stop is None or round_index < self.stop
-
-    def _jam_mask(self, hear_counts: np.ndarray) -> np.ndarray:
-        if self.targets is not None:
-            return self._target_mask
-        order = np.argsort(-hear_counts, kind="stable")[: self.k]
-        top = order[hear_counts[order] > 0]
-        mask = np.zeros(self._n, dtype=bool)
-        mask[top] = True
-        return mask
-
-    def filter_deliveries(self, round_index, outcome, rng):
-        if not self._window_active(round_index) or outcome.receivers.size == 0:
-            return outcome
-        keep = ~self._jam_mask(outcome.hear_counts)[outcome.receivers]
-        return self._drop_deliveries(round_index, outcome, keep)
-
-
-class WakeupEnvironment(Environment):
-    """Wake-up asynchrony: staggered node start rounds.
-
-    Node ``v`` is asleep (radio off, like a crashed node) until its start
-    round: either an explicit per-node ``delays`` list, or the
-    deterministic ramp ``start[v] = v * max_delay // (n - 1)`` (node 0
-    wakes immediately, the last node after ``max_delay`` rounds).
-    """
-
-    name = "wakeup"
-
-    def __init__(
-        self,
-        max_delay: Optional[int] = None,
-        delays: Optional[Sequence[int]] = None,
-    ) -> None:
-        super().__init__()
-        if (max_delay is None) == (delays is None):
-            raise ValueError("wakeup takes exactly one of max_delay / delays")
-        self.max_delay = (
-            _check_round(max_delay, "wakeup max_delay") if max_delay is not None else None
-        )
-        self.delays = (
-            [_check_round(d, "wakeup delay") for d in delays]
-            if delays is not None
-            else None
-        )
-        self._start = np.zeros(0, dtype=np.int64)
-        self._horizon = 0
-
-    @property
-    def is_null(self) -> bool:
-        if self.delays is not None:
-            return not any(self.delays)
-        return self.max_delay == 0
-
-    def spec(self) -> Dict[str, object]:
-        params: Dict[str, object] = {}
-        if self.delays is not None:
-            params["delays"] = list(self.delays)
-        else:
-            params["max_delay"] = self.max_delay
-        return {"name": "wakeup", "params": params}
-
-    def _reset(self) -> None:
-        if self.delays is not None:
-            if len(self.delays) != self._n:
-                raise ValueError(
-                    f"wakeup delays must list one delay per node "
-                    f"(n={self._n}), got {len(self.delays)}"
-                )
-            self._start = np.asarray(self.delays, dtype=np.int64)
-        else:
-            ramp = np.arange(self._n, dtype=np.int64) * self.max_delay
-            self._start = ramp // max(self._n - 1, 1)
-        self._horizon = int(self._start.max()) if self._n else 0
-
-    def _asleep(self, round_index: int) -> Optional[np.ndarray]:
-        if round_index >= self._horizon:
-            return None
-        return self._start > round_index
-
-    def gate_transmitters(self, round_index, mask):
-        asleep = self._asleep(round_index)
-        if asleep is None:
-            return mask
-        blocked = mask & asleep
-        count = int(blocked.sum())
-        if count == 0:
-            return mask
-        self._suppressed_transmissions += count
-        self._record_fault(round_index)
-        return mask & ~asleep
-
-    def filter_deliveries(self, round_index, outcome, rng):
-        asleep = self._asleep(round_index)
-        if asleep is None or outcome.receivers.size == 0:
-            return outcome
-        keep = ~asleep[outcome.receivers]
-        return self._drop_deliveries(round_index, outcome, keep)
-
-
-class ComposedEnvironment(Environment):
-    """Ordered composition: each hook chains through the layers in order.
-
-    Transmit gates AND together; stochastic layers draw in layer order on
-    both the transmit and the delivery side (the batch mirror preserves the
-    same order, which is what keeps composites bit-identical in exact
-    mode).  Reported counters are summed over the layers and
-    ``last_fault_round`` is the max.
-    """
-
-    name = "compose"
-
-    def __init__(self, layers: Sequence[Environment]) -> None:
-        super().__init__()
-        self.layers = list(layers)
-
-    @property
-    def is_null(self) -> bool:
-        return all(layer.is_null for layer in self.layers)
-
-    def spec(self) -> Dict[str, object]:
-        return {
-            "name": "compose",
-            "params": {"layers": [layer.spec() for layer in self.layers]},
-        }
-
-    def reset(self, network) -> None:
-        self._n = int(network.n)
-        for layer in self.layers:
-            layer.reset(network)
-
-    def begin_round(self, round_index, rng):
-        for layer in self.layers:
-            layer.begin_round(round_index, rng)
-
-    def gate_transmitters(self, round_index, mask):
-        for layer in self.layers:
-            mask = layer.gate_transmitters(round_index, mask)
-        return mask
-
-    def perturb_transmissions(self, round_index, mask, rng):
-        for layer in self.layers:
-            mask = layer.perturb_transmissions(round_index, mask, rng)
-        return mask
-
-    def filter_deliveries(self, round_index, outcome, rng):
-        for layer in self.layers:
-            outcome = layer.filter_deliveries(round_index, outcome, rng)
-        return outcome
-
-    def is_doomed(self, round_index: int) -> bool:
-        return any(layer.is_doomed(round_index) for layer in self.layers)
-
-    def report(self) -> Dict[str, object]:
-        reports = [layer.report() for layer in self.layers]
-        return {
-            "spec": self.spec(),
-            "fault_events": sum(r["fault_events"] for r in reports),
-            "last_fault_round": max(
-                [r["last_fault_round"] for r in reports], default=0
-            ),
-            "lost_transmissions": sum(r["lost_transmissions"] for r in reports),
-            "lost_deliveries": sum(r["lost_deliveries"] for r in reports),
-            "suppressed_transmissions": sum(
-                r["suppressed_transmissions"] for r in reports
-            ),
-        }
-
-
-# --------------------------------------------------------------------------- #
-# Batched environments (BatchEngine)
-# --------------------------------------------------------------------------- #
-class BatchEnvironment:
-    """Vectorised mirror of :class:`Environment` for ``R`` stacked trials.
-
-    Hooks operate on flat ids (``trial * n + node``) and per-trial masks,
-    exactly like :class:`~repro.radio.collision.BatchCollisionModel`.  The
-    stochastic hooks draw per-trial blocks in trial order through the
-    :class:`~repro.radio.batch.BatchRandomSource` helpers, so in exact rng
-    mode trial ``t`` consumes its generator with precisely the calls the
-    scalar environment makes in trial ``t``'s serial run — and a stopped
-    trial (absent from ``running`` / the transmit set) draws nothing.
-    """
-
-    def __init__(self) -> None:
-        self._trials = 0
-        self._n = 0
-        self._rng = None
-
-    @property
-    def is_null(self) -> bool:
-        return False
-
-    def bind(self, batch, rng_source) -> None:
-        """Prepare for one batched run (clears all per-trial fault state)."""
-        self._trials = int(batch.trials)
-        self._n = int(batch.n)
-        self._rng = rng_source
-        self._last_fault = np.zeros(self._trials, dtype=np.int64)
-        self._fault_events = np.zeros(self._trials, dtype=np.int64)
-        self._lost_tx = np.zeros(self._trials, dtype=np.int64)
-        self._lost_rx = np.zeros(self._trials, dtype=np.int64)
-        self._suppressed = np.zeros(self._trials, dtype=np.int64)
-        self._bind()
-
-    def _bind(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    # -- per-round hooks ------------------------------------------------- #
-    def begin_round(self, round_index: int, running: np.ndarray) -> None:
-        pass
-
-    def gate_transmit_flat(
-        self, round_index: int, tx_flat: np.ndarray, running: np.ndarray
-    ) -> np.ndarray:
-        return tx_flat
-
-    def perturb_transmissions(
-        self, round_index: int, tx_flat: np.ndarray, running: np.ndarray
-    ) -> np.ndarray:
-        return tx_flat
-
-    def filter_deliveries(self, round_index: int, outcome, running: np.ndarray):
-        return outcome
-
-    def doomed_trials(self, round_index: int) -> Optional[np.ndarray]:
-        """Per-trial bool: the trial can never progress again, or ``None``.
-
-        Mirror of the scalar :meth:`Environment.is_doomed`, consulted after
-        round ``round_index``'s events fired.  ``None`` (the default, and
-        the cheap common case) means no trial is provably doomed.
-        """
-        return None
-
-    # -- compaction -------------------------------------------------------- #
-    def select_rows(self, keep: np.ndarray, rng_source=None) -> None:
-        """Shrink all per-trial state to the trials where ``keep`` is True.
-
-        The continuous engine's compaction repack: surviving trials keep
-        their relative order, matching the row selection applied to the
-        stacked CSR, the protocol state and the rng source.  ``rng_source``
-        is the *compacted* random source: the environment draws per-trial
-        blocks by row, so it must swap to the new source alongside the
-        protocol or a surviving trial would consume a retired trial's
-        generator (silently corrupting the exact-mode stream).
-        """
-        keep = np.asarray(keep, dtype=bool)
-        if rng_source is not None:
-            self._rng = rng_source
-        self._last_fault = self._last_fault[keep].copy()
-        self._fault_events = self._fault_events[keep].copy()
-        self._lost_tx = self._lost_tx[keep].copy()
-        self._lost_rx = self._lost_rx[keep].copy()
-        self._suppressed = self._suppressed[keep].copy()
-        self._trials = int(self._last_fault.size)
-        self._select_rows(keep)
-
-    def _select_rows(self, keep: np.ndarray) -> None:
-        """Subclass hook: row-select any additional per-trial state."""
-
-    # -- bookkeeping ------------------------------------------------------ #
-    def _mark_fault(self, round_index: int, trials_mask: np.ndarray) -> None:
-        self._fault_events[trials_mask] += 1
-        self._last_fault[trials_mask] = round_index + 1
-        if telemetry.enabled():
-            mask = np.asarray(trials_mask)
-            faulted = mask.sum() if mask.dtype == np.bool_ else mask.size
-            telemetry.counter_inc("environment.fault_events", int(faulted))
-
-    def trial_report(self, trial: int) -> Dict[str, object]:
-        """Trial ``trial``'s fault summary (same keys as the scalar report)."""
-        return {
-            "spec": self.spec(),
-            "fault_events": int(self._fault_events[trial]),
-            "last_fault_round": int(self._last_fault[trial]),
-            "lost_transmissions": int(self._lost_tx[trial]),
-            "lost_deliveries": int(self._lost_rx[trial]),
-            "suppressed_transmissions": int(self._suppressed[trial]),
-        }
-
-    def spec(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    # -- shared delivery surgery ----------------------------------------- #
-    def _drop_deliveries(self, round_index: int, outcome, keep: np.ndarray):
-        """Shrink the outcome to ``keep`` (mirrors the batch erasure model:
-        senders are materialised *before* the receiver set changes)."""
-        if keep.all():
-            return outcome
-        dropped = outcome.receiver_flat[~keep]
-        drop_counts = np.bincount(dropped // self._n, minlength=self._trials)
-        self._lost_rx += drop_counts
-        self._mark_fault(round_index, drop_counts > 0)
-        senders = outcome.sender_flat
-        outcome.receiver_flat = outcome.receiver_flat[keep]
-        outcome.sender_flat = senders[keep]
-        outcome.receiver_counts = np.bincount(
-            outcome.receiver_flat // self._n, minlength=self._trials
-        )
-        return outcome
-
-
-class BatchNullEnvironment(BatchEnvironment):
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def spec(self) -> Dict[str, object]:
-        return {"name": "null", "params": {}}
-
-
-class BatchIidLossEnvironment(BatchEnvironment):
-    def __init__(self, tx_loss: float = 0.0, rx_loss: float = 0.0) -> None:
-        super().__init__()
-        self.tx_loss = check_probability(tx_loss, "tx_loss")
-        self.rx_loss = check_probability(rx_loss, "rx_loss")
-
-    @property
-    def is_null(self) -> bool:
-        return self.tx_loss == 0.0 and self.rx_loss == 0.0
-
-    def spec(self) -> Dict[str, object]:
-        return {
-            "name": "iid_loss",
-            "params": {"tx_loss": self.tx_loss, "rx_loss": self.rx_loss},
-        }
-
     def perturb_transmissions(self, round_index, tx_flat, running):
         if self.tx_loss <= 0.0 or tx_flat.size == 0:
             return tx_flat
@@ -864,7 +341,18 @@ class BatchIidLossEnvironment(BatchEnvironment):
         return self._drop_deliveries(round_index, outcome, keep)
 
 
-class BatchBurstLossEnvironment(BatchEnvironment):
+class BurstLossEnvironment(Environment):
+    """Gilbert–Elliott burst loss: a two-state chain per receiver node.
+
+    Each node is Good or Bad; per round a Good node turns Bad with
+    probability ``p_bad`` and a Bad node turns Good with probability
+    ``p_good`` (one uniform per node per round serves both transitions).
+    Deliveries to a node currently in the Bad state are dropped, so losses
+    arrive in bursts of mean length ``1 / p_good``.  All nodes start Good.
+    """
+
+    name = "burst_loss"
+
     def __init__(self, p_bad: float, p_good: float = 0.5) -> None:
         super().__init__()
         self.p_bad = check_probability(p_bad, "p_bad")
@@ -888,7 +376,7 @@ class BatchBurstLossEnvironment(BatchEnvironment):
 
     def begin_round(self, round_index, running):
         # One uniform per node per round, running trials only — a stopped
-        # trial's chain freezes exactly where its serial run ended.
+        # trial's chain freezes where its run ended.
         u = self._rng.uniform_rows(running, self._n)
         rows = np.flatnonzero(running)
         bad = self._bad[rows]
@@ -902,7 +390,21 @@ class BatchBurstLossEnvironment(BatchEnvironment):
         return self._drop_deliveries(round_index, outcome, keep)
 
 
-class BatchChurnEnvironment(BatchEnvironment):
+class ChurnEnvironment(Environment):
+    """Deterministic crash-stop / crash-recovery schedule.
+
+    ``events`` is a round-sorted list of ``{"round": r, ...}`` dicts with
+    any of ``crash`` (node list), ``crash_fraction`` (the highest-numbered
+    ``round(f * n)`` nodes — deterministic, and it spares node 0, the
+    conventional broadcast source, for every ``f < 1``), ``recover`` (node
+    list) and ``recover_all``.  A down node's radio is off: its
+    transmissions are gated (uncharged) and deliveries to it are dropped;
+    its protocol state keeps advancing, so a recovered node resumes from
+    where it crashed.  With no recover events this is crash-stop.
+    """
+
+    name = "churn"
+
     def __init__(self, events: Sequence[Mapping[str, object]]) -> None:
         super().__init__()
         self.events = _normalise_churn_events(events)
@@ -946,8 +448,8 @@ class BatchChurnEnvironment(BatchEnvironment):
         actions = self._schedule.get(round_index)
         if actions is None:
             return
-        # Events only fire for running trials: a completed trial's serial
-        # run has already ended, so its counters (and state) must freeze.
+        # Events only fire for running trials: a stopped trial's run has
+        # already ended, so its counters (and state) must freeze.
         for action in actions:
             crash = action.get("crash")
             if crash is not None and crash.size:
@@ -985,7 +487,19 @@ class BatchChurnEnvironment(BatchEnvironment):
         return self._down.all(axis=1)
 
 
-class BatchJamEnvironment(BatchEnvironment):
+class JamEnvironment(Environment):
+    """Adversarial jamming of the ``k`` loudest (or fixed target) channels.
+
+    Each round inside the ``[start, stop)`` window the adversary destroys
+    every delivery to the ``k`` nodes hearing the most transmissions this
+    round (ties broken toward the lowest node id), or to a fixed
+    ``targets`` set.  Jamming is rng-free: the adversary reacts to the
+    realised channel activity.  The jam budget must fit the network
+    (``k <= n``, checked when the environment binds to a batch).
+    """
+
+    name = "jam"
+
     def __init__(
         self,
         k: Optional[int] = None,
@@ -994,19 +508,32 @@ class BatchJamEnvironment(BatchEnvironment):
         stop: Optional[int] = None,
     ) -> None:
         super().__init__()
-        # Reuse the scalar constructor's validation wholesale.
-        self._scalar = JamEnvironment(k=k, targets=targets, start=start, stop=stop)
-        self.k = self._scalar.k
-        self.targets = self._scalar.targets
-        self.start = self._scalar.start
-        self.stop = self._scalar.stop
+        if k is not None and targets is not None:
+            raise ValueError("jam takes either k (loudest channels) or targets, not both")
+        if k is None and targets is None:
+            k = 1
+        self.k = check_positive_int(k, "jam budget k", minimum=0) if k is not None else None
+        self.targets = _check_node_list(targets, "jam targets") if targets is not None else None
+        self.start = _check_round(start, "jam window start")
+        self.stop = _check_round(stop, "jam window stop") if stop is not None else None
+        if self.stop is not None and self.stop <= self.start:
+            raise ValueError(
+                f"jam window stop must be > start, got [{self.start}, {self.stop})"
+            )
 
     @property
     def is_null(self) -> bool:
-        return self._scalar.is_null
+        if self.targets is not None:
+            return not self.targets
+        return self.k == 0
 
     def spec(self) -> Dict[str, object]:
-        return self._scalar.spec()
+        params: Dict[str, object] = {"start": self.start, "stop": self.stop}
+        if self.targets is not None:
+            params["targets"] = list(self.targets)
+        else:
+            params["k"] = self.k
+        return {"name": "jam", "params": params}
 
     def _bind(self) -> None:
         if self.k is not None and self.k > self._n:
@@ -1031,7 +558,7 @@ class BatchJamEnvironment(BatchEnvironment):
         else:
             counts = outcome.hear_counts  # dense (R, n), pre-erasure
             # Stable argsort of -counts == loudest first, ties toward the
-            # lowest node id — identical per row to the scalar rule.
+            # lowest node id.
             order = np.argsort(-counts, axis=1, kind="stable")[:, : self.k]
             valid = np.take_along_axis(counts, order, axis=1) > 0
             jam = np.zeros((self._trials, self._n), dtype=bool)
@@ -1041,23 +568,47 @@ class BatchJamEnvironment(BatchEnvironment):
         return self._drop_deliveries(round_index, outcome, keep)
 
 
-class BatchWakeupEnvironment(BatchEnvironment):
+class WakeupEnvironment(Environment):
+    """Wake-up asynchrony: staggered node start rounds.
+
+    Node ``v`` is asleep (radio off, like a crashed node) until its start
+    round: either an explicit per-node ``delays`` list, or the
+    deterministic ramp ``start[v] = v * max_delay // (n - 1)`` (node 0
+    wakes immediately, the last node after ``max_delay`` rounds).
+    """
+
+    name = "wakeup"
+
     def __init__(
         self,
         max_delay: Optional[int] = None,
         delays: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__()
-        self._scalar = WakeupEnvironment(max_delay=max_delay, delays=delays)
-        self.max_delay = self._scalar.max_delay
-        self.delays = self._scalar.delays
+        if (max_delay is None) == (delays is None):
+            raise ValueError("wakeup takes exactly one of max_delay / delays")
+        self.max_delay = (
+            _check_round(max_delay, "wakeup max_delay") if max_delay is not None else None
+        )
+        self.delays = (
+            [_check_round(d, "wakeup delay") for d in delays]
+            if delays is not None
+            else None
+        )
 
     @property
     def is_null(self) -> bool:
-        return self._scalar.is_null
+        if self.delays is not None:
+            return not any(self.delays)
+        return self.max_delay == 0
 
     def spec(self) -> Dict[str, object]:
-        return self._scalar.spec()
+        params: Dict[str, object] = {}
+        if self.delays is not None:
+            params["delays"] = list(self.delays)
+        else:
+            params["max_delay"] = self.max_delay
+        return {"name": "wakeup", "params": params}
 
     def _bind(self) -> None:
         if self.delays is not None:
@@ -1097,8 +648,17 @@ class BatchWakeupEnvironment(BatchEnvironment):
         return self._drop_deliveries(round_index, outcome, keep)
 
 
-class BatchComposedEnvironment(BatchEnvironment):
-    def __init__(self, layers: Sequence[BatchEnvironment]) -> None:
+class ComposedEnvironment(Environment):
+    """Ordered composition: each hook chains through the layers in order.
+
+    Transmit gates AND together; stochastic layers draw in layer order on
+    both the transmit and the delivery side.  Reported counters are summed
+    over the layers and ``last_fault_round`` is the max.
+    """
+
+    name = "compose"
+
+    def __init__(self, layers: Sequence[Environment]) -> None:
         super().__init__()
         self.layers = list(layers)
 
@@ -1173,31 +733,15 @@ class BatchComposedEnvironment(BatchEnvironment):
 # --------------------------------------------------------------------------- #
 # Spec dicts <-> environments
 # --------------------------------------------------------------------------- #
-#: Environment family -> (scalar class, batch class, allowed param names).
+#: Environment family -> (class, allowed param names).
 ENVIRONMENT_FAMILIES: Dict[str, tuple] = {
-    "null": (NullEnvironment, BatchNullEnvironment, frozenset()),
-    "iid_loss": (
-        IidLossEnvironment,
-        BatchIidLossEnvironment,
-        frozenset({"tx_loss", "rx_loss"}),
-    ),
-    "burst_loss": (
-        BurstLossEnvironment,
-        BatchBurstLossEnvironment,
-        frozenset({"p_bad", "p_good"}),
-    ),
-    "churn": (ChurnEnvironment, BatchChurnEnvironment, frozenset({"events"})),
-    "jam": (
-        JamEnvironment,
-        BatchJamEnvironment,
-        frozenset({"k", "targets", "start", "stop"}),
-    ),
-    "wakeup": (
-        WakeupEnvironment,
-        BatchWakeupEnvironment,
-        frozenset({"max_delay", "delays"}),
-    ),
-    "compose": (ComposedEnvironment, BatchComposedEnvironment, frozenset({"layers"})),
+    "null": (NullEnvironment, frozenset()),
+    "iid_loss": (IidLossEnvironment, frozenset({"tx_loss", "rx_loss"})),
+    "burst_loss": (BurstLossEnvironment, frozenset({"p_bad", "p_good"})),
+    "churn": (ChurnEnvironment, frozenset({"events"})),
+    "jam": (JamEnvironment, frozenset({"k", "targets", "start", "stop"})),
+    "wakeup": (WakeupEnvironment, frozenset({"max_delay", "delays"})),
+    "compose": (ComposedEnvironment, frozenset({"layers"})),
 }
 
 
@@ -1216,7 +760,7 @@ def _split_spec(spec) -> tuple:
         raise TypeError(
             f"environment params must be a dict, got {type(params).__name__}"
         )
-    allowed = ENVIRONMENT_FAMILIES[name][2]
+    allowed = ENVIRONMENT_FAMILIES[name][1]
     unknown = set(params) - allowed
     if unknown:
         known = ", ".join(sorted(allowed)) or "(none)"
@@ -1227,49 +771,25 @@ def _split_spec(spec) -> tuple:
     return name, dict(params)
 
 
-def _build(spec, which: int):
-    if spec is None:
-        return None
-    if not spec:  # {} — explicit "no environment"
+def build_environment(spec) -> Optional[Environment]:
+    """Build the environment for ``spec`` (``None``/``{}`` -> None).
+
+    Constructors validate every parameter (probabilities in [0, 1], sorted
+    churn schedules, …); anything network-dependent (node ids, jam budget
+    vs ``n``, delay-list length) is checked at :meth:`Environment.bind`.
+    """
+    if not spec:  # None or {} — explicit "no environment"
         return None
     name, params = _split_spec(spec)
+    cls = ENVIRONMENT_FAMILIES[name][0]
     if name == "compose":
         layers = params.get("layers", [])
         if not isinstance(layers, (list, tuple)):
             raise TypeError(
                 f"compose layers must be a list of specs, got {type(layers).__name__}"
             )
-        cls = ENVIRONMENT_FAMILIES[name][which]
-        return cls([_build(layer, which) for layer in layers])
-    return ENVIRONMENT_FAMILIES[name][which](**params)
-
-
-def build_environment(spec) -> Optional[Environment]:
-    """Build the scalar environment for ``spec`` (``None``/``{}`` -> None).
-
-    Constructors validate every parameter (probabilities in [0, 1], sorted
-    churn schedules, …); anything network-dependent (node ids, jam budget
-    vs ``n``, delay-list length) is checked at :meth:`Environment.reset`.
-    """
-    return _build(spec, 0)
-
-
-def build_batch_environment(spec) -> Optional[BatchEnvironment]:
-    """Build the vectorised mirror of ``spec`` (``None``/``{}`` -> None)."""
-    return _build(spec, 1)
-
-
-def as_batch_environment(environment) -> Optional[BatchEnvironment]:
-    """Map a scalar :class:`Environment` (or spec / batch env) to its mirror."""
-    if environment is None or isinstance(environment, BatchEnvironment):
-        return environment
-    if isinstance(environment, Environment):
-        return build_batch_environment(environment.spec())
-    if isinstance(environment, Mapping):
-        return build_batch_environment(environment)
-    raise TypeError(
-        f"cannot interpret {type(environment).__name__} as a batch environment"
-    )
+        return cls([build_environment(layer) for layer in layers])
+    return cls(**params)
 
 
 def validate_environment_spec(spec) -> Optional[Dict[str, object]]:

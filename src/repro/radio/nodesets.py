@@ -1,4 +1,4 @@
-"""Node-set state for the simulation engines: one dense class per contract.
+"""Node-set state for the simulation engine: one class per contract.
 
 Every protocol in this repository is a *set dynamic*: broadcasts grow an
 informed set, gossip grows per-node rumour sets, Decay and flooding walk a
@@ -7,8 +7,8 @@ state out of the protocol classes, in one class per state kind:
 
 * :class:`NodeSetState` — ``R`` membership sets, a boolean ``(R, n)`` mask
   with per-trial counts kept incrementally;
-* :class:`KnowledgeState` — ``R`` rumour-knowledge relations, a boolean
-  ``(R, n, n)`` tensor;
+* :class:`KnowledgeState` — ``R`` rumour-knowledge relations, ``(R, n)``
+  rows of 64-bit words with per-row "full" flags kept incrementally;
 * :class:`QuotaFrontier` — per-phase transmission quotas (Decay), an
   ``(R, n)`` integer array;
 * :class:`BudgetFrontier` — per-node transmission budgets (deterministic
@@ -16,8 +16,7 @@ state out of the protocol classes, in one class per state kind:
 
 Nodes are addressed by flat id ``trial * n + node``.  Every class supports
 ``select_rows``, the compaction repack the continuous engine applies to
-every per-trial array.  The serial protocols use the same classes with
-``R = 1``.
+every per-trial array.
 """
 
 from __future__ import annotations
@@ -96,40 +95,54 @@ class NodeSetState:
 
 
 class KnowledgeState:
-    """``R`` per-trial ``(n, n)`` rumour-knowledge relations.
+    """``R`` per-trial ``(n, n)`` rumour-knowledge relations, bit-packed.
 
     Row ``(t, v)`` is the set of rumours node ``v`` of trial ``t`` knows;
     every node starts knowing its own rumour, and rows only ever grow (the
-    join model).
+    join model).  Each row is stored as ``ceil(n / 64)`` 64-bit words
+    (rumour ``u`` is bit ``u % 64`` of word ``u // 64``), so a merge moves an
+    eighth of the bytes of a boolean row.  Whether a row is full is kept
+    incrementally, so :meth:`complete` reads ``R * n`` flags instead of the
+    whole relation.
     """
 
-    __slots__ = ("trials", "n", "_tensor")
+    __slots__ = ("trials", "n", "_words", "_full_row", "_row_full")
 
     def __init__(self, trials: int, n: int):
         self.trials = int(trials)
         self.n = int(n)
-        self._tensor = np.broadcast_to(
-            np.eye(self.n, dtype=bool), (self.trials, self.n, self.n)
-        ).copy()
+        nodes = np.arange(self.n)
+        words = np.zeros((self.n, _words_for(self.n)), dtype=np.uint64)
+        words[nodes, nodes >> 6] = _bits_at(nodes)
+        self._words = np.broadcast_to(words, (self.trials,) + words.shape).copy()
+        self._full_row = words.sum(axis=0, dtype=np.uint64)  # disjoint bits
+        self._row_full = np.full((self.trials, self.n), self.n == 1)
 
     def select_rows(self, keep: np.ndarray) -> None:
         """Shrink to the trials where ``keep`` is True (compaction repack)."""
         keep = np.asarray(keep, dtype=bool)
         self.trials = int(keep.sum())
-        # merge_flat reshapes the tensor, which needs contiguity.
-        self._tensor = np.ascontiguousarray(self._tensor[keep])
+        # merge_flat reshapes the arrays, which needs contiguity.
+        self._words = np.ascontiguousarray(self._words[keep])
+        self._row_full = np.ascontiguousarray(self._row_full[keep])
 
     def merge_flat(self, sender_flat: np.ndarray, receiver_flat: np.ndarray) -> None:
         """OR each (unique) receiver row with its sender's round-start row."""
         if receiver_flat.size == 0:
             return
-        flat = self._tensor.reshape(self.trials * self.n, self.n)
-        payloads = flat[sender_flat]  # fancy indexing copies round-start rows
-        flat[receiver_flat] |= payloads
+        flat = self._words.reshape(self.trials * self.n, -1)
+        # Both gathers copy before the scatter, so every merge sees
+        # round-start rows.
+        merged = np.take(flat, receiver_flat, axis=0)
+        merged |= np.take(flat, sender_flat, axis=0)
+        flat[receiver_flat] = merged
+        self._row_full.reshape(-1)[receiver_flat] = (merged == self._full_row).all(
+            axis=1
+        )
 
     def per_node_counts(self) -> np.ndarray:
         """``(R, n)`` number of rumours each node knows."""
-        return self._tensor.sum(axis=2)
+        return _POPCOUNT8[self._words.view(np.uint8)].sum(axis=2, dtype=np.int64)
 
     def min_counts(self) -> np.ndarray:
         """Per-trial minimum rumour count (the gossip progress metric)."""
@@ -137,15 +150,32 @@ class KnowledgeState:
 
     def complete(self) -> np.ndarray:
         """Per-trial bool vector: every node knows every rumour."""
-        return self._tensor.all(axis=(1, 2))
+        return self._row_full.all(axis=1)
 
     def column(self, rumour: int) -> np.ndarray:
         """``(R, n)`` bool: which nodes know ``rumour``."""
-        return self._tensor[:, :, rumour]
+        return (self._words[:, :, rumour >> 6] & _bits_at(rumour)) != 0
 
     def as_dense(self) -> np.ndarray:
-        """The ``(R, n, n)`` bool tensor (live — do not mutate)."""
-        return self._tensor
+        """The ``(R, n, n)`` bool relation (a copy)."""
+        rumours = np.arange(self.n)
+        return (self._words[:, :, rumours >> 6] & _bits_at(rumours)) != 0
+
+
+def _words_for(n: int) -> int:
+    """64-bit words per packed row of ``n`` bits."""
+    return max(1, (n + 63) // 64)
+
+
+def _bits_at(positions) -> np.ndarray:
+    """The single-bit word of each position within its 64-bit word."""
+    return np.left_shift(
+        np.uint64(1), np.asarray(positions, dtype=np.uint64) & np.uint64(63)
+    )
+
+
+#: Set bits per byte value (a popcount that needs no NumPy 2 ufunc).
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class QuotaFrontier:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro.baselines.czumaj_rytter import KnownDiameterCR, UniformSelectionBroadcast
 from repro.baselines.decay import DecayBroadcast
 from repro.baselines.elsasser_gasieniec import ElsasserGasieniecBroadcast
@@ -16,6 +17,8 @@ from repro.graphs.properties import source_eccentricity
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.graphs.structured import path_network, path_of_cliques, star_network
 from repro.radio.engine import run_protocol
+
+RUNNING = np.ones(1, dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ class TestDecay:
     def test_phase_length(self, gnp_baseline):
         network, _ = gnp_baseline
         protocol = DecayBroadcast()
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         assert protocol.phase_length == math.ceil(2 * math.log2(network.n))
 
     def test_max_phases_active_limits_energy(self):
@@ -117,7 +120,7 @@ class TestElsasserGasieniec:
     def test_parameterisation(self, gnp_baseline):
         network, p = gnp_baseline
         protocol = ElsasserGasieniecBroadcast(p)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         assert protocol.D >= 1
         assert 0 < protocol.phase2_probability <= 1
         assert protocol.phase3_probability == pytest.approx(
@@ -127,7 +130,7 @@ class TestElsasserGasieniec:
     def test_phase_labels(self, gnp_baseline):
         network, p = gnp_baseline
         protocol = ElsasserGasieniecBroadcast(p)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         if protocol.D >= 2:
             assert protocol.phase_of_round(0) == "phase1"
         assert protocol.phase_of_round(protocol.D - 1) == "phase2"
@@ -140,8 +143,8 @@ class TestCzumajRytterBaselines:
         diameter = source_eccentricity(network, 0)
         cr = KnownDiameterCR(diameter)
         alg3 = KnownDiameterBroadcast(diameter)
-        cr.bind(network, 1)
-        alg3.bind(network, 1)
+        bind_one(cr, network, 1)
+        bind_one(alg3, network, 1)
         assert "alpha_prime" in cr.distribution.name
         assert cr.active_window > alg3.active_window
 
@@ -172,7 +175,7 @@ class TestCzumajRytterBaselines:
     def test_uniform_selection_distribution(self):
         network = path_of_cliques(4, 4)
         protocol = UniformSelectionBroadcast(7)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         assert "uniform" in protocol.distribution.name
 
 
@@ -217,9 +220,9 @@ class TestUniformScaleGossip:
     def test_budget_quiescence(self):
         network = path_network(6)
         protocol = UniformScaleGossip(rounds_constant=0.5)
-        protocol.bind(network, 1)
-        assert protocol.is_quiescent(protocol.round_budget)
-        assert not protocol.transmit_mask(protocol.round_budget + 1).any()
+        bind_one(protocol, network, 1)
+        assert protocol.quiescent(protocol.round_budget)[0]
+        assert not protocol.transmit_masks(protocol.round_budget + 1, RUNNING)[0].any()
 
     def test_invalid_constant(self):
         with pytest.raises(ValueError):

@@ -2,19 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro.baselines.sequential_gossip import SequentialBroadcastGossip
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.graphs.structured import path_of_cliques
 from repro.radio.engine import run_protocol
+
+RUNNING = np.ones(1, dtype=bool)
 
 
 class TestParameterisation:
     def test_epoch_length_and_budget(self):
         network = random_digraph(64, 0.2, rng=1)
         protocol = SequentialBroadcastGossip(epoch_length_factor=2.0)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         log_n = math.log2(64)
         assert protocol.epoch_length == math.ceil(2.0 * log_n**2)
         assert protocol.round_budget == protocol.epoch_length * 64
@@ -23,8 +27,8 @@ class TestParameterisation:
         network = random_digraph(32, 0.3, rng=1)
         one = SequentialBroadcastGossip(passes=1)
         two = SequentialBroadcastGossip(passes=2)
-        one.bind(network, 1)
-        two.bind(network, 1)
+        bind_one(one, network, 1)
+        bind_one(two, network, 1)
         assert two.round_budget == 2 * one.round_budget
 
     def test_invalid_params(self):
@@ -34,12 +38,18 @@ class TestParameterisation:
             SequentialBroadcastGossip(passes=0)
 
     def test_rumour_schedule_cycles(self):
+        # Epoch e broadcasts rumour e mod n: before any delivery only the
+        # rumour's originator knows it, so only that node may transmit.
         network = random_digraph(16, 0.4, rng=1)
-        protocol = SequentialBroadcastGossip()
-        protocol.bind(network, 1)
-        assert protocol._rumour_for_epoch(0) == 0
-        assert protocol._rumour_for_epoch(16) == 0
-        assert protocol._rumour_for_epoch(17) == 1
+        protocol = SequentialBroadcastGossip(passes=2)
+        bind_one(protocol, network, 1)
+        length = protocol.epoch_length
+        for epoch, rumour in [(0, 0), (16, 0), (17, 1)]:
+            masks = [
+                protocol.transmit_masks(epoch * length + r, RUNNING)[0]
+                for r in range(length)
+            ]
+            assert np.flatnonzero(np.any(masks, axis=0)).tolist() == [rumour]
 
 
 class TestBehaviour:
@@ -59,17 +69,17 @@ class TestBehaviour:
     def test_only_rumour_knowers_transmit(self):
         network = random_digraph(20, 0.3, rng=6)
         protocol = SequentialBroadcastGossip()
-        protocol.bind(network, 7)
+        bind_one(protocol, network, 7)
         # In epoch 0 only node 0 knows rumour 0 initially.
-        mask = protocol.transmit_mask(0)
+        mask = protocol.transmit_masks(0, RUNNING)[0]
         assert set(mask.nonzero()[0].tolist()) <= {0}
 
     def test_quiescent_after_budget(self):
         network = random_digraph(16, 0.4, rng=8)
         protocol = SequentialBroadcastGossip(epoch_length_factor=0.5)
-        protocol.bind(network, 9)
-        assert protocol.is_quiescent(protocol.round_budget)
-        assert not protocol.transmit_mask(protocol.round_budget + 1).any()
+        bind_one(protocol, network, 9)
+        assert protocol.quiescent(protocol.round_budget)[0]
+        assert not protocol.transmit_masks(protocol.round_budget + 1, RUNNING)[0].any()
 
     def test_more_energy_than_algorithm2(self):
         """The E16 direction at unit-test size: Algorithm 2 is cheaper per node."""

@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.experiments.protocols import BATCH_PROTOCOL_FACTORIES, ProtocolSpec
-from repro.radio.environment import build_batch_environment
+from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec
+from repro.radio.environment import build_environment
 from repro.experiments.runner import repeat_job
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
@@ -89,13 +89,13 @@ def _trial_rngs(seed0=500, trials=TRIALS):
 
 def _engine(env_name=None):
     environment = (
-        build_batch_environment(ENV_SPECS[env_name]) if env_name else None
+        build_environment(ENV_SPECS[env_name]) if env_name else None
     )
     return BatchEngine(environment=environment)
 
 
 def _run_sharded(net, protocol_name, env_name=None):
-    factory = BATCH_PROTOCOL_FACTORIES[protocol_name]
+    factory = PROTOCOL_FACTORIES[protocol_name]
     return _engine(env_name).run(
         net,
         factory(**PROTOCOL_PARAMS[protocol_name]),
@@ -106,7 +106,7 @@ def _run_sharded(net, protocol_name, env_name=None):
 
 
 def _run_continuous(net, protocol_name, env_name=None):
-    factory = BATCH_PROTOCOL_FACTORIES[protocol_name]
+    factory = PROTOCOL_FACTORIES[protocol_name]
     params = PROTOCOL_PARAMS[protocol_name]
     cohorts = {"built": 0}
 
@@ -146,9 +146,9 @@ def _assert_traces_identical(sharded, continuous):
 # Exact-mode bit-identity, every registry protocol
 # --------------------------------------------------------------------------- #
 class TestContinuousBitIdentity:
-    @pytest.mark.parametrize("protocol_name", sorted(BATCH_PROTOCOL_FACTORIES))
+    @pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_FACTORIES))
     def test_matches_run_for_every_protocol(self, net96, protocol_name):
-        assert PROTOCOL_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
+        assert PROTOCOL_PARAMS.keys() == PROTOCOL_FACTORIES.keys()
         sharded = _run_sharded(net96, protocol_name)
         continuous, cohorts = _run_continuous(net96, protocol_name)
         # capacity < trials forces at least one refill wave, so the sweep
@@ -157,7 +157,7 @@ class TestContinuousBitIdentity:
         _assert_traces_identical(sharded, continuous)
 
     @pytest.mark.parametrize("env_name", sorted(ENV_SPECS))
-    @pytest.mark.parametrize("protocol_name", sorted(BATCH_PROTOCOL_FACTORIES))
+    @pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_FACTORIES))
     def test_matches_run_under_faults(self, net96, protocol_name, env_name):
         sharded = _run_sharded(net96, protocol_name, env_name)
         continuous, cohorts = _run_continuous(net96, protocol_name, env_name)

@@ -2,14 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro.core.broadcast_general import KnownDiameterBroadcast
 from repro.core.distributions import CzumajRytterDistribution, UniformScaleDistribution
 from repro.core.tradeoff import TradeoffBroadcast, admissible_lambda_range
 from repro.graphs.properties import source_eccentricity
 from repro.graphs.structured import grid_network, path_of_cliques
 from repro.radio.engine import run_protocol
+
+RUNNING = np.ones(1, dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +26,7 @@ class TestSetup:
     def test_window_and_budget(self, clique_path):
         network, diameter = clique_path
         protocol = KnownDiameterBroadcast(diameter, beta=2.0)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         log_n = math.log2(network.n)
         assert protocol.active_window == math.ceil(2.0 * log_n**2)
         assert protocol.round_budget > protocol.active_window
@@ -33,15 +37,15 @@ class TestSetup:
         protocol = KnownDiameterBroadcast(
             diameter, distribution=UniformScaleDistribution(network.n)
         )
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         assert "uniform" in protocol.distribution.name
 
     def test_window_factor(self, clique_path):
         network, diameter = clique_path
         base = KnownDiameterBroadcast(diameter)
         wide = KnownDiameterBroadcast(diameter, window_factor=3.0)
-        base.bind(network, 1)
-        wide.bind(network, 1)
+        bind_one(base, network, 1)
+        bind_one(wide, network, 1)
         assert wide.active_window == pytest.approx(3 * base.active_window, rel=0.01)
 
     def test_invalid_params(self):
@@ -53,8 +57,8 @@ class TestSetup:
     def test_metadata(self, clique_path):
         network, diameter = clique_path
         protocol = KnownDiameterBroadcast(diameter)
-        protocol.bind(network, 1)
-        meta = protocol.run_metadata
+        bind_one(protocol, network, 1)
+        meta = protocol.trial_metadata(0)
         assert meta["diameter"] == diameter
         assert meta["active_window"] == protocol.active_window
 
@@ -98,14 +102,14 @@ class TestBehaviour:
         network, diameter = clique_path
         protocol = KnownDiameterBroadcast(diameter)
         result = run_protocol(network, protocol, rng=9, run_to_quiescence=True)
-        assert protocol.is_quiescent(result.rounds_executed)
+        assert protocol.quiescent(result.rounds_executed)[0]
 
     def test_source_stops_after_window(self, clique_path):
         network, diameter = clique_path
         protocol = KnownDiameterBroadcast(diameter, beta=0.5)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         beyond_window = protocol.active_window + 1
-        mask = protocol.transmit_mask(beyond_window)
+        mask = protocol.transmit_masks(beyond_window, RUNNING)[0]
         assert not mask[protocol.source]
 
 
@@ -118,7 +122,7 @@ class TestTradeoff:
     def test_lambda_clamped(self, clique_path):
         network, diameter = clique_path
         protocol = TradeoffBroadcast(diameter, lam=1000.0)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         low, high = admissible_lambda_range(network.n, diameter)
         assert protocol.lam == pytest.approx(high)
 
@@ -128,8 +132,8 @@ class TestTradeoff:
         low, high = admissible_lambda_range(network.n, diameter)
         cheap = TradeoffBroadcast(diameter, lam=high)
         fast = TradeoffBroadcast(diameter, lam=low)
-        cheap.bind(network, 1)
-        fast.bind(network, 1)
+        bind_one(cheap, network, 1)
+        bind_one(fast, network, 1)
         assert (
             cheap.distribution.mean_transmission_probability()
             < fast.distribution.mean_transmission_probability()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro._util.rng import spawn_generators
 from repro.core.broadcast_random import EnergyEfficientBroadcast
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
@@ -22,49 +23,49 @@ class TestParameterisation:
     def test_phase_schedule_sparse(self):
         n, p = 1024, 0.02  # d = 20.48, sparse regime
         protocol = EnergyEfficientBroadcast(p)
-        protocol.bind(random_digraph(n, p, rng=1), 2)
-        assert protocol.T >= 1
-        assert protocol.phase2_round == protocol.T
-        assert protocol.phase3_start == protocol.T + 1
-        assert protocol.phase3_probability == pytest.approx(1.0 / protocol.d)
+        schedule = bind_one(protocol, random_digraph(n, p, rng=1), 2).schedule
+        assert schedule.T >= 1
+        assert schedule.phase2_round == schedule.T
+        assert schedule.phase3_start == schedule.T + 1
+        assert schedule.phase3_probability == pytest.approx(1.0 / schedule.d)
 
     def test_phase_schedule_dense(self):
         n, p = 1024, 0.3  # n p^2 = 92 >> log n -> dense branch, no Phase 2
         protocol = EnergyEfficientBroadcast(p)
-        protocol.bind(random_digraph(n, p, rng=1), 2)
-        assert protocol.phase2_round is None
-        assert protocol.phase3_probability == pytest.approx(
-            min(1.0, 1.0 / (protocol.d * p))
+        schedule = bind_one(protocol, random_digraph(n, p, rng=1), 2).schedule
+        assert schedule.phase2_round is None
+        assert schedule.phase3_probability == pytest.approx(
+            min(1.0, 1.0 / (schedule.d * p))
         )
 
     def test_paper_gate_recovered_when_factor_zero(self):
         n, p = 256, 0.125  # p > n^-0.4 but n p^2 = 4 << log n
         refined = EnergyEfficientBroadcast(p)
-        refined.bind(random_digraph(n, p, rng=1), 2)
+        bind_one(refined, random_digraph(n, p, rng=1), 2)
         literal = EnergyEfficientBroadcast(p, dense_min_degree_factor=0.0)
-        literal.bind(random_digraph(n, p, rng=1), 2)
-        assert refined.phase2_round is not None  # refined gate -> sparse branch
-        assert literal.phase2_round is None  # paper's literal gate -> dense branch
+        bind_one(literal, random_digraph(n, p, rng=1), 2)
+        assert refined.schedule.phase2_round is not None  # refined gate -> sparse branch
+        assert literal.schedule.phase2_round is None  # paper's literal gate -> dense branch
 
     def test_phase1_overshoot_shortens_T(self):
         n = 2048
         p = 4 * math.log2(n) / n  # d = 44, d^2 ~ 0.95 n
         literal = EnergyEfficientBroadcast(p, phase1_overshoot_factor=0.0)
-        literal.bind(random_digraph(n, p, rng=1), 2)
+        bind_one(literal, random_digraph(n, p, rng=1), 2)
         refined = EnergyEfficientBroadcast(p)
-        refined.bind(random_digraph(n, p, rng=1), 2)
-        assert literal.T == 2
-        assert refined.T == 1
+        bind_one(refined, random_digraph(n, p, rng=1), 2)
+        assert literal.schedule.T == 2
+        assert refined.schedule.T == 1
 
     def test_phase_of_round_labels(self):
         n, p = 512, 0.02
         protocol = EnergyEfficientBroadcast(p)
-        protocol.bind(random_digraph(n, p, rng=1), 2)
-        assert protocol.phase_of_round(0) == "phase1"
-        assert protocol.phase_of_round(protocol.phase2_round) == "phase2"
-        assert protocol.phase_of_round(protocol.phase3_start) == "phase3"
+        schedule = bind_one(protocol, random_digraph(n, p, rng=1), 2).schedule
+        assert schedule.phase_of_round(0) == "phase1"
+        assert schedule.phase_of_round(schedule.phase2_round) == "phase2"
+        assert schedule.phase_of_round(schedule.phase3_start) == "phase3"
         assert (
-            protocol.phase_of_round(protocol.phase3_start + protocol.phase3_rounds)
+            schedule.phase_of_round(schedule.phase3_start + schedule.phase3_rounds)
             == "done"
         )
 
@@ -81,10 +82,9 @@ class TestParameterisation:
     def test_run_metadata_populated(self, gnp_medium):
         network, p = gnp_medium
         protocol = EnergyEfficientBroadcast(p)
-        protocol.bind(network, 3)
-        meta = protocol.run_metadata
-        assert meta["T"] == protocol.T
-        assert meta["phase3_rounds"] == protocol.phase3_rounds
+        meta = run_protocol(network, protocol, rng=3).metadata
+        assert meta["T"] == protocol.schedule.T
+        assert meta["phase3_rounds"] == protocol.schedule.phase3_rounds
         assert isinstance(meta["sparse_regime"], bool)
 
 
@@ -132,10 +132,11 @@ class TestInvariants:
         network, p = gnp_medium
         protocol = EnergyEfficientBroadcast(p)
         engine = SimulationEngine()
-        engine.run(network, protocol, rng=4)
-        history = protocol.active_history
+        result = engine.run(network, protocol, rng=4)
+        history = protocol.active_history(0)
         assert history[0] == 1  # only the source is active in round 1
-        assert len(history) >= protocol.T
+        assert len(history) >= protocol.schedule.T
+        assert result.metadata["active_history"] == history
 
     def test_phase3_recruits_stay_passive(self):
         # On a path, nodes informed during Phase 3 must never transmit.
@@ -180,6 +181,6 @@ class TestAblationSwitches:
         short = EnergyEfficientBroadcast(p, beta=2.0)
         long = EnergyEfficientBroadcast(p, beta=16.0)
         net = random_digraph(256, p, rng=1)
-        short.bind(net, 1)
-        long.bind(net, 1)
-        assert long.phase3_rounds > short.phase3_rounds
+        bind_one(short, net, 1)
+        bind_one(long, net, 1)
+        assert long.schedule.phase3_rounds > short.schedule.phase3_rounds

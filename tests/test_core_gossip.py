@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro.core.gossip_random import RandomNetworkGossip
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.radio.engine import run_protocol
+
+RUNNING = np.ones(1, dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +24,7 @@ class TestParameterisation:
     def test_round_budget(self, gossip_network):
         network, p = gossip_network
         protocol = RandomNetworkGossip(p, rounds_constant=8.0)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         n = network.n
         assert protocol.round_budget == math.ceil(8.0 * n * p * math.log2(n))
         assert protocol.transmit_probability == pytest.approx(1.0 / (n * p))
@@ -33,7 +37,7 @@ class TestParameterisation:
 
     def test_transmit_probability_capped(self):
         protocol = RandomNetworkGossip(0.001)
-        protocol.bind(random_digraph(50, 0.2, rng=1), 1)
+        bind_one(protocol, random_digraph(50, 0.2, rng=1), 1)
         assert protocol.transmit_probability <= 1.0
 
 
@@ -60,10 +64,10 @@ class TestBehaviour:
     def test_no_transmissions_after_budget(self, gossip_network):
         network, p = gossip_network
         protocol = RandomNetworkGossip(p, rounds_constant=0.1)
-        protocol.bind(network, 1)
-        beyond = protocol.transmit_mask(protocol.round_budget + 1)
+        bind_one(protocol, network, 1)
+        beyond = protocol.transmit_masks(protocol.round_budget + 1, RUNNING)[0]
         assert not beyond.any()
-        assert protocol.is_quiescent(protocol.round_budget)
+        assert protocol.quiescent(protocol.round_budget)[0]
 
     def test_knowledge_matrix_monotone(self, gossip_network):
         network, p = gossip_network

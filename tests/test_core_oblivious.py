@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro.core.distributions import FixedProbabilityOblivious, UniformScaleDistribution
 from repro.core.oblivious import TimeInvariantBroadcast
 from repro.graphs.lowerbound import observation43_network
 from repro.graphs.structured import path_network
 from repro.radio.engine import run_protocol
+
+RUNNING = np.ones(1, dtype=bool)
 
 
 class TestConstruction:
@@ -58,26 +61,26 @@ class TestBehaviour:
             network, protocol, rng=2, keep_arrays=True, run_to_quiescence=True
         )
         assert result.per_node_transmissions.max() <= 4
-        assert protocol.is_quiescent(result.rounds_executed)
+        assert protocol.quiescent(result.rounds_executed)[0]
 
     def test_unbounded_window_quiescence_is_completion(self):
         network = path_network(5)
         protocol = TimeInvariantBroadcast(0.9)
-        protocol.bind(network, 1)
-        assert protocol.is_quiescent(0) == protocol.is_complete()
+        bind_one(protocol, network, 1)
+        assert protocol.quiescent(0)[0] == protocol.completed()[0]
 
     def test_metadata(self):
         network = path_network(5)
         protocol = TimeInvariantBroadcast(0.3, active_window=7)
-        protocol.bind(network, 1)
-        assert protocol.run_metadata["active_window"] == 7
-        assert protocol.run_metadata["mean_transmission_probability"] == 0.3
+        bind_one(protocol, network, 1)
+        assert protocol.trial_metadata(0)["active_window"] == 7
+        assert protocol.trial_metadata(0)["mean_transmission_probability"] == 0.3
 
     def test_shared_probability_is_scalar_per_round(self):
         network = path_network(6)
         protocol = TimeInvariantBroadcast(UniformScaleDistribution(64))
-        protocol.bind(network, 1)
-        mask = protocol.transmit_mask(0)
+        bind_one(protocol, network, 1)
+        mask = protocol.transmit_masks(0, RUNNING)[0]
         assert mask.shape == (6,)
 
     def test_lower_bound_effect_on_relay_network(self):

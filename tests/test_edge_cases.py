@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bind_one
 from repro.baselines.decay import DecayBroadcast
 from repro.core.broadcast_general import KnownDiameterBroadcast
 from repro.core.broadcast_random import EnergyEfficientBroadcast
@@ -128,7 +129,7 @@ class TestNumericalEdges:
         # p so small that 1/d > 1 must clamp to probability 1.
         network = RadioNetwork(3, [(0, 1), (1, 2), (2, 0)])
         protocol = RandomNetworkGossip(1e-6)
-        protocol.bind(network, 1)
+        bind_one(protocol, network, 1)
         assert protocol.transmit_probability == 1.0
 
     def test_engine_handles_zero_transmitter_rounds(self):
@@ -137,8 +138,8 @@ class TestNumericalEdges:
         network = path_network(3)
 
         class Silent(DecayBroadcast):
-            def transmit_mask(self, round_index):
-                return np.zeros(self.n, dtype=bool)
+            def transmit_flat(self, round_index, running):
+                return np.empty(0, dtype=np.int64)
 
         result = run_protocol(network, Silent(source=0), rng=1, max_rounds=5)
         assert not result.completed

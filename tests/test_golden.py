@@ -1,10 +1,10 @@
 """Golden engine traces: SHA-256 digests of every batched protocol's results.
 
-Pairwise equivalence tests (serial vs batch, ``run`` vs ``run_continuous``)
-pass when a shared helper moves both sides at once.  This
-corpus does not depend on two implementations staying in sync: it pins the
+Pairwise equivalence tests (``run`` vs ``run_continuous``) pass when a
+shared helper moves both sides at once.  This corpus does not depend on two
+code paths staying in sync: it pins the
 canonical :meth:`~repro.radio.trace.RunResultTrace.to_payload` of each trial
-for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
+for every entry of ``PROTOCOL_FACTORIES`` under
 
 * fast mode through :meth:`BatchEngine.run` (one shared generator, so the
   draws of protocols that size them by row count are pinned too);
@@ -23,8 +23,10 @@ for every entry of ``BATCH_PROTOCOL_FACTORIES`` under
 * an in-process fast-mode ``repeat_job(..., shards=3)`` sweep, which pins
   the per-shard fast seeds, and an in-process exact-mode one, which runs
   as one continuous stream that retires and refills rows;
-* the single-run entry points, each against the batch engine with one
-  generator per trial (``oracle-*`` cases): engine runs with the erasure
+* the single-run entry points (``SimulationEngine``, ``execute_job``,
+  ``run_protocol``), each against the batch engine with one generator per
+  trial (``oracle-*`` cases; the corpus was recorded when the single-run
+  API had its own round loop and protocol classes): engine runs with the erasure
   and collision-detection models, flooding caps, ``record_rounds`` and
   ``keep_arrays``; exact ``repeat_job`` sweeps (every registry case, two
   environments, ``processes=2``) against ``execute_job`` per job; and
@@ -46,9 +48,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.protocols import (
-    BATCH_PROTOCOL_FACTORIES,
+    PROTOCOL_FACTORIES,
     ProtocolSpec,
-    build_batch_protocol,
     build_protocol,
 )
 from repro.experiments.runner import build_repetition_plan, execute_job, repeat_job
@@ -63,7 +64,7 @@ from repro.radio.collision import (
     WithCollisionDetectionModel,
 )
 from repro.radio.engine import SimulationEngine, run_protocol
-from repro.radio.environment import build_batch_environment
+from repro.radio.environment import build_environment
 from repro.store.keys import canonical_dumps
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_traces.json"
@@ -157,11 +158,11 @@ def _wide_inputs():
 
 
 def _protocol(name):
-    return BATCH_PROTOCOL_FACTORIES[name](**PROTOCOL_PARAMS[name])
+    return PROTOCOL_FACTORIES[name](**PROTOCOL_PARAMS[name])
 
 
 def _engine(env=None, **options):
-    environment = build_batch_environment(ENV_SPECS[env]) if env else None
+    environment = build_environment(ENV_SPECS[env]) if env else None
     return BatchEngine(environment=environment, **options)
 
 
@@ -246,12 +247,12 @@ SWEEP_CASES = {"repeat_job-fast-shards3": "fast", "repeat_job-exact-stream": "ex
 
 
 ENGINE_CASES = (
-    [("fast", name) for name in sorted(BATCH_PROTOCOL_FACTORIES)]
-    + [("exact", name) for name in sorted(BATCH_PROTOCOL_FACTORIES)]
+    [("fast", name) for name in sorted(PROTOCOL_FACTORIES)]
+    + [("exact", name) for name in sorted(PROTOCOL_FACTORIES)]
     + [
         (f"exact-{env}", name)
         for env in sorted(ENV_SPECS)
-        for name in sorted(BATCH_PROTOCOL_FACTORIES)
+        for name in sorted(PROTOCOL_FACTORIES)
     ]
     + [
         ("fast-record_rounds", "algorithm1"),
@@ -325,7 +326,7 @@ ORACLE_RUNS = {
 }
 
 
-def _oracle_run(case, *, serial=False, continuous=False):
+def _oracle_run(case, *, single_run=False, continuous=False):
     inputs, spec_for, seeds, model, options, _ = ORACLE_RUNS[case]
     networks, p = inputs()
     spec = spec_for(p)
@@ -333,7 +334,7 @@ def _oracle_run(case, *, serial=False, continuous=False):
     def engine(cls):
         return cls(model() if model else None, **options)
 
-    if serial:
+    if single_run:
         return [
             engine(SimulationEngine).run(
                 net, build_protocol(spec), rng=np.random.default_rng(seed)
@@ -344,11 +345,11 @@ def _oracle_run(case, *, serial=False, continuous=False):
     if continuous:
         return engine(BatchEngine).run_continuous(
             (PendingTrial(net, rng=rng) for net, rng in zip(networks, rngs)),
-            lambda: build_batch_protocol(spec),
+            lambda: build_protocol(spec),
             capacity=3,
             watermark=1.0,
         )
-    return engine(BatchEngine).run(networks, build_batch_protocol(spec), rngs=rngs)
+    return engine(BatchEngine).run(networks, build_protocol(spec), rngs=rngs)
 
 
 _REGISTRY_GRAPH = {"n": 64, "p": 0.18}
@@ -415,12 +416,12 @@ ORACLE_SWEEPS = {
 }
 
 
-def _oracle_sweep(case, *, serial=False):
+def _oracle_sweep(case, *, single_run=False):
     graph_params, name, params, options = ORACLE_SWEEPS[case]
     options = {"repetitions": 4, "seed": 17, **options}
     graph = GraphSpec("gnp", graph_params)
     protocol = ProtocolSpec(name, params)
-    if serial:
+    if single_run:
         options.pop("processes", None)
         plan = build_repetition_plan(graph, protocol, **options)
         return [execute_job(job) for job in plan.jobs]
@@ -432,19 +433,19 @@ def _oracle_sweep(case, *, serial=False):
 FACADE_SEEDS = (31, 32, 33)
 
 
-def _facade_run(name, *, serial=False):
+def _facade_run(name, *, single_run=False):
     network = _shared_network()
     spec = ProtocolSpec(name, PROTOCOL_PARAMS[name])
     options = {"run_to_quiescence": True, "keep_arrays": True,
                "max_rounds": MAX_ROUNDS}
-    if serial:
+    if single_run:
         return [
             run_protocol(network, build_protocol(spec), rng=seed, **options)
             for seed in FACADE_SEEDS
         ]
     max_rounds = options.pop("max_rounds")
     return BatchEngine(**options).run(
-        network, build_batch_protocol(spec), trials=len(FACADE_SEEDS),
+        network, build_protocol(spec), trials=len(FACADE_SEEDS),
         rngs=list(FACADE_SEEDS), max_rounds=max_rounds,
     )
 
@@ -490,7 +491,7 @@ def golden():
 
 
 def test_corpus_covers_every_batch_protocol(golden):
-    assert PROTOCOL_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
+    assert PROTOCOL_PARAMS.keys() == PROTOCOL_FACTORIES.keys()
     expected = {_case_id(c, n) for c, n in ENGINE_CASES + WIDE_CASES} | {
         _case_id(c, n) for c in SWEEP_CASES for n in SWEEP_PROTOCOLS
     } | set(ORACLE_IDS)
@@ -547,7 +548,7 @@ def test_oracle_batch_matches_golden(golden, case_id):
 @pytest.mark.parametrize("case_id", ORACLE_IDS)
 def test_oracle_single_run_matches_golden(golden, case_id):
     """``SimulationEngine.run``, ``execute_job`` and ``run_protocol``."""
-    assert _digests(_oracle(case_id, serial=True)) == golden[case_id]
+    assert _digests(_oracle(case_id, single_run=True)) == golden[case_id]
 
 
 @pytest.mark.parametrize("case", ORACLE_CONTINUOUS)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.protocols import BATCH_PROTOCOL_FACTORIES
+from repro.experiments.protocols import PROTOCOL_FACTORIES
 from repro.graphs.random_digraph import random_digraph
 from repro.radio.batch import (
     BatchBroadcastProtocol,
@@ -38,7 +38,7 @@ from repro.radio.collision import (
     BatchErasureCollisionModel,
     BatchStandardCollisionModel,
 )
-from repro.radio.environment import build_batch_environment
+from repro.radio.environment import build_environment
 
 _THRESHOLD = BatchCollisionModel._SPARSE_EDGE_THRESHOLD
 
@@ -158,7 +158,7 @@ MAX_ROUNDS = 400
 
 def _is_broadcast(name):
     params = {**BROADCAST_PARAMS, **GOSSIP_PARAMS}[name]
-    return isinstance(BATCH_PROTOCOL_FACTORIES[name](**params), BatchBroadcastProtocol)
+    return isinstance(PROTOCOL_FACTORIES[name](**params), BatchBroadcastProtocol)
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ def _rngs():
 
 
 def _run(model, networks, name):
-    factory = BATCH_PROTOCOL_FACTORIES[name]
+    factory = PROTOCOL_FACTORIES[name]
     engine = BatchEngine(model, keep_arrays=True)
     return engine.run(
         networks, factory(**BROADCAST_PARAMS[name]), rngs=_rngs(), max_rounds=MAX_ROUNDS
@@ -181,7 +181,7 @@ def _run(model, networks, name):
 
 
 def _run_continuous(model, networks, name):
-    factory = BATCH_PROTOCOL_FACTORIES[name]
+    factory = PROTOCOL_FACTORIES[name]
     cohorts = {"built": 0}
 
     def make_protocol():
@@ -217,8 +217,8 @@ def _assert_same(reference, trimmed):
 
 class TestEngineTrimmingIsInvisible:
     def test_every_broadcast_protocol_is_covered(self):
-        assert {**BROADCAST_PARAMS, **GOSSIP_PARAMS}.keys() == BATCH_PROTOCOL_FACTORIES.keys()
-        assert {n for n in BATCH_PROTOCOL_FACTORIES if _is_broadcast(n)} == set(
+        assert {**BROADCAST_PARAMS, **GOSSIP_PARAMS}.keys() == PROTOCOL_FACTORIES.keys()
+        assert {n for n in PROTOCOL_FACTORIES if _is_broadcast(n)} == set(
             BROADCAST_PARAMS
         )
 
@@ -267,7 +267,7 @@ def _spy_run(model, networks, name="decay", params=None, **engine_options):
     params = BROADCAST_PARAMS[name] if params is None else params
     BatchEngine(model, **engine_options).run(
         networks,
-        BATCH_PROTOCOL_FACTORIES[name](**params),
+        PROTOCOL_FACTORIES[name](**params),
         rngs=_rngs(),
         max_rounds=MAX_ROUNDS,
     )
@@ -294,7 +294,7 @@ class TestFilterWorkCounters:
     def test_per_delivery_draws_get_the_filter_in_fast_mode(self, networks):
         model = _SpyErasure(0.2)
         BatchEngine(model).run(
-            networks, BATCH_PROTOCOL_FACTORIES["decay"](), rng=3, max_rounds=MAX_ROUNDS
+            networks, PROTOCOL_FACTORIES["decay"](), rng=3, max_rounds=MAX_ROUNDS
         )
         assert model.calls > 0
         assert model.filtered == model.calls
@@ -302,7 +302,7 @@ class TestFilterWorkCounters:
     def test_environment_gets_no_filter(self, networks):
         model = _SpyStandard()
         filtered, _ = _spy_run(
-            model, networks, environment=build_batch_environment(_LOSS)
+            model, networks, environment=build_environment(_LOSS)
         )
         assert filtered == 0
 

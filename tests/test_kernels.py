@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.protocols import ProtocolSpec
-from repro.experiments.protocols import build_batch_protocol
+from repro.experiments.protocols import build_protocol
 from repro.experiments.runner import (
     build_repetition_plan,
     execute_job,
@@ -36,10 +36,8 @@ from repro.radio.batch import BatchEngine, NetworkBatch
 from repro.radio.collision import BatchStandardCollisionModel
 from repro.store import trial_digest
 
-from test_batch_engine import _assert_traces_identical, _engine_sweep
-from test_batch_engine import TestExactEquivalence as _Exact
+from test_batch_engine import _REGISTRY_CASES, _assert_traces_identical, _engine_sweep
 
-_REGISTRY_CASES = _Exact._REGISTRY_CASES
 _REGISTRY_IDS = [
     f"{case[0]}{'-q' if case[3] else ''}"
     f"{'-capped' if 'max_phases_active' in case[1] or 'active_window' in case[1] else ''}"
@@ -57,7 +55,7 @@ class TestSelection:
         model.kernel = "numpy"
         BatchEngine(model).run(
             random_digraph(24, 0.3, rng=1),
-            build_batch_protocol(ProtocolSpec("decay", {})),
+            build_protocol(ProtocolSpec("decay", {})),
             trials=2,
             rng=1,
         )
@@ -195,7 +193,7 @@ class TestEngineEquivalence:
             model = BatchStandardCollisionModel()
             model.kernel = kernel
             return BatchEngine(model).run(
-                networks, build_batch_protocol(ProtocolSpec("decay", {})), rng=3
+                networks, build_protocol(ProtocolSpec("decay", {})), rng=3
             )
 
         _assert_traces_identical(run("numpy"), run("compiled"), check_arrays=True)
@@ -329,8 +327,8 @@ class TestSharedBatchReuse:
             batch_mode="exact",
         )
         plan = build_repetition_plan(self.GRAPH, self.PROTOCOL, repetitions=8, seed=2)
-        serial = [execute_job(j) for j in plan.jobs]
-        _assert_traces_identical(serial, sharded, check_arrays=True)
+        one_by_one = [execute_job(j) for j in plan.jobs]
+        _assert_traces_identical(one_by_one, sharded, check_arrays=True)
 
     def test_shared_tiling_matches_general_construction(self):
         net = random_digraph(40, 0.2, rng=3)
@@ -402,12 +400,12 @@ class TestNoNumbaFallback:
                 "assert len(results) == 2",
                 "from repro.graphs import random_digraph",
                 "from repro.radio.batch import BatchEngine",
-                "from repro.experiments.protocols import build_batch_protocol",
+                "from repro.experiments.protocols import build_protocol",
                 "model = BatchStandardCollisionModel()",
                 "model.kernel = 'compiled'  # falls back to numpy",
                 "forced = BatchEngine(model).run(",
                 "    random_digraph(16, 0.4, rng=1),",
-                "    build_batch_protocol(ProtocolSpec('decay', {})),",
+                "    build_protocol(ProtocolSpec('decay', {})),",
                 "    trials=2, rng=1,",
                 ")",
                 "assert len(forced) == 2",

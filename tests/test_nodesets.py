@@ -8,7 +8,7 @@ Two groups of guarantees:
    at a single-trial single-node shape, at the ``R = 1`` shape the serial
    protocols use and at a multi-trial shape.
 2. **Row independence** — one state row per trial: for *every* protocol in
-   ``BATCH_PROTOCOL_FACTORIES``, an exact-mode trial's trace does not depend
+   ``PROTOCOL_FACTORIES``, an exact-mode trial's trace does not depend
    on which other trials share its batch or on its row.  Each trial run
    alone, the batch reversed and every trial run twice side by side all
    give the batch's bits, and the batch gives the exact sweep's (the case
@@ -27,9 +27,9 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro.experiments.protocols import (
-    BATCH_PROTOCOL_FACTORIES,
+    PROTOCOL_FACTORIES,
     ProtocolSpec,
-    build_batch_protocol,
+    build_protocol,
 )
 from repro.experiments.runner import build_repetition_plan, repeat_job
 from repro.graphs.builders import GraphSpec
@@ -228,7 +228,7 @@ class TestRowIndependence:
     Exact rng mode fixes the randomness per trial, so any dependence on the
     other rows of the batch is a state-layer bug: a count, mask or frontier
     update that leaks across trial rows, or one that depends on a trial's
-    row index.  The case table is pinned against ``BATCH_PROTOCOL_FACTORIES``
+    row index.  The case table is pinned against ``PROTOCOL_FACTORIES``
     — adding a protocol without adding a case here fails the pin test.
     """
 
@@ -283,13 +283,13 @@ class TestRowIndependence:
         job = plan.jobs[0]
         return runner_module._batch_engine_for(job).run(
             [inputs[t][0] for t in rows],
-            build_batch_protocol(protocol),
+            build_protocol(protocol),
             rngs=[copy.deepcopy(inputs[t][1]) for t in rows],
             max_rounds=job.max_rounds,
         )
 
     def test_case_table_pins_registry(self):
-        assert self._CASES.keys() == BATCH_PROTOCOL_FACTORIES.keys()
+        assert self._CASES.keys() == PROTOCOL_FACTORIES.keys()
 
     @pytest.mark.parametrize(
         "layout", ["sweep", "alone", "reversed", "duplicated"]

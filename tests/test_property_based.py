@@ -13,7 +13,7 @@ from repro.graphs.lowerbound import observation43_network
 from repro.graphs.random_digraph import random_digraph
 from repro.graphs.structured import path_of_cliques
 from repro.radio.collision import StandardCollisionModel
-from repro.radio.energy import EnergyAccountant
+from repro.radio.energy import BatchEnergyAccountant
 from repro.radio.engine import run_protocol
 from repro.radio.network import RadioNetwork
 
@@ -114,14 +114,14 @@ class TestCollisionProperties:
     @given(edge_lists(), st.data())
     def test_energy_accounting_matches_mask_sum(self, n_edges, data):
         n, edges = n_edges
-        acc = EnergyAccountant(n)
+        acc = BatchEnergyAccountant(1, n)
         total = 0
         for _ in range(3):
             mask = data.draw(transmit_masks(n))
             total += int(mask.sum())
-            acc.record_round(mask)
-        assert acc.total() == total
-        report = acc.report()
+            acc.record_flat(np.flatnonzero(mask))
+        assert int(acc.per_node(0).sum()) == total
+        (report,) = acc.reports_for([0])
         assert report.total_transmissions == total
         assert report.max_per_node <= 3
 

@@ -1,21 +1,20 @@
-"""Tests for the synchronous round engine."""
+"""Tests for the single-run API: the batch engine with one trial."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.flooding import DeterministicFlood
 from repro.core.broadcast_general import KnownDiameterBroadcast
+from repro.radio.batch import BatchBroadcastProtocol
 from repro.radio.engine import SimulationEngine, run_protocol
-from repro.radio.network import RadioNetwork
-from repro.radio.protocol import BroadcastProtocol
 
 
-class CountdownBroadcast(BroadcastProtocol):
+class CountdownBroadcast(BatchBroadcastProtocol):
     """Informs everything via flooding on a path; used to test traces."""
 
     name = "test-countdown"
 
-    def transmit_mask(self, round_index):
+    def transmit_masks(self, round_index, running):
         return self.informed.copy()
 
 
@@ -120,6 +119,28 @@ class TestQuiescenceMode:
         r1 = engine.run(small_path, CountdownBroadcast(source=0), rng=1)
         r2 = engine.run(small_path, CountdownBroadcast(source=0), rng=2)
         assert r1.completed and r2.completed
+
+
+class TestFacade:
+    def test_protocol_stays_bound_to_its_one_trial_batch(self, small_path):
+        protocol = CountdownBroadcast(source=0)
+        result = run_protocol(small_path, protocol, rng=1)
+        assert protocol.trials == 1
+        assert protocol.informed.shape == (1, small_path.n)
+        assert int(protocol.informed_counts()[0]) == result.informed_count
+
+    def test_environment_spec_accepted(self, small_path):
+        result = run_protocol(
+            small_path,
+            CountdownBroadcast(source=0),
+            rng=1,
+            environment={"name": "iid_loss", "params": {"rx_loss": 0.5}},
+        )
+        assert result.metadata["environment"]["spec"]["name"] == "iid_loss"
+
+    def test_bad_environment_rejected(self, small_path):
+        with pytest.raises(TypeError, match="Environment or a spec dict"):
+            SimulationEngine(environment="iid_loss")
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
-"""Faulty-world environment layer: validation, null-cost identity, and the
-scalar <-> batch bit-equality contract.
+"""Faulty-world environment layer: validation, null-cost identity, fault
+effects and pipeline threading.
 
 The environment seam wraps transmission masks before collision resolution
 and deliveries after it, so every batched protocol inherits every fault
@@ -8,10 +8,8 @@ family untouched.  What this suite pins:
 * parameter validation fails fast with named, actionable messages;
 * a null environment is bit-identical to no environment for **every**
   registered batch protocol in exact mode;
-* every fault family (and their composition) is bit-identical between
-  :class:`~repro.radio.environment.Environment` under the serial engine and
-  :class:`~repro.radio.environment.BatchEnvironment` under the batch engine
-  in exact mode — including the fault counters in trace metadata;
+* fault families fire, and gated transmissions are not energy-charged
+  (every family's exact-mode traces are pinned by the golden corpus);
 * the environment rides the execution pipeline as one more content-addressed
   sweep axis: job digests, scenario grids, streamed ``recovery_rounds``
   aggregation, and mid-sweep resume all work unchanged.
@@ -22,7 +20,6 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro.experiments.protocols import (
-    BATCH_PROTOCOL_FACTORIES,
     PROTOCOL_FACTORIES,
     ProtocolSpec,
 )
@@ -34,7 +31,7 @@ from repro.experiments.runner import (
 )
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
-from repro.radio.batch import BatchEngine
+from repro.radio.batch import BatchEngine, BatchRandomSource, NetworkBatch
 from repro.radio.engine import SimulationEngine
 from repro.radio.environment import (
     BurstLossEnvironment,
@@ -42,7 +39,6 @@ from repro.radio.environment import (
     IidLossEnvironment,
     JamEnvironment,
     WakeupEnvironment,
-    build_batch_environment,
     build_environment,
     parse_environment_option,
     validate_environment_spec,
@@ -50,8 +46,7 @@ from repro.radio.environment import (
 from repro.scenarios import ScenarioSpec, SweepCell, SweepGrid, run_scenario
 from repro.store import ResultStore
 
-#: Minimal valid parameters per registered protocol (kept in sync with the
-#: equivalence suite in test_batch_engine.py).
+#: Minimal valid parameters per registered protocol.
 PROTOCOL_PARAMS = {
     "algorithm1": {"p": 0.1},
     "algorithm2": {"p": 0.1},
@@ -80,23 +75,12 @@ FAULT_SPECS = {
             ]
         },
     },
-    "jam": {"name": "jam", "params": {"k": 3}},
-    "wakeup": {"name": "wakeup", "params": {"max_delay": 8}},
-    "compose": {
-        "name": "compose",
-        "params": {
-            "layers": [
-                {"name": "iid_loss", "params": {"tx_loss": 0.05, "rx_loss": 0.05}},
-                {"name": "jam", "params": {"k": 2, "start": 2, "stop": 30}},
-            ]
-        },
-    },
 }
 
 
-def _assert_traces_identical(serial, batched):
-    assert len(serial) == len(batched)
-    for s, b in zip(serial, batched):
+def _assert_traces_identical(expected, batched):
+    assert len(expected) == len(batched)
+    for s, b in zip(expected, batched):
         assert s.completed == b.completed
         assert s.completion_round == b.completion_round
         assert s.rounds_executed == b.rounds_executed
@@ -142,10 +126,10 @@ class TestValidation:
     def test_jam_budget_exceeding_channels(self, net96):
         env = JamEnvironment(k=200)
         with pytest.raises(ValueError, match=r"jam budget k=200 exceeds"):
-            env.reset(net96)
-        batch_env = build_batch_environment({"name": "jam", "params": {"k": 200}})
+            env.bind(NetworkBatch([net96]), BatchRandomSource.exact([0]))
+        batch_env = build_environment({"name": "jam", "params": {"k": 200}})
         engine = BatchEngine(environment=batch_env)
-        proto = BATCH_PROTOCOL_FACTORIES["deterministic_flood"]()
+        proto = PROTOCOL_FACTORIES["deterministic_flood"]()
         with pytest.raises(ValueError, match="exceeds the number of channels"):
             engine.run(net96, proto, trials=2, rng=0, max_rounds=4)
 
@@ -158,7 +142,7 @@ class TestValidation:
     def test_wakeup_delay_list_must_match_n(self, net96):
         env = WakeupEnvironment(delays=[0, 1, 2])
         with pytest.raises(ValueError, match="one delay per node"):
-            env.reset(net96)
+            env.bind(NetworkBatch([net96]), BatchRandomSource.exact([0]))
 
     def test_unknown_family_and_params(self):
         with pytest.raises(ValueError, match="unknown environment family"):
@@ -199,27 +183,27 @@ class TestNullEnvironment:
         {"name": "jam", "params": {"k": 0}},
     ]
 
-    @pytest.mark.parametrize("protocol_name", sorted(BATCH_PROTOCOL_FACTORIES))
+    @pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_FACTORIES))
     def test_null_env_is_bit_identical_for_every_protocol(
         self, net96, protocol_name
     ):
-        assert PROTOCOL_PARAMS.keys() == BATCH_PROTOCOL_FACTORIES.keys()
+        assert PROTOCOL_PARAMS.keys() == PROTOCOL_FACTORIES.keys()
         params = PROTOCOL_PARAMS[protocol_name]
         trials = 4
         rngs = lambda: [np.random.default_rng(500 + t) for t in range(trials)]
         bare = BatchEngine().run(
             net96,
-            BATCH_PROTOCOL_FACTORIES[protocol_name](**params),
+            PROTOCOL_FACTORIES[protocol_name](**params),
             trials=trials,
             rngs=rngs(),
             max_rounds=300,
         )
         for spec in self.NULL_SPECS:
-            env = build_batch_environment(spec)
+            env = build_environment(spec)
             assert env.is_null
             wrapped = BatchEngine(environment=env).run(
                 net96,
-                BATCH_PROTOCOL_FACTORIES[protocol_name](**params),
+                PROTOCOL_FACTORIES[protocol_name](**params),
                 trials=trials,
                 rngs=rngs(),
                 max_rounds=300,
@@ -233,35 +217,9 @@ class TestNullEnvironment:
 
 
 # --------------------------------------------------------------------------- #
-# Scalar <-> batch bit-equality per fault family
+# Fault effects
 # --------------------------------------------------------------------------- #
-class TestScalarBatchEquality:
-    @pytest.mark.parametrize("family", sorted(FAULT_SPECS))
-    @pytest.mark.parametrize("protocol_name", ["algorithm1", "bernoulli_flood"])
-    def test_fault_family_exact_equivalence(self, net96, family, protocol_name):
-        spec = FAULT_SPECS[family]
-        params = PROTOCOL_PARAMS[protocol_name]
-        trials = 5
-        serial = []
-        for t in range(trials):
-            engine = SimulationEngine(environment=build_environment(spec))
-            serial.append(
-                engine.run(
-                    net96,
-                    PROTOCOL_FACTORIES[protocol_name](**params),
-                    rng=np.random.default_rng(1000 + t),
-                    max_rounds=250,
-                )
-            )
-        batched = BatchEngine(environment=build_batch_environment(spec)).run(
-            net96,
-            BATCH_PROTOCOL_FACTORIES[protocol_name](**params),
-            trials=trials,
-            rngs=[np.random.default_rng(1000 + t) for t in range(trials)],
-            max_rounds=250,
-        )
-        _assert_traces_identical(serial, batched)
-
+class TestFaultEffects:
     def test_faults_actually_fire(self, net96):
         # Guard against the suite passing vacuously: the lossy worlds must
         # record losses on this workload.
@@ -322,15 +280,15 @@ class TestPipelineThreading:
             graph=GRAPH, protocol=PROTOCOL, seed=1, environment=ENV
         ).as_dict()
 
-    def test_repeat_job_serial_vs_batch_exact(self):
+    def test_repeat_job_matches_execute_job_exact(self):
         kwargs = dict(
             repetitions=4, seed=0, batch_mode="exact", environment=ENV,
             max_rounds=300,
         )
         plan = build_repetition_plan(GRAPH, PROTOCOL, **kwargs)
-        serial = [execute_job(j) for j in plan.jobs]
+        one_by_one = [execute_job(j) for j in plan.jobs]
         batched = repeat_job(GRAPH, PROTOCOL, **kwargs)
-        for s, b in zip(serial, batched):
+        for s, b in zip(one_by_one, batched):
             assert s.completed == b.completed
             assert s.completion_round == b.completion_round
             assert s.energy == b.energy

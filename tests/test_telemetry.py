@@ -25,7 +25,7 @@ import os
 import pytest
 
 from repro import telemetry
-from repro.baselines.decay import BatchDecayBroadcast
+from repro.baselines.decay import DecayBroadcast
 from repro.experiments.common import execution_provenance
 from repro.experiments.protocols import ProtocolSpec
 from repro.experiments.runner import build_repetition_plan
@@ -294,12 +294,12 @@ class TestEngineRunEvent:
         sink = _memory_pipeline()
         if entry == "run":
             traces = engine.run(
-                net, BatchDecayBroadcast(), trials=self.TRIALS, rng=3
+                net, DecayBroadcast(), trials=self.TRIALS, rng=3
             )
         else:
             traces = engine.run_continuous(
                 (PendingTrial(net, rng=100 + t) for t in range(self.TRIALS)),
-                BatchDecayBroadcast,
+                DecayBroadcast,
                 capacity=3,
                 watermark=1.0,
             )
