@@ -619,7 +619,11 @@ class BatchBroadcastProtocol(BatchProtocol):
         return self._members.counts().copy()
 
     def mark_informed(self, flat_nodes: np.ndarray, round_index: int) -> np.ndarray:
-        """Mark flat node ids informed; returns the newly-informed subset."""
+        """Mark flat node ids informed; returns the newly-informed subset.
+
+        The ids are unique (one round's receivers are), as
+        :meth:`~repro.radio.nodesets.NodeSetState.add_flat` requires.
+        """
         newly = self._members.add_flat(flat_nodes)
         if newly.size:
             self._informed_round.reshape(-1)[newly] = round_index + 1
@@ -823,8 +827,8 @@ class BatchEngine:
     Parameters
     ----------
     collision_model:
-        A :class:`~repro.radio.collision.BatchCollisionModel`, or a scalar
-        :class:`~repro.radio.collision.CollisionModel` (converted via
+        A :class:`~repro.radio.collision.BatchCollisionModel`, or a
+        one-network :class:`~repro.radio.collision.CollisionModel` (converted via
         :func:`~repro.radio.collision.as_batch_collision_model`).  Defaults
         to the batched standard model.
     record_rounds:

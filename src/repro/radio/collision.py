@@ -281,9 +281,10 @@ class BatchCollisionOutcome:
 
     Receivers and senders are stored as *flat* node ids ``trial * n + node``
     in trial-major order (all of trial 0's deliveries, then trial 1's, …).
-    In an unfiltered outcome the order within a trial matches what the
-    scalar models produce, which is what makes the exact-equivalence mode of
-    the batch engine possible.  An outcome resolved with a listener filter
+    In an unfiltered outcome the order within a trial is the one-network
+    models' transmitter-major edge order, the same whatever the batch, so
+    exact-mode draws made per delivery (the erasure model's) do not depend
+    on the batch a trial runs in.  An outcome resolved with a listener filter
     holds the same deliveries restricted to the filter, in edge order or
     sorted by id; the engine passes a filter only where the observer does
     not depend on the order.
@@ -511,7 +512,10 @@ class BatchCollisionModel:
     #: Below this many gathered edges the listener counts come from an
     #: argsort of the edges instead of a full-width bincount — late broadcast
     #: rounds have a handful of transmitters, and a dense count would touch
-    #: the whole ``R * n`` id space every round.
+    #: the whole ``R * n`` id space every round.  An unfiltered round also
+    #: counts densely once its edges reach an eighth of the id space, where
+    #: one bincount is cheaper than the sort (both scans give the same
+    #: unfiltered outcome).
     _SPARSE_EDGE_THRESHOLD = 8192
 
     def _batch_exactly_one_rule(

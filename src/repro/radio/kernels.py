@@ -87,8 +87,8 @@ def _exactly_one_fused_impl(indptr, indices, tx_flat, total_nodes, filter_mask):
 
     Returns ``(listeners, edge_ends, delivered_mask, flat_counts,
     receiver_flat)`` with the exact dtypes and orderings of the reference:
-    receivers come out in transmitter-major edge order, which is what the
-    exact-equivalence mode pins against the scalar engine.
+    receivers come out in transmitter-major edge order, the order the
+    golden corpus pins in exact mode.
     """
     num_tx = tx_flat.shape[0]
     edge_ends = np.empty(num_tx, dtype=np.int64)

@@ -70,7 +70,12 @@ class NodeSetState:
         self._set_mask(np.ascontiguousarray(self._mask[keep]))
 
     def add_flat(self, flat_ids: np.ndarray) -> np.ndarray:
-        """Add flat ids; return the newly added subset (input order)."""
+        """Add flat ids; return the newly added subset (input order).
+
+        The ids are unique: a repeated id would be counted twice.  Callers
+        pass one round's receivers, each heard from exactly one
+        transmitter, so no per-round dedup is paid for.
+        """
         flat_ids = np.asarray(flat_ids, dtype=np.int64)
         if flat_ids.size == 0:
             return flat_ids

@@ -6,6 +6,10 @@ Pure offline analysis: reads records written by
 ``span`` records, and produces
 
 - a per-layer table (span count, total seconds, trials, trials/s),
+- the unattributed remainder: the traced wall time (the root spans'
+  seconds) that no layer's self time covers — root spans are scopes, as
+  the experiment spans are in ``perfbench/tracing.py``, so this is the
+  roots' own time minus their children's,
 - event counts by name,
 - the final metrics-registry snapshot,
 - an indented span tree (parent links survive the cross-process
@@ -48,11 +52,13 @@ def _span_trials(attrs: Dict[str, Any]) -> Optional[int]:
 def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate raw records into the summary structure.
 
-    Returns ``{"layers", "events", "spans", "roots", "metrics",
-    "record_count"}`` where ``layers`` maps layer name →
-    ``{"spans", "seconds", "trials"}`` (in first-seen order),
+    Returns ``{"layers", "unattributed_seconds", "events", "spans",
+    "roots", "metrics", "record_count"}`` where ``layers`` maps layer name
+    → ``{"spans", "seconds", "trials"}`` (in first-seen order),
     ``spans`` maps span id → merged span info, and ``roots`` lists
-    parentless span ids in trace order.
+    parentless span ids in trace order.  ``unattributed_seconds`` is the
+    root spans' time not covered by their child spans (negative when the
+    children ran in parallel worker processes).
     """
 
     spans: Dict[str, Dict[str, Any]] = {}
@@ -124,8 +130,18 @@ def fold_trace(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         if trials is not None:
             layer["trials"] += trials
 
+    unattributed = 0.0
+    for root in roots:
+        info = spans[root]
+        if info["seconds"] is None:
+            continue
+        unattributed += info["seconds"] - sum(
+            spans[child]["seconds"] or 0.0 for child in info["children"]
+        )
+
     return {
         "layers": layers,
+        "unattributed_seconds": unattributed,
         "events": events,
         "spans": spans,
         "roots": roots,
@@ -174,7 +190,7 @@ def render_summary(summary: Dict[str, Any], *, tree: bool = True) -> str:
     layers = summary["layers"]
     lines.append("per-layer totals:")
     if layers:
-        width = max(len(name) for name in layers)
+        width = max(len(name) for name in [*layers, "unattributed"])
         for name, layer in layers.items():
             seconds = layer["seconds"]
             rate = ""
@@ -185,6 +201,10 @@ def render_summary(summary: Dict[str, Any], *, tree: bool = True) -> str:
                 f"  {name:<{width}}  spans={layer['spans']:<5d} "
                 f"time={_format_seconds(seconds):>9}{trials}{rate}"
             )
+        lines.append(
+            f"  {'unattributed':<{width}}  "
+            f"{'':<11} time={_format_seconds(summary['unattributed_seconds']):>9}"
+        )
     else:
         lines.append("  (no spans)")
 

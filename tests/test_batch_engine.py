@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.broadcast_random import EnergyEfficientBroadcast
 import repro.experiments.runner as runner_module
-from repro.experiments.protocols import ProtocolSpec, build_protocol
+from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec, build_protocol
 from repro.experiments.runner import (
     ExecutionPlan,
     Job,
@@ -30,6 +30,7 @@ from repro.graphs.random_digraph import (
     random_digraph,
 )
 from repro.radio.batch import (
+    BatchBroadcastProtocol,
     BatchEngine,
     NetworkBatch,
     PendingTrial,
@@ -85,6 +86,24 @@ def _assert_traces_identical(expected, batched, *, check_arrays=False):
             assert np.array_equal(s.per_node_transmissions, b.per_node_transmissions)
             if s.informed_round is not None:
                 assert np.array_equal(s.informed_round, b.informed_round)
+
+
+#: Minimal valid parameters per registry protocol.
+_MINIMAL_PARAMS = {
+    "algorithm1": {"p": 0.1},
+    "algorithm2": {"p": 0.1},
+    "algorithm3": {"diameter": 3},
+    "tradeoff": {"diameter": 3, "lam": 3.0},
+    "time_invariant": {"distribution": 0.1},
+    "decay": {},
+    "elsasser_gasieniec": {"p": 0.1},
+    "czumaj_rytter_known_d": {"diameter": 3},
+    "uniform_selection": {"diameter": 3},
+    "deterministic_flood": {},
+    "bernoulli_flood": {"q": 0.1},
+    "uniform_gossip": {},
+    "sequential_gossip": {},
+}
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +236,38 @@ class TestInvariants:
                 capacity=2,
                 rng=5,
             )
+
+
+class TestInformedCounts:
+    """``NodeSetState.add_flat`` takes unique ids and keeps its counts
+    incrementally; the engine's receivers are unique per round, so the
+    counts always equal the informed mask's row sums.  Exact mode compacts
+    rows as trials stop, so each trace is checked against its own
+    ``informed_round`` row and the protocol against the rows it holds at
+    the end."""
+
+    BROADCASTS = [
+        name
+        for name in sorted(PROTOCOL_FACTORIES)
+        if isinstance(build_protocol(ProtocolSpec(name, _MINIMAL_PARAMS[name])),
+                      BatchBroadcastProtocol)
+    ]
+
+    @pytest.mark.parametrize("name", BROADCASTS)
+    def test_counts_match_mask_after_exact_run(self, gnp_batch, name):
+        networks, _ = gnp_batch
+        protocol = build_protocol(ProtocolSpec(name, _MINIMAL_PARAMS[name]))
+        results = BatchEngine(run_to_quiescence=True, keep_arrays=True).run(
+            networks,
+            protocol,
+            rngs=[np.random.default_rng(20 + t) for t in range(len(networks))],
+            max_rounds=400,
+        )
+        for result in results:
+            assert result.informed_count == int((result.informed_round >= 0).sum())
+        np.testing.assert_array_equal(
+            protocol.informed_counts(), protocol.informed.sum(axis=1)
+        )
 
 
 class TestBatchCollision:

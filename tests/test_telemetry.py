@@ -492,6 +492,35 @@ class TestSummarize:
         assert summary["roots"] == ["x"]
         assert summary["layers"]["cell"]["seconds"] == 1.5
 
+    def test_unattributed_is_root_time_not_covered_by_children(self):
+        # Two root scopes: sweep "a" (2.0 s) with cells of 0.5 s and 1.0 s
+        # (a shard inside one cell does not change the cells' cover), and
+        # sweep "b" (0.25 s) with no children.  Uncovered: 0.5 + 0.25 s.
+        def begin(span, layer, parent=None):
+            return {"type": "span_begin", "span": span, "layer": layer,
+                    "name": span, "parent": parent, "attrs": {}}
+
+        def end(span, layer, seconds):
+            return {"type": "span_end", "span": span, "layer": layer,
+                    "name": span, "seconds": seconds, "attrs": {}}
+
+        summary = fold_trace([
+            begin("a", "sweep"),
+            begin("a1", "cell", "a"),
+            begin("a1s", "shard", "a1"),
+            end("a1s", "shard", 0.4),
+            end("a1", "cell", 0.5),
+            begin("a2", "cell", "a"),
+            end("a2", "cell", 1.0),
+            end("a", "sweep", 2.0),
+            begin("b", "sweep"),
+            end("b", "sweep", 0.25),
+        ])
+        assert summary["unattributed_seconds"] == pytest.approx(0.75)
+        rendered = render_summary(summary, tree=False)
+        row = [line for line in rendered.splitlines() if "unattributed" in line]
+        assert row == ["  unattributed              time=  750.0ms"]
+
     def test_render_includes_gauges_section(self):
         summary = fold_trace([
             {"type": "metrics",
