@@ -14,11 +14,11 @@ The package is organised as:
 * :mod:`repro.graphs` — topology generators (directed ``G(n, p)``, random
   geometric graphs, the lower-bound constructions, structured families) and
   graph properties;
-* :mod:`repro.core` — the paper's algorithms, one class each: Algorithm 1 (random-network
-  broadcast, ≤1 transmission per node), Algorithm 2 (random-network gossip),
-  Algorithm 3 (known-diameter broadcast), the Theorem 4.2 tradeoff family,
-  the Fig. 1 distributions, and the time-invariant oblivious class used by
-  the lower bounds;
+* :mod:`repro.core` — the paper's algorithms, one class each: Algorithm 1
+  (random-network broadcast, ≤1 transmission per node), Algorithm 2
+  (random-network gossip), Algorithm 3 (known-diameter broadcast), the
+  Theorem 4.2 tradeoff family, the Fig. 1 distributions, and the
+  time-invariant oblivious class used by the lower bounds;
 * :mod:`repro.baselines` — the related-work protocols the paper compares
   against (flooding, Decay, Elsässer–Gasieniec, Czumaj–Rytter, random phone
   call);

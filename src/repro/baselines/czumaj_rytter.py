@@ -26,7 +26,6 @@ only in the scale distribution and the active-window length:
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro._util.logmath import lambda_of
 from repro.core.broadcast_general import KnownDiameterBroadcast

@@ -49,13 +49,13 @@ sweep advance together through the vectorised
 :class:`~repro.radio.batch.BatchEngine`; ``--processes K`` shards them into
 ``K`` per-worker batches).  ``--batch-mode exact`` gives each trial its own
 rng stream, so its result does not depend on the batch it ran in (the
-default vectorised ``fast`` mode shares one stream per batch).  The engine runs the compiled
-collision kernel when numba is importable, the bit-identical numpy path
-otherwise (:mod:`repro.radio.kernels`).  In-process exact-mode sweeps run
-as one continuous batch (live-trial retirement, batch compaction and
-refill).  Probe cells run their trials on the same batch engine.  An
-unknown experiment id, a missing or invalid ``--grid`` file or a bad
-``--env`` value is a usage error.
+default vectorised ``fast`` mode shares one stream per batch).  The engine
+runs the compiled collision kernel when numba is importable, the
+bit-identical numpy path otherwise (:mod:`repro.radio.kernels`).
+In-process exact-mode sweeps run as one continuous batch (live-trial
+retirement, batch compaction and refill).  Probe cells run their trials on
+the same batch engine.  An unknown experiment id, a missing or invalid
+``--grid`` file or a bad ``--env`` value is a usage error.
 
 Caching flags: ``--resume`` turns the result store on for ``run`` / ``chart``
 / ``report`` (they default to uncached), ``--cache-dir DIR`` picks the store

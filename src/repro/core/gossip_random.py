@@ -26,7 +26,7 @@ them out) is exercised by the ``dynamic_gossip`` example via
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

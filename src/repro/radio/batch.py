@@ -654,10 +654,10 @@ class BatchGossipProtocol(BatchProtocol):
 
     The knowledge lives in a :class:`~repro.radio.nodesets.KnowledgeState`,
     a bit-packed ``(R, n, n)`` relation with ``K[t, v, u]`` true iff node
-    ``v`` knows ``u``'s rumour in trial ``t``.  As in the paper, a transmission by
-    ``v`` carries every rumour ``v`` knows at the start of the round:
-    sender rows are gathered before the merge, so merges always see
-    round-start knowledge.
+    ``v`` knows ``u``'s rumour in trial ``t``.  As in the paper, a
+    transmission by ``v`` carries every rumour ``v`` knows at the start of
+    the round: sender rows are gathered before the merge, so merges always
+    see round-start knowledge.
     """
 
     name = "gossip"

@@ -16,7 +16,7 @@ as an :class:`EnergyReport` with the quantities the theorems bound:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np

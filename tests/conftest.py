@@ -7,15 +7,7 @@ import pytest
 
 from repro.graphs.random_digraph import random_digraph
 from repro.graphs.structured import path_network, path_of_cliques, star_network
-from repro.radio.batch import BatchRandomSource, NetworkBatch
 from repro.radio.network import RadioNetwork
-
-
-def bind_one(protocol, network, seed=None):
-    """Bind ``protocol`` to a one-trial batch of ``network`` in exact mode
-    (the binding :func:`~repro.radio.engine.run_protocol` makes)."""
-    protocol.bind(NetworkBatch([network]), BatchRandomSource.exact([seed]))
-    return protocol
 
 
 @pytest.fixture

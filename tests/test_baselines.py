@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.baselines.czumaj_rytter import KnownDiameterCR, UniformSelectionBroadcast
 from repro.baselines.decay import DecayBroadcast
 from repro.baselines.elsasser_gasieniec import ElsasserGasieniecBroadcast
@@ -17,6 +16,8 @@ from repro.graphs.properties import source_eccentricity
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.graphs.structured import path_network, path_of_cliques, star_network
 from repro.radio.engine import run_protocol
+
+from one_trial import bind_one
 
 RUNNING = np.ones(1, dtype=bool)
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.baselines.sequential_gossip import SequentialBroadcastGossip
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.graphs.structured import path_of_cliques
 from repro.radio.engine import run_protocol
+
+from one_trial import bind_one
 
 RUNNING = np.ones(1, dtype=bool)
 

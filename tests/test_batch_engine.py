@@ -253,11 +253,16 @@ class TestInformedCounts:
                       BatchBroadcastProtocol)
     ]
 
+    # ``record_rounds`` turns interest trimming off, so receivers then
+    # include already-informed nodes.
+    @pytest.mark.parametrize("record_rounds", [False, True])
     @pytest.mark.parametrize("name", BROADCASTS)
-    def test_counts_match_mask_after_exact_run(self, gnp_batch, name):
+    def test_counts_match_mask_after_exact_run(self, gnp_batch, name, record_rounds):
         networks, _ = gnp_batch
         protocol = build_protocol(ProtocolSpec(name, _MINIMAL_PARAMS[name]))
-        results = BatchEngine(run_to_quiescence=True, keep_arrays=True).run(
+        results = BatchEngine(
+            run_to_quiescence=True, keep_arrays=True, record_rounds=record_rounds
+        ).run(
             networks,
             protocol,
             rngs=[np.random.default_rng(20 + t) for t in range(len(networks))],

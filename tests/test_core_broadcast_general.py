@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.core.broadcast_general import KnownDiameterBroadcast
 from repro.core.distributions import CzumajRytterDistribution, UniformScaleDistribution
 from repro.core.tradeoff import TradeoffBroadcast, admissible_lambda_range
 from repro.graphs.properties import source_eccentricity
 from repro.graphs.structured import grid_network, path_of_cliques
 from repro.radio.engine import run_protocol
+
+from one_trial import bind_one
 
 RUNNING = np.ones(1, dtype=bool)
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro._util.rng import spawn_generators
 from repro.core.broadcast_random import EnergyEfficientBroadcast
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.radio.engine import SimulationEngine, run_protocol
+
+from one_trial import bind_one
 
 
 @pytest.fixture(scope="module")

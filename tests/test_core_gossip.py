@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.core.gossip_random import RandomNetworkGossip
 from repro.graphs.random_digraph import connectivity_threshold_probability, random_digraph
 from repro.radio.engine import run_protocol
+
+from one_trial import bind_one
 
 RUNNING = np.ones(1, dtype=bool)
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.core.distributions import FixedProbabilityOblivious, UniformScaleDistribution
 from repro.core.oblivious import TimeInvariantBroadcast
 from repro.graphs.lowerbound import observation43_network
 from repro.graphs.structured import path_network
 from repro.radio.engine import run_protocol
+
+from one_trial import bind_one
 
 RUNNING = np.ones(1, dtype=bool)
 

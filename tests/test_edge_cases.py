@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.baselines.decay import DecayBroadcast
 from repro.core.broadcast_general import KnownDiameterBroadcast
 from repro.core.broadcast_random import EnergyEfficientBroadcast
@@ -23,6 +22,8 @@ from repro.graphs.random_digraph import random_digraph
 from repro.graphs.structured import path_network, star_network
 from repro.radio.engine import run_protocol
 from repro.radio.network import RadioNetwork
+
+from one_trial import bind_one
 
 
 class TestDegenerateSizes:

@@ -25,8 +25,8 @@ for every entry of ``PROTOCOL_FACTORIES`` under
   as one continuous stream that retires and refills rows;
 * the single-run entry points (``SimulationEngine``, ``execute_job``,
   ``run_protocol``), each against the batch engine with one generator per
-  trial (``oracle-*`` cases; the corpus was recorded when the single-run
-  API had its own round loop and protocol classes): engine runs with the erasure
+  trial (``oracle-*`` cases, recorded while the single-run API still had
+  its own round loop and protocol classes): engine runs with the erasure
   and collision-detection models, flooding caps, ``record_rounds`` and
   ``keep_arrays``; exact ``repeat_job`` sweeps (every registry case, two
   environments, ``processes=2``) against ``execute_job`` per job; and

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import bind_one
 from repro.radio.batch import BatchBroadcastProtocol, BatchGossipProtocol, NetworkBatch
 from repro.radio.collision import BatchStandardCollisionModel
 from repro.radio.network import RadioNetwork
+
+from one_trial import bind_one
 
 
 class AlwaysTransmitBroadcast(BatchBroadcastProtocol):
