@@ -45,9 +45,8 @@ many transmissions it gated while a radio was down.
 
 Environments are built from JSON-clean **spec dicts** (``{"name": ...,
 "params": {...}}``) via :func:`build_environment`, so a spec can ride
-inside a
-:class:`~repro.experiments.runner.Job`, a scenario grid, or a store key
-unchanged.  :func:`parse_environment_option` turns the CLI's compact
+inside a :class:`~repro.experiments.runner.Job`, a scenario grid, or a
+store key unchanged.  :func:`parse_environment_option` turns the CLI's compact
 ``--env loss=0.1,churn=0.2@5:40`` form into a spec.
 """
 
