@@ -32,8 +32,8 @@ Public surface:
 * :mod:`~repro.radio.collision` — pluggable collision semantics.
 * :mod:`~repro.radio.trace` — per-round traces and run summaries.
 * :mod:`~repro.radio.nodesets` — the node-set state the protocols keep:
-  membership sets, gossip knowledge, Decay quotas and flooding budgets, one
-  dense class each.
+  membership sets, bit-packed gossip knowledge, Decay quotas and flooding
+  budgets, one class each.
 * :mod:`~repro.radio.environment` — composable faulty-world layers (i.i.d.
   and burst message loss, crash/churn schedules, adversarial jamming,
   wake-up asynchrony) wrapped around collision resolution.

@@ -163,8 +163,9 @@ class KnowledgeState:
 
     def as_dense(self) -> np.ndarray:
         """The ``(R, n, n)`` bool relation (a copy)."""
-        rumours = np.arange(self.n)
-        return (self._words[:, :, rumours >> 6] & _bits_at(rumours)) != 0
+        # Little-endian bytes of a word hold its bits in ascending order.
+        octets = self._words.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(octets, axis=2, count=self.n, bitorder="little").view(bool)
 
 
 def _words_for(n: int) -> int:
