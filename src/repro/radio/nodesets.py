@@ -140,9 +140,13 @@ class KnowledgeState:
         # round-start rows.
         merged = np.take(flat, receiver_flat, axis=0)
         merged |= np.take(flat, sender_flat, axis=0)
-        flat[receiver_flat] = merged
-        self._row_full.reshape(-1)[receiver_flat] = (merged == self._full_row).all(
-            axis=1
+        # Scatter and compare whole rows as single fixed-size items: numpy's
+        # per-row loops over a short word axis cost more than the merge.
+        row = np.dtype((np.void, flat.shape[1] * flat.itemsize))
+        merged_rows = merged.view(row).reshape(-1)
+        flat.view(row).reshape(-1)[receiver_flat] = merged_rows
+        self._row_full.reshape(-1)[receiver_flat] = (
+            merged_rows == self._full_row.view(row)
         )
 
     def per_node_counts(self) -> np.ndarray:
