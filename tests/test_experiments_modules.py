@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments
-from repro.experiments import run_experiment
+from repro.experiments import all_experiments, run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.radio.engine import SimulationEngine
 
@@ -26,6 +26,24 @@ PROBE_TABLE_DIGESTS = {
     "E8": "d434f59cbebe45c7e9cc6dccc0c84d869c513db25a73cbbd7f35e4209fd2275b",
     "E10": "f562b2e0a835a764c9f1a5d63ef8324e3578cea3dbbc3cd00f8584471dcc3444",
     "E13": "0a3c9de46a0f76d29cc4f7b01bcf963768ab6f696a9a154f409692960a641ea1",
+}
+
+#: The same pin for every other experiment, so all 17 quick-scale tables are
+#: held fixed across engine refactors.  Kept apart from the probe pins, whose
+#: keys also name the experiments that measure through probe cells.
+SWEEP_TABLE_DIGESTS = {
+    "E1": "f95892a1ad55d8ea396707e80b570d1263296981fb00f2184c65f9f9920d6f36",
+    "E3": "d2ab05926d5e32b513f4e227fe677f77dd1edb33548f6562523bd93007d6a32c",
+    "E4": "a10c90ee688978656278ebc974a9a3cced9de05769a680cf6deefa14f2c03771",
+    "E5": "42beec81db07d9649361861dcc6ed823f300b13ea3cbd03e69267eba469e6edd",
+    "E6": "97dc8fd405455a28ae47955116d4d945ed19354aad30646339e9eaaaca27c719",
+    "E9": "3e0d54af99b4debd7de095b88d5ad7b787b9ad692746cea37db1b81651566e57",
+    "E11": "5c075a02b6f3ccd08f40cf045eea9763e303c871ec0cb2931c9faee5a8d695cc",
+    "E12": "d19636a454dc37eb4049c058b1fcaa9993ea80974f4031848fd5228e9a3a2e4e",
+    "E14": "465e72e0e005f6cd66a35acec38235d710ca72105158fef2f8cc463c78d19b6a",
+    "E15": "7b140f27af6978e0812b27a080731805926c4ece0b994c37b129ca9b0feafe60",
+    "E16": "0772abfb45d4d50edb59a45112785697e00b9c2d5204d021f406e940081dc481",
+    "E17": "ff4e0e56707c9a2faa1a6fc68164ddf7b1e2334385c8bacaf125dd239c7441b8",
 }
 
 
@@ -51,6 +69,18 @@ def _table_digest(result: ExperimentResult) -> str:
 def test_probe_experiment_tables_are_pinned(experiment_id):
     result = run_experiment(experiment_id, scale="quick", seed=0)
     assert _table_digest(result) == PROBE_TABLE_DIGESTS[experiment_id]
+
+
+@pytest.mark.parametrize("experiment_id", sorted(SWEEP_TABLE_DIGESTS))
+def test_sweep_experiment_tables_are_pinned(experiment_id):
+    result = run_experiment(experiment_id, scale="quick", seed=0)
+    assert _table_digest(result) == SWEEP_TABLE_DIGESTS[experiment_id]
+
+
+def test_every_experiment_table_is_pinned():
+    pinned = set(PROBE_TABLE_DIGESTS) | set(SWEEP_TABLE_DIGESTS)
+    assert not set(PROBE_TABLE_DIGESTS) & set(SWEEP_TABLE_DIGESTS)
+    assert pinned == {module.EXPERIMENT_ID for module in all_experiments()}
 
 
 def test_probe_experiments_never_run_the_serial_engine(monkeypatch):
