@@ -24,18 +24,6 @@ import pytest
 
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import configure_execution
-from repro.radio.kernels import warm_kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_collision_kernels():
-    """JIT-compile the fused kernels once before any benchmark is timed.
-
-    With numba installed the first fused call pays the compilation cost
-    (hundreds of ms); warming here keeps that out of every measured round.
-    Without numba this is a no-op.
-    """
-    warm_kernels()
 
 
 def run_experiment_benchmark(benchmark, experiment_id: str, *, scale: str = "quick", seed: int = 0):

@@ -22,7 +22,6 @@ python -m pytest -x -q --ignore=benchmarks
 echo "== engine micro-benchmarks =="
 python -m pytest -q \
     benchmarks/test_bench_engine_micro.py \
-    benchmarks/test_bench_kernels.py \
     benchmarks/test_bench_batch_engine.py \
     benchmarks/test_bench_compaction.py \
     benchmarks/test_bench_environment.py \

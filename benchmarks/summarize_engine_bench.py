@@ -27,18 +27,6 @@ def summarize(raw_path: str, out_path: str) -> dict:
         extra = bench.get("extra_info")
         if extra:
             entry["extra_info"] = extra
-            # A kernel cell measured without numba compares the numpy path
-            # against itself; its "compiled" speedup is dispatch noise, not
-            # a kernel measurement — flag it so nobody reads ~1x (or the
-            # infamous 0.87x) as a compiled-kernel regression.
-            if (
-                "collision_kernel_speedup" in extra
-                and not extra.get("compiled_available", True)
-            ):
-                entry["warning"] = (
-                    "compiled kernel unavailable: speedup is numpy racing "
-                    "itself"
-                )
         benches[bench["name"]] = entry
 
     summary = {
@@ -66,11 +54,6 @@ if __name__ == "__main__":
             speed += f"  null-env overhead={extra['environment_overhead_ratio']:.3f}x"
         if "telemetry_overhead_ratio" in extra:
             speed += f"  telemetry overhead={extra['telemetry_overhead_ratio']:.3f}x"
-        if "collision_kernel_speedup" in extra:
-            speed += (
-                f"  compiled/numpy={extra['collision_kernel_speedup']:.2f}x"
-                f" (numba={'yes' if extra.get('compiled_available') else 'no'})"
-            )
         if "aggregation_throughput_ratio" in extra:
             speed += (
                 "  streaming/materialised="
@@ -85,6 +68,4 @@ if __name__ == "__main__":
             speed += (
                 f"  uniform-cell ratio={extra['compaction_uniform_ratio']:.2f}x"
             )
-        if "warning" in entry:
-            speed += f"  [WARNING: {entry['warning']}]"
         print(f"{name}: min={entry['min_seconds'] * 1e3:.1f} ms{speed}")

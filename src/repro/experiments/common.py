@@ -26,18 +26,15 @@ def execution_provenance() -> Dict[str, object]:
     With the sweep service in place, numbers in a report depend on more than
     the experiment parameters: the engine semantics version (which gates the
     result-store keys), the randomness policy and whether a result store
-    served cached trials.  The collision kernel that runs is a fact of the
-    platform, recorded as ``kernel_resolved`` beside ``compiled_kernels``.
-    This is the one shared place the report generator (and any experiment
-    that wants to) reads them from, so provenance lands in the output
-    without threading flags through every module.
+    served cached trials.  This is the one shared place the report
+    generator (and any experiment that wants to) reads them from, so
+    provenance lands in the output without threading flags through every
+    module.
     """
     # Imported here rather than at module top so the experiment modules
     # (which all import this one) do not pull the runner in before their
     # own imports are needed.
     from repro.experiments.runner import _EXECUTION_DEFAULTS
-    from repro.radio.collision import BatchCollisionModel
-    from repro.radio.kernels import compiled_available
     from repro.store import ENGINE_VERSION
     from repro.telemetry import telemetry_provenance
 
@@ -45,15 +42,12 @@ def execution_provenance() -> Dict[str, object]:
     return {
         "engine_version": ENGINE_VERSION,
         "batch_mode": defaults.batch_mode,
-        "kernel_resolved": BatchCollisionModel.kernel,
-        "compiled_kernels": compiled_available(),
         "result_store": (
             str(defaults.store.root) if defaults.store is not None else None
         ),
         # Observability config is stamped for the report reader but never
         # enters store digests (telemetry cannot change any result bit, so
-        # keying on it would only invalidate caches — the same reasoning
-        # that keeps the collision kernel out of cache_context).
+        # keying on it would only invalidate caches).
         "telemetry": telemetry_provenance(),
     }
 

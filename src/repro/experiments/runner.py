@@ -259,8 +259,7 @@ def configure_execution(
     batch engine), ``compaction="auto"`` (when rows move follows from the
     batch mode), ``watermark=0.75`` (continuous sweeps refill at a fixed
     occupancy), ``state_backend="auto"`` (node-set state has one dense
-    representation) and ``kernel="auto"`` (compiled collision kernel when
-    numba imports, numpy otherwise).
+    representation) and ``kernel="auto"`` (there is one collision rule).
     """
     global _EXECUTION_DEFAULTS
     updates: Dict[str, object] = {}
@@ -269,7 +268,7 @@ def configure_execution(
         ("compaction", compaction, "auto", "it follows from the batch mode"),
         ("watermark", watermark, _REFILL_WATERMARK, "the refill point is fixed"),
         ("state_backend", state_backend, "auto", "node-set state is dense"),
-        ("kernel", kernel, "auto", "it follows from the platform"),
+        ("kernel", kernel, "auto", "there is one collision rule"),
     ):
         if value not in (None, accepted):
             raise ValueError(
@@ -457,10 +456,6 @@ class ExecutionPlan:
     generator per shard, vectorised draws — statistically identical to
     exact mode) or ``"exact"`` (one child generator per trial —
     bit-identical to :func:`execute_job`, regardless of sharding).
-
-    The engine picks the collision kernel from the platform
-    (:mod:`repro.radio.kernels`); both kernels are bit-identical, so the
-    kernel is neither a plan option nor part of a store key.
 
     Deterministic graph families (paths, grids, the lower-bound gadgets …)
     sample to the same network under every seed, so the plan builds that

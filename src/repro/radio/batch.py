@@ -59,7 +59,6 @@ from repro.radio.collision import (
 )
 from repro.radio.energy import BatchEnergyAccountant
 from repro.radio.environment import Environment, build_environment
-from repro.radio.kernels import compiled_available
 from repro.radio.network import RadioNetwork
 from repro.radio.nodesets import KnowledgeState, NodeSetState
 from repro.radio.trace import RoundRecord, RunResultTrace
@@ -1086,12 +1085,6 @@ class BatchEngine:
             n = queue[0].network.n
         else:
             return []
-        # The model runs the compiled kernel only where numba imports.
-        compiled = self.collision_model.kernel == "compiled"
-        collision_kernel = (
-            "compiled" if compiled and compiled_available() else "numpy"
-        )
-        telemetry.counter_inc(f"kernels.resolved.{collision_kernel}")
         environment = self.environment
         if environment is not None and environment.is_null:
             environment = None
@@ -1572,7 +1565,6 @@ class BatchEngine:
                 protocol=protocol_name,
                 trials=stats["retired"],
                 n=n,
-                kernel=collision_kernel,
                 rounds=global_round,
                 trial_rounds=stats["trial_rounds"],
                 seconds=total_seconds,

@@ -20,7 +20,7 @@ subclasses), which resolve the rounds of ``R`` independent trials in a
 single flattened gather plus one count over ``trial * n + listener`` ids.
 Because the trials of a :class:`~repro.radio.batch.NetworkBatch` are
 stacked block-diagonally, the gather machinery
-(:meth:`CollisionModel._gather_listener_edges`) applies verbatim to the
+(:meth:`BatchCollisionModel._gather_listener_edges`) applies verbatim to the
 stacked CSR — no edge crosses a trial boundary, so per-trial semantics are
 preserved exactly.  The one-network models above stay as the single-network
 form of each rule; :func:`as_batch_collision_model` maps them to their
@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from repro._util.validation import check_probability
-from repro.radio import kernels as _kernels
 from repro.radio.network import RadioNetwork
 
 __all__ = [
@@ -129,30 +128,6 @@ class CollisionModel:
         )
 
     @staticmethod
-    def _gather_listener_edges(
-        indptr: np.ndarray, indices: np.ndarray, tx_nodes: np.ndarray
-    ) -> tuple:
-        """Flat gather of all (transmitter -> listener) pairs of a round.
-
-        Returns ``(listeners, edge_ends)`` where ``listeners`` holds every
-        edge's listener in transmitter order (rows in CSR order) and
-        ``edge_ends`` is the *inclusive* cumulative edge count per
-        transmitter (``cumsum(lengths)``) — edge ``j`` belongs to the row
-        found by ``searchsorted(edge_ends, j, side="right")``.
-        """
-        starts = indptr[tx_nodes]
-        lengths = indptr[tx_nodes + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return indices[:0], lengths
-        edge_ends = np.cumsum(lengths)
-        # position of edge j within the flat gather: arange(total) plus the
-        # per-row shift from the row's CSR start (one repeat, one add).
-        shift = starts - (edge_ends - lengths)
-        flat_edges = np.arange(total, dtype=np.int64) + np.repeat(shift, lengths)
-        return indices[flat_edges], edge_ends
-
-    @staticmethod
     def _hear_counts_from_transmitters(
         n: int, indptr: np.ndarray, indices: np.ndarray, tx_nodes: np.ndarray
     ) -> tuple:
@@ -163,7 +138,7 @@ class CollisionModel:
         final ``bincount``.
         """
         listeners, edge_ends = (
-            CollisionModel._gather_listener_edges(indptr, indices, tx_nodes)
+            BatchCollisionModel._gather_listener_edges(indptr, indices, tx_nodes)
             if tx_nodes.size
             else (indices[:0], None)
         )
@@ -469,12 +444,6 @@ class BatchCollisionModel:
     #: so the engine passes no listener filter to such a model in exact mode.
     draws_per_delivery: bool = False
 
-    #: Collision kernel driving :meth:`_batch_exactly_one_rule`:
-    #: ``"compiled"`` when numba imports, the bit-identical ``"numpy"``
-    #: reference otherwise.  Tests and benchmarks set it on an instance to
-    #: force a side.
-    kernel: str = "compiled" if _kernels.compiled_available() else "numpy"
-
     def resolve(
         self,
         batch,  # NetworkBatch (duck-typed to avoid an import cycle with batch.py)
@@ -518,26 +487,44 @@ class BatchCollisionModel:
     #: unfiltered outcome).
     _SPARSE_EDGE_THRESHOLD = 8192
 
+    @staticmethod
+    def _gather_listener_edges(
+        indptr: np.ndarray, indices: np.ndarray, tx_nodes: np.ndarray
+    ) -> tuple:
+        """Flat gather of all (transmitter -> listener) pairs of a round.
+
+        Returns ``(listeners, edge_ends)`` where ``listeners`` holds every
+        edge's listener in transmitter order (rows in CSR order) and
+        ``edge_ends`` is the *inclusive* cumulative edge count per
+        transmitter (``cumsum(lengths)``) — edge ``j`` belongs to the row
+        found by ``searchsorted(edge_ends, j, side="right")``.
+        """
+        starts = indptr[tx_nodes]
+        lengths = indptr[tx_nodes + 1] - starts
+        total = int(lengths.sum())
+        if total == 0:
+            return indices[:0], lengths
+        edge_ends = np.cumsum(lengths)
+        # position of edge j within the flat gather: arange(total) plus the
+        # per-row shift from the row's CSR start (one repeat, one add).
+        shift = starts - (edge_ends - lengths)
+        flat_edges = np.arange(total, dtype=np.int64) + np.repeat(shift, lengths)
+        return indices[flat_edges], edge_ends
+
     def _batch_exactly_one_rule(
         self, batch, transmitters, listener_filter=None
     ) -> "BatchCollisionOutcome":
         """Resolve all ``R`` trials\' rounds with one flattened gather.
 
-        Dispatches on :attr:`kernel`: the ``"compiled"`` kernel fuses the
-        gather/count/mask passes into one compiled walk over the stacked
-        CSR, and the default ``"numpy"`` path below is the reference it is
-        measured against.
-
-        The numpy reference lowers the transmitters of all trials onto the
-        stacked block-diagonal CSR (extending
-        :meth:`CollisionModel._gather_listener_edges`) and counts hearers
-        over ``trial * n + listener`` ids — by one ``bincount`` when the
-        round is dense, or by an argsort of the gathered edges when it is
-        sparse.  Without a listener filter both strategies — and the fused
-        compiled kernel — yield receivers in the scalar models\' edge order,
-        which the exact-equivalence mode relies on.  With a filter the
-        sparse scan sorts only the edges into interesting listeners and
-        keeps edge order, while the dense scan yields sorted ids.
+        Lowers the transmitters of all trials onto the stacked
+        block-diagonal CSR (:meth:`_gather_listener_edges`) and counts
+        hearers over ``trial * n + listener`` ids — by one ``bincount`` when
+        the round is dense, or by an argsort of the gathered edges when it
+        is sparse.  Without a listener filter both scans yield receivers in
+        the scalar models\' edge order, which the exact-equivalence mode
+        relies on.  With a filter the sparse scan sorts only the edges into
+        interesting listeners and keeps edge order, while the dense scan
+        yields sorted ids.
         """
         trials, n = batch.trials, batch.n
         transmitters = np.asarray(transmitters)
@@ -551,11 +538,8 @@ class BatchCollisionModel:
         else:
             tx_flat = transmitters.astype(np.int64, copy=False)
 
-        if self.kernel == "compiled" and _kernels.compiled_available():
-            return self._fused_rule(batch, tx_flat, listener_filter)
-
         listeners, edge_ends = (
-            CollisionModel._gather_listener_edges(
+            self._gather_listener_edges(
                 batch.out_indptr, batch.out_indices, tx_flat
             )
             if tx_flat.size
@@ -634,50 +618,6 @@ class BatchCollisionModel:
             delivered_mask=delivered_mask,
             hear_dense=hear_dense,
         )
-
-    @staticmethod
-    def _fused_rule(batch, tx_flat, listener_filter) -> "BatchCollisionOutcome":
-        """Compiled single-pass resolution (bit-identical to the numpy path)."""
-        trials, n = batch.trials, batch.n
-        filter_arg = (
-            listener_filter
-            if listener_filter is not None
-            else _EMPTY_FILTER
-        )
-        listeners, edge_ends, delivered_mask, flat_counts, receiver_flat = (
-            _kernels.exactly_one_fused(
-                batch.out_indptr,
-                batch.out_indices,
-                tx_flat,
-                batch.total_nodes,
-                filter_arg,
-            )
-            if tx_flat.size
-            else (batch.out_indices[:0], None, None, None, None)
-        )
-        if listeners.size == 0:
-            return BatchCollisionOutcome(
-                receiver_flat=np.empty(0, dtype=np.int64),
-                trials=trials,
-                n=n,
-                receiver_counts=np.zeros(trials, dtype=np.int64),
-                sender_flat=np.empty(0, dtype=np.int64),
-            )
-        return BatchCollisionOutcome(
-            receiver_flat=receiver_flat,
-            trials=trials,
-            n=n,
-            listeners=listeners,
-            edge_ends=edge_ends,
-            tx_flat=tx_flat,
-            delivered_mask=delivered_mask,
-            hear_dense=flat_counts.reshape(trials, n),
-        )
-
-
-#: Sentinel "no filter" argument for the fused kernel (numba specialises on
-#: dtype, so the no-filter case passes an empty bool array instead of None).
-_EMPTY_FILTER = np.empty(0, dtype=np.bool_)
 
 
 class BatchStandardCollisionModel(BatchCollisionModel):

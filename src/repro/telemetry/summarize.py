@@ -171,7 +171,7 @@ def _render_tree(
     trials = _span_trials(attrs)
     if trials is not None:
         extras.append(f"trials={trials}")
-    for key in ("kernel", "shard", "error"):
+    for key in ("shard", "error"):
         if key in attrs:
             extras.append(f"{key}={attrs[key]}")
     suffix = f"  [{', '.join(extras)}]" if extras else ""

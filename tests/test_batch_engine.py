@@ -44,18 +44,14 @@ def _job_by_job(graph, protocol, **options):
     return [execute_job(j) for j in build_repetition_plan(graph, protocol, **options).jobs]
 
 
-def _engine_sweep(graph, protocol, *, kernel=None, **options):
-    """An exact ``repeat_job`` sweep run straight on a :class:`BatchEngine`
-    with, when given, the collision kernel forced: the same per-trial
-    networks, protocol streams and engine options the sweep uses, so every
-    kernel must give the same bits."""
+def _engine_sweep(graph, protocol, **options):
+    """An exact ``repeat_job`` sweep run straight on a :class:`BatchEngine`:
+    the same per-trial networks, protocol streams and engine options the
+    sweep uses, so it must give the sweep's bits."""
     plan = build_repetition_plan(graph, protocol, batch_mode="exact", **options)
     job = plan.jobs[0]
-    model = runner_module._collision_model_for(job)
-    if kernel is not None:
-        model.kernel = kernel
     engine = BatchEngine(
-        model,
+        runner_module._collision_model_for(job),
         record_rounds=job.record_rounds,
         keep_arrays=job.keep_arrays,
         run_to_quiescence=job.run_to_quiescence,
@@ -116,7 +112,7 @@ def gnp_batch():
 
 #: One exact-mode sweep case per registry protocol family:
 #: ``(name, params, graph params, engine options)``.  The golden corpus pins
-#: them (``oracle-sweep/registry-*``); the kernel tests replay them.
+#: them (``oracle-sweep/registry-*``); ``TestEngineEquivalence`` replays them.
 _REGISTRY_CASES = [
     ("algorithm2", {"p": 0.2}, {"n": 48, "p": 0.2}, {}),
     ("algorithm3", {"diameter": 3}, {"n": 64, "p": 0.18}, {}),
@@ -160,6 +156,11 @@ _REGISTRY_CASES = [
     ("sequential_gossip", {}, {"n": 24, "p": 0.3}, {}),
 ]
 
+_REGISTRY_IDS = [
+    f"{case[0]}{'-q' if case[3] else ''}"
+    f"{'-capped' if 'max_phases_active' in case[1] or 'active_window' in case[1] else ''}"
+    for case in _REGISTRY_CASES
+]
 
 
 class TestInvariants:
@@ -296,6 +297,48 @@ class TestBatchCollision:
         b = random_digraph(17, 0.2, rng=1)
         with pytest.raises(ValueError):
             NetworkBatch([a, b])
+
+
+class TestEngineEquivalence:
+    """A sweep run straight on :class:`BatchEngine` is bit-identical to the
+    exact-mode ``repeat_job`` sweep, for every registry protocol family and
+    under a faulty-world environment."""
+
+    @pytest.mark.parametrize(
+        "name,params,graph_params,options", _REGISTRY_CASES, ids=_REGISTRY_IDS
+    )
+    def test_registry_protocols_bit_identical(
+        self, name, params, graph_params, options
+    ):
+        common = dict(repetitions=4, seed=17, **options)
+        graph = GraphSpec("gnp", graph_params)
+        protocol = ProtocolSpec(name, params)
+        _assert_traces_identical(
+            _engine_sweep(graph, protocol, **common),
+            repeat_job(graph, protocol, batch_mode="exact", **common),
+            check_arrays=True,
+        )
+
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            {"name": "iid_loss", "params": {"rx_loss": 0.15}},
+            {
+                "name": "churn",
+                "params": {"events": [{"round": 4, "crash_fraction": 0.2}]},
+            },
+        ],
+        ids=["lossy", "churny"],
+    )
+    def test_environment_runs_bit_identical(self, environment):
+        common = dict(repetitions=4, seed=23, environment=environment)
+        graph = GraphSpec("gnp", {"n": 48, "p": 0.25})
+        protocol = ProtocolSpec("decay", {})
+        _assert_traces_identical(
+            _engine_sweep(graph, protocol, **common),
+            repeat_job(graph, protocol, batch_mode="exact", **common),
+            check_arrays=True,
+        )
 
 
 class TestFastSeedingAggregates:

@@ -19,6 +19,9 @@ from repro.experiments.runner import (
     repeat_job,
 )
 from repro.graphs.builders import GraphSpec, spec_is_deterministic
+from repro.graphs.random_digraph import random_digraph
+from repro.radio.batch import NetworkBatch
+from repro.store import trial_digest
 
 from test_batch_engine import _assert_traces_identical
 
@@ -362,3 +365,172 @@ class TestTopologyCache:
             processes=2,
         )
         _assert_traces_identical(serial, sharded)
+
+
+class TestDigestStability:
+    """Store keys never name the collision kernel or the node-set backend,
+    so a store built before either was chosen by the code keeps hitting."""
+
+    GRAPH = GraphSpec("gnp", {"n": 32, "p": 0.25})
+    PROTOCOL = ProtocolSpec("decay", {})
+
+    def _keys(self, **plan_kwargs):
+        return build_repetition_plan(
+            self.GRAPH, self.PROTOCOL, repetitions=2, seed=5, **plan_kwargs
+        ).job_keys()
+
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_context_names_no_kernel_and_a_constant_backend(self, batch_mode):
+        context = build_repetition_plan(
+            self.GRAPH,
+            self.PROTOCOL,
+            repetitions=2,
+            seed=5,
+            batch_mode=batch_mode,
+        ).cache_context()
+        assert "kernel" not in context
+        assert context["state_backend"] == "auto"
+
+    def test_pinned_digest(self):
+        # Hard regression pin: this digest was computed before the kernel
+        # field existed.  If it moves, every result store in the wild is
+        # silently invalidated — bump ENGINE_VERSION instead of accepting a
+        # new value here.
+        keys = self._keys(batch_mode="exact")
+        assert keys[0] == (
+            "d884c5e90af1ae70ab5bd025b7378e68"
+            "02af16b2369e53a14be3fc7fee3817b8"
+        )
+
+    def test_pinned_fast_digest(self):
+        # Fast-mode keys also pin the cohort (fast-seed entropy, shard
+        # layout); the same rule applies: a moved digest needs a bump.
+        keys = self._keys(batch_mode="fast")
+        assert keys[0] == (
+            "bd72c381a565acffd13bf1c023bbafaa"
+            "6d4d37a913f8e461227616995194ac74"
+        )
+
+    #: Digest of ``{"context": cache_context(), "keys": job_keys()}`` for a
+    #: six-trial sweep, per ``(batch_mode, shards)``.  Process fan-out never
+    #: enters the context once the shard count is fixed.
+    PLAN_DIGESTS = {
+        ("fast", 1): (
+            "4057c8a80184594a1401df24f5e36831"
+            "baf6fcfefc9373e8b71668c28821158e"
+        ),
+        ("fast", 3): (
+            "22473a9000b94f09dd0c4473abffbe03"
+            "438a052c5c20dd45fb71c36cfde00fb6"
+        ),
+        ("exact", 1): (
+            "55840cd5ac42c0ccf7df4a8e46af17f9"
+            "9e75aee2f2dc1991f6e85f63f50d2010"
+        ),
+        ("exact", 3): (
+            "55840cd5ac42c0ccf7df4a8e46af17f9"
+            "9e75aee2f2dc1991f6e85f63f50d2010"
+        ),
+    }
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_pinned_plan_digests(self, batch_mode, shards, processes):
+        plan = build_repetition_plan(
+            self.GRAPH,
+            self.PROTOCOL,
+            repetitions=6,
+            seed=5,
+            batch_mode=batch_mode,
+            shards=shards,
+            processes=processes,
+        )
+        digest = trial_digest(
+            {"context": plan.cache_context(), "keys": plan.job_keys()}
+        )
+        assert digest == self.PLAN_DIGESTS[(batch_mode, shards)]
+
+
+class TestSharedBatchReuse:
+    """Shard-level stacked-CSR reuse for shared-topology sweeps."""
+
+    GRAPH = GraphSpec("path", {"n": 24})
+    PROTOCOL = ProtocolSpec("decay", {})
+
+    def test_in_process_shards_share_one_batch(self):
+        plan = build_repetition_plan(
+            self.GRAPH, self.PROTOCOL, repetitions=8, seed=2, shards=4
+        )
+        shards = plan.shards()
+        assert len(shards) == 4
+        batches = {id(shard.shared_batch) for shard in shards}
+        assert None not in {shard.shared_batch for shard in shards}
+        assert len(batches) == 1
+
+    def test_fanout_shards_carry_no_batch(self):
+        plan = build_repetition_plan(
+            self.GRAPH, self.PROTOCOL, repetitions=8, seed=2, processes=2
+        )
+        assert all(shard.shared_batch is None for shard in plan.shards())
+        assert all(shard.shared_network is not None for shard in plan.shards())
+
+    def test_random_family_has_no_shared_batch(self):
+        plan = build_repetition_plan(
+            GraphSpec("gnp", {"n": 24, "p": 0.3}),
+            self.PROTOCOL,
+            repetitions=8,
+            seed=2,
+            shards=4,
+        )
+        assert all(shard.shared_batch is None for shard in plan.shards())
+
+    def test_shared_batch_results_bit_identical(self):
+        sharded = repeat_job(
+            self.GRAPH,
+            self.PROTOCOL,
+            repetitions=8,
+            seed=2,
+            shards=4,
+            batch_mode="exact",
+        )
+        plan = build_repetition_plan(self.GRAPH, self.PROTOCOL, repetitions=8, seed=2)
+        one_by_one = [execute_job(j) for j in plan.jobs]
+        _assert_traces_identical(one_by_one, sharded, check_arrays=True)
+
+    def test_shared_tiling_matches_general_construction(self):
+        net = random_digraph(40, 0.2, rng=3)
+        tiled = NetworkBatch.shared(net, 6)
+        looped = NetworkBatch([random_digraph(40, 0.2, rng=3) for _ in range(6)])
+        assert np.array_equal(tiled.out_indptr, looped.out_indptr)
+        assert np.array_equal(tiled.out_indices, looped.out_indices)
+        assert np.array_equal(
+            np.bincount(tiled.out_indices, minlength=tiled.total_nodes),
+            np.bincount(looped.out_indices, minlength=looped.total_nodes),
+        )
+
+
+class TestStreamingBypass:
+    """In-process execution streams traces one trial at a time."""
+
+    def test_execute_streaming_matches_execute(self):
+        plan = build_repetition_plan(
+            GraphSpec("path", {"n": 24}),
+            ProtocolSpec("decay", {}),
+            repetitions=8,
+            seed=2,
+            shards=4,
+            batch_mode="exact",
+        )
+        collected = plan.execute()
+        seen = {}
+        counts = plan.execute_streaming(
+            lambda index, trace: seen.__setitem__(index, trace)
+        )
+        assert counts["executed"] == 8
+        assert sorted(seen) == list(range(8))
+        _assert_traces_identical(
+            collected, [seen[i] for i in range(8)], check_arrays=True
+        )
+        for trace in seen.values():
+            assert "job" in trace.metadata

@@ -5,7 +5,10 @@ engine hands the collision rule the protocol's interest set (the
 still-uninformed nodes) and lets it drop every other delivery.  Contracts
 pinned here:
 
-1. **Rule level.**  With a listener filter the exactly-one rule delivers
+1. **Rule level.**  Each of the rule's four scans (sparse or dense, with or
+   without a filter) matches a naive per-listener recount: receivers,
+   senders, per-trial counts, hear counts, collision flags and the receiver
+   order the rule promises.  With a listener filter the rule delivers
    exactly the unfiltered delivery set intersected with the filter, on both
    sides of the sparse/dense edge threshold.  The sparse branch keeps the
    unfiltered edge order, each kept receiver pairs with the same sender as
@@ -37,8 +40,10 @@ from repro.radio.collision import (
     BatchCollisionModel,
     BatchErasureCollisionModel,
     BatchStandardCollisionModel,
+    BatchWithCollisionDetectionModel,
 )
 from repro.radio.environment import build_environment
+from repro.radio.network import RadioNetwork
 
 _THRESHOLD = BatchCollisionModel._SPARSE_EDGE_THRESHOLD
 
@@ -56,12 +61,6 @@ class _PerDeliveryDrawsModel(BatchStandardCollisionModel):
 # --------------------------------------------------------------------------- #
 # Rule level
 # --------------------------------------------------------------------------- #
-def _numpy_model():
-    model = BatchStandardCollisionModel()
-    model.kernel = "numpy"
-    return model
-
-
 def _stacked_case(seed, tx_fraction, *, n=400, p=0.02, trials=6):
     rng = np.random.default_rng(seed)
     batch = NetworkBatch(
@@ -76,6 +75,155 @@ def _pairs(outcome):
     return dict(zip(outcome.receiver_flat.tolist(), outcome.sender_flat.tolist()))
 
 
+def _naive_round(batch, networks, tx_flat, listener_filter):
+    """The exactly-one rule recounted listener by listener.
+
+    Returns the flat hear counts and the ``(receiver, sender)`` deliveries in
+    transmitter-major edge order: transmitters ascending, each one's
+    listeners in CSR order.
+    """
+    n = batch.n
+    hears = np.zeros(batch.total_nodes, dtype=np.int64)
+    edges = []
+    for sender in tx_flat.tolist():
+        trial, node = divmod(sender, n)
+        for listener in networks[trial].out_neighbors(node).tolist():
+            hears[trial * n + listener] += 1
+            edges.append((trial * n + listener, sender))
+    deliveries = [
+        (receiver, sender)
+        for receiver, sender in edges
+        if hears[receiver] == 1
+        and (listener_filter is None or listener_filter[receiver])
+    ]
+    return hears, deliveries
+
+
+def _random_stack(seed, *, n=40, trials=5):
+    """``trials`` random digraphs of assorted density, isolated nodes and
+    sinks included, stacked into one batch."""
+    rng = np.random.default_rng(seed)
+    networks = []
+    for _ in range(trials):
+        p = rng.choice([0.0, 0.03, 0.1, 0.3])
+        pairs = np.argwhere(rng.random((n, n)) < p)
+        networks.append(RadioNetwork(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+    return NetworkBatch(networks), networks, rng
+
+
+#: Each scan of the rule: ``(threshold, filtered, dense)``.  A threshold of 0
+#: makes every non-empty round dense; an unreachable one leaves an
+#: unfiltered round sparse only while its edges stay under an eighth of the
+#: id space (:func:`_sparse_transmitters`).
+_SCANS = {
+    "sparse-unfiltered": (10**12, False, False),
+    "sparse-filtered": (10**12, True, False),
+    "dense-unfiltered": (0, False, True),
+    "dense-filtered": (0, True, True),
+}
+
+
+def _sparse_transmitters(batch, rng):
+    """Transmitters in random order, each kept while the round's gathered
+    edges stay under an eighth of the id space.  The densest trial's nodes
+    come first, so listeners still hear collisions."""
+    degrees = np.diff(batch.out_indptr)
+    densest = int(np.argmax(degrees.reshape(batch.trials, batch.n).sum(axis=1)))
+    order = rng.permutation(batch.total_nodes)
+    order = order[np.argsort(order // batch.n != densest, kind="stable")]
+    budget = batch.total_nodes // 8 - 1
+    chosen = []
+    for node in order.tolist():
+        if degrees[node] <= budget:
+            chosen.append(node)
+            budget -= int(degrees[node])
+    return np.sort(np.asarray(chosen, dtype=np.int64))
+
+
+class TestRuleAgainstNaiveRecount:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("scan", sorted(_SCANS))
+    @pytest.mark.parametrize(
+        "model_class",
+        [BatchStandardCollisionModel, BatchWithCollisionDetectionModel],
+        ids=["standard", "detection"],
+    )
+    def test_each_scan_matches_the_recount(
+        self, monkeypatch, seed, scan, model_class
+    ):
+        threshold, filtered, dense = _SCANS[scan]
+        monkeypatch.setattr(BatchCollisionModel, "_SPARSE_EDGE_THRESHOLD", threshold)
+        batch, networks, rng = _random_stack(seed)
+        if dense or filtered:
+            tx_flat = np.flatnonzero(rng.random(batch.total_nodes) < 0.3)
+        else:
+            tx_flat = _sparse_transmitters(batch, rng)
+        tx_mask = np.zeros((batch.trials, batch.n), dtype=bool)
+        tx_mask.reshape(-1)[tx_flat] = True
+        listener_filter = (
+            rng.random(batch.total_nodes) < 0.6 if filtered else None
+        )
+        hears, deliveries = _naive_round(batch, networks, tx_flat, listener_filter)
+
+        model = model_class()
+        outcome = model.resolve(
+            batch,
+            tx_flat if seed % 2 else tx_mask,
+            listener_filter=None if listener_filter is None else listener_filter.copy(),
+        )
+        # The forced scan is the one that ran (the dense scans count densely).
+        assert (outcome._hear_dense is not None) == (dense and hears.sum() > 0)
+
+        receivers = outcome.receiver_flat
+        senders = outcome.sender_flat
+        if dense and filtered:
+            # The dense filtered scan yields sorted ids; the others keep
+            # transmitter-major edge order.
+            deliveries = sorted(deliveries)
+        assert receivers.dtype == np.int64
+        assert receivers.tolist() == [r for r, _ in deliveries]
+        assert senders.tolist() == [s for _, s in deliveries]
+        for receiver, sender in zip(receivers.tolist(), senders.tolist()):
+            trial, node = divmod(sender, batch.n)
+            assert receiver // batch.n == trial
+            assert tx_mask[trial, node]
+            assert networks[trial].has_edge(node, receiver - trial * batch.n)
+        assert np.array_equal(
+            outcome.receiver_counts,
+            np.bincount(receivers // batch.n, minlength=batch.trials),
+        )
+        assert np.array_equal(outcome.hear_counts, hears.reshape(batch.trials, batch.n))
+        assert np.array_equal(
+            outcome.collision_flags,
+            hears.reshape(batch.trials, batch.n) >= 2
+            if model.detects_collisions
+            else np.zeros((batch.trials, batch.n), dtype=bool),
+        )
+
+    @pytest.mark.parametrize("scan", sorted(_SCANS))
+    @pytest.mark.parametrize("silent", ["nobody", "sinks"])
+    def test_rounds_without_edges(self, monkeypatch, scan, silent):
+        threshold, filtered, _ = _SCANS[scan]
+        monkeypatch.setattr(BatchCollisionModel, "_SPARSE_EDGE_THRESHOLD", threshold)
+        batch, _, _ = _random_stack(3, trials=3)
+        if silent == "nobody":
+            tx_flat = np.empty(0, dtype=np.int64)
+        else:
+            # Transmitters without out-edges gather no edge either.
+            degrees = np.diff(batch.out_indptr)
+            tx_flat = np.flatnonzero(degrees == 0)[:4].astype(np.int64)
+            assert tx_flat.size
+        listener_filter = np.ones(batch.total_nodes, dtype=bool) if filtered else None
+        outcome = BatchWithCollisionDetectionModel().resolve(
+            batch, tx_flat, listener_filter=listener_filter
+        )
+        assert outcome.receiver_flat.size == 0
+        assert outcome.sender_flat.size == 0
+        assert np.array_equal(outcome.receiver_counts, np.zeros(batch.trials))
+        assert not outcome.hear_counts.any()
+        assert not outcome.collision_flags.any()
+
+
 class TestRuleWithFilter:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize(
@@ -85,7 +233,7 @@ class TestRuleWithFilter:
         self, seed, tx_fraction, sparse
     ):
         batch, tx_flat, interest = _stacked_case(seed, tx_fraction)
-        model = _numpy_model()
+        model = BatchStandardCollisionModel()
         full = model._batch_exactly_one_rule(batch, tx_flat)
         trimmed = model._batch_exactly_one_rule(
             batch, tx_flat, listener_filter=interest.copy()
@@ -116,7 +264,7 @@ class TestRuleWithFilter:
     @pytest.mark.parametrize("tx_fraction", [0.02, 0.5])
     def test_all_and_no_interest(self, tx_fraction):
         batch, tx_flat, _ = _stacked_case(11, tx_fraction)
-        model = _numpy_model()
+        model = BatchStandardCollisionModel()
         full = model._batch_exactly_one_rule(batch, tx_flat)
         everyone = model._batch_exactly_one_rule(
             batch, tx_flat, listener_filter=np.ones(batch.total_nodes, dtype=bool)

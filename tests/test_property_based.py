@@ -12,7 +12,8 @@ from repro.core.distributions import AlphaDistribution, CzumajRytterDistribution
 from repro.graphs.lowerbound import observation43_network
 from repro.graphs.random_digraph import random_digraph
 from repro.graphs.structured import path_of_cliques
-from repro.radio.collision import StandardCollisionModel
+from repro.radio.batch import NetworkBatch
+from repro.radio.collision import BatchStandardCollisionModel, StandardCollisionModel
 from repro.radio.energy import BatchEnergyAccountant
 from repro.radio.engine import run_protocol
 from repro.radio.network import RadioNetwork
@@ -94,7 +95,11 @@ class TestCollisionProperties:
         n, edges = n_edges
         net = RadioNetwork(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
         mask = data.draw(transmit_masks(n))
-        outcome = StandardCollisionModel().resolve(net, mask)
+        listener_filter = data.draw(st.none() | transmit_masks(n))
+        scalar = StandardCollisionModel().resolve(net, mask)
+        batched = BatchStandardCollisionModel().resolve(
+            NetworkBatch([net]), mask[None, :], listener_filter=listener_filter
+        )
 
         # Recompute hear counts naively.
         naive = np.zeros(n, dtype=int)
@@ -102,13 +107,26 @@ class TestCollisionProperties:
             if mask[u]:
                 for v in net.out_neighbors(u):
                     naive[v] += 1
-        assert np.array_equal(naive, outcome.hear_counts)
-        receivers = set(outcome.receivers.tolist())
-        assert receivers == {v for v in range(n) if naive[v] == 1}
-        # The reported sender is a transmitting in-neighbour of the receiver.
-        for receiver, sender in zip(outcome.receivers, outcome.senders):
-            assert mask[sender]
-            assert net.has_edge(int(sender), int(receiver))
+        heard_once = {v for v in range(n) if naive[v] == 1}
+        interesting = heard_once if listener_filter is None else {
+            v for v in heard_once if listener_filter[v]
+        }
+        for receivers, senders, hear_counts, expected in (
+            (scalar.receivers, scalar.senders, scalar.hear_counts, heard_once),
+            (
+                batched.receivers_of(0),
+                batched.senders_of(0),
+                batched.hear_counts[0],
+                interesting,
+            ),
+        ):
+            assert np.array_equal(naive, hear_counts)
+            assert set(receivers.tolist()) == expected
+            assert receivers.size == len(expected)
+            # The reported sender is a transmitting in-neighbour of the receiver.
+            for receiver, sender in zip(receivers, senders):
+                assert mask[sender]
+                assert net.has_edge(int(sender), int(receiver))
 
     @_SETTINGS
     @given(edge_lists(), st.data())

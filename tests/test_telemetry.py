@@ -14,8 +14,8 @@ Contracts pinned here:
    ``queue.worker_death`` followed by a ``queue.retry`` per affected task
    (label, attempt, backoff), in that order.
 4. **Telemetry never touches a digest.**  Store keys are bit-identical
-   with telemetry on or off, pinned against the same hard-coded digest the
-   kernel layer pins.
+   with telemetry on or off, pinned against the same hard-coded digest
+   ``TestDigestStability`` pins.
 """
 
 import io
@@ -240,7 +240,7 @@ class TestGridSpans:
                 assert summary["spans"][shard_id]["layer"] == "shard"
         counters = telemetry.current_registry().snapshot()["counters"]
         assert counters["engine.trials"] == 8
-        assert counters["kernels.resolved.numpy"] >= 2
+        assert not any(name.startswith("kernels.") for name in counters)
         assert not any(name.startswith("nodesets.") for name in counters)
 
     def test_process_pool_shards_attribute_to_their_cell(self):
@@ -313,7 +313,7 @@ class TestEngineRunEvent:
         assert event["trials"] == self.TRIALS
         assert event["trial_rounds"] == sum(t.rounds_executed for t in traces)
         assert event["rounds"] >= max(t.rounds_executed for t in traces)
-        assert event["kernel"] in ("numpy", "compiled")
+        assert "kernel" not in event
         assert "state_backend" not in event
         # Cohort bookkeeping appears only when rows moved.
         if entry == "run":
@@ -454,7 +454,7 @@ class TestDigestSafety:
         _memory_pipeline()
         on = self._keys()
         assert on == off
-        # Same hard pin the kernel layer holds: telemetry must never move it.
+        # Same hard pin TestDigestStability holds: telemetry must never move it.
         assert on[0] == self.PINNED
 
     def test_cache_context_has_no_telemetry_key(self):
