@@ -65,9 +65,8 @@ def partials_extend(partials: Sequence[float], values: np.ndarray) -> List[float
     """Add every element of ``values`` into a Shewchuk partial-sum list.
 
     Returns the new partial list (the input is not mutated), bit-identical
-    to repeated :func:`_partials_add` calls.  The loop is inlined rather
-    than calling :func:`_partials_add` per value, which is measurably
-    slower on chunks of a few to a few thousand values.
+    to repeated :func:`_partials_add` calls.  The loop is inlined to save
+    a function call per value.
     """
     result = list(partials)
     for x in np.asarray(values, dtype=np.float64).ravel().tolist():
@@ -344,11 +343,10 @@ class MetricAccumulator:
 
         The unweighted path is bit-identical to calling :meth:`add` per
         value: moments are folded through the chunked Shewchuk loop
-        (:func:`partials_extend`), min/max reduce over
-        the array, and the sketch takes the chunk via
-        :meth:`QuantileSketch.extend`.  Unlike :meth:`add`, validation is
-        all-or-nothing: a non-finite value raises before anything is
-        accumulated.
+        (:func:`partials_extend`), min/max reduce over the array, and the
+        sketch takes the chunk via :meth:`QuantileSketch.extend`.  Unlike
+        :meth:`add`, validation is all-or-nothing: a non-finite value raises
+        before anything is accumulated.
 
         ``weights`` (optional, positive and finite) treats each value as a
         weighted observation: the count grows by each weight, the moments by
