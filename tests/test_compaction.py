@@ -8,7 +8,8 @@ Contracts pinned here:
    batch registry, an exact-mode stream — with refills and compactions
    forced by a small capacity — produces traces bit-identical to the single
    wave, with and without a stochastic environment (``iid_loss``,
-   ``churn``).
+   ``churn``), and under the erasure and collision-detection models with
+   two cohorts live in the same round.
 2. **Resume crosses compaction boundaries.**  A continuous sweep killed
    mid-run keeps its per-trial checkpoints; the resumed sweep serves them
    from the store and completes bit-identically to an uninterrupted run.
@@ -32,6 +33,10 @@ from repro.experiments.runner import repeat_job
 from repro.graphs.builders import GraphSpec
 from repro.graphs.random_digraph import random_digraph
 from repro.radio.batch import BatchEngine, PendingTrial
+from repro.radio.collision import (
+    BatchErasureCollisionModel,
+    BatchWithCollisionDetectionModel,
+)
 from repro.radio.nodesets import (
     BudgetFrontier,
     KnowledgeState,
@@ -70,6 +75,14 @@ ENV_SPECS = {
     },
 }
 
+#: Collision models besides the standard one: the erasure model draws per
+#: delivered edge and the detection model fills collision flags, so each
+#: trial's outcome must come out of its own cohort's resolution unchanged.
+MODELS = {
+    "erasure": lambda: BatchErasureCollisionModel(0.25),
+    "collision_detection": BatchWithCollisionDetectionModel,
+}
+
 TRIALS = 7
 #: Deliberately < TRIALS so the continuous run must retire, compact, and
 #: refill several times; watermark=1.0 makes every retirement trigger the
@@ -83,21 +96,32 @@ def net96():
     return random_digraph(96, 0.08, rng=11)
 
 
+@pytest.fixture(scope="module")
+def nets96():
+    """One topology per trial, so trials of every protocol stop at different
+    rounds and a refill lands while an older cohort is still running."""
+    return [random_digraph(96, 0.1, rng=11 + t) for t in range(TRIALS)]
+
+
 def _trial_rngs(seed0=500, trials=TRIALS):
     return [np.random.default_rng(seed0 + t) for t in range(trials)]
 
 
-def _engine(env_name=None):
+def _engine(env_name=None, model=None):
     environment = (
         build_environment(ENV_SPECS[env_name]) if env_name else None
     )
-    return BatchEngine(environment=environment)
+    return BatchEngine(model, environment=environment)
 
 
-def _run_sharded(net, protocol_name, env_name=None):
+def _per_trial(net):
+    return net if isinstance(net, list) else [net] * TRIALS
+
+
+def _run_sharded(net, protocol_name, env_name=None, model=None):
     factory = PROTOCOL_FACTORIES[protocol_name]
-    return _engine(env_name).run(
-        net,
+    return _engine(env_name, model).run(
+        _per_trial(net),
         factory(**PROTOCOL_PARAMS[protocol_name]),
         trials=TRIALS,
         rngs=_trial_rngs(),
@@ -105,7 +129,7 @@ def _run_sharded(net, protocol_name, env_name=None):
     )
 
 
-def _run_continuous(net, protocol_name, env_name=None):
+def _run_continuous(net, protocol_name, env_name=None, model=None):
     factory = PROTOCOL_FACTORIES[protocol_name]
     params = PROTOCOL_PARAMS[protocol_name]
     cohorts = {"built": 0}
@@ -115,10 +139,10 @@ def _run_continuous(net, protocol_name, env_name=None):
         return factory(**params)
 
     pending = (
-        PendingTrial(net, rng=rng, tag=t)
-        for t, rng in enumerate(_trial_rngs())
+        PendingTrial(trial_net, rng=rng, tag=t)
+        for t, (trial_net, rng) in enumerate(zip(_per_trial(net), _trial_rngs()))
     )
-    traces = _engine(env_name).run_continuous(
+    traces = _engine(env_name, model).run_continuous(
         pending,
         make_protocol,
         capacity=CAPACITY,
@@ -162,6 +186,29 @@ class TestContinuousBitIdentity:
         sharded = _run_sharded(net96, protocol_name, env_name)
         continuous, cohorts = _run_continuous(net96, protocol_name, env_name)
         assert cohorts > 1
+        _assert_traces_identical(sharded, continuous)
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    @pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_FACTORIES))
+    def test_matches_run_under_collision_model(
+        self, nets96, protocol_name, model_name
+    ):
+        sharded = _run_sharded(nets96, protocol_name, model=MODELS[model_name]())
+        telemetry_shutdown()
+        sink = MemorySink()
+        configure_telemetry(sink=sink)
+        try:
+            continuous, cohorts = _run_continuous(
+                nets96, protocol_name, model=MODELS[model_name]()
+            )
+        finally:
+            telemetry_shutdown()
+        # Some refill joined trials that were still running: two cohorts
+        # were live in the same round.
+        refills = [
+            r["attrs"] for r in sink.records if r.get("name") == "engine.refill"
+        ]
+        assert any(a["occupancy"] * CAPACITY > a["added"] for a in refills)
         _assert_traces_identical(sharded, continuous)
 
 
