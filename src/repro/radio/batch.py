@@ -18,7 +18,8 @@ paid once per round for all trials:
   costs nothing while its siblings run on.  :meth:`BatchEngine.run` admits
   one prebuilt batch as a single wave; :meth:`BatchEngine.run_continuous`
   streams exact-mode trials through the same loop, compacting stopped rows
-  and refilling them from a pending queue.
+  and refilling them from a pending queue.  Each refill is a cohort with
+  its own batch, and each cohort resolves its rounds on that batch alone.
 
 This is the one engine: every protocol in
 ``repro.experiments.protocols.PROTOCOL_FACTORIES`` is a :class:`BatchProtocol`,
@@ -244,11 +245,10 @@ class BatchRandomSource:
         k = int(rows.sum())
         if not self.exact_mode:
             return self._generator.random((k, n))
-        if k == 0:
-            return np.empty((0, n))
-        return np.stack(
-            [self._per_trial[t].random(n) for t in np.flatnonzero(rows)]
-        )
+        out = np.empty((k, n))
+        for row, t in zip(out, np.flatnonzero(rows)):
+            self._per_trial[t].random(out=row)
+        return out
 
     def select_trials(self, keep: np.ndarray) -> "BatchRandomSource":
         """The source for the trials where ``keep`` is True (compaction).
@@ -266,13 +266,6 @@ class BatchRandomSource:
             per_trial=[g for g, k in zip(self._per_trial, keep) if k]
         )
 
-    @property
-    def trial_generators(self) -> List[np.random.Generator]:
-        """The per-trial generator objects, in trial order (exact mode only)."""
-        if self._per_trial is None:
-            raise RuntimeError("no per-trial generators in fast mode")
-        return self._per_trial
-
     def geometrics_for_counts(self, p: float, counts: np.ndarray) -> np.ndarray:
         """``counts[t]`` Geometric(p) draws per trial, concatenated in trial order.
 
@@ -288,96 +281,6 @@ class BatchRandomSource:
             if c
         ]
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
-
-class _RowSliceOutcome(BatchCollisionOutcome):
-    """One cohort's row-slice of a union collision outcome.
-
-    The continuous engine resolves all cohorts in one union gather, then
-    hands each cohort its own rows re-addressed into the cohort's trial
-    space.  Senders the union resolution did not materialise (unless a
-    protocol declared :attr:`BatchProtocol.needs_senders` or an environment
-    is active) fail loudly instead of lazily fabricating the empty values
-    the base class would.  Hear counts are sliced from the union's on first
-    access, so every cohort of a round shares one dense pass.
-    """
-
-    __slots__ = ("_union", "_rows")
-
-    tracks_senders = False
-
-    _UNAVAILABLE = (
-        "{field} is not available on this row-sliced outcome; the "
-        "continuous engine only materialises senders for cohorts whose "
-        "protocol declares needs_senders (or under an active environment)"
-    )
-
-    @property
-    def sender_flat(self) -> np.ndarray:
-        raise RuntimeError(self._UNAVAILABLE.format(field="sender_flat"))
-
-    @property
-    def hear_counts(self) -> np.ndarray:
-        if self._hear_dense is None:
-            self._hear_dense = self._union.hear_counts[self._rows]
-        return self._hear_dense
-
-
-class _RowSliceOutcomeWithSenders(_RowSliceOutcome):
-    """Row-sliced outcome whose senders were materialised from the union."""
-
-    __slots__ = ()
-
-    tracks_senders = True
-
-    @property
-    def sender_flat(self) -> np.ndarray:
-        if self._sender_flat is None:
-            raise RuntimeError(self._UNAVAILABLE.format(field="sender_flat"))
-        return self._sender_flat
-
-    @sender_flat.setter
-    def sender_flat(self, value: np.ndarray) -> None:
-        # Environments reshape the delivery set in place (receiver-side
-        # loss); the base-class setter is shadowed by the property above.
-        self._sender_flat = value
-
-
-def _slice_outcome_rows(
-    outcome: BatchCollisionOutcome,
-    row_lo: int,
-    row_hi: int,
-    *,
-    with_senders: bool,
-) -> BatchCollisionOutcome:
-    """Slice a union outcome down to trials ``[row_lo, row_hi)``.
-
-    ``receiver_flat`` is trial-major sorted, so the cohort's block is found
-    with two binary searches; senders are aligned index-for-index with the
-    receivers, so the same slice applies.  The result's ids live in the
-    cohort's own trial space (``trial - row_lo``).
-    """
-    n = outcome.n
-    offset = np.int64(row_lo) * n
-    lo, hi = np.searchsorted(
-        outcome.receiver_flat, [offset, np.int64(row_hi) * n]
-    )
-    receiver = outcome.receiver_flat[lo:hi] - offset
-    sender = None
-    cls = _RowSliceOutcome
-    if with_senders and outcome.tracks_senders:
-        cls = _RowSliceOutcomeWithSenders
-        sender = outcome.sender_flat[lo:hi] - offset
-    sliced = cls(
-        receiver_flat=receiver,
-        trials=row_hi - row_lo,
-        n=n,
-        sender_flat=sender,
-        detects_collisions=outcome.detects_collisions,
-    )
-    sliced._union = outcome
-    sliced._rows = slice(row_lo, row_hi)
-    return sliced
 
 
 class BatchProtocol(abc.ABC):
@@ -410,11 +313,6 @@ class BatchProtocol(abc.ABC):
 
     #: Short machine-readable name used in experiment tables.
     name: str = "protocol"
-
-    #: Whether :meth:`observe` consumes ``outcome.sender_flat``.  The
-    #: continuous engine only materialises (and row-slices) sender
-    #: identities from its union outcomes for cohorts that need them.
-    needs_senders: bool = False
 
     def __init__(self) -> None:
         self._batch: Optional[NetworkBatch] = None
@@ -660,7 +558,6 @@ class BatchGossipProtocol(BatchProtocol):
     """
 
     name = "gossip"
-    needs_senders = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -756,8 +653,9 @@ class _Cohort:
     ``O(log n)`` horizons), so trials admitted at global round ``g`` must see
     local round ``0`` while older trials see ``g - start_round``.  Each wave
     therefore keeps its own protocol instance, stacked batch, RNG source,
-    accountant and environment; only collision resolution is unioned across
-    cohorts per global round.
+    accountant and environment, and resolves each round's collisions on its
+    own batch: no edge joins two trials, so cohorts never need a shared
+    gather.
     """
 
     __slots__ = (
@@ -774,8 +672,6 @@ class _Cohort:
         "completion_round",
         "rounds_executed",
         "running",
-        "row_offset",
-        "last_tx",
         "pending_retired",
         "round_log",
     )
@@ -1104,9 +1000,6 @@ class BatchEngine:
         movable = exact_mode and not self.record_rounds
 
         cohorts: List[_Cohort] = []
-        union_batch: Optional[NetworkBatch] = None
-        union_rng: Optional[BatchRandomSource] = None
-        union_stale = True
         results: Dict[int, RunResultTrace] = {}
         admitted = 0
         stats = {
@@ -1117,7 +1010,6 @@ class BatchEngine:
             "trial_rounds": 0,
         }
         retire = False  # set from the admitted protocol's class
-        needs_senders = False
         protocol_name = None
 
         # Telemetry is hoisted once per call: when disabled, the loop pays
@@ -1195,7 +1087,7 @@ class BatchEngine:
             tags: Optional[List[object]],
             start_round: int,
         ) -> _Cohort:
-            nonlocal admitted, retire, needs_senders, protocol_name
+            nonlocal admitted, retire, protocol_name
             protocol.bind(batch, rng_source)
             cohort_env = None
             if environment is not None:
@@ -1231,8 +1123,6 @@ class BatchEngine:
                 c.running = np.ones(batch.trials, dtype=bool)
             else:
                 c.running = ~c.completed
-            c.row_offset = 0
-            c.last_tx = None
             c.pending_retired = []
             c.round_log = []
             # Dead retirement is gated per protocol class: the base
@@ -1243,7 +1133,6 @@ class BatchEngine:
                 and not self.run_to_quiescence
                 and type(protocol).quiescent is not BatchProtocol.quiescent
             )
-            needs_senders = type(protocol).needs_senders
             if protocol_name is None:
                 protocol_name = protocol.name
             cohorts.append(c)
@@ -1298,27 +1187,6 @@ class BatchEngine:
             c.tags = [tag for tag, k in zip(c.tags, keep) if k]
             c.orders = [o for o, k in zip(c.orders, keep) if k]
 
-        def _rebuild_union() -> None:
-            nonlocal union_batch, union_rng
-            offset = 0
-            for c in cohorts:
-                c.row_offset = offset
-                offset += c.batch.trials
-            if len(cohorts) == 1:
-                # Single-wave shortcut: reuse the cohort's own batch (keeps
-                # shared-topology tiling) and its rng source directly.
-                union_batch = cohorts[0].batch
-                union_rng = cohorts[0].rng_source
-            else:
-                union_batch = NetworkBatch(
-                    [net for c in cohorts for net in c.batch.networks]
-                )
-                union_rng = BatchRandomSource(
-                    per_trial=[
-                        g for c in cohorts for g in c.rng_source.trial_generators
-                    ]
-                )
-
         if first is not None:
             _admit(*first, None, 0)
         else:
@@ -1330,19 +1198,21 @@ class BatchEngine:
         # the liveness scan + compaction/refill triggers run only on rounds
         # where something stopped (and once at admission).
         occupancy_dirty = True
+        # Rows changed (admission, compaction, a cohort dropped) since the
+        # occupancy gauge was last set.
+        rows_moved = True
         while True:
             if occupancy_dirty:
                 occupancy_dirty = False
                 # Dropping a cohort whose every trial has stopped costs
-                # nothing (no CSR rebuild — the whole block just leaves the
-                # union), so it is never gated behind the compaction
-                # thresholds.
+                # nothing (no CSR rebuild), so it is never gated behind the
+                # compaction thresholds.
                 if any(not c.running.any() for c in cohorts):
                     for c in cohorts:
                         if not c.running.any():
                             _flush_retired(c)
                     cohorts[:] = [c for c in cohorts if c.running.any()]
-                    union_stale = True
+                    rows_moved = True
                 live = sum(int(c.running.sum()) for c in cohorts)
                 rows = sum(c.batch.trials for c in cohorts)
                 # Anti-thrash: row-level compaction rebuilds CSR + node-set
@@ -1371,7 +1241,7 @@ class BatchEngine:
                             _compact_cohort(c)
                     new_rows = sum(c.batch.trials for c in cohorts)
                     if new_rows != rows:
-                        union_stale = True
+                        rows_moved = True
                         stats["compactions"] += 1
                         if tel:
                             telemetry.event(
@@ -1387,7 +1257,7 @@ class BatchEngine:
                         if items:
                             c = _admit_pending(items, global_round)
                             live += int(c.running.sum())
-                            union_stale = True
+                            rows_moved = True
                             occupancy_dirty = True
                             stats["refills"] += 1
                             if tel:
@@ -1405,19 +1275,17 @@ class BatchEngine:
                     occupancy_dirty = True
                     continue
                 break
-            if union_stale:
-                _rebuild_union()
-                union_stale = False
-                if tel:
-                    telemetry.gauge_set("engine.occupancy", live / capacity)
-            elif tel and global_round % 64 == 0:
+            if tel and (rows_moved or global_round % 64 == 0):
                 telemetry.gauge_set("engine.occupancy", live / capacity)
+            rows_moved = False
 
-            if tel:
-                t_mark = clock()
-            air_parts: List[np.ndarray] = []
+            # Each cohort resolves its round on its own batch: its trials
+            # draw only from their own generators, so the order between
+            # cohorts changes no trial's draws.
             for c in cohorts:
                 local = global_round - c.start_round
+                if tel:
+                    t_mark = clock()
                 tx = np.asarray(
                     c.protocol.transmit_flat(local, c.running), dtype=np.int64
                 )
@@ -1433,66 +1301,36 @@ class BatchEngine:
                     air = c.environment.perturb_transmissions(
                         local, tx, c.running
                     )
-                c.last_tx = tx
-                if c.row_offset:
-                    air = air + np.int64(c.row_offset) * n
-                air_parts.append(air)
-            air_union = (
-                air_parts[0]
-                if len(air_parts) == 1
-                else np.concatenate(air_parts)
-            )
-
-            listener_filter = None
-            if use_interest:
-                interests = [c.protocol.listener_interest() for c in cohorts]
-                if all(i is not None for i in interests):
-                    listener_filter = (
-                        interests[0]
-                        if len(interests) == 1
-                        else np.concatenate(interests)
-                    )
-
-            if tel:
-                now = clock()
-                phase_seconds["transmit"] += now - t_mark
-                t_mark = now
-            outcome = self.collision_model.resolve(
-                union_batch, air_union, union_rng, listener_filter=listener_filter
-            )
-            with_senders = environment is not None or needs_senders
-            if tel:
-                now = clock()
-                phase_seconds["resolve"] += now - t_mark
-                t_mark = now
-
-            for c in cohorts:
-                local = global_round - c.start_round
-                if len(cohorts) == 1:
-                    out_c = outcome
-                else:
-                    out_c = _slice_outcome_rows(
-                        outcome,
-                        c.row_offset,
-                        c.row_offset + c.batch.trials,
-                        with_senders=with_senders,
-                    )
+                listener_filter = (
+                    c.protocol.listener_interest() if use_interest else None
+                )
+                if tel:
+                    now = clock()
+                    phase_seconds["transmit"] += now - t_mark
+                    t_mark = now
+                outcome = self.collision_model.resolve(
+                    c.batch, air, c.rng_source, listener_filter=listener_filter
+                )
+                if tel:
+                    now = clock()
+                    phase_seconds["resolve"] += now - t_mark
+                    t_mark = now
                 if c.environment is not None:
-                    out_c = c.environment.filter_deliveries(
-                        local, out_c, c.running
+                    outcome = c.environment.filter_deliveries(
+                        local, outcome, c.running
                     )
                 informed_before = (
                     c.protocol.informed_counts() if self.record_rounds else None
                 )
-                c.protocol.observe(local, c.last_tx, out_c, c.running)
+                c.protocol.observe(local, tx, outcome, c.running)
                 if self.record_rounds:
                     c.round_log.append(
                         {
                             "running": c.running.copy(),
                             "transmitters": np.bincount(
-                                c.last_tx // n, minlength=c.batch.trials
+                                tx // n, minlength=c.batch.trials
                             ),
-                            "deliveries": out_c.receiver_counts,
+                            "deliveries": outcome.receiver_counts,
                             "informed_before": informed_before,
                             "informed_after": c.protocol.informed_counts(),
                         }
@@ -1541,8 +1379,8 @@ class BatchEngine:
                     if idx.size:
                         _note_retired(c, idx, dead=dead)
                         occupancy_dirty = True
-            if tel:
-                phase_seconds["observe"] += clock() - t_mark
+                if tel:
+                    phase_seconds["observe"] += clock() - t_mark
             global_round += 1
 
         if tel:

@@ -262,7 +262,10 @@ class BatchCollisionOutcome:
     on the batch a trial runs in.  An outcome resolved with a listener filter
     holds the same deliveries restricted to the filter, in edge order or
     sorted by id; the engine passes a filter only where the observer does
-    not depend on the order.
+    not depend on the order.  An outcome covers one
+    :class:`~repro.radio.batch.NetworkBatch`: the engine resolves each
+    admission cohort of a continuous run on its own batch, so no outcome is
+    ever split between cohorts.
 
     Everything beyond ``receiver_flat`` is derived lazily: the batch engine's
     broadcast hot path only reads the receivers, so the unique senders, the
@@ -286,11 +289,6 @@ class BatchCollisionOutcome:
         ``(R, n)`` bool matrix of detected collisions (all-``False`` unless
         the model detects collisions; lazy).
     """
-
-    #: Whether per-receiver sender identities can be recovered from this
-    #: outcome.  ``False`` on the continuous engine's row-sliced outcomes
-    #: that did not materialise senders, whose sender getters raise.
-    tracks_senders = True
 
     __slots__ = (
         "receiver_flat",

@@ -32,6 +32,7 @@ from repro.graphs.random_digraph import (
 from repro.radio.batch import (
     BatchBroadcastProtocol,
     BatchEngine,
+    BatchRandomSource,
     NetworkBatch,
     PendingTrial,
     run_protocol_batch,
@@ -297,6 +298,20 @@ class TestBatchCollision:
         b = random_digraph(17, 0.2, rng=1)
         with pytest.raises(ValueError):
             NetworkBatch([a, b])
+
+
+class TestExactDraws:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uniform_rows_are_each_flagged_trials_own_draws(self, seed):
+        """Row ``i`` is the ``i``-th flagged trial's next ``random(n)``."""
+        source = BatchRandomSource.exact([seed * 10 + t for t in range(6)])
+        own = [np.random.default_rng(seed * 10 + t) for t in range(6)]
+        for rows in ([1, 0, 1, 1, 0, 1], [0] * 6, [1] * 6):
+            rows = np.array(rows, dtype=bool)
+            expected = np.array(
+                [own[t].random(17) for t in np.flatnonzero(rows)]
+            ).reshape(-1, 17)
+            assert np.array_equal(source.uniform_rows(rows, 17), expected)
 
 
 class TestEngineEquivalence:
