@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 tests + engine micro-benchmarks, with the headline numbers written
-# to BENCH_engine.json so the perf trajectory is tracked across PRs.
+# Tier-1 tests, then every benchmark with its timing gate, with the headline
+# numbers written to BENCH_engine.json so the perf trajectory is tracked
+# across PRs.
 #
 # Usage: bash benchmarks/run_benchmarks.sh [output.json]
 set -euo pipefail
@@ -17,9 +18,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 unset REPRO_CACHE_DIR
 
 echo "== tier-1 tests =="
-python -m pytest -x -q --ignore=benchmarks
+python -m pytest -x -q
 
-echo "== engine micro-benchmarks =="
+echo "== benchmarks =="
 python -m pytest -q \
     benchmarks/test_bench_engine_micro.py \
     benchmarks/test_bench_batch_engine.py \
@@ -28,6 +29,7 @@ python -m pytest -q \
     benchmarks/test_bench_telemetry.py \
     benchmarks/test_bench_store.py \
     benchmarks/test_bench_aggregation.py \
+    benchmarks/test_bench_experiments.py \
     --benchmark-json="$RAW"
 
 python benchmarks/summarize_engine_bench.py "$RAW" "$OUT"

@@ -17,7 +17,11 @@ Contracts pinned here:
    knowledge, quota and budget frontier) survives ``select_rows`` with the
    surviving rows' state intact, whether it keeps a scattered subset, every
    row, no row or only the last.
-4. **The continuous engine is observable.**  A traced run emits occupancy
+4. **Dead trials cost nothing.**  On sub-threshold ``G(n, p)`` the
+   continuous stream retires each disconnected straggler before the round
+   cap, completes the other trials in the same rounds as static shards
+   without retirement, and spends fewer trial-rounds.
+5. **The continuous engine is observable.**  A traced run emits occupancy
    gauges plus compaction / refill / dead-retirement counters.
 """
 
@@ -27,11 +31,15 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.baselines.decay import DecayBroadcast
 from repro.experiments.protocols import PROTOCOL_FACTORIES, ProtocolSpec
 from repro.radio.environment import build_environment
 from repro.experiments.runner import repeat_job
 from repro.graphs.builders import GraphSpec
-from repro.graphs.random_digraph import random_digraph
+from repro.graphs.random_digraph import (
+    connectivity_threshold_probability,
+    random_digraph,
+)
 from repro.radio.batch import BatchEngine, PendingTrial
 from repro.radio.collision import (
     BatchErasureCollisionModel,
@@ -210,6 +218,48 @@ class TestContinuousBitIdentity:
         ]
         assert any(a["occupancy"] * CAPACITY > a["added"] for a in refills)
         _assert_traces_identical(sharded, continuous)
+
+
+# --------------------------------------------------------------------------- #
+# Dead trials retire before the round cap (small form of the sub-threshold
+# benchmark cell in benchmarks/test_bench_compaction.py)
+# --------------------------------------------------------------------------- #
+class TestSubthresholdStragglers:
+    N = 128
+    TRIALS = 24
+    SHARD = 8
+    CAP = 2000
+
+    def test_stragglers_retire_and_save_trial_rounds(self):
+        p = 0.25 * connectivity_threshold_probability(self.N, delta=4.0)
+        nets = [
+            random_digraph(self.N, p, rng=1000 + t) for t in range(self.TRIALS)
+        ]
+        continuous = BatchEngine().run_continuous(
+            [PendingTrial(net, rng=2000 + t) for t, net in enumerate(nets)],
+            DecayBroadcast,
+            capacity=self.SHARD,
+            max_rounds=self.CAP,
+        )
+        # The engine before dead retirement: static shards, no retirement.
+        static = []
+        for base in range(0, self.TRIALS, self.SHARD):
+            static += BatchEngine(retire_dead=False).run(
+                nets[base : base + self.SHARD],
+                DecayBroadcast(),
+                rngs=[2000 + base + i for i in range(self.SHARD)],
+                max_rounds=self.CAP,
+            )
+        assert [r.completed for r in continuous] == [r.completed for r in static]
+        for c, s in zip(continuous, static):
+            if c.completed:
+                assert c.completion_round == s.completion_round
+        stragglers = [r for r in continuous if not r.completed]
+        assert stragglers, "the sub-threshold sample must hold a straggler"
+        assert all(r.rounds_executed < self.CAP for r in stragglers)
+        assert sum(r.rounds_executed for r in continuous) < sum(
+            r.rounds_executed for r in static
+        )
 
 
 # --------------------------------------------------------------------------- #
