@@ -131,7 +131,6 @@ def _run_sharded(net, protocol_name, env_name=None, model=None):
     return _engine(env_name, model).run(
         _per_trial(net),
         factory(**PROTOCOL_PARAMS[protocol_name]),
-        trials=TRIALS,
         rngs=_trial_rngs(),
         max_rounds=MAX_ROUNDS,
     )
@@ -148,7 +147,9 @@ def _run_continuous(net, protocol_name, env_name=None, model=None):
 
     pending = (
         PendingTrial(trial_net, rng=rng, tag=t)
-        for t, (trial_net, rng) in enumerate(zip(_per_trial(net), _trial_rngs()))
+        for t, (trial_net, rng) in enumerate(
+            zip(_per_trial(net), _trial_rngs())
+        )
     )
     traces = _engine(env_name, model).run_continuous(
         pending,
