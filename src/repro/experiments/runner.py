@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass, fields, replace
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +65,13 @@ from repro.radio.collision import (
 )
 from repro.radio.environment import build_environment, validate_environment_spec
 from repro.radio.trace import RunResultTrace
-from repro.store import SEED_SLOT, ResultStore, canonicalize, seeded_digests
+from repro.store import (
+    SEED_SLOT,
+    ResultStore,
+    canonical_dumps,
+    canonicalize,
+    seeded_digests,
+)
 
 __all__ = [
     "Job",
@@ -308,6 +315,9 @@ class _BatchShard:
     #: Telemetry/diagnostic name (``shard[k]:<cell digest prefix>``) set by
     #: the plan; doubles as the queue task label and the shard span name.
     label: str = ""
+    #: The sweep grid's table of networks other cells sample too (see
+    #: :class:`_TopologyTable`); set only on shards run in process.
+    topologies: Optional["_TopologyTable"] = None
 
 
 def _execute_batch_shard(
@@ -347,22 +357,90 @@ def _execute_batch_shard_traced(shard: _BatchShard):
     return results, captured.payload()
 
 
+class _TopologyTable:
+    """The random-family networks that several jobs of one sweep grid sample.
+
+    A job's graph stream is a pure function of its seed, so jobs with the
+    same canonical :class:`GraphSpec` and seed build equal networks.  The
+    table is made from every plan of a grid before any of them runs and
+    counts each ``(spec, seed)`` key's uses.  A key used more than once has
+    its network built on first use, held while later uses remain and dropped
+    after the last; keys used once are never held.  A network is immutable
+    (read-only arrays, in-CSR built on access), so sharing one between
+    trials changes no result.
+    """
+
+    def __init__(self, plans: Iterable["ExecutionPlan"]) -> None:
+        self._graph: Optional[GraphSpec] = None
+        self._graph_key = ""
+        uses = Counter(self._key(job) for plan in plans for job in plan.jobs)
+        self._uses = {key: count for key, count in uses.items() if count > 1}
+        self._held: Dict[Tuple[str, int], RadioNetwork] = {}
+
+    def __len__(self) -> int:
+        """How many keys still have uses ahead."""
+        return len(self._uses)
+
+    def _key(self, job: Job) -> Tuple[str, int]:
+        # A plan's jobs share one spec object: canonicalise it once per run.
+        if job.graph is not self._graph:
+            self._graph = job.graph
+            self._graph_key = canonical_dumps(job.graph.as_dict())
+        return self._graph_key, job.seed
+
+    def network(self, job: Job, graph_rng: np.random.Generator) -> RadioNetwork:
+        """``job``'s network, built from ``graph_rng`` unless held."""
+        key = self._key(job)
+        network = self._held.get(key)
+        if network is None:
+            network = build_network(job.graph, rng=graph_rng)
+        self._use(key, network)
+        return network
+
+    def release(self, jobs: Iterable[Job]) -> None:
+        """Give up the uses of jobs that will not build here (served from
+        the store, skipped, or run by worker processes)."""
+        for job in jobs:
+            self._use(self._key(job), None)
+
+    def _use(self, key: Tuple[str, int], network: Optional[RadioNetwork]) -> None:
+        remaining = self._uses.get(key)
+        if remaining is None:
+            return
+        if remaining > 1:
+            self._uses[key] = remaining - 1
+            if network is not None:
+                self._held[key] = network
+        else:
+            del self._uses[key]
+            self._held.pop(key, None)
+
+    def clear(self) -> None:
+        self._uses.clear()
+        self._held.clear()
+
+
 def _trial_inputs(
-    jobs: Sequence[Job], shared_network: Optional[RadioNetwork]
+    jobs: Sequence[Job],
+    shared_network: Optional[RadioNetwork],
+    topologies: Optional[_TopologyTable] = None,
 ) -> Iterator[Tuple[RadioNetwork, np.random.Generator]]:
     """``(network, protocol_rng)`` per job, in job order — the one place a
     batched sweep turns job seeds into engine inputs.
 
     The graph stream is spawned even when the cached topology makes it
     unused, so the protocol stream stays identical on every path.
+    ``topologies`` is the grid's table of networks that other cells sample
+    too (see :class:`_TopologyTable`).
     """
     for job in jobs:
         graph_rng, protocol_rng = spawn_generators(job.seed, 2)
-        network = (
-            shared_network
-            if shared_network is not None
-            else build_network(job.graph, rng=graph_rng)
-        )
+        if shared_network is not None:
+            network = shared_network
+        elif topologies is not None:
+            network = topologies.network(job, graph_rng)
+        else:
+            network = build_network(job.graph, rng=graph_rng)
         yield network, protocol_rng
 
 
@@ -390,7 +468,9 @@ def _execute_batch_shard_impl(
 ) -> List[RunResultTrace]:
     jobs = shard.jobs
     template = jobs[0]
-    networks, protocol_rngs = zip(*_trial_inputs(jobs, shard.shared_network))
+    networks, protocol_rngs = zip(
+        *_trial_inputs(jobs, shard.shared_network, shard.topologies)
+    )
     engine = _batch_engine_for(template)
     if shard.mode == "exact":
         randomness = {"rngs": protocol_rngs}
@@ -461,6 +541,12 @@ class ExecutionPlan:
     sample to the same network under every seed, so the plan builds that
     topology **once** and hands every shard a shared view instead of
     rebuilding it per job; random families keep their per-trial samples.
+    Across the cells of one sweep grid, a random-family sample is built
+    once too: cells on the same graph spec and cell seed draw the same
+    per-trial seeds, hence the same networks, and
+    :func:`~repro.scenarios.run_grid` hands their in-process plans one
+    table of the networks a later cell samples again (``_topologies``,
+    see :class:`_TopologyTable`).  Worker processes build their own.
 
     ``store`` attaches a content-addressed result store: cached trials are
     returned without touching the engine, missing trials are executed and
@@ -501,6 +587,9 @@ class ExecutionPlan:
     store: Optional[ResultStore] = None
     queue: Optional[JobQueue] = None
     shard_count: Optional[int] = None
+    _topologies: Optional[_TopologyTable] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.jobs:
@@ -648,7 +737,7 @@ class ExecutionPlan:
         pending = (
             PendingTrial(network, rng=protocol_rng, tag=index)
             for index, (network, protocol_rng) in enumerate(
-                _trial_inputs(jobs, self.shared_topology())
+                _trial_inputs(jobs, self.shared_topology(), self._topologies)
             )
         )
 
@@ -774,6 +863,12 @@ class ExecutionPlan:
             )
 
         def run_missing(missing: List[int]) -> None:
+            if self._topologies is not None:
+                # Served and skipped trials build no network.
+                running = set(missing)
+                self._topologies.release(
+                    job for i, job in enumerate(self.jobs) if i not in running
+                )
             if not missing:
                 return
             sub = replace(
@@ -844,6 +939,7 @@ class ExecutionPlan:
             replace(
                 shard,
                 label=f"shard[{k}]:{job_store_key(shard.jobs[0], context)[:16]}",
+                topologies=self._topologies if queue.in_process else None,
             )
             for k, shard in enumerate(self.shards())
         ]
@@ -871,8 +967,11 @@ class ExecutionPlan:
             )
             return
 
-        # Worker processes buffer their telemetry and ship it back with the
-        # shard results (the parent cannot see their pipelines).
+        # Worker processes sample their own networks, and buffer their
+        # telemetry and ship it back with the shard results (the parent
+        # cannot see their pipelines).
+        if self._topologies is not None:
+            self._topologies.release(self.jobs)
         traced = telemetry.enabled()
 
         def on_shard(shard_index: int, shard_result) -> None:

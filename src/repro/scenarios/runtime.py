@@ -26,13 +26,19 @@ so partial fast-mode checkpoints are discarded rather than extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro import telemetry
 from repro.analysis.statistics import SummaryStatistics
 from repro.analysis.streaming import AccumulatorSet
-from repro.experiments.runner import _resolve_store, build_repetition_plan
+from repro.experiments.runner import (
+    ExecutionPlan,
+    _resolve_store,
+    _TopologyTable,
+    build_repetition_plan,
+)
+from repro.graphs.builders import spec_is_deterministic
 from repro.scenarios.metrics import extract_sample, resolve_metrics
 from repro.scenarios.probes import get_probe
 from repro.scenarios.spec import ScenarioSpec, SweepCell, SweepGrid
@@ -263,6 +269,33 @@ def run_cell(cell: SweepCell, **options) -> CellResult:
         return result
 
 
+def _cell_plan(
+    cell: SweepCell,
+    *,
+    seed: int = 0,
+    processes: Optional[int] = None,
+    store=None,
+    batch_mode: Optional[str] = None,
+    shards: Optional[int] = None,
+) -> ExecutionPlan:
+    """The execution plan of a jobs cell."""
+    if shards is None:
+        per_shard = _shard_trials_for(cell.graph.params.get("n"))
+        if cell.repetitions > per_shard:
+            shards = -(-cell.repetitions // per_shard)
+    return build_repetition_plan(
+        cell.graph,
+        cell.protocol,
+        repetitions=cell.repetitions,
+        seed=cell.seed if cell.seed is not None else seed,
+        processes=processes,
+        batch_mode=batch_mode,
+        store=store,
+        shards=shards,
+        **cell.job_options,
+    )
+
+
 def _run_cell_impl(
     cell: SweepCell,
     *,
@@ -273,6 +306,7 @@ def _run_cell_impl(
     batch_mode: Optional[str] = None,
     shards: Optional[int] = None,
     sketch_capacity: int = 1024,
+    _plan: Optional[ExecutionPlan] = None,
 ) -> CellResult:
     metric_names = tuple(cell.metrics if cell.metrics is not None else metrics)
     if not metric_names:
@@ -293,21 +327,17 @@ def _run_cell_impl(
         )
     extractors = resolve_metrics(metric_names)
 
-    if shards is None:
-        per_shard = _shard_trials_for(cell.graph.params.get("n"))
-        if cell.repetitions > per_shard:
-            shards = -(-cell.repetitions // per_shard)
-    plan = build_repetition_plan(
-        cell.graph,
-        cell.protocol,
-        repetitions=cell.repetitions,
-        seed=cell_seed,
-        processes=processes,
-        batch_mode=batch_mode,
-        store=store,
-        shards=shards,
-        **cell.job_options,
-    )
+    # ``run_grid`` passes the plan it built before any cell ran.
+    plan = _plan
+    if plan is None:
+        plan = _cell_plan(
+            cell,
+            seed=seed,
+            processes=processes,
+            store=store,
+            batch_mode=batch_mode,
+            shards=shards,
+        )
     context = plan.cache_context()
     key = _aggregation_key(cell, cell_seed, context, metric_names, sketch_capacity)
     # Bit ``i`` is set once trial ``i`` is consumed: updated per trial, so a
@@ -500,23 +530,55 @@ def run_grid(
     With telemetry enabled the whole grid runs under one ``sweep`` span
     (named ``telemetry_label`` or the grid's content digest) so per-cell
     and per-shard spans nest under it in the trace.
+
+    Every jobs cell's plan is built before the first cell runs.  Cells on
+    the same random graph spec and cell seed sample the same networks, so
+    the plans share one :class:`~repro.experiments.runner._TopologyTable`
+    that builds each repeated network once and drops it after its last use;
+    the table is emptied when the grid returns or raises.
     """
     cells = list(grid)
+    plans: List[Optional[ExecutionPlan]] = [
+        _cell_plan(
+            cell,
+            seed=seed,
+            processes=processes,
+            store=store,
+            batch_mode=batch_mode,
+            shards=shards,
+        )
+        if cell.kind == "jobs"
+        else None
+        for cell in cells
+    ]
+    sampled = [
+        index
+        for index, plan in enumerate(plans)
+        if plan is not None and not spec_is_deterministic(plan.jobs[0].graph)
+    ]
+    topologies = _TopologyTable(plans[index] for index in sampled)
+    if topologies:
+        for index in sampled:
+            plans[index] = replace(plans[index], _topologies=topologies)
 
     def run_all() -> List[CellResult]:
-        return [
-            run_cell(
-                cell,
-                seed=seed,
-                metrics=metrics,
-                processes=processes,
-                store=store,
-                batch_mode=batch_mode,
-                shards=shards,
-                sketch_capacity=sketch_capacity,
-            )
-            for cell in cells
-        ]
+        try:
+            return [
+                run_cell(
+                    cell,
+                    seed=seed,
+                    metrics=metrics,
+                    processes=processes,
+                    store=store,
+                    batch_mode=batch_mode,
+                    shards=shards,
+                    sketch_capacity=sketch_capacity,
+                    _plan=plan,
+                )
+                for cell, plan in zip(cells, plans)
+            ]
+        finally:
+            topologies.clear()
 
     if not telemetry.enabled():
         return run_all()

@@ -178,15 +178,43 @@ def _assert_traces_identical(sharded, continuous):
 # --------------------------------------------------------------------------- #
 # Exact-mode bit-identity, every registry protocol
 # --------------------------------------------------------------------------- #
+#: Protocols whose trials all stop in the same round on the shared ``net96``,
+#: so every refill there lands on an empty batch; they run on one topology
+#: per trial instead, where a refill joins a cohort that is still running.
+PER_TRIAL_TOPOLOGY = {"deterministic_flood", "elsasser_gasieniec"}
+
+
+def _run_continuous_traced(net, protocol_name, model=None):
+    """:func:`_run_continuous` under a telemetry capture: the traces, the
+    cohort count and every ``engine.refill`` event's attributes."""
+    telemetry_shutdown()
+    sink = MemorySink()
+    configure_telemetry(sink=sink)
+    try:
+        traces, cohorts = _run_continuous(net, protocol_name, model=model)
+    finally:
+        telemetry_shutdown()
+    refills = [r["attrs"] for r in sink.records if r.get("name") == "engine.refill"]
+    return traces, cohorts, refills
+
+
+def _cohorts_overlapped(refills):
+    """Some refill joined trials that were still running: two cohorts were
+    live in the same round."""
+    return any(a["occupancy"] * CAPACITY > a["added"] for a in refills)
+
+
 class TestContinuousBitIdentity:
     @pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_FACTORIES))
-    def test_matches_run_for_every_protocol(self, net96, protocol_name):
+    def test_matches_run_for_every_protocol(self, net96, nets96, protocol_name):
         assert PROTOCOL_PARAMS.keys() == PROTOCOL_FACTORIES.keys()
-        sharded = _run_sharded(net96, protocol_name)
-        continuous, cohorts = _run_continuous(net96, protocol_name)
+        net = nets96 if protocol_name in PER_TRIAL_TOPOLOGY else net96
+        sharded = _run_sharded(net, protocol_name)
+        continuous, cohorts, refills = _run_continuous_traced(net, protocol_name)
         # capacity < trials forces at least one refill wave, so the sweep
         # actually crossed an admission (and hence compaction) boundary.
         assert cohorts > 1
+        assert _cohorts_overlapped(refills)
         _assert_traces_identical(sharded, continuous)
 
     @pytest.mark.parametrize("env_name", sorted(ENV_SPECS))
@@ -203,21 +231,10 @@ class TestContinuousBitIdentity:
         self, nets96, protocol_name, model_name
     ):
         sharded = _run_sharded(nets96, protocol_name, model=MODELS[model_name]())
-        telemetry_shutdown()
-        sink = MemorySink()
-        configure_telemetry(sink=sink)
-        try:
-            continuous, cohorts = _run_continuous(
-                nets96, protocol_name, model=MODELS[model_name]()
-            )
-        finally:
-            telemetry_shutdown()
-        # Some refill joined trials that were still running: two cohorts
-        # were live in the same round.
-        refills = [
-            r["attrs"] for r in sink.records if r.get("name") == "engine.refill"
-        ]
-        assert any(a["occupancy"] * CAPACITY > a["added"] for a in refills)
+        continuous, _, refills = _run_continuous_traced(
+            nets96, protocol_name, model=MODELS[model_name]()
+        )
+        assert _cohorts_overlapped(refills)
         _assert_traces_identical(sharded, continuous)
 
 

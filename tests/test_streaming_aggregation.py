@@ -484,3 +484,82 @@ class TestExecutionPlanStreaming:
                 streamed[index].energy.total_transmissions
                 == trace.energy.total_transmissions
             )
+
+
+# --------------------------------------------------------------------------- #
+# Count-based smoke of the aggregation cell's memory shape
+# (benchmarks/test_bench_aggregation.py measures the RSS)
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def live_traces(monkeypatch):
+    """Counts the :class:`RunResultTrace` objects alive at once: ``live``
+    now and the ``peak`` since the test last reset it."""
+    import weakref
+
+    from repro.radio.trace import RunResultTrace
+
+    counts = {"live": 0, "peak": 0}
+    init = RunResultTrace.__init__
+
+    def release() -> None:
+        counts["live"] -= 1
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        counts["live"] += 1
+        counts["peak"] = max(counts["peak"], counts["live"])
+        weakref.finalize(self, release)
+
+    monkeypatch.setattr(RunResultTrace, "__init__", counting_init)
+    return counts
+
+
+class TestTraceMemoryShape:
+    """The streaming path holds at most one shard's traces; ``repeat_job``
+    holds all R."""
+
+    R = 96
+    SHARDS = 4
+    GRAPH = GraphSpec("gnp", {"n": 24, "p": 0.6})
+    CELL = SweepCell(
+        coords={}, graph=GRAPH, protocol=ProtocolSpec("decay", {}), repetitions=R
+    )
+
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_streaming_cell_holds_at_most_one_shard(self, live_traces, batch_mode):
+        result = run_cell(
+            self.CELL,
+            metrics=("success", "total_tx"),
+            shards=self.SHARDS,
+            store=False,
+            batch_mode=batch_mode,
+        )
+        assert result.trials == self.R
+        assert live_traces["peak"] <= self.R // self.SHARDS
+        assert live_traces["live"] == 0
+
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_warm_cell_holds_one_served_trace_at_a_time(
+        self, tmp_path, live_traces, batch_mode
+    ):
+        store = ResultStore(tmp_path)
+        options = dict(shards=self.SHARDS, store=store, batch_mode=batch_mode)
+        run_cell(self.CELL, metrics=("success",), **options)
+        live_traces["peak"] = live_traces["live"]
+        # Another metric set: every trial is read back from the store.
+        run_cell(self.CELL, metrics=("success", "total_tx"), **options)
+        assert store.hits == self.R
+        assert live_traces["peak"] == 1
+
+    @pytest.mark.parametrize("batch_mode", ["fast", "exact"])
+    def test_repeat_job_holds_every_trace(self, live_traces, batch_mode):
+        traces = repeat_job(
+            self.GRAPH,
+            ProtocolSpec("decay", {}),
+            repetitions=self.R,
+            shards=self.SHARDS,
+            store=False,
+            batch_mode=batch_mode,
+        )
+        assert live_traces["live"] == len(traces) == self.R
+        assert live_traces["peak"] >= self.R

@@ -119,3 +119,124 @@ class TestSharedTopologyCells:
         assert store.hits - hits == sum(cell.repetitions for cell in CELLS)
         assert [_state(r) for r in results] == want_states
         assert trace_digests == want_digests
+
+
+# --------------------------------------------------------------------------- #
+# One build per (spec, seed) key per grid; nothing outlives the grid
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the networks the runner samples in this process."""
+    from repro.experiments import runner
+
+    counted = {"networks": 0}
+    build = runner.build_network
+
+    def counting(spec, *, rng=None):
+        counted["networks"] += 1
+        return build(spec, rng=rng)
+
+    monkeypatch.setattr(runner, "build_network", counting)
+    return counted
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every topology table a grid makes, with the keys it still counted
+    and the networks it still held when the grid emptied it."""
+    made = []
+
+    class Recording(runtime._TopologyTable):
+        def __init__(self, plans):
+            super().__init__(plans)
+            self.at_clear = None
+            made.append(self)
+
+        def clear(self):
+            self.at_clear = (len(self), len(self._held))
+            super().clear()
+
+    monkeypatch.setattr(runtime, "_TopologyTable", Recording)
+    return made
+
+
+#: The two cells share the decay cell's three seeds: 5 + 3 trials, 5 samples.
+DISTINCT = 5
+
+
+class TestGridBuildsEachSampleOnce:
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    def test_in_process_grid_builds_each_key_once(self, builds, tables, mode):
+        run_grid(SweepGrid(CELLS), seed=0, metrics=METRICS, store=False, **MODES[mode])
+        assert builds["networks"] == DISTINCT
+        (table,) = tables
+        assert table.at_clear == (0, 0)
+        assert len(table) == 0
+
+    def test_cells_alone_build_every_trial(self, builds):
+        for cell in CELLS:
+            run_cell(cell, seed=0, metrics=METRICS, store=False, batch_mode="exact")
+        assert builds["networks"] == sum(cell.repetitions for cell in CELLS)
+
+    def test_process_fan_out_shares_nothing(self, builds, tables):
+        run_grid(
+            SweepGrid(CELLS), seed=0, metrics=METRICS, store=False,
+            **MODES["exact-processes2"],
+        )
+        # Workers sample their own networks; the parent builds none and
+        # gives every use back.
+        assert builds["networks"] == 0
+        assert tables[0].at_clear == (0, 0)
+
+    def test_deterministic_and_single_use_keys_make_no_table_entries(self, tables):
+        grid = SweepGrid(
+            (
+                CELLS[0],
+                SweepCell(
+                    coords={"protocol": "decay", "graph": "grid"},
+                    graph=GraphSpec("grid", {"rows": 4, "cols": 4}),
+                    protocol=ProtocolSpec("decay", {}),
+                    repetitions=3,
+                ),
+            )
+        )
+        run_grid(grid, seed=0, metrics=METRICS, store=False)
+        assert len(tables[0]) == 0 and tables[0].at_clear == (0, 0)
+
+    def test_table_is_emptied_when_a_cell_raises(self, monkeypatch, tables):
+        extract = runtime.extract_sample
+
+        def failing(extractors, trace, cell):
+            if cell is CELLS[0]:
+                raise RuntimeError("metric failed")
+            return extract(extractors, trace, cell)
+
+        monkeypatch.setattr(runtime, "extract_sample", failing)
+        with pytest.raises(RuntimeError, match="metric failed"):
+            run_grid(
+                SweepGrid(CELLS), seed=0, metrics=METRICS, store=False,
+                batch_mode="exact",
+            )
+        (table,) = tables
+        # The first cell died after sampling its networks, so the three the
+        # decay cell was to reuse were held.
+        assert table.at_clear == (3, 3)
+        assert len(table) == 0 and not table._held
+
+    def test_served_and_skipped_trials_give_their_uses_back(
+        self, tmp_path, builds, tables
+    ):
+        store = ResultStore(tmp_path / "store")
+        # The decay cell's trials are stored before the grid runs: the grid
+        # builds the Algorithm 1 samples only and holds none past its cell.
+        run_cell(CELLS[1], seed=0, metrics=METRICS, store=store, batch_mode="exact")
+        builds["networks"] = 0
+        grid = SweepGrid(CELLS)
+        run_grid(grid, seed=0, metrics=WARM_METRICS, store=store, batch_mode="exact")
+        assert builds["networks"] == CELLS[0].repetitions
+        assert tables[-1].at_clear == (0, 0)
+        # A warm pass with the same metrics skips every trial through the
+        # aggregation checkpoints and builds nothing.
+        run_grid(grid, seed=0, metrics=WARM_METRICS, store=store, batch_mode="exact")
+        assert builds["networks"] == CELLS[0].repetitions
+        assert tables[-1].at_clear == (0, 0)
