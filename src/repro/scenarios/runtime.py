@@ -538,47 +538,52 @@ def run_grid(
     the table is emptied when the grid returns or raises.
     """
     cells = list(grid)
-    plans: List[Optional[ExecutionPlan]] = [
-        _cell_plan(
-            cell,
-            seed=seed,
-            processes=processes,
-            store=store,
-            batch_mode=batch_mode,
-            shards=shards,
-        )
-        if cell.kind == "jobs"
-        else None
-        for cell in cells
-    ]
-    sampled = [
-        index
-        for index, plan in enumerate(plans)
-        if plan is not None and not spec_is_deterministic(plan.jobs[0].graph)
-    ]
-    topologies = _TopologyTable(plans[index] for index in sampled)
-    if topologies:
-        for index in sampled:
-            plans[index] = replace(plans[index], _topologies=topologies)
 
     def run_all() -> List[CellResult]:
+        plans: List[Optional[ExecutionPlan]] = [
+            _cell_plan(
+                cell,
+                seed=seed,
+                processes=processes,
+                store=store,
+                batch_mode=batch_mode,
+                shards=shards,
+            )
+            if cell.kind == "jobs"
+            else None
+            for cell in cells
+        ]
+        sampled = [
+            index
+            for index, plan in enumerate(plans)
+            if plan is not None and not spec_is_deterministic(plan.jobs[0].graph)
+        ]
+        topologies = _TopologyTable(plans[index] for index in sampled)
+        if topologies:
+            for index in sampled:
+                plans[index] = replace(plans[index], _topologies=topologies)
+        results = []
         try:
-            return [
-                run_cell(
-                    cell,
-                    seed=seed,
-                    metrics=metrics,
-                    processes=processes,
-                    store=store,
-                    batch_mode=batch_mode,
-                    shards=shards,
-                    sketch_capacity=sketch_capacity,
-                    _plan=plan,
+            for index, cell in enumerate(cells):
+                # A plan (and a store it opened from a path) lives only as
+                # long as its cell runs.
+                plan, plans[index] = plans[index], None
+                results.append(
+                    run_cell(
+                        cell,
+                        seed=seed,
+                        metrics=metrics,
+                        processes=processes,
+                        store=store,
+                        batch_mode=batch_mode,
+                        shards=shards,
+                        sketch_capacity=sketch_capacity,
+                        _plan=plan,
+                    )
                 )
-                for cell, plan in zip(cells, plans)
-            ]
         finally:
             topologies.clear()
+        return results
 
     if not telemetry.enabled():
         return run_all()
