@@ -531,17 +531,18 @@ def run_grid(
     (named ``telemetry_label`` or the grid's content digest) so per-cell
     and per-shard spans nest under it in the trace.
 
-    Every jobs cell's plan is built before the first cell runs.  Cells on
-    the same random graph spec and cell seed sample the same networks, so
-    the plans share one :class:`~repro.experiments.runner._TopologyTable`
-    that builds each repeated network once and drops it after its last use;
-    the table is emptied when the grid returns or raises.
+    Cells on the same random graph spec and cell seed sample the same
+    networks.  The plans of the jobs cells on random graph families are
+    built before the first cell runs and share one
+    :class:`~repro.experiments.runner._TopologyTable`, which builds each
+    repeated network once and drops it after its last use; the table is
+    emptied when the grid returns or raises.
     """
     cells = list(grid)
 
     def run_all() -> List[CellResult]:
-        plans: List[Optional[ExecutionPlan]] = [
-            _cell_plan(
+        plans = {
+            index: _cell_plan(
                 cell,
                 seed=seed,
                 processes=processes,
@@ -549,25 +550,18 @@ def run_grid(
                 batch_mode=batch_mode,
                 shards=shards,
             )
-            if cell.kind == "jobs"
-            else None
-            for cell in cells
-        ]
-        sampled = [
-            index
-            for index, plan in enumerate(plans)
-            if plan is not None and not spec_is_deterministic(plan.jobs[0].graph)
-        ]
-        topologies = _TopologyTable(plans[index] for index in sampled)
+            for index, cell in enumerate(cells)
+            if cell.kind == "jobs" and not spec_is_deterministic(cell.graph)
+        }
+        topologies = _TopologyTable(plans.values())
         if topologies:
-            for index in sampled:
-                plans[index] = replace(plans[index], _topologies=topologies)
+            plans = {
+                index: replace(plan, _topologies=topologies)
+                for index, plan in plans.items()
+            }
         results = []
         try:
             for index, cell in enumerate(cells):
-                # A plan (and a store it opened from a path) lives only as
-                # long as its cell runs.
-                plan, plans[index] = plans[index], None
                 results.append(
                     run_cell(
                         cell,
@@ -578,7 +572,9 @@ def run_grid(
                         batch_mode=batch_mode,
                         shards=shards,
                         sketch_capacity=sketch_capacity,
-                        _plan=plan,
+                        # A plan (and a store it opened from a path) lives
+                        # only as long as its cell runs.
+                        _plan=plans.pop(index, None),
                     )
                 )
         finally:
